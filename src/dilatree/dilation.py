@@ -13,7 +13,9 @@ of escalating forever.  Only a disguised symbolic zero can exhaust the
 precision cap, and that raises `PrecisionExhausted` rather than guessing.
 
 Interval bookkeeping uses integer endpoints at a shared power-of-two
-scale, so accumulating a path is pure integer addition.
+scale, so accumulating a path is pure integer addition.  One kernel,
+`root_sums`, does all of it: a DFS from a root sums the enclosures along
+every path it reaches, in a whole tree or in a search's partial forest.
 """
 
 from __future__ import annotations
@@ -227,13 +229,25 @@ class DilationReport:
 # path length and pair dilation
 
 
-def _path_sum_ints(ps: PointSet, tree: Tree, u: int, v: int, bits: int):
-    lo = hi = 0
-    for a, b in tree.path_edges(u, v):
-        elo, ehi = ps.dist_ints(a, b, bits)
-        lo += elo
-        hi += ehi
-    return lo, hi
+def root_sums(ps: PointSet, adj, root: int, bits: int):
+    """Integer (lo, hi) path-length enclosures from `root`, by one DFS.
+
+    `adj` is a tree or forest adjacency (iterables of neighbours).  Entry
+    v is the sum of `ps.dist_ints` over the root-v path, at scale
+    2^-(bits+8): (0, 0) at the root, None where v is not reachable."""
+    sums = [None] * len(adj)
+    sums[root] = (0, 0)
+    stack = [root]
+    dist_ints = ps.dist_ints
+    while stack:
+        x = stack.pop()
+        xlo, xhi = sums[x]
+        for y in adj[x]:
+            if sums[y] is None:
+                elo, ehi = dist_ints(x, y, bits)
+                sums[y] = (xlo + elo, xhi + ehi)
+                stack.append(y)
+    return sums
 
 
 def tree_path_length(ps: PointSet, tree: Tree, u: int, v: int,
@@ -241,16 +255,17 @@ def tree_path_length(ps: PointSet, tree: Tree, u: int, v: int,
     """Enclosure of the tree-path length between u and v."""
     if tree.n != ps.n:
         raise ValueError("tree and point set sizes differ")
-    lo, hi = _path_sum_ints(ps, tree, u, v, bits)
+    lo, hi = root_sums(ps, tree.adjacency(), u, bits)[v]
     e = _scale_exp(bits)
     return Interval(Fraction(lo, 1 << e), Fraction(hi, 1 << e), bits)
 
 
-def _pair_ratio_ints(ps, tree, u, v, bits):
-    """((dlo, dhi), (llo, lhi)) integer enclosures at a common scale."""
-    d = _path_sum_ints(ps, tree, u, v, bits)
-    length = ps.dist_ints(u, v, bits)
-    return d, length
+def _ratio_interval(d, length, bits):
+    """Outward-rounded enclosure of path/length from integer enclosures."""
+    (dlo, dhi), (llo, lhi) = d, length
+    lo = round_dyadic(Fraction(dlo, lhi), bits + 4, "floor")
+    hi = round_dyadic(Fraction(dhi, llo), bits + 4, "ceil")
+    return Interval(lo, hi, bits)
 
 
 def pair_dilation(ps: PointSet, tree: Tree, u: int, v: int,
@@ -259,11 +274,8 @@ def pair_dilation(ps: PointSet, tree: Tree, u: int, v: int,
     if u == v:
         raise ValueError("pair must be two distinct vertices")
     work = bits + 4
-    (dlo, dhi), (llo, lhi) = _pair_ratio_ints(ps, tree, u, v, work)
-    grid = bits + 4
-    lo = round_dyadic(Fraction(dlo, lhi), grid, "floor")
-    hi = round_dyadic(Fraction(dhi, llo), grid, "ceil")
-    return Interval(lo, hi, bits)
+    d = root_sums(ps, tree.adjacency(), u, work)[v]
+    return _ratio_interval(d, ps.dist_ints(u, v, work), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +317,8 @@ def _pair_vs_threshold(ps, tree, u, v, p_num, q_den, start_bits, cap):
     """Certified verdict for d_T(u,v)/|uv| vs P/Q on a single pair."""
     tried_exact = False
     for bits in _ladder(start_bits, cap):
-        (dlo, dhi), (llo, lhi) = _pair_ratio_ints(ps, tree, u, v, bits)
+        dlo, dhi = root_sums(ps, tree.adjacency(), u, bits)[v]
+        llo, lhi = ps.dist_ints(u, v, bits)
         if q_den * dlo > p_num * lhi:
             return Verdict.GREATER
         if q_den * dhi <= p_num * llo:
@@ -332,28 +345,28 @@ def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int, q_den: int,
     enclosures straddle the threshold; a pair certified strictly above
     P/Q settles the whole tree immediately.  `pair_order` optionally
     front-loads pairs likely to exceed, which makes rejection cheap; it
-    never affects the verdict, only the order of work.
+    never affects the verdict, only the order of work.  Pairs are drawn
+    lazily; a run of pairs sharing a first vertex shares one `root_sums`.
     """
     if q_den < 1 or p_num < q_den:
         raise ValueError("threshold must satisfy P/Q >= 1 with Q >= 1")
     if tree.n != ps.n:
         raise ValueError("tree and point set sizes differ")
     cap = max_bits_cap() if cap is None else cap
-    n = ps.n
+    adj = tree.adjacency()
+    root = sums = None
     seen = set()
-    ordered = []
-    if pair_order:
-        for u, v in pair_order:
-            key = (u, v) if u < v else (v, u)
-            if key not in seen:
-                seen.add(key)
-                ordered.append(key)
-    ordered.extend(key for key in itertools.combinations(range(n), 2)
-                   if key not in seen)
-
     undecided = []
-    for u, v in ordered:
-        (dlo, dhi), (llo, lhi) = _pair_ratio_ints(ps, tree, u, v, start_bits)
+    for u, v in itertools.chain(pair_order or (),
+                                itertools.combinations(range(ps.n), 2)):
+        u, v = min(u, v), max(u, v)
+        if (u, v) in seen:
+            continue
+        seen.add((u, v))
+        if u != root:
+            root, sums = u, root_sums(ps, adj, u, start_bits)
+        dlo, dhi = sums[v]
+        llo, lhi = ps.dist_ints(u, v, start_bits)
         if q_den * dlo > p_num * lhi:
             return Verdict.GREATER
         if q_den * dhi > p_num * llo:
@@ -384,9 +397,12 @@ def tree_dilation(ps: PointSet, tree: Tree, bits: int,
         raise ValueError("tree and point set sizes differ")
     cap = max_bits_cap() if cap is None else cap
     work = max(bits + 4, 64)
-    pairs = list(itertools.combinations(range(ps.n), 2))
-    enc = {pq: pair_dilation(ps, tree, *pq, work) for pq in pairs}
-    precision_used = work
+    enc = {}
+    for u in range(ps.n - 1):
+        sums = root_sums(ps, tree.adjacency(), u, work + 4)
+        for v in range(u + 1, ps.n):
+            enc[u, v] = _ratio_interval(sums[v],
+                                        ps.dist_ints(u, v, work + 4), work)
     tied = False
 
     while True:
@@ -407,23 +423,18 @@ def tree_dilation(ps: PointSet, tree: Tree, bits: int,
                         best = [pq]
                     elif sign == 0:
                         best.append(pq)
-                tied = len(best) > 1
             except PrecisionExhausted:
                 if work >= cap:
                     raise
-                work = min(2 * work, cap)
-                enc = {pq: pair_dilation(ps, tree, *pq, work)
-                       for pq in survivors}
-                precision_used = work
-                continue
-            survivors = {pq: survivors[pq] for pq in best}
-            break
-        if work >= cap:
+            else:
+                tied = len(best) > 1
+                survivors = {pq: survivors[pq] for pq in best}
+                break
+        elif work >= cap:
             raise PrecisionExhausted(
                 f"dilation witnesses unresolved at {cap} bits", bits=cap)
         work = min(2 * work, cap)
         enc = {pq: pair_dilation(ps, tree, *pq, work) for pq in survivors}
-        precision_used = work
 
     witness = min(survivors)
     verdict = None
@@ -432,7 +443,7 @@ def tree_dilation(ps: PointSet, tree: Tree, bits: int,
                                        cap=cap)
     return DilationReport(value=value, witness=witness,
                           threshold_verdict=verdict,
-                          precision_used=precision_used, tied=tied)
+                          precision_used=work, tied=tied)
 
 
 # ---------------------------------------------------------------------------

@@ -460,16 +460,22 @@ def _critical_index_edges(lay) -> list:
     return out
 
 
-def _family_edges(lay, right_set, left_set, attach):
-    n = lay.n
-    edges = list(_critical_index_edges(lay))
-    for i in range(1, n + 1):
-        tgt = lay.d(i) if i in right_set else lay.a(i + 1)
-        edges.append(tuple(sorted((lay.c(i), tgt))))
-        mtgt = lay.mirror(lay.d(i)) if i in left_set \
-            else lay.mirror(lay.a(i + 1))
-        edges.append(tuple(sorted((lay.mirror(lay.c(i)), mtgt))))
-    edges.append(tuple(sorted((lay.q2, attach))))
+def _family_skeleton(lay):
+    """The mask-independent edges of the tree family, and per index i the
+    (direct, detour) options of its right and its left choice edge: c_i to
+    a_{i+1} or to d_i, and the mirror images of both."""
+    m, choices = lay.mirror, []
+    for i in range(1, lay.n + 1):
+        c, a, d = lay.c(i), lay.a(i + 1), lay.d(i)
+        choices.append((((c, a), (c, d)), ((m(c), m(a)), (m(c), m(d)))))
+    return _critical_index_edges(lay), choices
+
+
+def _family_edges(skeleton, right_set, left_set, attach):
+    fixed, choices = skeleton
+    edges = fixed + [(_Q2, attach)]
+    for i, (right, left) in enumerate(choices, 1):
+        edges += [right[i in right_set], left[i in left_set]]
     return edges
 
 
@@ -480,7 +486,7 @@ def standard_tree(g, A) -> Tree:
     if not A <= set(range(1, g.n + 1)):
         raise ValueError("indices out of range")
     complement = set(range(1, g.n + 1)) - A
-    edges = _family_edges(g, A, complement, g.q1)
+    edges = _family_edges(_family_skeleton(g), A, complement, g.q1)
     return Tree(8 * g.n + 8, edges)
 
 
@@ -732,11 +738,12 @@ def decide_partition(instance):
     total = 8 * n + 8
     candidates = [lay.q1] + [j for j in range(total) if j > lay.q2]
     full = set(range(1, n + 1))
+    skeleton = _family_skeleton(lay)
     for attach in candidates:
         for mask in _gray_masks(2 * n):
             right = {i for i in full if (mask >> (i - 1)) & 1}
             left = {i for i in full if (mask >> (n + i - 1)) & 1}
-            tree = Tree(total, _family_edges(lay, right, left, attach))
+            tree = Tree(total, _family_edges(skeleton, right, left, attach))
             verdict = compare_to_threshold(pts, tree, P, Q,
                                            pair_order=priority)
             if verdict is Verdict.AT_MOST:

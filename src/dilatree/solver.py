@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dilation import (DilationReport, PointSet, Tree, critical_edges,
-                       crossing_edge_pairs, tree_dilation, tree_has_crossing,
-                       _pair_exact, _path_sum_ints)
+                       crossing_edge_pairs, root_sums, tree_dilation,
+                       tree_has_crossing, _pair_exact)
 from .errors import (Infeasible, NotApplicable, NotCrossing,
                      PrecisionExhausted, SizeTooLarge, max_bits_cap)
 from .exactgeom import (Interval, Orientation, Segment, orientation,
@@ -65,7 +65,7 @@ class SolverResult:
 # exhaustive enumeration oracle
 
 
-def _prufer_tree(n: int, seq) -> Tree:
+def _prufer_edges(n: int, seq):
     degree = [1] * n
     for x in seq:
         degree[x] += 1
@@ -81,7 +81,7 @@ def _prufer_tree(n: int, seq) -> Tree:
     u = heapq.heappop(leaves)
     v = heapq.heappop(leaves)
     edges.append((u, v))
-    return Tree(n, edges)
+    return edges
 
 
 def enumerate_spanning_trees(n: int):
@@ -92,15 +92,11 @@ def enumerate_spanning_trees(n: int):
         raise SizeTooLarge(f"{n}^{n - 2} trees is beyond the enumeration "
                            f"guard of n <= {_ENUM_MAX}")
     for seq in itertools.product(range(n), repeat=n - 2):
-        yield _prufer_tree(n, seq)
+        yield Tree(n, _prufer_edges(n, seq))
 
 
 # ---------------------------------------------------------------------------
 # certified comparison of two trees' dilations
-
-
-def _witness_ratio_exact(ps, tree, pair):
-    return _pair_exact(ps, tree, *pair)
 
 
 def _compare_reports(ps, tree_a, rep_a, tree_b, rep_b, cap):
@@ -109,8 +105,8 @@ def _compare_reports(ps, tree_a, rep_a, tree_b, rep_b, cap):
         return -1
     if rep_a.value.lo > rep_b.value.hi:
         return 1
-    da, la = _witness_ratio_exact(ps, tree_a, rep_a.witness)
-    db, lb = _witness_ratio_exact(ps, tree_b, rep_b.witness)
+    da, la = _pair_exact(ps, tree_a, *rep_a.witness)
+    db, lb = _pair_exact(ps, tree_b, *rep_b.witness)
     return (da * lb - db * la).sign(cap=cap)
 
 
@@ -173,32 +169,6 @@ def _kruskal_feasible(ps, cands, required, crossing_free):
     if len(chosen) != ps.n - 1:
         return None
     return Tree(ps.n, chosen)
-
-
-def _forest_path_ints(ps, adj, u, v, bits):
-    """Path-length enclosure between connected forest vertices."""
-    # BFS in the partial forest
-    prev = {u: u}
-    queue = [u]
-    while queue:
-        nxt = []
-        for x in queue:
-            for y in adj[x]:
-                if y not in prev:
-                    prev[y] = x
-                    nxt.append(y)
-        if v in prev:
-            break
-        queue = nxt
-    lo = hi = 0
-    x = v
-    while x != u:
-        p = prev[x]
-        elo, ehi = ps.dist_ints(min(x, p), max(x, p), bits)
-        lo += elo
-        hi += ehi
-        x = p
-    return lo, hi
 
 
 def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverResult:
@@ -296,24 +266,15 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
         if dsu.find(u) != dsu.find(v) and not (
                 opts.crossing_free and
                 any(_edges_cross(ps, e, c) for c in chosen)):
-            comp_u = [x for x in range(n) if dsu.find(x) == dsu.find(u)]
-            comp_v = [x for x in range(n) if dsu.find(x) == dsu.find(v)]
-            elo, ehi = ps.dist_ints(u, v, opts.bits)
-            ok = True
-            for x in comp_u:
-                xlo, _ = (0, 0) if x == u else \
-                    _forest_path_ints(ps, adj, x, u, opts.bits)
-                for y in comp_v:
-                    ylo, _ = (0, 0) if y == v else \
-                        _forest_path_ints(ps, adj, y, v, opts.bits)
-                    dlo = xlo + elo + ylo
-                    _, plhi = ps.dist_ints(min(x, y), max(x, y), opts.bits)
-                    if inc_exceeded(dlo, plhi):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            # e joins the components of u and v: each pair x, y across
+            # them gets the path x .. u - v .. y
+            elo, _ = ps.dist_ints(u, v, opts.bits)
+            comp_v = [(y, s[0] + elo) for y, s in enumerate(
+                root_sums(ps, adj, v, opts.bits)) if s is not None]
+            if not any(inc_exceeded(xs[0] + ylo,
+                                    ps.dist_ints(x, y, opts.bits)[1])
+                       for x, xs in enumerate(root_sums(ps, adj, u, opts.bits))
+                       if xs is not None for y, ylo in comp_v):
                 nd = dsu.copy()
                 nd.union(u, v)
                 adj[u].add(v)
@@ -339,35 +300,58 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
                         pruned=state["pruned"])
 
 
+def _screen(ps, adj, bits, bound):
+    """Integer bounds (lo_num, lo_den, hi_num, hi_den) on a tree's dilation,
+    or None as soon as one pair's lower bound exceeds bound = (num, den)."""
+    b_n, b_d = bound
+    lo_n = lo_d = hi_n = hi_d = None
+    for u in range(len(adj) - 1):
+        sums = root_sums(ps, adj, u, bits)
+        for v in range(u + 1, len(adj)):
+            (dlo, dhi), (llo, lhi) = sums[v], ps.dist_ints(u, v, bits)
+            if dlo * b_d > b_n * lhi:
+                return None
+            if lo_n is None or dlo * lo_d > lo_n * lhi:
+                lo_n, lo_d = dlo, lhi
+            if hi_n is None or dhi * hi_d > hi_n * llo:
+                hi_n, hi_d = dhi, llo
+    return lo_n, lo_d, hi_n, hi_d
+
+
 def exhaustive_mdst(ps: PointSet, bits: int = 64) -> SolverResult:
     """Certified minimum over all labeled trees; the slow, simple oracle.
 
-    Every tree's dilation is enclosed at moderate precision with pure
-    integer arithmetic; trees whose enclosure cannot beat the best upper
-    bound are discarded as certified-worse and the handful of remaining
-    candidates are separated exactly.
+    Every Prüfer sequence is decoded to an adjacency and its pairs are
+    enclosed at moderate precision with pure integer arithmetic.  The
+    scan keeps a running incumbent, the smallest upper bound on a tree's
+    dilation seen so far, and drops a tree as soon as one pair's lower
+    bound exceeds it.  Trees scanned in full are filtered once more
+    against the final incumbent, and only the remaining handful become
+    validated `Tree`s and are separated exactly.  A dropped tree lies
+    certifiably above the final incumbent too, so the candidates,
+    `trees_examined` and `pruned` are those of scoring every tree fully.
     """
     n = ps.n
     if n > _ENUM_MAX:
         raise SizeTooLarge(f"exhaustive oracle capped at {_ENUM_MAX} points")
     cap = max_bits_cap()
-    scan_bits = 32
-    entries = []           # (lo_num, lo_den, hi_num, hi_den, tree)
-    for tree in enumerate_spanning_trees(n):
-        lo_n = lo_d = hi_n = hi_d = None
-        for u, v in itertools.combinations(range(n), 2):
-            dlo, dhi = _path_sum_ints(ps, tree, u, v, scan_bits)
-            llo, lhi = ps.dist_ints(u, v, scan_bits)
-            if lo_n is None or dlo * lo_d > lo_n * lhi:
-                lo_n, lo_d = dlo, lhi
-            if hi_n is None or dhi * hi_d > hi_n * llo:
-                hi_n, hi_d = dhi, llo
-        entries.append((lo_n, lo_d, hi_n, hi_d, tree))
-    best_hi = min(entries, key=lambda t: Fraction(t[2], t[3]))
-    bh_n, bh_d = best_hi[2], best_hi[3]
-    candidates = [t for (ln, ld, hn, hd, t) in entries
-                  if ln * bh_d <= bh_n * ld]
-    pruned = len(entries) - len(candidates)
+    bh = (1, 0)            # running incumbent, smallest upper bound so far;
+                           # 1/0 is no bound yet
+    scored = []            # (lo_num, lo_den, edges) of trees scanned in full
+    for seq in itertools.product(range(n), repeat=n - 2):
+        edges = _prufer_edges(n, seq)
+        adj = [[] for _ in range(n)]
+        for a, b in edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        bounds = _screen(ps, adj, 32, bh)
+        if bounds is not None:
+            lo_n, lo_d, hi_n, hi_d = bounds
+            scored.append((lo_n, lo_d, edges))
+            if hi_n * bh[1] < bh[0] * hi_d:
+                bh = (hi_n, hi_d)
+    candidates = [Tree(n, edges) for ln, ld, edges in scored
+                  if ln * bh[1] <= bh[0] * ld]
 
     best_tree = None
     best_rep = None
@@ -377,7 +361,8 @@ def exhaustive_mdst(ps: PointSet, bits: int = 64) -> SolverResult:
                                                 best_rep, cap) < 0:
             best_tree, best_rep = tree, rep
     return SolverResult(best=best_tree, report=best_rep,
-                        trees_examined=len(entries), pruned=pruned)
+                        trees_examined=n ** (n - 2),
+                        pruned=n ** (n - 2) - len(candidates))
 
 
 # ---------------------------------------------------------------------------
@@ -727,13 +712,8 @@ def verify_crossing_witness(ps: PointSet, bits: int = 96) -> WitnessCheck | None
         if tree == best_tree:
             continue
         # cheap certified lower bound screens out most trees
-        lo_n = lo_d = None
-        for u, v in itertools.combinations(range(5), 2):
-            dlo, _ = _path_sum_ints(ps, tree, u, v, 48)
-            _, lhi = ps.dist_ints(u, v, 48)
-            if lo_n is None or dlo * lo_d > lo_n * lhi:
-                lo_n, lo_d = dlo, lhi
-        if Fraction(lo_n, lo_d) > bh:
+        if _screen(ps, tree.adjacency(), 48,
+                   (bh.numerator, bh.denominator)) is None:
             continue
         rep = tree_dilation(ps, tree, bits, cap=cap)
         d1, l1 = _pair_exact(ps, tree, *rep.witness)

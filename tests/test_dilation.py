@@ -8,7 +8,7 @@ import pytest
 from dilatree.dilation import (
     DilationReport, PointSet, Tree, Verdict, compare_to_threshold,
     critical_edges, crossing_edge_pairs, graph_dilation_bounds, pair_dilation,
-    tree_dilation, tree_has_crossing, tree_path_length,
+    root_sums, tree_dilation, tree_has_crossing, tree_path_length,
 )
 from dilatree.errors import PrecisionExhausted
 from dilatree.exactgeom import pt
@@ -42,6 +42,60 @@ def test_tree_paths():
     assert t.path_vertices(0, 4) == [0, 1, 3, 4]
     assert t.path_edges(4, 0) == [(3, 4), (1, 3), (0, 1)]
     assert t.path_vertices(2, 2) == [2]
+
+
+def random_tree_instance(rng, n, offset):
+    coords = set()
+    while len(coords) < n:
+        coords.add((rng.randint(0, 200) + offset, rng.randint(0, 200) + offset))
+    ps = PointSet.from_coords(sorted(coords))
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges = [(labels[k], labels[rng.randrange(k)]) for k in range(1, n)]
+    return ps, Tree(n, edges)
+
+
+def summed_path(ps, tree, u, v, bits):
+    lo = hi = 0
+    for a, b in tree.path_edges(u, v):
+        elo, ehi = ps.dist_ints(a, b, bits)
+        lo += elo
+        hi += ehi
+    return lo, hi
+
+
+@pytest.mark.parametrize("offset", [0, 1 << 54, 1 << 60])
+def test_root_sums_match_summed_tree_paths(offset):
+    rng = random.Random(offset % 1009 + 17)
+    for n in (5, 9, 17, 30):
+        ps, tree = random_tree_instance(rng, n, offset)
+        for bits in (32, 64, 256):
+            for u in range(n):
+                sums = root_sums(ps, tree.adjacency(), u, bits)
+                assert sums == [summed_path(ps, tree, u, v, bits)
+                                for v in range(n)]
+
+
+@pytest.mark.parametrize("offset", [0, 1 << 54, 1 << 60])
+def test_root_sums_on_partial_forest(offset):
+    # the branch-and-bound grows a forest of set adjacencies; a root must
+    # reach exactly its own component, with the sums of the full tree
+    rng = random.Random(offset % 1013 + 5)
+    for n in (5, 12, 30):
+        ps, tree = random_tree_instance(rng, n, offset)
+        kept = [e for e in tree.edges if rng.random() < 0.6]
+        adj = [set() for _ in range(n)]
+        for a, b in kept:
+            adj[a].add(b)
+            adj[b].add(a)
+        for bits in (32, 64, 256):
+            for u in range(n):
+                sums = root_sums(ps, adj, u, bits)
+                for v in range(n):
+                    connected = all(e in kept for e in tree.path_edges(u, v))
+                    expect = summed_path(ps, tree, u, v, bits) \
+                        if connected else None
+                    assert sums[v] == expect
 
 
 def square_star():

@@ -93,6 +93,59 @@ def test_mdst_matches_oracle_random_sets():
         assert res.trees_examined <= n ** (n - 2)
 
 
+# exhaustive_mdst outputs recorded before its screen ran against a running
+# incumbent: best tree, witness, precision, tie flag, counts, and the
+# enclosure as (lo numerator, lo exponent, hi numerator, hi exponent)
+EXHAUSTIVE_PINS = [
+    (SQUARE, ((0, 1), (0, 2), (0, 3)), (1, 2), 272, True, 16, 8,
+     (18320381198483092318366819162170796570593515903918213573057006220700984226932758009, 272,
+      146563049587864738546934553297366372564748127231345708584456049765607873815462064073, 275)),
+    ([(0, 0), (5, 1), (9, 4), (3, 7), (12, 9), (7, 12)],
+     ((0, 1), (1, 2), (2, 3), (2, 4), (2, 5)), (4, 5), 68, False, 1296, 1294,
+     (712550075590001856651, 68, 11400801209440029706423, 72)),
+    ([(2, 3), (11, 0), (14, 8), (6, 13), (0, 9), (8, 6)],
+     ((0, 4), (1, 5), (2, 5), (3, 5), (4, 5)), (0, 1), 68, False, 1296, 1295,
+     (10740505561833698266239, 72, 2685126390458424566561, 70)),
+    ([(x + 2 ** 54, y + 2 ** 54) for x, y in
+      [(1, 1), (4, 9), (10, 2), (13, 11), (7, 6), (3, 14)]],
+     ((0, 4), (1, 4), (1, 5), (2, 4), (3, 4)), (3, 5), 68, False, 1296, 1295,
+     (7758163445624473870195, 72, 3879081722812236935099, 71)),
+]
+
+
+@pytest.mark.parametrize("pin", EXHAUSTIVE_PINS, ids=["square", "a", "b", "c"])
+def test_exhaustive_mdst_pinned(pin):
+    coords, edges, witness, precision, tied, examined, pruned, value = pin
+    res = exhaustive_mdst(PointSet.from_coords(coords))
+    assert res.best.edges == edges
+    assert res.report.witness == witness
+    assert res.report.precision_used == precision
+    assert res.report.tied is tied
+    assert res.report.threshold_verdict is None
+    assert (res.trees_examined, res.pruned) == (examined, pruned)
+    lo_num, lo_exp, hi_num, hi_exp = value
+    assert res.report.value.lo == Fraction(lo_num, 1 << lo_exp)
+    assert res.report.value.hi == Fraction(hi_num, 1 << hi_exp)
+    assert res.report.value.bits == 64
+
+
+def test_exhaustive_mdst_matches_brute_force():
+    # score all 125 trees fully and keep the first certified minimum
+    cap = max_bits_cap()
+    for offset in (0, 2 ** 54):
+        ps = PointSet.from_coords([(x + offset, y + offset) for x, y in
+                                   [(0, 0), (3, 1), (5, 4), (1, 6), (7, 7)]])
+        best = rep = None
+        for tree in enumerate_spanning_trees(5):
+            r = tree_dilation(ps, tree, 64, cap=cap)
+            if rep is None or _compare_reports(ps, tree, r, best, rep, cap) < 0:
+                best, rep = tree, r
+        res = exhaustive_mdst(ps)
+        assert res.best == best
+        assert res.report == rep
+        assert res.trees_examined == 125
+
+
 def test_mdst_required_edges_respected():
     ps = PointSet.from_coords(SQUARE)
     # force the 0-2 diagonal, which no unconstrained optimum uses
