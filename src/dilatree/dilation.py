@@ -110,11 +110,6 @@ class PointSet:
         self._enc[key] = (lo, hi)
         return lo, hi
 
-    def dist_interval(self, i: int, j: int, bits: int) -> Interval:
-        lo, hi = self.dist_ints(i, j, bits)
-        e = _scale_exp(bits)
-        return Interval(Fraction(lo, 1 << e), Fraction(hi, 1 << e), bits)
-
 
 class Tree:
     """Spanning tree on vertices 0..n-1, validated at construction."""
@@ -273,9 +268,20 @@ def pair_dilation(ps: PointSet, tree: Tree, u: int, v: int,
     """Dyadic enclosure of d_T(u, v) / |uv| with relative width ~2^-bits."""
     if u == v:
         raise ValueError("pair must be two distinct vertices")
+    return _pair_enclosures(ps, tree, [(u, v)], bits)[u, v]
+
+
+def _pair_enclosures(ps, tree, pairs, bits):
+    """Dilation enclosures at `bits` of the given pairs, keyed by pair;
+    pairs sharing a first vertex share one `root_sums` run."""
     work = bits + 4
-    d = root_sums(ps, tree.adjacency(), u, work)[v]
-    return _ratio_interval(d, ps.dist_ints(u, v, work), bits)
+    enc = {}
+    root = sums = None
+    for u, v in sorted(pairs):
+        if u != root:
+            root, sums = u, root_sums(ps, tree.adjacency(), u, work)
+        enc[u, v] = _ratio_interval(sums[v], ps.dist_ints(u, v, work), bits)
+    return enc
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +403,8 @@ def tree_dilation(ps: PointSet, tree: Tree, bits: int,
         raise ValueError("tree and point set sizes differ")
     cap = max_bits_cap() if cap is None else cap
     work = max(bits + 4, 64)
-    enc = {}
-    for u in range(ps.n - 1):
-        sums = root_sums(ps, tree.adjacency(), u, work + 4)
-        for v in range(u + 1, ps.n):
-            enc[u, v] = _ratio_interval(sums[v],
-                                        ps.dist_ints(u, v, work + 4), work)
+    enc = _pair_enclosures(ps, tree, itertools.combinations(range(ps.n), 2),
+                           work)
     tied = False
 
     while True:
@@ -434,7 +436,7 @@ def tree_dilation(ps: PointSet, tree: Tree, bits: int,
             raise PrecisionExhausted(
                 f"dilation witnesses unresolved at {cap} bits", bits=cap)
         work = min(2 * work, cap)
-        enc = {pq: pair_dilation(ps, tree, *pq, work) for pq in survivors}
+        enc = _pair_enclosures(ps, tree, survivors, work)
 
     witness = min(survivors)
     verdict = None
@@ -532,50 +534,72 @@ def crossing_edge_pairs(ps: PointSet, edges):
 # graph dilation bounds (supergraph monotonicity checks)
 
 
-def _dijkstra(n, adj, source, weight):
-    dist = [None] * n
-    dist[source] = Fraction(0)
-    heap = [(Fraction(0), source)]
+def _shortest_sums(ps: PointSet, adj, source: int, bits: int, end: int):
+    """Integer Dijkstra from `source` over endpoint `end` (0 lower, 1 upper)
+    of the `ps.dist_ints` edge enclosures, at the scale `root_sums` uses;
+    None where a vertex is not reachable."""
+    dist = [None] * len(adj)
+    dist[source] = 0
+    heap = [(0, source)]
     while heap:
         d, x = heapq.heappop(heap)
         if d > dist[x]:
             continue
-        for y, w in adj[x]:
-            nd = d + weight[w]
+        for y in adj[x]:
+            nd = d + ps.dist_ints(x, y, bits)[end]
             if dist[y] is None or nd < dist[y]:
                 dist[y] = nd
                 heapq.heappush(heap, (nd, y))
     return dist
 
 
+def _graph_adjacency(n, edges):
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def graph_exceeds(ps: PointSet, edges, p_num: int, q_den: int, pairs) -> bool:
+    """One-sided certificate that every spanning tree inside `edges` has
+    dilation above P/Q.
+
+    Such a tree joins u and v by a path of the graph, so its u-v length is
+    at least the graph's shortest-path sum of lower endpoints.  True means
+    that sum exceeds (P/Q)|uv| for some pair of `pairs`; False only means
+    "not shown".  One Dijkstra runs per distinct first vertex, at 64 bits.
+    """
+    adj = _graph_adjacency(ps.n, edges)
+    sums = {}
+    for u, v in pairs:
+        if u not in sums:
+            sums[u] = _shortest_sums(ps, adj, u, 64, 0)
+        d = sums[u][v]
+        if d is not None and q_den * d > p_num * ps.dist_ints(u, v, 64)[1]:
+            return True
+    return False
+
+
 def graph_dilation_bounds(ps: PointSet, edges, bits: int) -> Interval:
     """Enclosure of the dilation of an arbitrary connected graph.
 
-    Exact-rational Dijkstra runs once over lower endpoints and once over
-    upper endpoints of the edge-length enclosures; the true shortest-path
+    Integer Dijkstra runs once over lower endpoints and once over upper
+    endpoints of the edge-length enclosures; the true shortest-path
     metric is sandwiched between the two runs.
     """
     n = ps.n
-    edges = [tuple(sorted(e)) for e in edges]
-    adj = [[] for _ in range(n)]
-    for k, (u, v) in enumerate(edges):
-        adj[u].append((v, k))
-        adj[v].append((u, k))
-    lows = []
-    highs = []
-    for u, v in edges:
-        iv = ps.dist_interval(u, v, bits)
-        lows.append(iv.lo)
-        highs.append(iv.hi)
+    adj = _graph_adjacency(n, edges)
     ratio_lo = Fraction(0)
     ratio_hi = Fraction(0)
     for src in range(n):
-        dlo = _dijkstra(n, adj, src, lows)
-        dhi = _dijkstra(n, adj, src, highs)
+        dlo = _shortest_sums(ps, adj, src, bits, 0)
+        dhi = _shortest_sums(ps, adj, src, bits, 1)
         for dst in range(src + 1, n):
             if dlo[dst] is None:
                 raise ValueError("graph is not connected")
-            length = ps.dist_interval(src, dst, bits)
-            ratio_lo = max(ratio_lo, dlo[dst] / length.hi)
-            ratio_hi = max(ratio_hi, dhi[dst] / length.lo)
+            llo, lhi = ps.dist_ints(src, dst, bits)
+            # both sums share the scale 2^-(bits+8), which cancels
+            ratio_lo = max(ratio_lo, Fraction(dlo[dst], lhi))
+            ratio_hi = max(ratio_hi, Fraction(dhi[dst], llo))
     return Interval(ratio_lo, ratio_hi, bits)

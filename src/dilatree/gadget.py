@@ -12,13 +12,18 @@ identities and inequalities, rescales everything to integers, and
 decides the partition question two ways: through a certified search of
 the constrained tree family, and through a subset-sum dynamic program
 used as an independent oracle.
+
+The search settles each attachment of the hanging point at once when
+it can: all family trees with that attachment lie in one union graph, so
+a pair whose shortest path there is certified above the threshold
+rejects them all.  Other attachments are searched tree by tree.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dilation import (PointSet, Tree, Verdict, compare_to_threshold,
-                       critical_edges)
+                       critical_edges, graph_exceeds)
 from .errors import NoIntersection, PrecisionInsufficient, SumTooLarge
 from .exactgeom import (Interval, Orientation, Point,
                         circle_intersection_upper, orientation, round_dyadic,
@@ -718,6 +723,11 @@ def decide_partition(instance):
     forced attachment first; the first tree certified at most P/Q decodes
     into the partition halves.  Returns (solution, tree), or None when
     every combination is certified above the threshold.
+
+    Each attachment is first tried whole: its union graph (the fixed
+    edges, the attachment edge and both options of every choice slot)
+    contains all 4^n of its trees, so when `graph_exceeds` certifies a
+    priority pair there, each of those trees is above P/Q and is skipped.
     """
     lay = instance
     n = lay.n
@@ -739,7 +749,12 @@ def decide_partition(instance):
     candidates = [lay.q1] + [j for j in range(total) if j > lay.q2]
     full = set(range(1, n + 1))
     skeleton = _family_skeleton(lay)
+    fixed, choices = skeleton
+    options = [e for slot in choices for side in slot for e in side]
     for attach in candidates:
+        union = fixed + options + [(_Q2, attach)]
+        if graph_exceeds(pts, union, P, Q, priority):
+            continue
         for mask in _gray_masks(2 * n):
             right = {i for i in full if (mask >> (i - 1)) & 1}
             left = {i for i in full if (mask >> (n + i - 1)) & 1}

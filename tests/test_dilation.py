@@ -7,8 +7,9 @@ import pytest
 
 from dilatree.dilation import (
     DilationReport, PointSet, Tree, Verdict, compare_to_threshold,
-    critical_edges, crossing_edge_pairs, graph_dilation_bounds, pair_dilation,
-    root_sums, tree_dilation, tree_has_crossing, tree_path_length,
+    critical_edges, crossing_edge_pairs, graph_dilation_bounds, graph_exceeds,
+    pair_dilation, root_sums, tree_dilation, tree_has_crossing,
+    tree_path_length,
 )
 from dilatree.errors import PrecisionExhausted
 from dilatree.exactgeom import pt
@@ -306,6 +307,78 @@ def test_graph_bounds_match_tree_on_tree_edges():
         rep = tree_dilation(ps, t, 64)
         g = graph_dilation_bounds(ps, t.edges, 64)
         assert g.lo <= rep.value.hi and rep.value.lo <= g.hi
+
+
+_OFF = 1 << 54
+
+
+@pytest.mark.parametrize("coords, edges, bits, expect", [
+    ([(0, 0), (3, 0), (3, 4)], [(0, 1), (1, 2)], 64, ("7/5", "7/5")),
+    ([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2), (2, 3), (0, 2)], 32,
+     ("5184484147/2147483648", "1296121037/536870912")),
+    ([(0, 0), (3, 1), (5, 4), (1, 6), (7, 7)],
+     [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], 64,
+     ("48675877770568274531/16627670405780314888",
+      "48675877770568274534/16627670405780314887")),
+    ([(x + _OFF, y + _OFF)
+      for x, y in [(0, 0), (3, 1), (5, 4), (1, 6), (7, 7)]],
+     [(0, 2), (1, 2), (2, 3), (3, 4), (0, 3)], 48,
+     ("704297926724287/222525507687131", "70429792672429/22252550768713")),
+])
+def test_graph_bounds_pinned(coords, edges, bits, expect):
+    # values recorded from the earlier Fraction-weighted Dijkstra
+    g = graph_dilation_bounds(PointSet.from_coords(coords), edges, bits)
+    assert (g.lo, g.hi, g.bits) == (Fraction(expect[0]), Fraction(expect[1]),
+                                     bits)
+
+
+def spanning_trees_within(n, edges):
+    for subset in itertools.combinations(edges, n - 1):
+        try:
+            yield Tree(n, subset)
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("offset", [0, _OFF])
+def test_graph_exceeds_rejects_every_tree_inside(offset):
+    rng = random.Random(43)
+    q = 256
+    thresholds = range(q, 4 * q, 3)
+    certified = 0
+    for _ in range(8):
+        n = rng.choice((6, 7))
+        ps = PointSet.from_coords((p.x + offset, p.y + offset)
+                                  for p in random_pointset(rng, n).points)
+        union = set(random_tree(rng, n).edges)
+        size = n - 1 + rng.choice((1, 2))
+        while len(union) < size:
+            union.add(tuple(sorted(rng.sample(range(n), 2))))
+        union = sorted(union)
+        # like decide_partition's priority list: runs sharing a first vertex
+        pairs = [(u, v) for u in rng.sample(range(n), 3)
+                 for v in rng.sample([w for w in range(n) if w != u], 2)]
+        top = {pair: max((p for p in thresholds
+                          if graph_exceeds(ps, union, p, q, [pair])),
+                         default=0) for pair in pairs}
+        shown = [p for p in thresholds
+                 if graph_exceeds(ps, union, p, q, pairs)]
+        assert shown == [p for p in thresholds if p <= max(top.values())]
+        hi = graph_dilation_bounds(ps, union, 64).hi
+        assert all(Fraction(p, q) < hi for p in shown)
+        if not shown:
+            continue
+        certified += 1
+        trees = list(spanning_trees_within(n, union))
+        assert trees
+        for tree in trees:
+            assert compare_to_threshold(ps, tree, shown[-1], q) \
+                is Verdict.GREATER
+            for (u, v), p in top.items():
+                if p:
+                    enc = pair_dilation(ps, tree, u, v, 64)
+                    assert enc.hi > Fraction(p, q)
+    assert certified >= 4
 
 
 def _apply(ps, f):

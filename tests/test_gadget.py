@@ -380,7 +380,8 @@ def test_decide_rejects_unsplittable_weights():
     assert decide_partition(build_gadget(PartitionInstance((1,)))) is None
 
 
-@pytest.mark.parametrize("alphas", [(2, 3, 5), (1, 2, 4), (1, 1, 2, 8)])
+@pytest.mark.parametrize("alphas", [(2, 3, 5), (1, 2, 4), (1, 1, 2, 8),
+                                    (1, 1, 1, 2), (1, 1, 1, 1, 3)])
 def test_decide_agrees_with_oracle(alphas):
     inst = PartitionInstance(alphas)
     expect = partition_oracle(inst)
@@ -404,6 +405,61 @@ def test_decide_on_integer_instance(alphas):
         assert sol.consistent_with(inst.alphas_dot)
         assert compare_to_threshold(ii.points, tree, ii.P, ii.Q) \
             is Verdict.AT_MOST
+
+
+# decide_partition's answers as recorded from the tree-by-tree search,
+# before attachments were settled whole; the returned tree depends only
+# on n and the split, keyed here by n and the sorted first half
+_SPLIT_TREES = {
+    (2, (2,)): (
+        (0, 1), (0, 2), (0, 13), (2, 5), (3, 6), (3, 7), (3, 9), (4, 10),
+        (4, 11), (5, 7), (6, 8), (8, 10), (11, 12), (13, 16), (14, 17),
+        (14, 20), (15, 19), (15, 21), (15, 22), (16, 18), (17, 19), (18, 20),
+        (22, 23),
+    ),
+    (3, (3,)): (
+        (0, 1), (0, 2), (0, 17), (2, 6), (3, 7), (3, 9), (3, 12), (4, 8),
+        (4, 10), (4, 13), (5, 14), (5, 15), (6, 9), (7, 10), (8, 11), (11, 14),
+        (15, 16), (17, 21), (18, 22), (18, 27), (19, 23), (19, 28), (20, 26),
+        (20, 29), (20, 30), (21, 24), (22, 25), (23, 26), (24, 27), (25, 28),
+        (30, 31),
+    ),
+    (4, (1, 4)): (
+        (0, 1), (0, 2), (0, 21), (2, 7), (3, 8), (3, 15), (4, 9), (4, 12),
+        (4, 16), (5, 10), (5, 13), (5, 17), (6, 18), (6, 19), (7, 11), (8, 12),
+        (9, 13), (10, 14), (11, 15), (14, 18), (19, 20), (21, 26), (22, 27),
+        (22, 30), (22, 34), (23, 28), (23, 35), (24, 29), (24, 36), (25, 33),
+        (25, 37), (25, 38), (26, 30), (27, 31), (28, 32), (29, 33), (31, 35),
+        (32, 36), (38, 39),
+    ),
+    (4, (3, 4)): (
+        (0, 1), (0, 2), (0, 21), (2, 7), (3, 8), (3, 11), (3, 15), (4, 9),
+        (4, 12), (4, 16), (5, 10), (5, 17), (6, 18), (6, 19), (7, 11), (8, 12),
+        (9, 13), (10, 14), (13, 17), (14, 18), (19, 20), (21, 26), (22, 27),
+        (22, 34), (23, 28), (23, 35), (24, 29), (24, 32), (24, 36), (25, 33),
+        (25, 37), (25, 38), (26, 30), (27, 31), (28, 32), (29, 33), (30, 34),
+        (31, 35), (38, 39),
+    ),
+}
+
+
+@pytest.mark.parametrize("alphas, split", [
+    ((1,), None), ((3,), None), ((1, 1), ((2,), (1,))), ((2, 2), ((2,), (1,))),
+    ((1, 2), None), ((1, 1, 1), None), ((1, 1, 2), ((3,), (1, 2))),
+    ((2, 3, 5), ((3,), (1, 2))), ((1, 2, 4), None), ((1, 1, 1, 2), None),
+    ((1, 2, 3, 4), ((1, 4), (2, 3))), ((1, 1, 2, 8), None),
+    ((2, 1, 1, 2), ((3, 4), (1, 2))),
+])
+def test_decide_pinned_answers(alphas, split):
+    g = build_gadget(PartitionInstance(alphas))
+    for inst in (g, integerize(g)):
+        got = decide_partition(inst)
+        if split is None:
+            assert got is None
+            continue
+        sol, tree = got
+        assert (tuple(sorted(sol.A)), tuple(sorted(sol.A_prime))) == split
+        assert tree.edges == _SPLIT_TREES[len(alphas), split[0]]
 
 
 def test_decide_rejects_tampered_integer_points():
