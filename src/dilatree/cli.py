@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-points", type=int, default=9)
     p.add_argument("--bits", type=int, default=64)
     p.add_argument("--cap", type=int, default=None,
-                   help="abort if the search would enumerate more trees")
+                   help="abort if the search would examine more trees "
+                        "or orderings")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_mdst)
 

@@ -23,8 +23,9 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 from .errors import PrecisionExhausted, max_bits_cap
 from .exactgeom import (Interval, Point, Segment, round_dyadic,
@@ -268,19 +269,23 @@ def pair_dilation(ps: PointSet, tree: Tree, u: int, v: int,
     """Dyadic enclosure of d_T(u, v) / |uv| with relative width ~2^-bits."""
     if u == v:
         raise ValueError("pair must be two distinct vertices")
-    return _pair_enclosures(ps, tree, [(u, v)], bits)[u, v]
+    sums = partial(root_sums, ps, tree.adjacency())
+    return _pair_enclosures(ps, sums, [(u, v)], bits)[u, v]
 
 
-def _pair_enclosures(ps, tree, pairs, bits):
-    """Dilation enclosures at `bits` of the given pairs, keyed by pair;
-    pairs sharing a first vertex share one `root_sums` run."""
+def _pair_enclosures(ps, sums, pairs, bits):
+    """Dilation enclosures at `bits` of the given pairs, keyed by pair.
+
+    `sums(u, bits)` gives the integer path-length enclosures from u to
+    every vertex, as `root_sums` does for a tree; pairs sharing a first
+    vertex share one call."""
     work = bits + 4
     enc = {}
-    root = sums = None
+    root = row = None
     for u, v in sorted(pairs):
         if u != root:
-            root, sums = u, root_sums(ps, tree.adjacency(), u, work)
-        enc[u, v] = _ratio_interval(sums[v], ps.dist_ints(u, v, work), bits)
+            root, row = u, sums(u, work)
+        enc[u, v] = _ratio_interval(row[v], ps.dist_ints(u, v, work), bits)
     return enc
 
 
@@ -288,22 +293,23 @@ def _pair_enclosures(ps, tree, pairs, bits):
 # exact symbolic forms, for ties and boundary hits
 
 
-def _path_sum_exact(ps: PointSet, tree: Tree, u: int, v: int) -> SqrtSum:
+def _edge_sum(ps: PointSet, edges) -> SqrtSum:
+    """Exact total length of `edges`."""
     total = SqrtSum.zero()
-    for a, b in tree.path_edges(u, v):
+    for a, b in edges:
         total = total + SqrtSum.sqrt_of(ps.distance_sq(a, b))
     return total
 
 
 def _pair_exact(ps, tree, u, v):
-    return _path_sum_exact(ps, tree, u, v), SqrtSum.sqrt_of(ps.distance_sq(u, v))
+    return (_edge_sum(ps, tree.path_edges(u, v)),
+            SqrtSum.sqrt_of(ps.distance_sq(u, v)))
 
 
-def _compare_pairs_exact(ps, tree, p1, p2, cap):
-    """Sign of dilation(p1) - dilation(p2), resolved symbolically."""
-    d1, l1 = _pair_exact(ps, tree, *p1)
-    d2, l2 = _pair_exact(ps, tree, *p2)
-    return (d1 * l2 - d2 * l1).sign(cap=cap)
+def _ratio_sign(a, b, cap) -> int:
+    """Certified sign of d_a/l_a - d_b/l_b for exact pairs (d, l)."""
+    (da, la), (db, lb) = a, b
+    return (da * lb - db * la).sign(cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +399,38 @@ def tree_dilation(ps: PointSet, tree: Tree, bits: int,
                   *, cap: int | None = None) -> DilationReport:
     """Enclose Delta(T) and name a pair attaining it.
 
+    The maximum is certified by `_max_dilation`: genuinely equal maxima
+    are reported with `tied` set and the lexicographically smallest
+    witness.  With a threshold P/Q, the report also carries the verdict
+    of `compare_to_threshold`.
+    """
+    if tree.n != ps.n:
+        raise ValueError("tree and point set sizes differ")
+    cap = max_bits_cap() if cap is None else cap
+    report = _max_dilation(ps, partial(root_sums, ps, tree.adjacency()),
+                          partial(_pair_exact, ps, tree), bits, cap)
+    if threshold is None:
+        return report
+    return replace(report, threshold_verdict=compare_to_threshold(
+        ps, tree, threshold[0], threshold[1], cap=cap))
+
+
+def _max_dilation(ps: PointSet, sums, exact, bits: int,
+                 cap: int) -> DilationReport:
+    """Enclose the largest pair dilation of a structure on `ps` and name a
+    pair attaining it.
+
+    The structure is given by its path metric: `sums(u, bits)` encloses
+    the path lengths from u to every vertex, as `root_sums` does for a
+    tree, and `exact(u, v)` gives the exact (path length, |uv|) of a pair.
     The maximum is located by refining only the pairs whose enclosures
     still overlap the running lower bound.  When the final survivors
     cannot be separated numerically they are compared symbolically;
     genuinely equal maxima are reported with `tied` set and the
     lexicographically smallest witness.
     """
-    if tree.n != ps.n:
-        raise ValueError("tree and point set sizes differ")
-    cap = max_bits_cap() if cap is None else cap
     work = max(bits + 4, 64)
-    enc = _pair_enclosures(ps, tree, itertools.combinations(range(ps.n), 2),
+    enc = _pair_enclosures(ps, sums, itertools.combinations(range(ps.n), 2),
                            work)
     tied = False
 
@@ -419,10 +446,12 @@ def tree_dilation(ps: PointSet, tree: Tree, bits: int,
             order = sorted(survivors)
             best = [order[0]]
             try:
+                top = exact(*order[0])
                 for pq in order[1:]:
-                    sign = _compare_pairs_exact(ps, tree, pq, best[0], cap)
+                    cand = exact(*pq)
+                    sign = _ratio_sign(cand, top, cap)
                     if sign > 0:
-                        best = [pq]
+                        best, top = [pq], cand
                     elif sign == 0:
                         best.append(pq)
             except PrecisionExhausted:
@@ -436,16 +465,11 @@ def tree_dilation(ps: PointSet, tree: Tree, bits: int,
             raise PrecisionExhausted(
                 f"dilation witnesses unresolved at {cap} bits", bits=cap)
         work = min(2 * work, cap)
-        enc = _pair_enclosures(ps, tree, survivors, work)
+        enc = _pair_enclosures(ps, sums, survivors, work)
 
-    witness = min(survivors)
-    verdict = None
-    if threshold is not None:
-        verdict = compare_to_threshold(ps, tree, threshold[0], threshold[1],
-                                       cap=cap)
-    return DilationReport(value=value, witness=witness,
-                          threshold_verdict=verdict,
-                          precision_used=work, tied=tied)
+    return DilationReport(value=value, witness=min(survivors),
+                          threshold_verdict=None, precision_used=work,
+                          tied=tied)
 
 
 # ---------------------------------------------------------------------------

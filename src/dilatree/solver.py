@@ -3,8 +3,9 @@
 Spanning-tree search runs branch-and-bound over edge subsets with an
 interval-certified incumbent; an exhaustive enumeration over labeled
 trees (Prüfer sequences) serves as the independent oracle.  Hamiltonian
-paths and tours are brute-forced with a provably-safe float prefilter
-followed by exact certification of the surviving near-minimal candidates.
+paths and tours enumerate orderings through the oracle's integer screen,
+with path lengths from exact integer prefix sums along each ordering, and
+certify only the orderings the screen cannot rule out.
 A local uncrossing exchange removes an edge crossing from a 4-point tree
 without increasing its dilation, and a randomized search hunts for
 5-point sets whose every optimal spanning tree has a crossing.
@@ -18,23 +19,20 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import partial
 
 from .dilation import (DilationReport, PointSet, Tree, critical_edges,
                        crossing_edge_pairs, root_sums, tree_dilation,
-                       tree_has_crossing, _pair_exact)
+                       tree_has_crossing, _edge_sum, _graph_adjacency,
+                       _max_dilation, _pair_exact, _ratio_sign)
 from .errors import (Infeasible, NotApplicable, NotCrossing,
                      PrecisionExhausted, SizeTooLarge, max_bits_cap)
-from .exactgeom import (Interval, Orientation, Segment, orientation,
-                        round_dyadic, segments_properly_cross)
+from .exactgeom import (Orientation, Segment, orientation,
+                        segments_properly_cross)
 from .radical import SqrtSum
 
 _ENUM_MAX = 9
 _STRUCT_MAX = 10
-# headroom over the worst-case relative rounding error of an IEEE-double
-# dilation evaluation (a few dozen ulps); candidates within the margin of
-# the float minimum are re-certified exactly, the rest are safely worse
-_FLOAT_MARGIN = 2.0 ** -40
 
 
 class Mode(enum.Enum):
@@ -96,18 +94,37 @@ def enumerate_spanning_trees(n: int):
 
 
 # ---------------------------------------------------------------------------
-# certified comparison of two trees' dilations
+# certified comparison of two structures' dilations
 
 
-def _compare_reports(ps, tree_a, rep_a, tree_b, rep_b, cap):
-    """Certified sign of Delta(tree_a) - Delta(tree_b)."""
+def _compare_exact(rep_a, exact_a, rep_b, exact_b, cap):
+    """Certified sign of rep_a's dilation minus rep_b's.
+
+    `exact_x(u, v)` gives the exact (path length, |uv|) of a pair in that
+    structure; it is read for the two witnesses only when the enclosures
+    overlap."""
     if rep_a.value.hi < rep_b.value.lo:
         return -1
     if rep_a.value.lo > rep_b.value.hi:
         return 1
-    da, la = _pair_exact(ps, tree_a, *rep_a.witness)
-    db, lb = _pair_exact(ps, tree_b, *rep_b.witness)
-    return (da * lb - db * la).sign(cap=cap)
+    return _ratio_sign(exact_a(*rep_a.witness), exact_b(*rep_b.witness), cap)
+
+
+def _compare_reports(ps, tree_a, rep_a, tree_b, rep_b, cap):
+    """Certified sign of Delta(tree_a) - Delta(tree_b)."""
+    return _compare_exact(rep_a, partial(_pair_exact, ps, tree_a),
+                          rep_b, partial(_pair_exact, ps, tree_b), cap)
+
+
+def _first_minimum(reports, cap):
+    """The first (structure, report, exact) of `reports` that no later one
+    certifiably beats, so ties keep the earliest."""
+    best = None
+    for item in reports:
+        if best is None or _compare_exact(item[1], item[2],
+                                          best[1], best[2], cap) < 0:
+            best = item
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +196,15 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
     upper bound) may never be excluded, and a branch dies as soon as some
     already-connected pair's dilation certifiably exceeds the incumbent.
     Ties keep the first tree found in the deterministic search order.
+    Path and tour mode search orderings (see `min_dilation_structure`).
+    In every mode, `max_points` bounds the input and `enumeration_cap` the
+    complete trees or feasible orderings examined.
     """
-    if opts.mode is not Mode.TREE:
-        return min_dilation_structure(ps, opts.mode, opts.bits,
-                                      _required=opts.required_edges,
-                                      _crossing_free=opts.crossing_free)
     n = ps.n
     if n > opts.max_points:
         raise SizeTooLarge(f"{n} points exceeds max_points={opts.max_points}")
+    if opts.mode is not Mode.TREE:
+        return _order_search(ps, opts)
     cap = max_bits_cap()
     required = sorted(tuple(sorted(e)) for e in opts.required_edges)
     req_dsu = _DSU(n)
@@ -300,15 +318,25 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
                         pruned=state["pruned"])
 
 
-def _screen(ps, adj, bits, bound):
-    """Integer bounds (lo_num, lo_den, hi_num, hi_den) on a tree's dilation,
-    or None as soon as one pair's lower bound exceeds bound = (num, den)."""
+def _lengths(ps, bits):
+    """`ps.dist_ints` at `bits` of every pair u < v, as rows lens[u][v]."""
+    return [[ps.dist_ints(u, v, bits) if v > u else None
+             for v in range(ps.n)] for u in range(ps.n)]
+
+
+def _screen(sums, lens, bits, bound):
+    """Integer bounds (lo_num, lo_den, hi_num, hi_den) on a structure's
+    dilation, or None as soon as one pair's lower bound exceeds
+    bound = (num, den).  `sums(u, bits)` encloses the path lengths from
+    u to every vertex, as `root_sums` does for a tree, and `lens` is
+    `_lengths` at the same `bits`."""
     b_n, b_d = bound
     lo_n = lo_d = hi_n = hi_d = None
-    for u in range(len(adj) - 1):
-        sums = root_sums(ps, adj, u, bits)
-        for v in range(u + 1, len(adj)):
-            (dlo, dhi), (llo, lhi) = sums[v], ps.dist_ints(u, v, bits)
+    n = len(lens)
+    for u in range(n - 1):
+        row, lens_u = sums(u, bits), lens[u]
+        for v in range(u + 1, n):
+            (dlo, dhi), (llo, lhi) = row[v], lens_u[v]
             if dlo * b_d > b_n * lhi:
                 return None
             if lo_n is None or dlo * lo_d > lo_n * lhi:
@@ -318,65 +346,65 @@ def _screen(ps, adj, bits, bound):
     return lo_n, lo_d, hi_n, hi_d
 
 
+def _screened(ps, structures, bits):
+    """Keys of `structures`, pairs (key, sums), that the integer screen at
+    `bits` cannot certify worse than the best of them, in their order,
+    and the number of structures.
+
+    The screen keeps a running incumbent, the smallest upper bound on a
+    dilation seen so far, and drops a structure as soon as one pair's
+    lower bound exceeds it.  Structures scanned in full are filtered once
+    more against the final incumbent.  A dropped structure lies certifiably
+    above the final incumbent too, so the result is that of scoring every
+    structure fully.
+    """
+    lens = _lengths(ps, bits)
+    bound = (1, 0)         # 1/0 is no bound yet
+    scored = []            # (lo_num, lo_den, key) of structures scanned in full
+    count = 0
+    for key, sums in structures:
+        count += 1
+        bounds = _screen(sums, lens, bits, bound)
+        if bounds is not None:
+            lo_n, lo_d, hi_n, hi_d = bounds
+            scored.append((lo_n, lo_d, key))
+            if hi_n * bound[1] < bound[0] * hi_d:
+                bound = (hi_n, hi_d)
+    return [key for lo_n, lo_d, key in scored
+            if lo_n * bound[1] <= bound[0] * lo_d], count
+
+
 def exhaustive_mdst(ps: PointSet, bits: int = 64) -> SolverResult:
     """Certified minimum over all labeled trees; the slow, simple oracle.
 
-    Every Prüfer sequence is decoded to an adjacency and its pairs are
-    enclosed at moderate precision with pure integer arithmetic.  The
-    scan keeps a running incumbent, the smallest upper bound on a tree's
-    dilation seen so far, and drops a tree as soon as one pair's lower
-    bound exceeds it.  Trees scanned in full are filtered once more
-    against the final incumbent, and only the remaining handful become
-    validated `Tree`s and are separated exactly.  A dropped tree lies
-    certifiably above the final incumbent too, so the candidates,
-    `trees_examined` and `pruned` are those of scoring every tree fully.
+    Every Prüfer sequence is decoded to an adjacency and goes through the
+    integer screen (`_screened`) at 32 bits.  Only the trees it cannot
+    certify worse become validated `Tree`s and are separated exactly, so
+    the answer, `trees_examined` and `pruned` are those of scoring every
+    tree fully.
     """
     n = ps.n
     if n > _ENUM_MAX:
         raise SizeTooLarge(f"exhaustive oracle capped at {_ENUM_MAX} points")
     cap = max_bits_cap()
-    bh = (1, 0)            # running incumbent, smallest upper bound so far;
-                           # 1/0 is no bound yet
-    scored = []            # (lo_num, lo_den, edges) of trees scanned in full
-    for seq in itertools.product(range(n), repeat=n - 2):
-        edges = _prufer_edges(n, seq)
-        adj = [[] for _ in range(n)]
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        bounds = _screen(ps, adj, 32, bh)
-        if bounds is not None:
-            lo_n, lo_d, hi_n, hi_d = bounds
-            scored.append((lo_n, lo_d, edges))
-            if hi_n * bh[1] < bh[0] * hi_d:
-                bh = (hi_n, hi_d)
-    candidates = [Tree(n, edges) for ln, ld, edges in scored
-                  if ln * bh[1] <= bh[0] * ld]
+    trees = (_prufer_edges(n, seq)
+             for seq in itertools.product(range(n), repeat=n - 2))
+    candidates, count = _screened(
+        ps, ((edges, partial(root_sums, ps, _graph_adjacency(n, edges)))
+             for edges in trees), 32)
 
-    best_tree = None
-    best_rep = None
-    for tree in candidates:
-        rep = tree_dilation(ps, tree, bits, cap=cap)
-        if best_rep is None or _compare_reports(ps, tree, rep, best_tree,
-                                                best_rep, cap) < 0:
-            best_tree, best_rep = tree, rep
-    return SolverResult(best=best_tree, report=best_rep,
-                        trees_examined=n ** (n - 2),
-                        pruned=n ** (n - 2) - len(candidates))
+    def certify(edges):
+        tree = Tree(n, edges)
+        return (tree, tree_dilation(ps, tree, bits, cap=cap),
+                partial(_pair_exact, ps, tree))
+
+    best, report, _ = _first_minimum(map(certify, candidates), cap)
+    return SolverResult(best=best, report=report, trees_examined=count,
+                        pruned=count - len(candidates))
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonian paths and tours
-
-
-def _float_points(ps):
-    return [(float(p.x), float(p.y)) for p in ps.points]
-
-
-def _float_dist(fp, i, j):
-    dx = fp[i][0] - fp[j][0]
-    dy = fp[i][1] - fp[j][1]
-    return math.hypot(dx, dy)
 
 
 def _path_orderings(n):
@@ -386,202 +414,122 @@ def _path_orderings(n):
 
 
 def _tour_orderings(n):
-    if n == 3:
-        yield (0, 1, 2)
-        return
     for rest in itertools.permutations(range(1, n)):
         if rest[0] < rest[-1]:
             yield (0,) + rest
 
 
-def _path_edges_of(order):
-    return [tuple(sorted((a, b))) for a, b in zip(order, order[1:])]
+def _steps(order, closed):
+    """Consecutive vertex pairs along `order`, back to the start if closed."""
+    return zip(order, order[1:] + order[:1] if closed else order[1:])
 
 
-def _tour_edges_of(order):
-    closed = list(order) + [order[0]]
-    return [tuple(sorted((a, b))) for a, b in zip(closed, closed[1:])]
+def _order_edges(order, closed):
+    return [tuple(sorted(e)) for e in _steps(order, closed)]
 
 
-def _float_path_dilation(fp, order):
-    n = len(order)
-    pre = [0.0]
-    for a, b in zip(order, order[1:]):
-        pre.append(pre[-1] + _float_dist(fp, a, b))
-    worst = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = pre[j] - pre[i]
-            s = _float_dist(fp, order[i], order[j])
-            if d > worst * s:
-                worst = d / s
-    return worst
+def _order_metric(ps, order, closed, cap):
+    """Path metric of the Hamiltonian path through `order` or, if `closed`,
+    of its tour, where a pair takes the shorter arc.
 
-
-def _float_tour_dilation(fp, order):
-    n = len(order)
-    pre = [0.0]
-    closed = list(order) + [order[0]]
-    for a, b in zip(closed, closed[1:]):
-        pre.append(pre[-1] + _float_dist(fp, a, b))
-    total = pre[-1]
-    worst = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            arc = pre[j] - pre[i]
-            d = min(arc, total - arc)
-            s = _float_dist(fp, order[i], order[j])
-            if d > worst * s:
-                worst = d / s
-    return worst
-
-
-def _cycle_pair_exact(ps, order, i, j):
-    """Exact (distance, straight-line) of positions i < j on the cycle."""
-    arc1 = [(order[k], order[k + 1]) for k in range(i, j)]
-    closed = list(order) + [order[0]]
-    arc2 = [(closed[k], closed[k + 1]) for k in range(j, len(order))] \
-        + [(closed[k], closed[k + 1]) for k in range(0, i)]
-    s1 = SqrtSum.zero()
-    for a, b in arc1:
-        s1 = s1 + SqrtSum.sqrt_of(ps.distance_sq(a, b))
-    s2 = SqrtSum.zero()
-    for a, b in arc2:
-        s2 = s2 + SqrtSum.sqrt_of(ps.distance_sq(a, b))
-    sign = (s1 - s2).sign()
-    d = s1 if sign <= 0 else s2
-    length = SqrtSum.sqrt_of(ps.distance_sq(order[i], order[j]))
-    return d, length
-
-
-def _cycle_dilation_report(ps, order, bits, cap):
-    n = len(order)
-    closed = list(order) + [order[0]]
-    arc_pairs = list(itertools.combinations(range(n), 2))
-
-    def pair_interval(i, j, b):
-        lo1 = hi1 = lo2 = hi2 = 0
-        for k in range(i, j):
-            elo, ehi = ps.dist_ints(min(closed[k], closed[k + 1]),
-                                    max(closed[k], closed[k + 1]), b)
-            lo1 += elo
-            hi1 += ehi
-        for k in list(range(j, n)) + list(range(0, i)):
-            elo, ehi = ps.dist_ints(min(closed[k], closed[k + 1]),
-                                    max(closed[k], closed[k + 1]), b)
-            lo2 += elo
-            hi2 += ehi
-        dlo, dhi = min(lo1, lo2), min(hi1, hi2)
-        llo, lhi = ps.dist_ints(min(order[i], order[j]),
-                                max(order[i], order[j]), b)
-        grid = b
-        return Interval(round_dyadic(Fraction(dlo, lhi), grid, "floor"),
-                        round_dyadic(Fraction(dhi, llo), grid, "ceil"), b)
-
-    work = max(bits + 4, 64)
-    enc = {pq: pair_interval(*pq, work) for pq in arc_pairs}
-    tied = False
-    while True:
-        max_lo = max(iv.lo for iv in enc.values())
-        survivors = {pq: iv for pq, iv in enc.items() if iv.hi >= max_lo}
-        value = Interval(max_lo, max(iv.hi for iv in survivors.values()), bits)
-        if len(survivors) == 1:
-            break
-        if value.width <= Fraction(1, 1 << (bits - 1)) * value.hi \
-                and work >= 256:
-            order_keys = sorted(survivors)
-            best = [order_keys[0]]
-            d0, l0 = _cycle_pair_exact(ps, order, *best[0])
-            for pq in order_keys[1:]:
-                d1, l1 = _cycle_pair_exact(ps, order, *pq)
-                sign = (d1 * l0 - d0 * l1).sign(cap=cap)
-                if sign > 0:
-                    best, d0, l0 = [pq], d1, l1
-                elif sign == 0:
-                    best.append(pq)
-            tied = len(best) > 1
-            survivors = {pq: survivors[pq] for pq in best}
-            break
-        if work >= cap:
-            raise PrecisionExhausted("cycle dilation unresolved", bits=cap)
-        work = min(2 * work, cap)
-        enc = {pq: pair_interval(*pq, work) for pq in survivors}
-    i, j = min(survivors)
-    return DilationReport(value=value,
-                          witness=tuple(sorted((order[i], order[j]))),
-                          threshold_verdict=None, precision_used=work,
-                          tied=tied), (i, j)
-
-
-def min_dilation_structure(ps: PointSet, mode: Mode, bits: int = 64,
-                           *, _required=frozenset(),
-                           _crossing_free=False) -> SolverResult:
-    """Brute-force certified minimum-dilation Hamiltonian path or tour.
-
-    Orderings are scored in floating point first; everything within a
-    margin dominating the worst-case double rounding error of the float
-    minimum is re-evaluated with certified arithmetic, the rest is
-    certified-worse by the same error bound.
+    Returns (sums, exact) as `_max_dilation` reads them: `sums(u, bits)`
+    comes from exact integer prefix sums of `ps.dist_ints` along the
+    order, and `exact(u, v)` from `SqrtSum`s over the same edges.
     """
+    prefixes = {}          # bits -> (total, prefix sum at each vertex)
+
+    def sums(u, bits):
+        if bits not in prefixes:
+            at = [None] * len(order)
+            at[order[0]] = lo, hi = 0, 0
+            for a, b in _steps(order, closed):
+                elo, ehi = ps.dist_ints(a, b, bits)
+                lo += elo
+                hi += ehi
+                if at[b] is None:       # a tour's last step returns to 0
+                    at[b] = lo, hi
+            prefixes[bits] = (lo, hi), at
+        (tlo, thi), at = prefixes[bits]
+        ulo, uhi = at[u]
+        row = [(abs(lo - ulo), abs(hi - uhi)) for lo, hi in at]
+        if closed:
+            row = [(min(lo, tlo - lo), min(hi, thi - hi)) for lo, hi in row]
+        return row
+
+    def exact(u, v):
+        steps = list(_steps(order, closed))
+        i, j = sorted((order.index(u), order.index(v)))
+        d = _edge_sum(ps, steps[i:j])
+        if closed:
+            other = _edge_sum(ps, steps[j:] + steps[:i])
+            if (other - d).sign(cap=cap) < 0:
+                d = other
+        return d, SqrtSum.sqrt_of(ps.distance_sq(u, v))
+
+    return sums, exact
+
+
+def _order_search(ps, opts):
     n = ps.n
     if n > _STRUCT_MAX:
         raise SizeTooLarge(f"path/tour search capped at {_STRUCT_MAX} points")
     if n < 3:
         raise ValueError("need at least three points")
+    cap = max_bits_cap()
+    closed = opts.mode is Mode.TOUR
+    required = {tuple(sorted(e)) for e in opts.required_edges}
+
+    def feasible():
+        examined = 0
+        for order in _tour_orderings(n) if closed else _path_orderings(n):
+            if required or opts.crossing_free:
+                edges = _order_edges(order, closed)
+                if not required.issubset(edges) or (
+                        opts.crossing_free and crossing_edge_pairs(ps, edges)):
+                    continue
+            examined += 1
+            if opts.enumeration_cap is not None and \
+                    examined > opts.enumeration_cap:
+                raise SizeTooLarge("enumeration cap exceeded")
+            yield order, _order_metric(ps, order, closed, cap)[0]
+
+    candidates, examined = _screened(ps, feasible(), 32)
+    if not candidates:
+        raise Infeasible("no ordering satisfies the constraints")
+
+    def certify(order):
+        sums, exact = _order_metric(ps, order, closed, cap)
+        return order, _max_dilation(ps, sums, exact, opts.bits, cap), exact
+
+    order, report, _ = _first_minimum(map(certify, candidates), cap)
+    edges = _order_edges(order, closed)
+    return SolverResult(best=tuple(sorted(edges)) if closed else Tree(n, edges),
+                        report=report, trees_examined=examined,
+                        pruned=examined - len(candidates))
+
+
+def min_dilation_structure(ps: PointSet, mode: Mode, bits: int = 64,
+                           *, _required=frozenset(),
+                           _crossing_free=False) -> SolverResult:
+    """Certified minimum-dilation Hamiltonian path (a `Tree`) or tour (its
+    sorted edge tuple).
+
+    Every ordering that meets the constraints, paths up to reversal and
+    tours up to rotation and reflection, goes through the integer screen
+    that `exhaustive_mdst` uses.  Its path lengths are exact integer
+    prefix sums of the edge enclosures along the ordering, and a pair on
+    a tour takes the shorter arc.  Only the orderings the screen cannot
+    certify worse get a certified report, from the same certified max
+    over pairs as `tree_dilation`: tied pairs name the lexicographically
+    smallest vertex pair, for tours as for trees.  Ties between orderings
+    keep the first in enumeration order.  `trees_examined` counts the
+    feasible orderings and `pruned` those the screen certified worse.
+    """
     if mode is Mode.TREE:
         raise ValueError("use mdst_exact for tree mode")
-    cap = max_bits_cap()
-    fp = _float_points(ps)
-    required = {tuple(sorted(e)) for e in _required}
-
-    is_path = mode is Mode.PATH
-    orders = _path_orderings(n) if is_path else _tour_orderings(n)
-    scorer = _float_path_dilation if is_path else _float_tour_dilation
-    edges_of = _path_edges_of if is_path else _tour_edges_of
-
-    scored = []
-    for order in orders:
-        edges = edges_of(order)
-        if required and not required.issubset(edges):
-            continue
-        if _crossing_free and crossing_edge_pairs(ps, edges):
-            continue
-        scored.append((scorer(fp, order), order))
-    if not scored:
-        raise Infeasible("no ordering satisfies the constraints")
-    fmin = min(s for s, _ in scored)
-    keep = [order for s, order in scored if s <= fmin * (1 + _FLOAT_MARGIN)]
-    pruned = len(scored) - len(keep)
-
-    best = None            # (order, report, exact witness (d, l))
-    for order in keep:
-        if is_path:
-            tree = Tree(n, _path_edges_of(order))
-            rep = tree_dilation(ps, tree, bits, cap=cap)
-            d, length = _pair_exact(ps, tree, *rep.witness)
-        else:
-            rep, pos = _cycle_dilation_report(ps, order, bits, cap)
-            d, length = _cycle_pair_exact(ps, order, *pos)
-        if best is None:
-            best = (order, rep, (d, length))
-            continue
-        sign_hint = None
-        if rep.value.hi < best[1].value.lo:
-            sign_hint = -1
-        elif rep.value.lo > best[1].value.hi:
-            sign_hint = 1
-        if sign_hint is None:
-            d0, l0 = best[2]
-            sign_hint = (d * l0 - d0 * length).sign(cap=cap)
-        if sign_hint < 0:
-            best = (order, rep, (d, length))
-    order, rep, _ = best
-    if is_path:
-        result_best = Tree(n, _path_edges_of(order))
-    else:
-        result_best = tuple(sorted(_tour_edges_of(order)))
-    return SolverResult(best=result_best, report=rep,
-                        trees_examined=len(scored), pruned=pruned)
+    return _order_search(ps, SolverOptions(
+        mode=mode, crossing_free=_crossing_free,
+        required_edges=frozenset(_required), bits=bits))
 
 
 # ---------------------------------------------------------------------------
@@ -640,8 +588,8 @@ def critical_edges_at_ratio(ps, d_sum: SqrtSum, l_sum: SqrtSum,
                 continue
             detour = (SqrtSum.sqrt_of(ps.distance_sq(u, w))
                       + SqrtSum.sqrt_of(ps.distance_sq(w, v)))
-            # delta |uv| < detour  <=>  d_sum * |uv| < l_sum * detour
-            if (l_sum * detour - d_sum * uv).sign(cap=cap) <= 0:
+            # critical needs delta < detour / |uv| for every w
+            if _ratio_sign((detour, uv), (d_sum, l_sum), cap) <= 0:
                 ok = False
                 break
         if ok:
@@ -705,26 +653,26 @@ def verify_crossing_witness(ps: PointSet, bits: int = 96) -> WitnessCheck | None
     cap = max_bits_cap()
     oracle = exhaustive_mdst(ps, bits)
     best_tree, best_rep = oracle.best, oracle.report
-    d0, l0 = _pair_exact(ps, best_tree, *best_rep.witness)
     optimal = [best_tree]
     bh = best_rep.value.hi
+    lens = _lengths(ps, 48)
     for tree in enumerate_spanning_trees(5):
         if tree == best_tree:
             continue
         # cheap certified lower bound screens out most trees
-        if _screen(ps, tree.adjacency(), 48,
+        if _screen(partial(root_sums, ps, tree.adjacency()), lens, 48,
                    (bh.numerator, bh.denominator)) is None:
             continue
         rep = tree_dilation(ps, tree, bits, cap=cap)
-        d1, l1 = _pair_exact(ps, tree, *rep.witness)
-        sign = (d1 * l0 - d0 * l1).sign(cap=cap)
+        sign = _compare_reports(ps, tree, rep, best_tree, best_rep, cap)
         if sign < 0:
             raise AssertionError("oracle missed a better tree")
         if sign == 0:
             optimal.append(tree)
     if not all(tree_has_crossing(ps, t) for t in optimal):
         return None
-    crit = critical_edges_at_ratio(ps, d0, l0, cap)
+    crit = critical_edges_at_ratio(
+        ps, *_pair_exact(ps, best_tree, *best_rep.witness), cap)
     # every non-optimal tree above was certified strictly worse, either by
     # the integer screen or by an exact sign, so in particular every
     # crossing-free tree is

@@ -1,0 +1,31 @@
+"""Smoke test of the benchmark harness: each workload's short run works.
+
+It checks only that `bench/run.py --short` finishes, answers correctly
+and prints the end-to-end metrics that BENCHMARK.json declares; it sets
+no timing gate.
+"""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("workload", ["search", "partition", "certify"])
+def test_short_run_emits_correct_summary(workload):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
+         workload, "--seed", "1", "--seconds", "0", "--trace", "0",
+         "--short"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True
+    assert summary["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(summary["metrics"]) == {m["name"]
+                                       for m in declared["end_to_end"]}

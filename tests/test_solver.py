@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from dilatree.dilation import (PointSet, Tree, crossing_edge_pairs,
-                               tree_dilation, tree_has_crossing)
+                               graph_dilation_bounds, tree_dilation,
+                               tree_has_crossing)
 from dilatree.errors import (Infeasible, NotApplicable, NotCrossing,
                              SizeTooLarge, max_bits_cap)
 from dilatree.solver import (Mode, SolverOptions, SolverResult,
@@ -276,6 +277,110 @@ def test_path_mode_via_options():
     ps = PointSet.from_coords([(0, 0), (1, 0), (3, 0)])
     res = mdst_exact(ps, SolverOptions(mode=Mode.PATH))
     assert res.best.edges == ((0, 1), (1, 2))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_size_guards_in_every_mode(mode):
+    rng = random.Random(5)
+    ps = PointSet.from_coords(random_distinct_points(rng, 6))
+    with pytest.raises(SizeTooLarge):
+        mdst_exact(ps, SolverOptions(mode=mode, max_points=4))
+    with pytest.raises(SizeTooLarge):
+        mdst_exact(ps, SolverOptions(mode=mode, enumeration_cap=0))
+    # the cap bounds the complete trees or feasible orderings examined
+    examined = mdst_exact(ps, SolverOptions(mode=mode)).trees_examined
+    mdst_exact(ps, SolverOptions(mode=mode, enumeration_cap=examined))
+    with pytest.raises(SizeTooLarge):
+        mdst_exact(ps, SolverOptions(mode=mode, enumeration_cap=examined - 1))
+
+
+# translating these points by 2^54 once made path search return the
+# ordering 0-1-2-3-4 (dilation ~2.927) instead of 0-1-2-4-3 (~2.705)
+TRANSLATION_PROBE = [(0, 0), (3, 1), (5, 4), (1, 6), (7, 7)]
+
+
+@pytest.mark.parametrize("mode", [Mode.PATH, Mode.TOUR])
+def test_order_search_invariant_under_translation(mode):
+    outcomes = []
+    for offset in (0, 2 ** 54, 2 ** 60):
+        ps = PointSet.from_coords([(x + offset, y + offset)
+                                   for x, y in TRANSLATION_PROBE])
+        res = min_dilation_structure(ps, mode)
+        outcomes.append((res.best, res.report.value, res.trees_examined,
+                         res.pruned))
+        if mode is Mode.PATH:
+            assert set(res.best.edges) == {(0, 1), (1, 2), (2, 4), (3, 4)}
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def _orderings(n, closed):
+    """Every path up to reversal, or every tour up to rotation and
+    reflection, as its normalised edge list."""
+    seen = set()
+    for perm in itertools.permutations(range(n)):
+        steps = list(zip(perm, perm[1:] + perm[:1] if closed else perm[1:]))
+        edges = tuple(sorted(tuple(sorted(e)) for e in steps))
+        if edges not in seen:
+            seen.add(edges)
+            yield list(edges)
+
+
+def _check_against_all_orderings(ps, mode, required=(), crossing_free=False):
+    """Brute force over every feasible ordering: paths by `tree_dilation`
+    and `_compare_reports`, tours by `graph_dilation_bounds`."""
+    cap = max_bits_cap()
+    res = min_dilation_structure(ps, mode, _required=frozenset(required),
+                                 _crossing_free=crossing_free)
+    feasible = [edges for edges in _orderings(ps.n, mode is Mode.TOUR)
+                if set(required) <= set(edges)
+                and not (crossing_free and crossing_edge_pairs(ps, edges))]
+    assert res.trees_examined == len(feasible)
+    best = list(res.best.edges) if mode is Mode.PATH else list(res.best)
+    assert best in feasible
+    if mode is Mode.PATH:
+        for edges in feasible:
+            tree = Tree(ps.n, edges)
+            rep = tree_dilation(ps, tree, 64)
+            assert _compare_reports(ps, tree, rep, res.best, res.report,
+                                    cap) >= 0
+    else:
+        own = graph_dilation_bounds(ps, best, 64)
+        assert own.lo <= res.report.value.hi and res.report.value.lo <= own.hi
+        for edges in feasible:
+            assert res.report.value.lo <= graph_dilation_bounds(ps, edges,
+                                                                64).hi
+    return res
+
+
+@pytest.mark.parametrize("mode", [Mode.PATH, Mode.TOUR])
+def test_order_search_matches_exhaustive_oracle(mode):
+    rng = random.Random(20261018)
+    for n in (5, 6, 7):
+        coords = random_distinct_points(rng, n)
+        results = []
+        for offset in (0, 2 ** 54, 2 ** 60):
+            ps = PointSet.from_coords([(x + offset, y + offset)
+                                       for x, y in coords])
+            res = _check_against_all_orderings(ps, mode)
+            results.append((res.best, res.report.value))
+        assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("mode", [Mode.PATH, Mode.TOUR])
+def test_order_search_constraints_match_oracle(mode):
+    rng = random.Random(77)
+    ps = PointSet.from_coords(random_distinct_points(rng, 6))
+    free = _check_against_all_orderings(ps, mode, crossing_free=True)
+    edges = free.best.edges if mode is Mode.PATH else free.best
+    assert not crossing_edge_pairs(ps, list(edges))
+    # an edge the unconstrained optimum avoids
+    unconstrained = min_dilation_structure(ps, mode)
+    used = set(unconstrained.best.edges if mode is Mode.PATH
+               else unconstrained.best)
+    edge = next(e for e in itertools.combinations(range(6), 2)
+                if e not in used)
+    forced = _check_against_all_orderings(ps, mode, required=[edge])
+    assert edge in (forced.best.edges if mode is Mode.PATH else forced.best)
 
 
 # ---------------------------------------------------------------------------
