@@ -5,12 +5,12 @@ of tree-path length to straight-line distance; the dilation of T is the
 maximum over all pairs.  Neither quantity is rational in general, so every
 comparison here is interval-certified: distances are enclosed in dyadic
 intervals, path lengths are sums of enclosures, and verdicts are issued
-only when intervals separate.  Pairs whose intervals straddle a boundary
-are retried at doubled precision, and ties or exact boundary hits are
-resolved symbolically through `radical.SqrtSum`, so an exact equality
-(for instance a pair sitting exactly on a threshold) terminates instead
-of escalating forever.  Only a disguised symbolic zero can exhaust the
-precision cap, and that raises `PrecisionExhausted` rather than guessing.
+only when intervals separate.  A comparison whose enclosures straddle
+its boundary is settled by the certified sign of an exact
+`radical.SqrtSum`, whose zero test is complete, so an exact equality (for
+instance a pair sitting exactly on a threshold) terminates instead of
+escalating forever.  Only a nonzero difference too small for the
+precision cap raises `PrecisionExhausted`, rather than guessing.
 
 Interval bookkeeping uses integer endpoints at a shared power-of-two
 scale, so accumulating a path is pure integer addition.  One kernel,
@@ -26,6 +26,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from math import lcm
 
 from .errors import PrecisionExhausted, max_bits_cap
 from .exactgeom import (Interval, Point, Segment, round_dyadic,
@@ -316,49 +317,18 @@ def _ratio_sign(a, b, cap) -> int:
 # threshold comparison
 
 
-def _ladder(start: int, cap: int):
-    b = start
-    while True:
-        yield b
-        if b >= cap:
-            return
-        b = min(2 * b, cap)
-
-
-def _pair_vs_threshold(ps, tree, u, v, p_num, q_den, start_bits, cap):
-    """Certified verdict for d_T(u,v)/|uv| vs P/Q on a single pair."""
-    tried_exact = False
-    for bits in _ladder(start_bits, cap):
-        dlo, dhi = root_sums(ps, tree.adjacency(), u, bits)[v]
-        llo, lhi = ps.dist_ints(u, v, bits)
-        if q_den * dlo > p_num * lhi:
-            return Verdict.GREATER
-        if q_den * dhi <= p_num * llo:
-            return Verdict.AT_MOST
-        if bits >= _EXACT_FALLBACK_BITS and not tried_exact:
-            tried_exact = True
-            d, length = _pair_exact(ps, tree, u, v)
-            try:
-                sign = (d.scale(q_den) - length.scale(p_num)).sign(cap=cap)
-            except PrecisionExhausted:
-                continue
-            return Verdict.GREATER if sign > 0 else Verdict.AT_MOST
-    raise PrecisionExhausted(
-        f"pair ({u}, {v}) vs {p_num}/{q_den} undecided at {cap} bits",
-        bits=cap, context=(u, v))
-
-
 def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int, q_den: int,
                          *, start_bits: int = 64, cap: int | None = None,
                          pair_order=None) -> Verdict:
     """Certified verdict of Delta(T) <= P/Q.
 
-    Scans pairs at the starting precision and escalates only pairs whose
-    enclosures straddle the threshold; a pair certified strictly above
-    P/Q settles the whole tree immediately.  `pair_order` optionally
-    front-loads pairs likely to exceed, which makes rejection cheap; it
-    never affects the verdict, only the order of work.  Pairs are drawn
-    lazily; a run of pairs sharing a first vertex shares one `root_sums`.
+    Scans pairs at the starting precision and settles only pairs whose
+    enclosures straddle the threshold, by the exact sign of
+    Q d_T(u, v) - P |uv|; a pair certified strictly above P/Q settles the
+    whole tree immediately.  `pair_order` optionally front-loads pairs
+    likely to exceed, which makes rejection cheap; it never affects the
+    verdict, only the order of work.  Pairs are drawn lazily; a run of
+    pairs sharing a first vertex shares one `root_sums`.
     """
     if q_den < 1 or p_num < q_den:
         raise ValueError("threshold must satisfy P/Q >= 1 with Q >= 1")
@@ -384,8 +354,9 @@ def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int, q_den: int,
         if q_den * dhi > p_num * llo:
             undecided.append((u, v))
     for u, v in undecided:
-        if _pair_vs_threshold(ps, tree, u, v, p_num, q_den,
-                              2 * start_bits, cap) is Verdict.GREATER:
+        d, length = _pair_exact(ps, tree, u, v)
+        if (d.scale(q_den) - length.scale(p_num)).sign(
+                start_bits=2 * start_bits, cap=cap) > 0:
             return Verdict.GREATER
     return Verdict.AT_MOST
 
@@ -476,31 +447,6 @@ def _max_dilation(ps: PointSet, sums, exact, bits: int,
 # critical edges
 
 
-def _triple_strictly_detoured(ps, u, v, w, p_num, q_den, start_bits, cap):
-    """Certified truth of  (P/Q) |uv| < |uw| + |wv|."""
-    tried_exact = False
-    for bits in _ladder(start_bits, cap):
-        uv = ps.dist_ints(u, v, bits)
-        uw = ps.dist_ints(u, w, bits)
-        wv = ps.dist_ints(w, v, bits)
-        if p_num * uv[1] < q_den * (uw[0] + wv[0]):
-            return True
-        if p_num * uv[0] >= q_den * (uw[1] + wv[1]):
-            return False
-        if bits >= _EXACT_FALLBACK_BITS and not tried_exact:
-            tried_exact = True
-            lhs = SqrtSum.sqrt_of(ps.distance_sq(u, v), coef=p_num)
-            rhs = (SqrtSum.sqrt_of(ps.distance_sq(u, w))
-                   + SqrtSum.sqrt_of(ps.distance_sq(w, v))).scale(q_den)
-            try:
-                return (rhs - lhs).sign(cap=cap) > 0
-            except PrecisionExhausted:
-                continue
-    raise PrecisionExhausted(
-        f"criticality of ({u}, {v}) via {w} undecided at {cap} bits",
-        bits=cap, context=(u, v, w))
-
-
 def critical_edges(ps: PointSet, p_num: int, q_den: int,
                    *, start_bits: int = 64,
                    cap: int | None = None) -> frozenset:
@@ -512,17 +458,41 @@ def critical_edges(ps: PointSet, p_num: int, q_den: int,
     if q_den < 1 or p_num < 1:
         raise ValueError("threshold must be a positive rational P/Q")
     cap = max_bits_cap() if cap is None else cap
+    return _critical_scan(ps, SqrtSum.rational(p_num),
+                          SqrtSum.rational(q_den), start_bits, cap)
+
+
+def _critical_scan(ps: PointSet, d: SqrtSum, length: SqrtSum,
+                   bits: int, cap: int) -> frozenset:
+    """Pairs (u, v) with (d/length)|uv| < |uw| + |wv| for every other w.
+
+    Each triple is screened with integer enclosures at `bits` against
+    integer bounds on d and `length` (exactly P and Q for a rational
+    P/Q); only a triple the screen cannot settle gets an exact sign.
+    """
+    ends = d.eval_interval(bits), length.eval_interval(bits)
+    scale = lcm(*(x.denominator for iv in ends for x in (iv.lo, iv.hi)))
+    (dlo, dhi), (llo, lhi) = ((int(iv.lo * scale), int(iv.hi * scale))
+                              for iv in ends)
+    dist_ints = ps.dist_ints
     out = []
     for u, v in itertools.combinations(range(ps.n), 2):
-        ok = True
+        uv_lo, uv_hi = dist_ints(u, v, bits)
         for w in range(ps.n):
             if w == u or w == v:
                 continue
-            if not _triple_strictly_detoured(ps, u, v, w, p_num, q_den,
-                                             start_bits, cap):
-                ok = False
+            uw_lo, uw_hi = dist_ints(u, w, bits)
+            wv_lo, wv_hi = dist_ints(w, v, bits)
+            if dhi * uv_hi < llo * (uw_lo + wv_lo):
+                continue                # the detour via w certainly exceeds
+            if dlo * uv_lo >= lhi * (uw_hi + wv_hi):
+                break                   # w certainly gives a short enough one
+            detour = (SqrtSum.sqrt_of(ps.distance_sq(u, w))
+                      + SqrtSum.sqrt_of(ps.distance_sq(w, v)))
+            uv = SqrtSum.sqrt_of(ps.distance_sq(u, v))
+            if _ratio_sign((detour, uv), (d, length), cap) <= 0:
                 break
-        if ok:
+        else:
             out.append((u, v))
     return frozenset(out)
 

@@ -1,18 +1,20 @@
 """Exact arithmetic on sums of square roots of rationals.
 
 A value is kept as sum(coef_m * sqrt(m)) over integer radicands m >= 1,
-with rational coefficients and m = 1 holding the rational part.  Radicands
-are reduced toward squarefree form on construction (perfect-square test
-plus trial division by small primes), so two sums representing the same
-real number normally reduce to the identical term multiset and equality
-becomes a dictionary comparison.  That is what lets comparisons certify
-*equality* exactly, where interval refinement alone could never terminate.
+with rational coefficients and m = 1 holding the rational part.  Terms are
+kept in distinct square classes: sqrt(m) and sqrt(k) are rational
+multiples of each other exactly when k*m is a perfect square, and a new
+term whose radicand shares a class with a stored one is folded onto it.
+That takes only products and integer square roots, no factoring.  Square
+roots of distinct squarefree integers are linearly independent over the
+rationals (see Blömer, "Computing sums of radicals in polynomial time",
+FOCS 1991), so a sum is zero exactly when every class coefficient is
+zero: zero, and hence equality, is recognised exactly.
 
-Sign determination for a provably-nonzero mixed-sign sum falls back to
-interval evaluation at escalating precision.  If a huge radicand sneaks a
-square factor past the reduction, a true zero can masquerade as a nonzero
-sum; the escalation then hits the precision cap and raises
-PrecisionExhausted rather than returning a wrong sign.
+The sign of a nonzero mixed-sign sum comes from interval evaluation at
+escalating precision.  The escalation can only exhaust the precision cap
+on a nonzero sum too close to zero for the cap to separate, and then it
+raises PrecisionExhausted rather than returning a wrong sign.
 """
 
 from __future__ import annotations
@@ -23,39 +25,33 @@ from math import isqrt
 from .errors import PrecisionExhausted, max_bits_cap
 from .exactgeom import Interval, sqrt_interval
 
-_TRIAL_PRIME_BOUND = 4096
 
-
-def _sieve(bound):
-    flags = bytearray([1]) * (bound + 1)
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(bound) + 1):
-        if flags[i]:
-            flags[i * i:: i] = bytearray(len(flags[i * i:: i]))
-    return [i for i in range(bound + 1) if flags[i]]
-
-_PRIMES = _sieve(_TRIAL_PRIME_BOUND)
-
-
-def _reduce_radicand(m: int) -> tuple[int, int]:
-    """Split m = s^2 * m0 with m0 free of detectable square factors."""
-    if m <= 0:
-        raise ValueError("radicand must be positive")
+def _add_term(terms: dict[int, Fraction], coef: Fraction, m: int) -> None:
+    """Add coef * sqrt(m) to `terms`, folded onto its square class."""
     root = isqrt(m)
     if root * root == m:
-        return 1, root
-    s = 1
-    for p in _PRIMES:
-        p2 = p * p
-        if p2 > m:
-            break
-        while m % p2 == 0:
-            m //= p2
-            s *= p
-    root = isqrt(m)
-    if root * root == m:
-        return 1, s * root
-    return m, s
+        coef, m = coef * root, 1
+    else:
+        # m is not a square, so the rational class k = 1 never matches
+        for k in terms:
+            km = k * m
+            root = isqrt(km)
+            if root * root == km:
+                # sqrt(m) = sqrt(k*m) / sqrt(k) = (root / k) * sqrt(k)
+                coef, m = coef * Fraction(root, k), k
+                break
+    total = terms.get(m, 0) + coef
+    if total:
+        terms[m] = total
+    else:
+        terms.pop(m, None)
+
+
+def _from_classes(terms: dict[int, Fraction]) -> "SqrtSum":
+    """A SqrtSum over nonzero terms already in distinct square classes."""
+    out = object.__new__(SqrtSum)
+    out._terms = terms
+    return out
 
 
 class SqrtSum:
@@ -64,7 +60,9 @@ class SqrtSum:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, Fraction]):
-        self._terms = {m: c for m, c in terms.items() if c != 0}
+        self._terms = {}
+        for m, c in terms.items():
+            _add_term(self._terms, Fraction(c), m)
 
     @classmethod
     def zero(cls) -> "SqrtSum":
@@ -83,8 +81,8 @@ class SqrtSum:
         if r == 0:
             return cls.zero()
         # sqrt(p/q) = sqrt(p*q) / q
-        m, s = _reduce_radicand(r.numerator * r.denominator)
-        return cls({m: Fraction(coef) * Fraction(s, r.denominator)})
+        return cls({r.numerator * r.denominator:
+                    Fraction(coef) / r.denominator})
 
     @property
     def terms(self):
@@ -104,11 +102,11 @@ class SqrtSum:
     def __add__(self, other: "SqrtSum") -> "SqrtSum":
         terms = dict(self._terms)
         for m, c in other._terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return SqrtSum(terms)
+            _add_term(terms, c, m)
+        return _from_classes(terms)
 
     def __neg__(self) -> "SqrtSum":
-        return SqrtSum({m: -c for m, c in self._terms.items()})
+        return _from_classes({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "SqrtSum") -> "SqrtSum":
         return self + (-other)
@@ -117,22 +115,17 @@ class SqrtSum:
         f = Fraction(factor)
         if f == 0:
             return SqrtSum.zero()
-        return SqrtSum({m: c * f for m, c in self._terms.items()})
+        return _from_classes({m: c * f for m, c in self._terms.items()})
 
     def __mul__(self, other: "SqrtSum") -> "SqrtSum":
         out: dict[int, Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                m0, s = _reduce_radicand(m1 * m2)
-                key_coef = c1 * c2 * s
-                out[m0] = out.get(m0, Fraction(0)) + key_coef
-        return SqrtSum(out)
+                _add_term(out, c1 * c2, m1 * m2)
+        return _from_classes(out)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SqrtSum) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return isinstance(other, SqrtSum) and (self - other).is_zero()
 
     def __repr__(self):
         if not self._terms:
@@ -163,8 +156,10 @@ class SqrtSum:
     def sign(self, *, start_bits: int = 64, cap: int | None = None) -> int:
         """Certified sign in {-1, 0, +1}.
 
-        Zero is recognized exactly through the canonical form; a nonzero
-        value is separated from zero by interval refinement.
+        Zero is recognized exactly through the square classes; a nonzero
+        value is separated from zero by interval refinement, and
+        PrecisionExhausted means it is nonzero but closer to zero than
+        the cap can resolve.
         """
         if not self._terms:
             return 0
@@ -189,5 +184,5 @@ class SqrtSum:
 
 
 def compare_sums(a: SqrtSum, b: SqrtSum, **kw) -> int:
-    """Sign of a - b; exact zero detection through the canonical form."""
+    """Sign of a - b; exact zero detection through the square classes."""
     return (a - b).sign(**kw)

@@ -23,8 +23,9 @@ from functools import partial
 
 from .dilation import (DilationReport, PointSet, Tree, critical_edges,
                        crossing_edge_pairs, root_sums, tree_dilation,
-                       tree_has_crossing, _edge_sum, _graph_adjacency,
-                       _max_dilation, _pair_exact, _ratio_sign)
+                       tree_has_crossing, _critical_scan, _edge_sum,
+                       _graph_adjacency, _max_dilation, _pair_exact,
+                       _ratio_sign)
 from .errors import (Infeasible, NotApplicable, NotCrossing,
                      PrecisionExhausted, SizeTooLarge, max_bits_cap)
 from .exactgeom import (Orientation, Segment, orientation,
@@ -575,28 +576,6 @@ def uncross_four(ps: PointSet, t: Tree) -> Tree:
 # five-point crossing witness search
 
 
-def critical_edges_at_ratio(ps, d_sum: SqrtSum, l_sum: SqrtSum,
-                            cap=None) -> frozenset:
-    """Edges critical at the exact (possibly irrational) ratio d/l."""
-    cap = max_bits_cap() if cap is None else cap
-    out = []
-    for u, v in itertools.combinations(range(ps.n), 2):
-        uv = SqrtSum.sqrt_of(ps.distance_sq(u, v))
-        ok = True
-        for w in range(ps.n):
-            if w in (u, v):
-                continue
-            detour = (SqrtSum.sqrt_of(ps.distance_sq(u, w))
-                      + SqrtSum.sqrt_of(ps.distance_sq(w, v)))
-            # critical needs delta < detour / |uv| for every w
-            if _ratio_sign((detour, uv), (d_sum, l_sum), cap) <= 0:
-                ok = False
-                break
-        if ok:
-            out.append((u, v))
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class WitnessCheck:
     """Outcome of exhaustively verifying a 5-point crossing witness."""
@@ -671,8 +650,8 @@ def verify_crossing_witness(ps: PointSet, bits: int = 96) -> WitnessCheck | None
             optimal.append(tree)
     if not all(tree_has_crossing(ps, t) for t in optimal):
         return None
-    crit = critical_edges_at_ratio(
-        ps, *_pair_exact(ps, best_tree, *best_rep.witness), cap)
+    crit = _critical_scan(
+        ps, *_pair_exact(ps, best_tree, *best_rep.witness), 64, cap)
     # every non-optimal tree above was certified strictly worse, either by
     # the integer screen or by an exact sign, so in particular every
     # crossing-free tree is

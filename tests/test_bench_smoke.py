@@ -1,8 +1,8 @@
 """Smoke test of the benchmark harness: each workload's short run works.
 
-It checks only that `bench/run.py --short` finishes, answers correctly
-and prints the end-to-end metrics that BENCHMARK.json declares; it sets
-no timing gate.
+It checks only that `bench/run.py --short` finishes, answers correctly,
+passes every known-defect probe and prints the end-to-end metrics that
+BENCHMARK.json declares; it sets no timing gate.
 """
 
 import json
@@ -23,7 +23,10 @@ def test_short_run_emits_correct_summary(workload):
          "--short"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    # every known-defect probe passes, so a regression of either shows here
+    assert " known_defects_failed=0/" in lines[0], lines[0]
+    summary = json.loads(lines[-1])
     assert summary["correct"] is True
     assert summary["failed"] == 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())

@@ -9,10 +9,11 @@ from dilatree.dilation import (
     DilationReport, PointSet, Tree, Verdict, compare_to_threshold,
     critical_edges, crossing_edge_pairs, graph_dilation_bounds, graph_exceeds,
     pair_dilation, root_sums, tree_dilation, tree_has_crossing,
-    tree_path_length,
+    tree_path_length, _critical_scan,
 )
 from dilatree.errors import PrecisionExhausted
 from dilatree.exactgeom import pt
+from dilatree.radical import SqrtSum
 
 
 def test_pointset_validation():
@@ -252,6 +253,62 @@ def test_critical_edges_equality_threshold():
     assert critical_edges(ps, 29, 10) == frozenset({(0, 1), (1, 2)})
 
 
+@pytest.mark.parametrize("offset", [0, 1 << 54])
+def test_collinear_chain_with_large_prime_squares_meets_one(offset):
+    # steps of (4099, 4099) and (4111, 4111), both primes above 4096: each
+    # radicand 2 p^2 hides its square from any small-prime factoring, and
+    # the chain's dilation is exactly 1
+    ps = PointSet.from_coords([(offset + k, offset + k) for k in (0, 4099, 8210)])
+    t = Tree(3, [(0, 1), (1, 2)])
+    assert compare_to_threshold(ps, t, 1, 1) is Verdict.AT_MOST
+    assert critical_edges(ps, 1, 1) == frozenset({(0, 1), (1, 2)})
+    assert tree_dilation(ps, t, 64).value.contains(1)
+
+
+def _exact_dist(ps, u, v):
+    return SqrtSum.sqrt_of(ps.distance_sq(u, v))
+
+
+def brute_critical(ps, d, length):
+    """Pairs (u, v) with (d/length)|uv| < |uw| + |wv| for every other w,
+    from exact `SqrtSum` signs alone."""
+    out = set()
+    for u, v in itertools.combinations(range(ps.n), 2):
+        scaled = _exact_dist(ps, u, v) * d
+        if all(((_exact_dist(ps, u, w) + _exact_dist(ps, w, v)) * length
+                - scaled).sign() > 0
+               for w in range(ps.n) if w not in (u, v)):
+            out.add((u, v))
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("offset", [0, 1 << 54])
+def test_critical_edges_match_exact_brute_force(offset):
+    # each set holds a triple (u, w, v) whose detour meets the threshold
+    # exactly: a 3-4-5 right angle at 7/5, or a collinear w at 1
+    rng = random.Random(61)
+    exact_triples = [((0, 0), (3, 0), (3, 4), 7, 5),
+                     ((0, 0), (1, 2), (2, 4), 1, 1)]
+    for trial in range(24):
+        *triple, p, q = exact_triples[trial % 2]
+        k, n = rng.randint(1, 4), rng.randint(5, 7)
+        coords = {(k * x, k * y) for x, y in triple}
+        while len(coords) < n:
+            coords.add((rng.randint(-12, 12), rng.randint(-12, 12)))
+        coords = sorted(coords)
+        rng.shuffle(coords)
+        ps = PointSet.from_coords([(x + offset, y + offset) for x, y in coords])
+        for p_num, q_den in ((p, q), (8, 5), (3, 2)):
+            assert critical_edges(ps, p_num, q_den) == brute_critical(
+                ps, SqrtSum.rational(p_num), SqrtSum.rational(q_den))
+        # an irrational ratio met exactly: the detour of a random triple
+        u, w, v = rng.sample(range(ps.n), 3)
+        d = _exact_dist(ps, u, w) + _exact_dist(ps, w, v)
+        length = _exact_dist(ps, u, v)
+        assert _critical_scan(ps, d, length, 64, 4096) \
+            == brute_critical(ps, d, length)
+
+
 def random_pointset(rng, n, span=60):
     coords = set()
     while len(coords) < n:
@@ -423,8 +480,8 @@ def test_adjacent_edges_never_cross():
 
 
 def test_precision_exhausted_surfaces():
-    # distances engineered so the symbolic form hides a square factor
-    # beyond the trial-division bound: sqrt(2*4099^2) vs 4099*sqrt(2)
+    # radicands 2*4099^2 with a prime square no small-prime factoring
+    # finds; sqrt(2*4099^2) = 4099*sqrt(2) must still be recognised
     big = 4099
     ps = PointSet([pt(0, 0), pt(big, big), pt(2 * big, 2 * big),
                    pt(0, 1)])

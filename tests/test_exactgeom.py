@@ -76,7 +76,11 @@ def test_sqrt_interval_refinement_nests(v, bits, extra):
     coarse = sqrt_interval(v, bits)
     fine = sqrt_interval(v, bits + extra)
     assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
-    assert fine.width < coarse.width
+    if coarse.width == 0:
+        # a perfect square is exact at every precision
+        assert (fine.lo, fine.hi) == (coarse.lo, coarse.hi)
+    else:
+        assert fine.width < coarse.width
 
 
 def test_distance_interval_345():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mp, mpf, sqrt as msqrt
 
 from dilatree.errors import PrecisionExhausted
@@ -9,12 +10,15 @@ from dilatree.radical import SqrtSum, compare_sums
 
 
 def test_reduction_to_squarefree():
-    assert SqrtSum.sqrt_of(8).terms == {2: Fraction(2)}
-    assert SqrtSum.sqrt_of(50).terms == {2: Fraction(5)}
-    assert SqrtSum.sqrt_of(49).terms == {1: Fraction(7)}
-    assert SqrtSum.sqrt_of(Fraction(1, 2)).terms == {2: Fraction(1, 2)}
-    assert SqrtSum.sqrt_of(Fraction(9, 4)).terms == {1: Fraction(3, 2)}
-    assert SqrtSum.sqrt_of(12, coef=Fraction(1, 2)).terms == {3: Fraction(1)}
+    assert SqrtSum.sqrt_of(8) == SqrtSum.sqrt_of(2).scale(2)
+    assert SqrtSum.sqrt_of(50) == SqrtSum.sqrt_of(2).scale(5)
+    assert SqrtSum.sqrt_of(50) != SqrtSum.sqrt_of(2).scale(7)
+    assert SqrtSum.sqrt_of(49).rational_value() == 7
+    assert SqrtSum.sqrt_of(Fraction(1, 2)) \
+        == SqrtSum.sqrt_of(2).scale(Fraction(1, 2))
+    assert SqrtSum.sqrt_of(Fraction(9, 4)).rational_value() == Fraction(3, 2)
+    assert (SqrtSum.sqrt_of(12, coef=Fraction(1, 2))
+            - SqrtSum.sqrt_of(3)).is_zero()
     assert SqrtSum.sqrt_of(0).is_zero()
 
 
@@ -53,6 +57,11 @@ def test_signs():
     t = (SqrtSum.sqrt_of(51) - SqrtSum.sqrt_of(50).scale(2)
          + SqrtSum.sqrt_of(49))
     assert t.sign() == -1
+    # nonzero, but closer to zero than a 64-bit cap can resolve
+    tiny = SqrtSum.sqrt_of(10 ** 30 + 1) - SqrtSum.rational(10 ** 15)
+    with pytest.raises(PrecisionExhausted):
+        tiny.sign(cap=64)
+    assert tiny.sign() == 1
 
 
 def test_sign_agrees_with_float_oracle():
@@ -83,14 +92,19 @@ def test_compare_sums():
     assert compare_sums(a, SqrtSum.rational(Fraction(28, 10))) == 1
 
 
-def test_disguised_zero_exhausts_instead_of_lying():
-    # 4099 is prime and beyond the trial-division bound, so the square in
-    # 2 * 4099^2 goes undetected and the difference below is a formal
-    # nonzero that evaluates to exactly zero
-    hidden = SqrtSum.sqrt_of(2 * 4099 * 4099) - SqrtSum.sqrt_of(2).scale(4099)
-    assert not hidden.is_zero()
-    with pytest.raises(PrecisionExhausted):
-        hidden.sign(cap=512)
+_LARGE_PRIMES = [p for p in range(4097, 20000)
+                 if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
+@given(st.sampled_from(_LARGE_PRIMES),
+       st.integers(min_value=1, max_value=10**9),
+       st.fractions(max_denominator=1000).filter(bool))
+def test_large_prime_square_factor_cancels(p, m, c):
+    # no small factor reveals the square p^2 inside p^2 * m, yet the
+    # difference is exactly zero and must be recognised as such
+    hidden = SqrtSum.sqrt_of(p * p * m, coef=c) - SqrtSum.sqrt_of(m).scale(c * p)
+    assert hidden.sign() == 0
+    assert hidden.is_zero()
 
 
 def test_eval_interval_contains_value():
