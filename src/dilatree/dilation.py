@@ -13,9 +13,11 @@ escalating forever.  Only a nonzero difference too small for the
 precision cap raises `PrecisionExhausted`, rather than guessing.
 
 Interval bookkeeping uses integer endpoints at a shared power-of-two
-scale, so accumulating a path is pure integer addition.  One kernel,
-`root_sums`, does all of it: a DFS from a root sums the enclosures along
-every path it reaches, in a whole tree or in a search's partial forest.
+scale, so accumulating a path is pure integer addition.  Distances are
+enclosed from integer coordinates over one common denominator, and one
+kernel, `root_sums`, sums them along every path from a root, in a whole
+tree or in a search's partial forest.  The max over pairs compares ratio
+numerators on one dyadic grid; only its report builds `Fraction`s.
 """
 
 from __future__ import annotations
@@ -26,12 +28,11 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from math import gcd, lcm
 
 from .errors import PrecisionExhausted, max_bits_cap
-from .exactgeom import (Interval, Point, Segment, round_dyadic,
-                        segments_properly_cross, sqrt_interval,
-                        squared_distance)
+from .exactgeom import (Interval, Point, Segment, segments_properly_cross,
+                        sqrt_ints)
 from .radical import SqrtSum
 
 _EXACT_FALLBACK_BITS = 256
@@ -41,12 +42,20 @@ def _scale_exp(bits: int) -> int:
     return bits + 8
 
 
-class PointSet:
-    """Finite set of distinct exact points with distance caches.
+def _dyadic(lo: int, hi: int, frac_bits: int, bits: int) -> Interval:
+    """The interval [lo, hi] * 2^-frac_bits, recorded at `bits`."""
+    return Interval(Fraction(lo, 1 << frac_bits), Fraction(hi, 1 << frac_bits),
+                    bits)
 
-    Squared distances are exact rationals computed once; square-root
-    enclosures are cached per precision level as integer endpoint pairs
-    at scale 2^-(bits+8).
+
+class PointSet:
+    """Finite set of distinct exact points with a distance cache.
+
+    Coordinates are also kept as integer numerators over one common
+    denominator (1 for integer inputs), so a squared distance is an
+    integer numerator over the squared denominator.  Square-root
+    enclosures come from `sqrt_ints` on those integers and are cached
+    per precision level as integer endpoint pairs at scale 2^-(bits+8).
     """
 
     def __init__(self, points, labels=None):
@@ -61,7 +70,10 @@ class PointSet:
             if len(labels) != len(pts):
                 raise ValueError("labels must match points one to one")
         self._labels = labels
-        self._d2: dict[tuple[int, int], Fraction] = {}
+        den = lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
+        self._xy = [(p.x.numerator * (den // p.x.denominator),
+                     p.y.numerator * (den // p.y.denominator)) for p in pts]
+        self._den_sq = den * den
         self._enc: dict[tuple[int, int, int], tuple[int, int]] = {}
 
     @classmethod
@@ -86,15 +98,12 @@ class PointSet:
     def n(self) -> int:
         return len(self._points)
 
+    def _d2_num(self, i: int, j: int) -> int:
+        (xi, yi), (xj, yj) = self._xy[i], self._xy[j]
+        return (xi - xj) ** 2 + (yi - yj) ** 2
+
     def distance_sq(self, i: int, j: int) -> Fraction:
-        if i == j:
-            return Fraction(0)
-        key = (i, j) if i < j else (j, i)
-        d2 = self._d2.get(key)
-        if d2 is None:
-            d2 = squared_distance(self._points[key[0]], self._points[key[1]])
-            self._d2[key] = d2
-        return d2
+        return Fraction(self._d2_num(i, j), self._den_sq)
 
     def dist_ints(self, i: int, j: int, bits: int) -> tuple[int, int]:
         """Integer enclosure (lo, hi) of |p_i p_j| at scale 2^-(bits+8)."""
@@ -102,13 +111,19 @@ class PointSet:
         cached = self._enc.get(key)
         if cached is not None:
             return cached
-        enc = sqrt_interval(self.distance_sq(i, j), bits)
-        e = _scale_exp(bits)
-        scaled_lo = enc.lo * (1 << e)
-        scaled_hi = enc.hi * (1 << e)
-        # endpoints are dyadic; rescaling is exact unless the value is tiny
-        lo = scaled_lo.numerator // scaled_lo.denominator
-        hi = -((-scaled_hi.numerator) // scaled_hi.denominator)
+        p, q = self._d2_num(i, j), self._den_sq
+        if q != 1:
+            g = gcd(p, q)
+            p, q = p // g, q // g
+        s, t, exact = sqrt_ints(p, q, bits)
+        # [s, s+1] / 2^t rescaled to 2^-(bits+8): floor and ceil; exact
+        # unless the shift is negative, which happens for tiny distances
+        shift = _scale_exp(bits) - t
+        hi = s if exact else s + 1
+        if shift >= 0:
+            lo, hi = s << shift, hi << shift
+        else:
+            lo, hi = s >> -shift, -(-hi >> -shift)
         self._enc[key] = (lo, hi)
         return lo, hi
 
@@ -253,16 +268,7 @@ def tree_path_length(ps: PointSet, tree: Tree, u: int, v: int,
     if tree.n != ps.n:
         raise ValueError("tree and point set sizes differ")
     lo, hi = root_sums(ps, tree.adjacency(), u, bits)[v]
-    e = _scale_exp(bits)
-    return Interval(Fraction(lo, 1 << e), Fraction(hi, 1 << e), bits)
-
-
-def _ratio_interval(d, length, bits):
-    """Outward-rounded enclosure of path/length from integer enclosures."""
-    (dlo, dhi), (llo, lhi) = d, length
-    lo = round_dyadic(Fraction(dlo, lhi), bits + 4, "floor")
-    hi = round_dyadic(Fraction(dhi, llo), bits + 4, "ceil")
-    return Interval(lo, hi, bits)
+    return _dyadic(lo, hi, _scale_exp(bits), bits)
 
 
 def pair_dilation(ps: PointSet, tree: Tree, u: int, v: int,
@@ -271,22 +277,26 @@ def pair_dilation(ps: PointSet, tree: Tree, u: int, v: int,
     if u == v:
         raise ValueError("pair must be two distinct vertices")
     sums = partial(root_sums, ps, tree.adjacency())
-    return _pair_enclosures(ps, sums, [(u, v)], bits)[u, v]
+    lo, hi = _pair_ratios(ps, sums, [(u, v)], bits)[u, v]
+    return _dyadic(lo, hi, bits + 4, bits)
 
 
-def _pair_enclosures(ps, sums, pairs, bits):
-    """Dilation enclosures at `bits` of the given pairs, keyed by pair.
+def _pair_ratios(ps, sums, pairs, bits):
+    """Dilation enclosures at `bits` of the given pairs, keyed by pair,
+    as integer numerators (lo, hi) on the grid 2^-(bits+4).
 
     `sums(u, bits)` gives the integer path-length enclosures from u to
     every vertex, as `root_sums` does for a tree; pairs sharing a first
-    vertex share one call."""
-    work = bits + 4
+    vertex share one call.  lo is the floor of dlo/lhi and hi the ceil of
+    dhi/llo on the grid, the shared scale of the enclosures cancelling."""
+    f = bits + 4
     enc = {}
     root = row = None
     for u, v in sorted(pairs):
         if u != root:
-            root, row = u, sums(u, work)
-        enc[u, v] = _ratio_interval(row[v], ps.dist_ints(u, v, work), bits)
+            root, row = u, sums(u, f)
+        (dlo, dhi), (llo, lhi) = row[v], ps.dist_ints(u, v, f)
+        enc[u, v] = (dlo << f) // lhi, -((-dhi << f) // llo)
     return enc
 
 
@@ -401,18 +411,17 @@ def _max_dilation(ps: PointSet, sums, exact, bits: int,
     lexicographically smallest witness.
     """
     work = max(bits + 4, 64)
-    enc = _pair_enclosures(ps, sums, itertools.combinations(range(ps.n), 2),
-                           work)
+    enc = _pair_ratios(ps, sums, itertools.combinations(range(ps.n), 2), work)
     tied = False
 
     while True:
-        max_lo = max(iv.lo for iv in enc.values())
-        survivors = {pq: iv for pq, iv in enc.items() if iv.hi >= max_lo}
-        value = Interval(max_lo, max(iv.hi for iv in survivors.values()), bits)
+        # integer numerators on the grid 2^-(work+4)
+        lo = max(e[0] for e in enc.values())
+        survivors = {pq: e for pq, e in enc.items() if e[1] >= lo}
+        hi = max(e[1] for e in survivors.values())
         if len(survivors) == 1:
             break
-        target = Fraction(1, 1 << (bits - 1)) * value.hi
-        if value.width <= target and work >= _EXACT_FALLBACK_BITS:
+        if (hi - lo) << (bits - 1) <= hi and work >= _EXACT_FALLBACK_BITS:
             # numeric refinement has stalled: separate survivors exactly
             order = sorted(survivors)
             best = [order[0]]
@@ -430,17 +439,17 @@ def _max_dilation(ps: PointSet, sums, exact, bits: int,
                     raise
             else:
                 tied = len(best) > 1
-                survivors = {pq: survivors[pq] for pq in best}
+                survivors = best
                 break
         elif work >= cap:
             raise PrecisionExhausted(
                 f"dilation witnesses unresolved at {cap} bits", bits=cap)
         work = min(2 * work, cap)
-        enc = _pair_enclosures(ps, sums, survivors, work)
+        enc = _pair_ratios(ps, sums, survivors, work)
 
-    return DilationReport(value=value, witness=min(survivors),
-                          threshold_verdict=None, precision_used=work,
-                          tied=tied)
+    return DilationReport(value=_dyadic(lo, hi, work + 4, bits),
+                          witness=min(survivors), threshold_verdict=None,
+                          precision_used=work, tied=tied)
 
 
 # ---------------------------------------------------------------------------

@@ -149,23 +149,15 @@ def round_dyadic(value: Fraction, frac_bits: int, mode: str = "nearest") -> Frac
     return Fraction(m, 1 << frac_bits)
 
 
-def sqrt_interval(value: Fraction, bits: int) -> Interval:
-    """Dyadic enclosure of sqrt(value) with relative width at most 2^(1-bits).
+def sqrt_ints(p: int, q: int, bits: int) -> tuple[int, int, bool]:
+    """Integer core of `sqrt_interval` for p/q >= 0 in lowest terms.
 
-    The enclosure [s/2^t, (s+1)/2^t] has absolute width exactly 2^-t where
-    t is chosen from the magnitude of `value` so that 2^-t never exceeds
-    2^(1-bits) * sqrt(value).  Doubling `bits` doubles t, so enclosures
-    shrink monotonically under refinement.
+    Returns (s, t, exact) with s/2^t <= sqrt(p/q) < (s+1)/2^t, and
+    exact true when s/2^t is sqrt(p/q) itself.
     """
     if bits < 1:
         raise ValueError("bits must be positive")
-    if value < 0:
-        raise ValueError("sqrt of negative value")
-    if value == 0:
-        return Interval(Fraction(0), Fraction(0), bits)
-    p = value.numerator
-    q = value.denominator
-    # sqrt(value) > 2^h for h = floor((bitlen(p) - bitlen(q) - 1) / 2).
+    # sqrt(p/q) > 2^h for h = floor((bitlen(p) - bitlen(q) - 1) / 2).
     h = (p.bit_length() - q.bit_length() - 1) // 2
     t = bits - 1 - h
     if t >= 0:
@@ -174,14 +166,27 @@ def sqrt_interval(value: Fraction, bits: int) -> Interval:
         num, den = p, q << (-2 * t)
     n, rem = divmod(num, den)
     s = isqrt(n)
-    if rem == 0 and s * s == n:
-        exact = Fraction(s, 1 << t) if t >= 0 else Fraction(s << (-t))
-        return Interval(exact, exact, bits)
-    if t >= 0:
-        grid = 1 << t
-        return Interval(Fraction(s, grid), Fraction(s + 1, grid), bits)
-    mult = 1 << (-t)
-    return Interval(Fraction(s * mult), Fraction((s + 1) * mult), bits)
+    return s, t, rem == 0 and s * s == n
+
+
+def sqrt_interval(value: Fraction, bits: int) -> Interval:
+    """Dyadic enclosure of sqrt(value) with relative width at most 2^(1-bits).
+
+    The enclosure [s/2^t, (s+1)/2^t] has absolute width exactly 2^-t where
+    t is chosen from the magnitude of `value` so that 2^-t never exceeds
+    2^(1-bits) * sqrt(value).  Doubling `bits` doubles t, so enclosures
+    shrink monotonically under refinement.  The integers s and t come
+    from `sqrt_ints`, which callers holding integer numerators use
+    directly.
+    """
+    if value < 0:
+        raise ValueError("sqrt of negative value")
+    s, t, exact = sqrt_ints(value.numerator, value.denominator, bits)
+    lo = Fraction(s, 1 << t) if t >= 0 else Fraction(s << -t)
+    if exact:
+        return Interval(lo, lo, bits)
+    hi = Fraction(s + 1, 1 << t) if t >= 0 else Fraction((s + 1) << -t)
+    return Interval(lo, hi, bits)
 
 
 def distance_interval(p: Point, q: Point, bits: int) -> Interval:

@@ -1,7 +1,8 @@
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from functools import partial
+from math import dist, isqrt
 
 import pytest
 
@@ -9,10 +10,11 @@ from dilatree.dilation import (
     DilationReport, PointSet, Tree, Verdict, compare_to_threshold,
     critical_edges, crossing_edge_pairs, graph_dilation_bounds, graph_exceeds,
     pair_dilation, root_sums, tree_dilation, tree_has_crossing,
-    tree_path_length, _critical_scan,
+    tree_path_length, _critical_scan, _pair_ratios,
 )
 from dilatree.errors import PrecisionExhausted
-from dilatree.exactgeom import pt
+from dilatree.exactgeom import (pt, round_dyadic, sqrt_interval,
+                                squared_distance)
 from dilatree.radical import SqrtSum
 
 
@@ -98,6 +100,84 @@ def test_root_sums_on_partial_forest(offset):
                     expect = summed_path(ps, tree, u, v, bits) \
                         if connected else None
                     assert sums[v] == expect
+
+
+def fraction_dist_ints(ps, i, j, bits):
+    """The Fraction kernel `dist_ints` replaced: `sqrt_interval` of the
+    squared distance, rescaled to 2^-(bits+8) by floor and ceil."""
+    enc = sqrt_interval(squared_distance(ps[i], ps[j]), bits)
+    lo, hi = enc.lo * (1 << (bits + 8)), enc.hi * (1 << (bits + 8))
+    return lo.numerator // lo.denominator, -(-hi.numerator // hi.denominator)
+
+
+def kernel_sets(offset):
+    # per common denominator: random points, a 3-4-5 and a 5-12-13 triple
+    # (perfect-square distances), and a cluster spaced 1/den, whose
+    # distances are tiny for den = 2^70 and 10^9+7 (negative shift)
+    rng = random.Random(offset % 997 + 3)
+    sets = []
+    for den in (1, 3, 1 << 70, 10 ** 9 + 7):
+        coords = {(0, 0), (3, 4), (-5, 12)}
+        while len(coords) < 7:
+            coords.add((rng.randint(-50, 50), rng.randint(-50, 50)))
+        pts = [(x + offset, y + offset) for x, y in coords]
+        pts += [(Fraction(a, den) + 100 + offset, Fraction(b, den) + offset)
+                for a, b in ((1, 0), (3, 4), (2, 7))]
+        sets.append(PointSet.from_coords(pts))
+    # mixed denominators: the common one is their lcm
+    sets.append(PointSet.from_coords(
+        [(Fraction(1, 3) + offset, Fraction(1, 1 << 70)),
+         (Fraction(2, 10 ** 9 + 7), offset), (offset, Fraction(5, 7)),
+         (Fraction(3, 1 << 70), Fraction(4, 1 << 70))]))
+    return sets
+
+
+@pytest.mark.parametrize("offset", [0, 1 << 60])
+def test_dist_ints_matches_fraction_kernel(offset):
+    tiny = squares = 0
+    for ps in kernel_sets(offset):
+        for i, j in itertools.combinations(range(ps.n), 2):
+            d2 = ps.distance_sq(i, j)
+            assert d2 == squared_distance(ps[i], ps[j])
+            tiny += d2 < Fraction(1, 1 << 40)
+            squares += isqrt(d2.numerator) ** 2 == d2.numerator \
+                and isqrt(d2.denominator) ** 2 == d2.denominator
+            for bits in (1, 2, 8, 33, 64, 300):
+                lo, hi = ps.dist_ints(j, i, bits)
+                assert (lo, hi) == fraction_dist_ints(ps, i, j, bits)
+                scale = Fraction(1 << (bits + 8)) ** 2
+                assert lo * lo <= d2 * scale <= hi * hi
+    assert tiny >= 3 and squares >= 3
+
+
+@pytest.mark.parametrize("bits", [0, -3])
+def test_dist_ints_rejects_nonpositive_bits(bits):
+    ps = PointSet.from_coords([(0, 0), (1, 0)])
+    with pytest.raises(ValueError, match="bits must be positive"):
+        ps.dist_ints(0, 1, bits)
+
+
+@pytest.mark.parametrize("offset", [0, 1 << 60])
+def test_pair_ratios_round_like_round_dyadic(offset):
+    # integer floor/ceil division on the grid 2^-(bits+4) is round_dyadic
+    # of the Fraction ratios of the enclosures it divides
+    rng = random.Random(offset % 1019 + 29)
+    for n in (5, 9):
+        ps, tree = random_tree_instance(rng, n, offset)
+        sums = partial(root_sums, ps, tree.adjacency())
+        for bits in (1, 8, 33, 64, 300):
+            f = bits + 4
+            ratios = _pair_ratios(ps, sums,
+                                  itertools.combinations(range(n), 2), bits)
+            for (u, v), (lo, hi) in ratios.items():
+                (dlo, dhi), (llo, lhi) = sums(u, f)[v], ps.dist_ints(u, v, f)
+                assert Fraction(lo, 1 << f) == \
+                    round_dyadic(Fraction(dlo, lhi), f, "floor")
+                assert Fraction(hi, 1 << f) == \
+                    round_dyadic(Fraction(dhi, llo), f, "ceil")
+                enc = pair_dilation(ps, tree, u, v, bits)
+                assert (enc.lo, enc.hi, enc.bits) == \
+                    (Fraction(lo, 1 << f), Fraction(hi, 1 << f), bits)
 
 
 def square_star():
@@ -309,6 +389,40 @@ def test_critical_edges_match_exact_brute_force(offset):
             == brute_critical(ps, d, length)
 
 
+def _float_detour(coords, u, w, v):
+    return (dist(coords[u], coords[w]) + dist(coords[w], coords[v])) \
+        / dist(coords[u], coords[v])
+
+
+@pytest.mark.parametrize("offset", [0, 1 << 54])
+def test_critical_scan_coarse_screens_are_sound(offset):
+    # at 8 bits the enclosures are about 2^-7 wide, so a pair whose best
+    # detour ratio sits within 2^-10 above an irrational d/l reaches both
+    # integer screens; only outward rounding in both keeps such a pair
+    # critical.  Floats pick the sets holding such a near tie; the check
+    # itself is exact.
+    rng = random.Random(71)
+    checked = 0
+    while checked < 24:
+        n, coords = rng.randint(5, 7), set()
+        while len(coords) < n:
+            coords.add((rng.randint(-12, 12), rng.randint(-12, 12)))
+        coords = sorted(coords)
+        u, w, v = rng.sample(range(n), 3)
+        ratio = _float_detour(coords, u, w, v)
+        if not any(0 < min(_float_detour(coords, a, x, b) for x in range(n)
+                           if x not in (a, b)) / ratio - 1 < 2 ** -10
+                   for a, b in itertools.combinations(range(n), 2)):
+            continue
+        checked += 1
+        ps = PointSet.from_coords([(x + offset, y + offset)
+                                   for x, y in coords])
+        d = _exact_dist(ps, u, w) + _exact_dist(ps, w, v)
+        length = _exact_dist(ps, u, v)
+        assert _critical_scan(ps, d, length, 8, 4096) \
+            == brute_critical(ps, d, length)
+
+
 def random_pointset(rng, n, span=60):
     coords = set()
     while len(coords) < n:
@@ -479,13 +593,83 @@ def test_adjacent_edges_never_cross():
     assert not tree_has_crossing(ps, t)
 
 
+def sqrt5_star():
+    # the leaf pairs (1, 2) and (3, 4) both attain sqrt(5): a tie only the
+    # exact fallback, from 256 bits on, can settle
+    ps = PointSet.from_coords([(0, 0), (1, 2), (-1, 2), (1, -2), (-1, -2)])
+    return ps, Tree(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+
+
 def test_precision_exhausted_surfaces():
-    # radicands 2*4099^2 with a prime square no small-prime factoring
-    # finds; sqrt(2*4099^2) = 4099*sqrt(2) must still be recognised
-    big = 4099
-    ps = PointSet([pt(0, 0), pt(big, big), pt(2 * big, 2 * big),
-                   pt(0, 1)])
-    t = Tree(4, [(0, 1), (1, 2), (0, 3)])
-    # fine here: all comparisons resolve numerically
-    rep = tree_dilation(ps, t, 64)
-    assert rep.value.hi >= 1
+    ps, t = sqrt5_star()
+    for cap in (64, 128):
+        with pytest.raises(PrecisionExhausted) as info:
+            tree_dilation(ps, t, 64, cap=cap)
+        assert info.value.bits == cap
+    rep = tree_dilation(ps, t, 64, cap=256)
+    assert (rep.tied, rep.witness, rep.precision_used) == (True, (1, 2), 256)
+    assert tree_dilation(ps, t, 64).precision_used == 272
+
+
+def grid_comb():
+    # 4x4 grid with step 3: a spine up the first column, a tooth per row
+    ps = PointSet.from_coords([(3 * x, 3 * y)
+                               for x in range(4) for y in range(4)])
+    edges = [(y, y + 1) for y in range(3)]
+    edges += [(4 * x + y, 4 * x + y + 4) for x in range(3) for y in range(4)]
+    return ps, Tree(16, edges)
+
+
+def collinear_chain():
+    ps = PointSet.from_coords([(k, 2 * k) for k in (0, 1, 3, 4, 9)])
+    return ps, Tree(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+
+
+def dyadic_rational():
+    # denominator 2^70: distances from about 2^-66 up to about 3
+    big = 1 << 70
+    ps = PointSet.from_coords(
+        [(Fraction(a, big), Fraction(b, big)) for a, b in
+         [(0, 0), (5, 12), (big, 3), (3 * big // 2, big + 7),
+          (-big // 2, 2 * big), (9, -40)]])
+    return ps, Tree(6, [(0, 1), (0, 2), (2, 3), (2, 4), (1, 5)])
+
+
+def mst20_at_2_60():
+    rng = random.Random(20)
+    coords = set()
+    while len(coords) < 20:
+        coords.add((rng.randint(0, 100), rng.randint(0, 100)))
+    ps = PointSet.from_coords([(x + (1 << 60), y + (1 << 60))
+                               for x, y in sorted(coords)])
+    comp = list(range(20))
+    edges = []
+    for u, v in sorted(itertools.combinations(range(20), 2),
+                       key=lambda e: (ps.distance_sq(*e), e)):
+        cu, cv = comp[u], comp[v]
+        if cu != cv:
+            comp = [cu if c == cv else c for c in comp]
+            edges.append((u, v))
+    return ps, Tree(20, edges)
+
+
+@pytest.mark.parametrize("build, expect", [
+    (sqrt5_star, (int("2714962312994339329268758480884221604143013268553418"
+                      "29055970864250408765591889702142"), 2, (1, 2), True,
+                  272)),
+    (grid_comb, (7 << 276, 0, (12, 13), True, 272)),
+    (collinear_chain, ((1 << 276) - 1, 3, (0, 1), True, 272)),
+    (dyadic_rational, (8017394746013931682658, 4, (1, 4), False, 68)),
+    (mst20_at_2_60, (18298307499487237111374, 9, (13, 14), False, 68)),
+])
+def test_tree_dilation_pinned_reports(build, expect):
+    # recorded from the Fraction-interval kernel: the enclosure's lower
+    # numerator and width on the grid 2^-(precision_used+4), the witness,
+    # the tie flag and precision_used
+    rep = tree_dilation(*build(), 64)
+    grid = 1 << (rep.precision_used + 4)
+    lo = rep.value.lo * grid
+    assert lo.denominator == 1 and (rep.value.hi - rep.value.lo) * grid \
+        == expect[1]
+    assert (lo.numerator, expect[1], rep.witness, rep.tied,
+            rep.precision_used) == expect
