@@ -17,7 +17,10 @@ scale, so accumulating a path is pure integer addition.  Distances are
 enclosed from integer coordinates over one common denominator, and one
 kernel, `root_sums`, sums them along every path from a root, in a whole
 tree or in a search's partial forest.  The max over pairs compares ratio
-numerators on one dyadic grid; only its report builds `Fraction`s.
+numerators on one dyadic grid; only its report builds `Fraction`s.  The
+exact side mirrors this: `PointSet.exact_dist` builds each pair's
+`SqrtSum` once, and `tree_exact` sums them along tree paths, memoised per
+root, for every exact fallback.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ class PointSet:
     denominator (1 for integer inputs), so a squared distance is an
     integer numerator over the squared denominator.  Square-root
     enclosures come from `sqrt_ints` on those integers and are cached
-    per precision level as integer endpoint pairs at scale 2^-(bits+8).
+    per precision level as integer endpoint pairs at scale 2^-(bits+8);
+    the exact length of a pair, a `SqrtSum`, is cached next to them.
     """
 
     def __init__(self, points, labels=None):
@@ -75,6 +79,7 @@ class PointSet:
                      p.y.numerator * (den // p.y.denominator)) for p in pts]
         self._den_sq = den * den
         self._enc: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self._exact: dict[tuple[int, int], SqrtSum] = {}
 
     @classmethod
     def from_coords(cls, coords, labels=None):
@@ -127,6 +132,13 @@ class PointSet:
         self._enc[key] = (lo, hi)
         return lo, hi
 
+    def exact_dist(self, i: int, j: int) -> SqrtSum:
+        """|p_i p_j| as an exact `SqrtSum`, built once per pair."""
+        key = (i, j) if i < j else (j, i)
+        if key not in self._exact:
+            self._exact[key] = SqrtSum.sqrt_of(self.distance_sq(i, j))
+        return self._exact[key]
+
 
 class Tree:
     """Spanning tree on vertices 0..n-1, validated at construction."""
@@ -147,29 +159,14 @@ class Tree:
                              f"edges, got {len(norm)}")
         if len(set(norm)) != len(norm):
             raise ValueError("duplicate edge")
-        adj = [[] for _ in range(n)]
-        for u, v in norm:
-            adj[u].append(v)
-            adj[v].append(u)
-        # connectivity: n-1 distinct edges + connected == tree
-        seen = bytearray(n)
-        stack = [0]
-        seen[0] = 1
-        count = 1
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = 1
-                    count += 1
-                    stack.append(y)
-        if count != n:
-            raise ValueError("edges do not connect all vertices")
         self.n = n
         self.edges = tuple(norm)
         self._edge_set = frozenset(norm)
-        self._adj = adj
+        self._adj = _graph_adjacency(n, norm)
         self._parents: dict[int, list[int]] = {}
+        # n-1 distinct edges + connected == tree
+        if -1 in self.parents_from(0):
+            raise ValueError("edges do not connect all vertices")
 
     def adjacency(self):
         return self._adj
@@ -296,6 +293,14 @@ def _pair_ratios(ps, sums, pairs, bits):
         if u != root:
             root, row = u, sums(u, f)
         (dlo, dhi), (llo, lhi) = row[v], ps.dist_ints(u, v, f)
+        if not llo:
+            # |uv| lies below the grid 2^-(f+8): enclose this pair alone on
+            # finer grids until |uv| has f bits of its own
+            g = f
+            while llo.bit_length() <= f:
+                g += f
+                llo, lhi = ps.dist_ints(u, v, g)
+            dlo, dhi = sums(u, g)[v]
         enc[u, v] = (dlo << f) // lhi, -((-dhi << f) // llo)
     return enc
 
@@ -304,17 +309,25 @@ def _pair_ratios(ps, sums, pairs, bits):
 # exact symbolic forms, for ties and boundary hits
 
 
-def _edge_sum(ps: PointSet, edges) -> SqrtSum:
-    """Exact total length of `edges`."""
-    total = SqrtSum.zero()
-    for a, b in edges:
-        total = total + SqrtSum.sqrt_of(ps.distance_sq(a, b))
-    return total
+def tree_exact(ps: PointSet, tree: Tree):
+    """The exact twin of `root_sums`: `exact(u, v)` gives the exact
+    (d_T(u, v), |uv|) of a pair.  Sums d_T(u, .) are memoised per root: a
+    pair walks up `tree.parents_from(u)` only to the nearest vertex with a
+    known sum, so once its parent's sum is known it costs one addition."""
+    rows = {}
 
+    def exact(u, v):
+        row = rows.setdefault(u, {u: SqrtSum.zero()})
+        par, walk, x = tree.parents_from(u), [], v
+        while x not in row:
+            walk.append(x)
+            x = par[x]
+        for y in reversed(walk):
+            row[y] = row[x] + ps.exact_dist(x, y)
+            x = y
+        return row[v], ps.exact_dist(u, v)
 
-def _pair_exact(ps, tree, u, v):
-    return (_edge_sum(ps, tree.path_edges(u, v)),
-            SqrtSum.sqrt_of(ps.distance_sq(u, v)))
+    return exact
 
 
 def _ratio_sign(a, b, cap) -> int:
@@ -363,8 +376,9 @@ def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int, q_den: int,
             return Verdict.GREATER
         if q_den * dhi > p_num * llo:
             undecided.append((u, v))
+    exact = tree_exact(ps, tree)
     for u, v in undecided:
-        d, length = _pair_exact(ps, tree, u, v)
+        d, length = exact(u, v)
         if (d.scale(q_den) - length.scale(p_num)).sign(
                 start_bits=2 * start_bits, cap=cap) > 0:
             return Verdict.GREATER
@@ -389,7 +403,7 @@ def tree_dilation(ps: PointSet, tree: Tree, bits: int,
         raise ValueError("tree and point set sizes differ")
     cap = max_bits_cap() if cap is None else cap
     report = _max_dilation(ps, partial(root_sums, ps, tree.adjacency()),
-                          partial(_pair_exact, ps, tree), bits, cap)
+                          tree_exact(ps, tree), bits, cap)
     if threshold is None:
         return report
     return replace(report, threshold_verdict=compare_to_threshold(
@@ -403,12 +417,13 @@ def _max_dilation(ps: PointSet, sums, exact, bits: int,
 
     The structure is given by its path metric: `sums(u, bits)` encloses
     the path lengths from u to every vertex, as `root_sums` does for a
-    tree, and `exact(u, v)` gives the exact (path length, |uv|) of a pair.
-    The maximum is located by refining only the pairs whose enclosures
-    still overlap the running lower bound.  When the final survivors
-    cannot be separated numerically they are compared symbolically;
-    genuinely equal maxima are reported with `tied` set and the
-    lexicographically smallest witness.
+    tree, and `exact(u, v)` the exact (path length, |uv|) of a pair, as
+    `tree_exact` does.  The maximum is located by refining only the pairs
+    whose enclosures still overlap the running lower bound.  When the
+    final survivors cannot be separated numerically they are compared
+    symbolically; genuinely equal maxima are reported with `tied` set and
+    the lexicographically smallest witness.  `PrecisionExhausted` at the
+    cap names the surviving pairs, all of them in its `context`.
     """
     work = max(bits + 4, 64)
     enc = _pair_ratios(ps, sums, itertools.combinations(range(ps.n), 2), work)
@@ -421,6 +436,7 @@ def _max_dilation(ps: PointSet, sums, exact, bits: int,
         hi = max(e[1] for e in survivors.values())
         if len(survivors) == 1:
             break
+        cause = None
         if (hi - lo) << (bits - 1) <= hi and work >= _EXACT_FALLBACK_BITS:
             # numeric refinement has stalled: separate survivors exactly
             order = sorted(survivors)
@@ -434,16 +450,18 @@ def _max_dilation(ps: PointSet, sums, exact, bits: int,
                         best, top = [pq], cand
                     elif sign == 0:
                         best.append(pq)
-            except PrecisionExhausted:
-                if work >= cap:
-                    raise
+            except PrecisionExhausted as exc:
+                cause = exc
             else:
                 tied = len(best) > 1
                 survivors = best
                 break
-        elif work >= cap:
+        if work >= cap:
+            pairs = sorted(survivors)
             raise PrecisionExhausted(
-                f"dilation witnesses unresolved at {cap} bits", bits=cap)
+                f"dilation witnesses unresolved at {cap} bits among "
+                f"{len(pairs)} pairs, first {str(pairs[:4])[1:-1]}",
+                bits=cap, context=pairs) from cause
         work = min(2 * work, cap)
         enc = _pair_ratios(ps, sums, survivors, work)
 
@@ -483,7 +501,7 @@ def _critical_scan(ps: PointSet, d: SqrtSum, length: SqrtSum,
     scale = lcm(*(x.denominator for iv in ends for x in (iv.lo, iv.hi)))
     (dlo, dhi), (llo, lhi) = ((int(iv.lo * scale), int(iv.hi * scale))
                               for iv in ends)
-    dist_ints = ps.dist_ints
+    dist_ints, exact = ps.dist_ints, ps.exact_dist
     out = []
     for u, v in itertools.combinations(range(ps.n), 2):
         uv_lo, uv_hi = dist_ints(u, v, bits)
@@ -496,10 +514,8 @@ def _critical_scan(ps: PointSet, d: SqrtSum, length: SqrtSum,
                 continue                # the detour via w certainly exceeds
             if dlo * uv_lo >= lhi * (uw_hi + wv_hi):
                 break                   # w certainly gives a short enough one
-            detour = (SqrtSum.sqrt_of(ps.distance_sq(u, w))
-                      + SqrtSum.sqrt_of(ps.distance_sq(w, v)))
-            uv = SqrtSum.sqrt_of(ps.distance_sq(u, v))
-            if _ratio_sign((detour, uv), (d, length), cap) <= 0:
+            if _ratio_sign((exact(u, w) + exact(w, v), exact(u, v)),
+                           (d, length), cap) <= 0:
                 break
         else:
             out.append((u, v))
@@ -512,13 +528,7 @@ def _critical_scan(ps: PointSet, d: SqrtSum, length: SqrtSum,
 
 def tree_has_crossing(ps: PointSet, tree: Tree) -> bool:
     """True iff some two non-adjacent tree edges properly cross."""
-    segs = {e: Segment(ps[e[0]], ps[e[1]]) for e in tree.edges}
-    for e1, e2 in itertools.combinations(tree.edges, 2):
-        if set(e1) & set(e2):
-            continue
-        if segments_properly_cross(segs[e1], segs[e2]):
-            return True
-    return False
+    return bool(crossing_edge_pairs(ps, tree.edges))
 
 
 def crossing_edge_pairs(ps: PointSet, edges):

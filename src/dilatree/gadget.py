@@ -648,21 +648,16 @@ def _check_critical_set(g, bits) -> LemmaCheck:
 
 def _check_alternation(g) -> LemmaCheck:
     name = "alternation obstruction"
-    pts = g.points
+    dist = g.points.exact_dist
     for i in range(1, g.n + 1):
-        db_sq = squared_distance(pts[g.d(i)], pts[g.b(i)])
-        cd_sq = squared_distance(pts[g.c(i)], pts[g.d(i)])
-        ad_sq = squared_distance(pts[g.a(i + 1)], pts[g.d(i)])
+        db, cd = dist(g.d(i), g.b(i)), dist(g.c(i), g.d(i))
+        ad = dist(g.a(i + 1), g.d(i))
         # detour around both choice edges is too long: 5|db| + 5|bc| > 8|cd|
-        gap = SqrtSum.sqrt_of(db_sq, coef=5) \
-            + SqrtSum.rational(15 * _four(i - 1)) \
-            - SqrtSum.sqrt_of(cd_sq, coef=8)
+        gap = db.scale(5) + SqrtSum.rational(15 * _four(i - 1)) - cd.scale(8)
         if gap.sign() <= 0:
             return LemmaCheck(name, False, f"detour via b{i} is short enough")
         # while the anchor detour stays affordable, so cd is not forced
-        slack = SqrtSum.sqrt_of(cd_sq, coef=8) \
-            - SqrtSum.rational(55 * _four(i - 1)) \
-            - SqrtSum.sqrt_of(ad_sq, coef=5)
+        slack = cd.scale(8) - SqrtSum.rational(55 * _four(i - 1)) - ad.scale(5)
         if slack.sign() <= 0:
             return LemmaCheck(name, False, f"choice edge {i} became forced")
     return LemmaCheck(name, True, "every index keeps exactly two choices")

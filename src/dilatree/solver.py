@@ -23,9 +23,8 @@ from functools import partial
 
 from .dilation import (DilationReport, PointSet, Tree, critical_edges,
                        crossing_edge_pairs, root_sums, tree_dilation,
-                       tree_has_crossing, _critical_scan, _edge_sum,
-                       _graph_adjacency, _max_dilation, _pair_exact,
-                       _ratio_sign)
+                       tree_exact, tree_has_crossing, _critical_scan,
+                       _graph_adjacency, _max_dilation, _ratio_sign)
 from .errors import (Infeasible, NotApplicable, NotCrossing,
                      PrecisionExhausted, SizeTooLarge, max_bits_cap)
 from .exactgeom import (Orientation, Segment, orientation,
@@ -113,8 +112,8 @@ def _compare_exact(rep_a, exact_a, rep_b, exact_b, cap):
 
 def _compare_reports(ps, tree_a, rep_a, tree_b, rep_b, cap):
     """Certified sign of Delta(tree_a) - Delta(tree_b)."""
-    return _compare_exact(rep_a, partial(_pair_exact, ps, tree_a),
-                          rep_b, partial(_pair_exact, ps, tree_b), cap)
+    return _compare_exact(rep_a, tree_exact(ps, tree_a),
+                          rep_b, tree_exact(ps, tree_b), cap)
 
 
 def _first_minimum(reports, cap):
@@ -397,7 +396,7 @@ def exhaustive_mdst(ps: PointSet, bits: int = 64) -> SolverResult:
     def certify(edges):
         tree = Tree(n, edges)
         return (tree, tree_dilation(ps, tree, bits, cap=cap),
-                partial(_pair_exact, ps, tree))
+                tree_exact(ps, tree))
 
     best, report, _ = _first_minimum(map(certify, candidates), cap)
     return SolverResult(best=best, report=report, trees_examined=count,
@@ -435,9 +434,12 @@ def _order_metric(ps, order, closed, cap):
 
     Returns (sums, exact) as `_max_dilation` reads them: `sums(u, bits)`
     comes from exact integer prefix sums of `ps.dist_ints` along the
-    order, and `exact(u, v)` from `SqrtSum`s over the same edges.
+    order, and `exact(u, v)` from one list of exact prefix sums of
+    `ps.exact_dist` along it, built on first use.  An arc is a prefix
+    difference, and a tour's other arc is the total minus that arc.
     """
     prefixes = {}          # bits -> (total, prefix sum at each vertex)
+    exact_prefix = []      # exact prefix sum at each position, then total
 
     def sums(u, bits):
         if bits not in prefixes:
@@ -458,14 +460,17 @@ def _order_metric(ps, order, closed, cap):
         return row
 
     def exact(u, v):
-        steps = list(_steps(order, closed))
+        if not exact_prefix:
+            exact_prefix.extend(itertools.accumulate(
+                (ps.exact_dist(a, b) for a, b in _steps(order, closed)),
+                initial=SqrtSum.zero()))
         i, j = sorted((order.index(u), order.index(v)))
-        d = _edge_sum(ps, steps[i:j])
+        d = exact_prefix[j] - exact_prefix[i]
         if closed:
-            other = _edge_sum(ps, steps[j:] + steps[:i])
+            other = exact_prefix[-1] - d
             if (other - d).sign(cap=cap) < 0:
                 d = other
-        return d, SqrtSum.sqrt_of(ps.distance_sq(u, v))
+        return d, ps.exact_dist(u, v)
 
     return sums, exact
 
@@ -651,7 +656,7 @@ def verify_crossing_witness(ps: PointSet, bits: int = 96) -> WitnessCheck | None
     if not all(tree_has_crossing(ps, t) for t in optimal):
         return None
     crit = _critical_scan(
-        ps, *_pair_exact(ps, best_tree, *best_rep.witness), 64, cap)
+        ps, *tree_exact(ps, best_tree)(*best_rep.witness), 64, cap)
     # every non-optimal tree above was certified strictly worse, either by
     # the integer screen or by an exact sign, so in particular every
     # crossing-free tree is

@@ -9,13 +9,14 @@ import pytest
 from dilatree.dilation import (
     DilationReport, PointSet, Tree, Verdict, compare_to_threshold,
     critical_edges, crossing_edge_pairs, graph_dilation_bounds, graph_exceeds,
-    pair_dilation, root_sums, tree_dilation, tree_has_crossing,
+    pair_dilation, root_sums, tree_dilation, tree_exact, tree_has_crossing,
     tree_path_length, _critical_scan, _pair_ratios,
 )
 from dilatree.errors import PrecisionExhausted
 from dilatree.exactgeom import (pt, round_dyadic, sqrt_interval,
                                 squared_distance)
 from dilatree.radical import SqrtSum
+from dilatree.solver import Mode, SolverOptions, mdst_exact
 
 
 def test_pointset_validation():
@@ -673,3 +674,96 @@ def test_tree_dilation_pinned_reports(build, expect):
         == expect[1]
     assert (lo.numerator, expect[1], rep.witness, rep.tied,
             rep.precision_used) == expect
+
+
+def exact_kernel_trees(offset):
+    rng = random.Random(offset % 1019 + 29)
+    cases = [random_tree_instance(rng, n, offset) for n in (5, 9, 17, 30)]
+    third = [(Fraction(rng.randint(0, 300), 3) + offset,
+              Fraction(rng.randint(0, 300), 3)) for _ in range(12)]
+    ps = PointSet.from_coords(sorted(set(third)))
+    cases.append((ps, random_tree(rng, ps.n)))
+    return rng, cases
+
+
+@pytest.mark.parametrize("offset", [0, 1 << 54, 1 << 60])
+def test_tree_exact_matches_independent_path_sums(offset):
+    # pairs in shuffled order, both orientations: a query may reuse a
+    # memoised sum, walk part of the way or start a fresh root
+    rng, cases = exact_kernel_trees(offset)
+    for ps, tree in cases:
+        pairs = [(u, v) for u in range(ps.n) for v in range(ps.n) if u != v]
+        rng.shuffle(pairs)
+        exact = tree_exact(ps, tree)
+        for u, v in pairs[:300]:
+            expect = SqrtSum.zero()
+            for a, b in tree.path_edges(u, v):
+                expect = expect + SqrtSum.sqrt_of(ps.distance_sq(a, b))
+            d, length = exact(u, v)
+            assert d == expect
+            assert length == SqrtSum.sqrt_of(ps.distance_sq(u, v))
+
+
+def tiny_triangle(exp):
+    s = Fraction(1, 1 << exp)
+    return (PointSet.from_coords([(0, 0), (3 * s, 4 * s), (6 * s, 0)]),
+            Tree(3, [(0, 1), (1, 2)]))
+
+
+def test_tiny_scale_distances_stay_certified():
+    # |uv| = 5 * 2^-100 lies below the absolute grid of dist_ints, whose
+    # lower end is then 0; the ratio must come from a finer enclosure
+    ps, t = tiny_triangle(100)
+    rep = tree_dilation(ps, t, 64)
+    assert rep.witness == (0, 2) and rep.value.contains(Fraction(5, 3))
+    assert not rep.tied
+    # the best tree and path is t, and the tour is the whole triangle
+    for mode, value in ((Mode.TREE, Fraction(5, 3)),
+                        (Mode.PATH, Fraction(5, 3)), (Mode.TOUR, 1)):
+        res = mdst_exact(ps, SolverOptions(mode=mode))
+        assert res.report.value.contains(value)
+    assert mdst_exact(ps).best == t
+    ps70, t70 = tiny_triangle(70)
+    try:
+        iv = pair_dilation(ps70, t70, 0, 2, 16)
+    except PrecisionExhausted:
+        pass
+    else:
+        assert iv.contains(Fraction(5, 3))
+
+
+def test_precision_exhausted_names_survivors():
+    ps, t = sqrt5_star()
+    with pytest.raises(PrecisionExhausted) as info:
+        tree_dilation(ps, t, 64, cap=64)
+    assert info.value.bits == 64
+    assert info.value.context == [(1, 2), (3, 4)]
+    assert "among 2 pairs, first (1, 2), (3, 4)" in str(info.value)
+    # on a chain every pair survives: four are named, all are carried
+    ps, t = collinear_chain()
+    with pytest.raises(PrecisionExhausted) as info:
+        tree_dilation(ps, t, 64, cap=128)
+    assert info.value.context == list(itertools.combinations(range(5), 2))
+    assert str(info.value).endswith("among 10 pairs, first (0, 1), (0, 2), "
+                                    "(0, 3), (0, 4)")
+
+
+def test_chain_tie_builds_each_exact_length_once(monkeypatch):
+    # every pair of a collinear chain ties at 1, so the exact fallback
+    # reads all 435 pairs; each |uv| is built once and each tree sum
+    # extends its parent's
+    rng = random.Random(3)
+    k, coords = 0, []
+    for _ in range(30):
+        coords.append((k, 2 * k))
+        k += rng.randrange(1, 1 << 14)
+    ps = PointSet.from_coords(coords)
+    t = Tree(30, [(i, i + 1) for i in range(29)])
+    calls = []
+    sqrt_of = SqrtSum.__dict__["sqrt_of"].__func__
+    monkeypatch.setattr(SqrtSum, "sqrt_of", classmethod(
+        lambda cls, *a, **kw: calls.append(1) or sqrt_of(cls, *a, **kw)))
+    rep = tree_dilation(ps, t, 64)
+    assert (rep.tied, rep.witness, rep.precision_used) == (True, (0, 1), 272)
+    assert rep.value.contains(1)
+    assert len(calls) <= 29 + 435

@@ -16,7 +16,8 @@ from dilatree.solver import (Mode, SolverOptions, SolverResult,
                              exhaustive_mdst, mdst_exact,
                              min_dilation_structure, uncross_four,
                              verify_crossing_witness, witness_search_five,
-                             _compare_reports)
+                             _compare_reports, _order_metric)
+from dilatree.radical import SqrtSum
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -311,6 +312,38 @@ def test_order_search_invariant_under_translation(mode):
         if mode is Mode.PATH:
             assert set(res.best.edges) == {(0, 1), (1, 2), (2, 4), (3, 4)}
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def _exact_walk(ps, verts):
+    """Exact length of the walk through `verts`, summed edge by edge."""
+    total = SqrtSum.zero()
+    for a, b in zip(verts, verts[1:]):
+        total = total + SqrtSum.sqrt_of(ps.distance_sq(a, b))
+    return total
+
+
+@pytest.mark.parametrize("offset", [0, 2 ** 54, 2 ** 60])
+def test_order_exact_matches_independent_arc_sums(offset):
+    # an arc is a difference of exact prefix sums, a tour's other arc the
+    # total minus it; both must equal the arc summed edge by edge
+    rng = random.Random(offset % 1021 + 31)
+    for n in (5, 6, 7):
+        ps = PointSet.from_coords([(x + offset, y + offset) for x, y in
+                                   random_distinct_points(rng, n)])
+        order = tuple(rng.sample(range(n), n))
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for closed in (False, True):
+            _, exact = _order_metric(ps, order, closed, max_bits_cap())
+            rng.shuffle(pairs)
+            for u, v in pairs:
+                i, j = sorted((order.index(u), order.index(v)))
+                arc = _exact_walk(ps, order[i:j + 1])
+                if closed:
+                    other = _exact_walk(ps, order[j:] + order[:i + 1])
+                    arc = other if (other - arc).sign() < 0 else arc
+                d, length = exact(u, v)
+                assert d == arc
+                assert length == SqrtSum.sqrt_of(ps.distance_sq(u, v))
 
 
 def _orderings(n, closed):
