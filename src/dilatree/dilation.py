@@ -379,8 +379,15 @@ def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int, q_den: int,
     exact = tree_exact(ps, tree)
     for u, v in undecided:
         d, length = exact(u, v)
-        if (d.scale(q_den) - length.scale(p_num)).sign(
-                start_bits=2 * start_bits, cap=cap) > 0:
+        try:
+            sign = (d.scale(q_den) - length.scale(p_num)).sign(
+                start_bits=2 * start_bits, cap=cap)
+        except PrecisionExhausted as exc:
+            raise PrecisionExhausted(
+                f"dilation of pair {(u, v)} against {p_num}/{q_den} "
+                f"undecided at {exc.bits} bits",
+                bits=exc.bits, context=(u, v)) from exc
+        if sign > 0:
             return Verdict.GREATER
     return Verdict.AT_MOST
 
@@ -514,8 +521,15 @@ def _critical_scan(ps: PointSet, d: SqrtSum, length: SqrtSum,
                 continue                # the detour via w certainly exceeds
             if dlo * uv_lo >= lhi * (uw_hi + wv_hi):
                 break                   # w certainly gives a short enough one
-            if _ratio_sign((exact(u, w) + exact(w, v), exact(u, v)),
-                           (d, length), cap) <= 0:
+            try:
+                sign = _ratio_sign((exact(u, w) + exact(w, v), exact(u, v)),
+                                   (d, length), cap)
+            except PrecisionExhausted as exc:
+                raise PrecisionExhausted(
+                    f"detour {(u, v, w)} against {d!r}/{length!r} "
+                    f"undecided at {exc.bits} bits",
+                    bits=exc.bits, context=(u, v, w)) from exc
+            if sign <= 0:
                 break
         else:
             out.append((u, v))
@@ -599,7 +613,9 @@ def graph_dilation_bounds(ps: PointSet, edges, bits: int) -> Interval:
 
     Integer Dijkstra runs once over lower endpoints and once over upper
     endpoints of the edge-length enclosures; the true shortest-path
-    metric is sandwiched between the two runs.
+    metric is sandwiched between the two runs.  A pair whose lower |uv|
+    is 0 on that grid is enclosed alone on finer grids, as
+    `_pair_ratios` does.
     """
     n = ps.n
     adj = _graph_adjacency(n, edges)
@@ -612,7 +628,15 @@ def graph_dilation_bounds(ps: PointSet, edges, bits: int) -> Interval:
             if dlo[dst] is None:
                 raise ValueError("graph is not connected")
             llo, lhi = ps.dist_ints(src, dst, bits)
-            # both sums share the scale 2^-(bits+8), which cancels
-            ratio_lo = max(ratio_lo, Fraction(dlo[dst], lhi))
-            ratio_hi = max(ratio_hi, Fraction(dhi[dst], llo))
+            d_lo, d_hi = dlo[dst], dhi[dst]
+            if not llo:
+                g = bits
+                while llo.bit_length() <= bits:
+                    g += bits
+                    llo, lhi = ps.dist_ints(src, dst, g)
+                d_lo = _shortest_sums(ps, adj, src, g, 0)[dst]
+                d_hi = _shortest_sums(ps, adj, src, g, 1)[dst]
+            # both sums share the scale of |uv|, which cancels
+            ratio_lo = max(ratio_lo, Fraction(d_lo, lhi))
+            ratio_hi = max(ratio_hi, Fraction(d_hi, llo))
     return Interval(ratio_lo, ratio_hi, bits)

@@ -3,9 +3,11 @@
 Spanning-tree search runs branch-and-bound over edge subsets with an
 interval-certified incumbent; an exhaustive enumeration over labeled
 trees (Prüfer sequences) serves as the independent oracle.  Hamiltonian
-paths and tours enumerate orderings through the oracle's integer screen,
-with path lengths from exact integer prefix sums along each ordering, and
-certify only the orderings the screen cannot rule out.
+paths and tours run a depth-first search over ordering prefixes that cuts
+a prefix once integer lower bounds put one of its pairs above the
+incumbent; each complete ordering goes through the oracle's integer
+screen, with path lengths from exact integer prefix sums, and only the
+orderings the screen cannot rule out are certified.
 A local uncrossing exchange removes an edge crossing from a 4-point tree
 without increasing its dilation, and a randomized search hunts for
 5-point sets whose every optimal spanning tree has a crossing.
@@ -32,7 +34,7 @@ from .exactgeom import (Orientation, Segment, orientation,
 from .radical import SqrtSum
 
 _ENUM_MAX = 9
-_STRUCT_MAX = 10
+_STRUCT_MAX = 13
 
 
 class Mode(enum.Enum):
@@ -198,7 +200,7 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
     Ties keep the first tree found in the deterministic search order.
     Path and tour mode search orderings (see `min_dilation_structure`).
     In every mode, `max_points` bounds the input and `enumeration_cap` the
-    complete trees or feasible orderings examined.
+    complete trees, or complete feasible orderings, that are examined.
     """
     n = ps.n
     if n > opts.max_points:
@@ -319,8 +321,9 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
 
 
 def _lengths(ps, bits):
-    """`ps.dist_ints` at `bits` of every pair u < v, as rows lens[u][v]."""
-    return [[ps.dist_ints(u, v, bits) if v > u else None
+    """`ps.dist_ints` at `bits` of every pair, as a symmetric matrix
+    lens[u][v] with (0, 0) on the diagonal."""
+    return [[ps.dist_ints(u, v, bits) if v != u else (0, 0)
              for v in range(ps.n)] for u in range(ps.n)]
 
 
@@ -346,52 +349,66 @@ def _screen(sums, lens, bits, bound):
     return lo_n, lo_d, hi_n, hi_d
 
 
-def _screened(ps, structures, bits):
-    """Keys of `structures`, pairs (key, sums), that the integer screen at
-    `bits` cannot certify worse than the best of them, in their order,
-    and the number of structures.
+class _RunningScreen:
+    """The integer screen at `bits` over a stream of structures.
 
-    The screen keeps a running incumbent, the smallest upper bound on a
-    dilation seen so far, and drops a structure as soon as one pair's
-    lower bound exceeds it.  Structures scanned in full are filtered once
-    more against the final incumbent.  A dropped structure lies certifiably
-    above the final incumbent too, so the result is that of scoring every
-    structure fully.
+    It keeps a running incumbent, `bound` = (num, den), the smallest upper
+    bound on a dilation seen so far (1/0 is no bound yet), and `offer`
+    drops a structure as soon as one pair's lower bound exceeds it.
+    `survivors` filters the structures scanned in full once more against
+    the final incumbent.  A dropped structure lies certifiably above the
+    final incumbent too, so the survivors, in offering order, are those
+    of scoring every structure fully.  `count` is the number offered.
     """
-    lens = _lengths(ps, bits)
-    bound = (1, 0)         # 1/0 is no bound yet
-    scored = []            # (lo_num, lo_den, key) of structures scanned in full
-    count = 0
-    for key, sums in structures:
-        count += 1
-        bounds = _screen(sums, lens, bits, bound)
+
+    def __init__(self, ps, bits):
+        self.bits = bits
+        self.lens = _lengths(ps, bits)
+        self.bound = (1, 0)
+        self.count = 0
+        # (lo_num, lo_den, key) of the structures scanned in full
+        self._scored = []
+
+    def offer(self, key, sums):
+        self.count += 1
+        bounds = self.tighten(sums)
         if bounds is not None:
-            lo_n, lo_d, hi_n, hi_d = bounds
-            scored.append((lo_n, lo_d, key))
-            if hi_n * bound[1] < bound[0] * hi_d:
-                bound = (hi_n, hi_d)
-    return [key for lo_n, lo_d, key in scored
-            if lo_n * bound[1] <= bound[0] * lo_d], count
+            self._scored.append((bounds[0], bounds[1], key))
+
+    def tighten(self, sums):
+        """Screen a structure and lower the incumbent to its upper bound
+        if that is smaller, without making it a survivor; its `_screen`
+        bounds, or None when it is screened out."""
+        bounds = _screen(sums, self.lens, self.bits, self.bound)
+        if bounds is not None and \
+                bounds[2] * self.bound[1] < self.bound[0] * bounds[3]:
+            self.bound = bounds[2:]
+        return bounds
+
+    def survivors(self):
+        b_n, b_d = self.bound
+        return [key for lo_n, lo_d, key in self._scored
+                if lo_n * b_d <= b_n * lo_d]
 
 
 def exhaustive_mdst(ps: PointSet, bits: int = 64) -> SolverResult:
     """Certified minimum over all labeled trees; the slow, simple oracle.
 
     Every Prüfer sequence is decoded to an adjacency and goes through the
-    integer screen (`_screened`) at 32 bits.  Only the trees it cannot
-    certify worse become validated `Tree`s and are separated exactly, so
-    the answer, `trees_examined` and `pruned` are those of scoring every
-    tree fully.
+    integer screen (`_RunningScreen`) at 32 bits.  Only the trees it
+    cannot certify worse become validated `Tree`s and are separated
+    exactly, so the answer, `trees_examined` and `pruned` are those of
+    scoring every tree fully.
     """
     n = ps.n
     if n > _ENUM_MAX:
         raise SizeTooLarge(f"exhaustive oracle capped at {_ENUM_MAX} points")
     cap = max_bits_cap()
-    trees = (_prufer_edges(n, seq)
-             for seq in itertools.product(range(n), repeat=n - 2))
-    candidates, count = _screened(
-        ps, ((edges, partial(root_sums, ps, _graph_adjacency(n, edges)))
-             for edges in trees), 32)
+    screen = _RunningScreen(ps, 32)
+    for seq in itertools.product(range(n), repeat=n - 2):
+        edges = _prufer_edges(n, seq)
+        screen.offer(edges, partial(root_sums, ps, _graph_adjacency(n, edges)))
+    candidates, count = screen.survivors(), screen.count
 
     def certify(edges):
         tree = Tree(n, edges)
@@ -405,18 +422,6 @@ def exhaustive_mdst(ps: PointSet, bits: int = 64) -> SolverResult:
 
 # ---------------------------------------------------------------------------
 # Hamiltonian paths and tours
-
-
-def _path_orderings(n):
-    for perm in itertools.permutations(range(n)):
-        if perm[0] < perm[-1]:
-            yield perm
-
-
-def _tour_orderings(n):
-    for rest in itertools.permutations(range(1, n)):
-        if rest[0] < rest[-1]:
-            yield (0,) + rest
 
 
 def _steps(order, closed):
@@ -484,22 +489,89 @@ def _order_search(ps, opts):
     cap = max_bits_cap()
     closed = opts.mode is Mode.TOUR
     required = {tuple(sorted(e)) for e in opts.required_edges}
+    screen = _RunningScreen(ps, 32)
+    lo = [[lens[0] for lens in row] for row in screen.lens]
+    # incumbent bound -> limit[u][v], the largest lower u-v path sum that
+    # leaves the pair at or below that bound
+    limits = {}
 
-    def feasible():
-        examined = 0
-        for order in _tour_orderings(n) if closed else _path_orderings(n):
-            if required or opts.crossing_free:
-                edges = _order_edges(order, closed)
-                if not required.issubset(edges) or (
-                        opts.crossing_free and crossing_edge_pairs(ps, edges)):
-                    continue
-            examined += 1
-            if opts.enumeration_cap is not None and \
-                    examined > opts.enumeration_cap:
-                raise SizeTooLarge("enumeration cap exceeded")
-            yield order, _order_metric(ps, order, closed, cap)[0]
+    def feasible(key):
+        if not (required or opts.crossing_free):
+            return True
+        edges = _order_edges(key, closed)
+        return required.issubset(edges) and not (
+            opts.crossing_free and crossing_edge_pairs(ps, edges))
 
-    candidates, examined = _screened(ps, feasible(), 32)
+    # the incumbent starts at the best feasible nearest-neighbour ordering,
+    # one from each start; it only bounds, so the survivors keep their order
+    for start in range(n):
+        seq, rest = [start], [v for v in range(n) if v != start]
+        while rest:
+            seq.append(min(rest, key=lo[seq[-1]].__getitem__))
+            rest.remove(seq[-1])
+        if closed:
+            seq = seq[seq.index(0):] + seq[:seq.index(0)]
+        if feasible(seq):
+            screen.tighten(_order_metric(ps, tuple(seq), closed, cap)[0])
+
+    order = [0] * n        # the prefix being extended, ...
+    prefix = [0] * n       # the lower sums of its edges up to each vertex
+    placed = [False] * n
+    cuts = 0
+
+    def cut(k, y, py):
+        """Whether every completion of order[:k] + [y], whose lower prefix
+        sum at y is py, has a pair through y certifiably above the
+        incumbent: y and a placed u, or a placed u and an unplaced w."""
+        b_n, b_d = screen.bound
+        if not b_d:
+            return False
+        if screen.bound not in limits:
+            limits.clear()
+            limits[screen.bound] = [[b_n * h // b_d for _, h in row]
+                                    for row in screen.lens]
+        limit = limits[screen.bound]
+        lo_y, lo_0 = lo[y], lo[order[0]]
+        total = py + lo_y[order[0]]    # a tour is at least this long
+        rest = [w for w in range(n) if not placed[w] and w != y]
+        for u, pu in zip(order[:k], prefix):
+            d, lim = py - pu, limit[u]
+            if closed:
+                # the other arc runs from y, or from w, through order[0] to u
+                if d > lim[y] and total - d > lim[y] or any(
+                        d + lo_y[w] > lim[w] and pu + lo_0[w] > lim[w]
+                        for w in rest):
+                    return True
+            elif d > lim[y] or any(d + lo_y[w] > lim[w] for w in rest):
+                return True
+        return False
+
+    def extend(k):
+        nonlocal cuts
+        if k == n:
+            key = tuple(order)
+            if key[1 if closed else 0] < key[-1] and feasible(key):
+                if opts.enumeration_cap is not None and \
+                        screen.count >= opts.enumeration_cap:
+                    raise SizeTooLarge("enumeration cap exceeded")
+                screen.offer(key, _order_metric(ps, key, closed, cap)[0])
+            return
+        for y in range(n):
+            if placed[y]:
+                continue
+            py = prefix[k - 1] + lo[order[k - 1]][y]
+            if cut(k, y, py):
+                cuts += 1
+                continue
+            order[k], prefix[k], placed[y] = y, py, True
+            extend(k + 1)
+            placed[y] = False
+
+    for first in range(1 if closed else n):
+        order[0], placed[first] = first, True
+        extend(1)
+        placed[first] = False
+    candidates = screen.survivors()
     if not candidates:
         raise Infeasible("no ordering satisfies the constraints")
 
@@ -510,8 +582,8 @@ def _order_search(ps, opts):
     order, report, _ = _first_minimum(map(certify, candidates), cap)
     edges = _order_edges(order, closed)
     return SolverResult(best=tuple(sorted(edges)) if closed else Tree(n, edges),
-                        report=report, trees_examined=examined,
-                        pruned=examined - len(candidates))
+                        report=report, trees_examined=screen.count,
+                        pruned=cuts + screen.count - len(candidates))
 
 
 def min_dilation_structure(ps: PointSet, mode: Mode, bits: int = 64,
@@ -520,16 +592,25 @@ def min_dilation_structure(ps: PointSet, mode: Mode, bits: int = 64,
     """Certified minimum-dilation Hamiltonian path (a `Tree`) or tour (its
     sorted edge tuple).
 
-    Every ordering that meets the constraints, paths up to reversal and
-    tours up to rotation and reflection, goes through the integer screen
-    that `exhaustive_mdst` uses.  Its path lengths are exact integer
-    prefix sums of the edge enclosures along the ordering, and a pair on
-    a tour takes the shorter arc.  Only the orderings the screen cannot
-    certify worse get a certified report, from the same certified max
-    over pairs as `tree_dilation`: tied pairs name the lexicographically
-    smallest vertex pair, for tours as for trees.  Ties between orderings
-    keep the first in enumeration order.  `trees_examined` counts the
-    feasible orderings and `pruned` those the screen certified worse.
+    Orderings, paths up to reversal and tours up to rotation and
+    reflection, are built depth first in lexicographic order from 32-bit
+    integer enclosures of the lengths.  The incumbent starts at the best
+    feasible nearest-neighbour ordering and follows the screen below.  A
+    prefix is cut when some pair's lower path sum already exceeds the
+    incumbent's upper bound times the pair's upper |uv|: a placed pair
+    whose path the prefix fixes, or a placed u and an unplaced w, whose
+    path runs on through the prefix's end.  On a tour a pair takes the
+    shorter arc, so each bound is the smaller of its own and one through
+    the tour's start.  A cut ordering is certifiably worse than a
+    feasible one, so every exact optimum is reached.  Complete orderings
+    that meet the constraints go through the integer screen that
+    `exhaustive_mdst` uses.  Only the orderings the screen cannot certify
+    worse get a certified report, from the same certified max over pairs
+    as `tree_dilation`: tied pairs name the lexicographically smallest
+    vertex pair, for tours as for trees.  Ties between orderings keep the
+    lexicographically first.  `trees_examined` counts the complete
+    feasible orderings that reach the screen, and `pruned` the cut
+    prefixes plus the orderings the screen certified worse.
     """
     if mode is Mode.TREE:
         raise ValueError("use mdst_exact for tree mode")

@@ -732,6 +732,47 @@ def test_tiny_scale_distances_stay_certified():
         assert iv.contains(Fraction(5, 3))
 
 
+def test_graph_bounds_on_tiny_scale():
+    # the lower |02| is 0 on the 64-bit grid, so the pair is enclosed
+    # on finer grids, as _pair_ratios does
+    for exp in (0, 100):
+        ps, t = tiny_triangle(exp)
+        iv = graph_dilation_bounds(ps, list(t.edges), 64)
+        assert iv.contains(Fraction(5, 3))
+        assert iv.hi - iv.lo < Fraction(1, 1 << 60)
+
+
+def sqrt5_half_path():
+    # the pair (0, 2) of this path has dilation 2 sqrt(5) / 4 = sqrt(5)/2,
+    # as has the detour 0 - 1 - 2 against |02|; P/Q lies 2^-131 or less
+    # below it, too close to separate at 128 bits
+    ps = PointSet.from_coords([(0, 0), (2, 1), (4, 0)])
+    return ps, Tree(3, [(0, 1), (1, 2)]), isqrt(5 << 260), 1 << 131
+
+
+def test_compare_to_threshold_names_undecided_pair():
+    ps, t, p, q = sqrt5_half_path()
+    with pytest.raises(PrecisionExhausted) as info:
+        compare_to_threshold(ps, t, p, q, cap=128)
+    assert info.value.context == (0, 2)
+    assert info.value.bits == 128
+    assert f"pair (0, 2) against {p}/{q}" in str(info.value)
+    assert isinstance(info.value.__cause__, PrecisionExhausted)
+    assert compare_to_threshold(ps, t, p, q) is Verdict.GREATER
+
+
+def test_critical_scan_names_undecided_triple():
+    ps, _, p, q = sqrt5_half_path()
+    with pytest.raises(PrecisionExhausted) as info:
+        critical_edges(ps, p, q, cap=128)
+    assert info.value.context == (0, 2, 1)
+    assert info.value.bits == 128
+    assert f"detour (0, 2, 1) against SqrtSum({p})/SqrtSum({q})" \
+        in str(info.value)
+    assert isinstance(info.value.__cause__, PrecisionExhausted)
+    assert critical_edges(ps, p, q) == {(0, 1), (0, 2), (1, 2)}
+
+
 def test_precision_exhausted_names_survivors():
     ps, t = sqrt5_star()
     with pytest.raises(PrecisionExhausted) as info:

@@ -1,7 +1,11 @@
 """Tree/path/tour search, uncrossing exchange, and witness hunt."""
 
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +23,7 @@ from dilatree.solver import (Mode, SolverOptions, SolverResult,
                              _compare_reports, _order_metric)
 from dilatree.radical import SqrtSum
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
 # found by witness_search_five and locked in; every optimal spanning tree
@@ -209,13 +214,14 @@ def test_path_collinear_monotone():
     res = min_dilation_structure(ps, Mode.PATH)
     assert res.best.edges == ((0, 1), (1, 2))
     assert res.report.value.lo == 1 and res.report.value.hi == 1
-    assert res.trees_examined == 3
+    # the monotone order, the first incumbent, cuts every other prefix
+    assert (res.trees_examined, res.pruned) == (1, 4)
 
 
 def test_path_square():
     ps = PointSet.from_coords(SQUARE)
     res = min_dilation_structure(ps, Mode.PATH)
-    assert res.trees_examined == 12
+    assert (res.trees_examined, res.pruned) == (5, 16)
     lo, hi = res.report.value.lo, res.report.value.hi
     # best Hamiltonian path value is 1 + sqrt(2)
     assert (lo - 1) ** 2 <= 2 <= (hi - 1) ** 2
@@ -233,7 +239,7 @@ def test_tour_square_perimeter():
     ps = PointSet.from_coords(SQUARE)
     res = min_dilation_structure(ps, Mode.TOUR)
     assert res.best == ((0, 1), (0, 3), (1, 2), (2, 3))
-    assert res.trees_examined == 3
+    assert (res.trees_examined, res.pruned) == (1, 4)
     lo, hi = res.report.value.lo, res.report.value.hi
     assert lo ** 2 <= 2 <= hi ** 2
     # both diagonals attain sqrt(2): an exact tie
@@ -269,7 +275,7 @@ def test_structure_mode_guards():
     with pytest.raises(ValueError):
         min_dilation_structure(ps, Mode.TREE)
     rng = random.Random(1)
-    big = PointSet.from_coords(random_distinct_points(rng, 11))
+    big = PointSet.from_coords(random_distinct_points(rng, 14))
     with pytest.raises(SizeTooLarge):
         min_dilation_structure(big, Mode.PATH)
 
@@ -367,7 +373,8 @@ def _check_against_all_orderings(ps, mode, required=(), crossing_free=False):
     feasible = [edges for edges in _orderings(ps.n, mode is Mode.TOUR)
                 if set(required) <= set(edges)
                 and not (crossing_free and crossing_edge_pairs(ps, edges))]
-    assert res.trees_examined == len(feasible)
+    # cut prefixes never reach the screen
+    assert res.trees_examined <= len(feasible)
     best = list(res.best.edges) if mode is Mode.PATH else list(res.best)
     assert best in feasible
     if mode is Mode.PATH:
@@ -399,10 +406,14 @@ def test_order_search_matches_exhaustive_oracle(mode):
         assert results[0] == results[1] == results[2]
 
 
-@pytest.mark.parametrize("mode", [Mode.PATH, Mode.TOUR])
-def test_order_search_constraints_match_oracle(mode):
+@pytest.mark.parametrize("mode, offset", [
+    pytest.param(mode, 2 ** e if e else 0,
+                 id=f"{mode}-2^{e}" if e else str(mode))
+    for mode in (Mode.PATH, Mode.TOUR) for e in (0, 54, 60)])
+def test_order_search_constraints_match_oracle(mode, offset):
     rng = random.Random(77)
-    ps = PointSet.from_coords(random_distinct_points(rng, 6))
+    ps = PointSet.from_coords([(x + offset, y + offset) for x, y in
+                               random_distinct_points(rng, 6)])
     free = _check_against_all_orderings(ps, mode, crossing_free=True)
     edges = free.best.edges if mode is Mode.PATH else free.best
     assert not crossing_edge_pairs(ps, list(edges))
@@ -414,6 +425,103 @@ def test_order_search_constraints_match_oracle(mode):
                 if e not in used)
     forced = _check_against_all_orderings(ps, mode, required=[edge])
     assert edge in (forced.best.edges if mode is Mode.PATH else forced.best)
+
+
+GRID3 = [(x, y) for x in range(3) for y in range(3)]
+RANDOM8 = [(8, 5), (24, 17), (24, 12), (5, 19), (13, 11), (12, 20), (12, 7),
+           (12, 5)]
+RANDOM10 = [(24, 15), (26, 30), (17, 4), (26, 20), (2, 7), (5, 9), (28, 0),
+            (27, 14), (17, 18), (23, 23)]
+
+# path and tour optima recorded when every ordering went through the
+# screen: best edges, the enclosure as (lo numerator, lo exponent, hi
+# numerator, hi exponent), witness, tie flag; the grid's path is the
+# first of several exactly tied optima
+ORDER_PINS = [
+    (RANDOM8, Mode.PATH,
+     ((0, 7), (1, 2), (2, 5), (3, 4), (3, 5), (4, 6), (6, 7)),
+     (7124458642275983202477, 71, 7124458642275983202481, 71), (1, 4), False),
+    (RANDOM8, Mode.TOUR,
+     ((0, 2), (0, 7), (1, 2), (1, 5), (3, 4), (3, 5), (4, 6), (6, 7)),
+     (11794779687203108220731, 72, 184293432612548565949, 66), (2, 4), False),
+    (GRID3, Mode.PATH,
+     ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)),
+     (int("2571649214138250333959042932206810118723010908684296346062237077"
+          "33885900621270382207"), 275,
+      int("2009100948545508073405502290786570405252352272409606520361122716"
+          "670983598603674861"), 268), (0, 3), True),
+    (GRID3, Mode.TOUR,
+     ((0, 1), (0, 6), (1, 2), (2, 5), (3, 6), (3, 7), (4, 5), (4, 8), (7, 8)),
+     (4519808984002603549785, 70, 2259904492001301774893, 69), (3, 4), False),
+    (RANDOM10, Mode.PATH,
+     ((0, 7), (0, 8), (1, 9), (2, 5), (2, 6), (3, 7), (3, 9), (4, 5), (6, 8)),
+     (28589935827851933419, 63, 1829755892982523738817, 69), (0, 2), False),
+    (RANDOM10, Mode.TOUR,
+     ((0, 7), (0, 8), (1, 4), (1, 9), (2, 5), (2, 6), (3, 7), (3, 9), (4, 5),
+      (6, 8)),
+     (28589935827851933419, 63, 1829755892982523738817, 69), (0, 2), False),
+]
+
+
+@pytest.mark.parametrize("pin", ORDER_PINS, ids=[
+    "random8-path", "random8-tour", "grid3-path", "grid3-tour",
+    "random10-path", "random10-tour"])
+def test_order_search_pinned(pin):
+    coords, mode, edges, value, witness, tied = pin
+    res = min_dilation_structure(PointSet.from_coords(coords), mode)
+    assert (res.best.edges if mode is Mode.PATH else res.best) == edges
+    lo_num, lo_exp, hi_num, hi_exp = value
+    assert res.report.value.lo == Fraction(lo_num, 1 << lo_exp)
+    assert res.report.value.hi == Fraction(hi_num, 1 << hi_exp)
+    assert (res.report.witness, res.report.tied) == (witness, tied)
+
+
+@pytest.mark.parametrize("mode", [Mode.PATH, Mode.TOUR])
+def test_order_search_invariant_under_tiny_scale(mode):
+    # at 2^-100 every length's lower end is 0 on the screen's grid, so
+    # nothing is cut or screened out and every ordering is certified
+    coords = random_distinct_points(random.Random(606), 6)
+    tiny = Fraction(1, 1 << 100)
+    results = [min_dilation_structure(PointSet.from_coords(
+        [(x * scale, y * scale) for x, y in coords]), mode)
+        for scale in (1, tiny)]
+    assert results[0].best == results[1].best
+    one, small = (res.report.value for res in results)
+    assert one.lo <= small.hi and small.lo <= one.hi
+    assert results[1].trees_examined == (360 if mode is Mode.PATH else 60)
+
+
+_HASH_SEED_PROBE = """
+import random
+from dilatree.dilation import PointSet
+from dilatree.solver import Mode, min_dilation_structure
+rng = random.Random(808)
+coords = []
+while len(coords) < 8:
+    p = (rng.randrange(32), rng.randrange(32))
+    if p not in coords:
+        coords.append(p)
+ps = PointSet.from_coords(coords)
+for mode in (Mode.PATH, Mode.TOUR):
+    res = min_dilation_structure(ps, mode)
+    print(res.best, res.trees_examined, res.pruned)
+"""
+
+
+def test_order_search_counts_ignore_hash_seed():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = seed
+        proc = subprocess.run([sys.executable, "-c", _HASH_SEED_PROBE],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 2
 
 
 # ---------------------------------------------------------------------------
