@@ -11,6 +11,7 @@ Exit codes: 0 success (or certified YES), 1 certified NO / failed audit,
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -221,7 +222,10 @@ def _edge(text: str):
         raise argparse.ArgumentTypeError(f"edge must be u,v, got {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared:
+    parsing leaves no state in it, each call filling a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="dilatree",
         description="Certified dilation tools for plane point sets")
@@ -294,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PrecisionExhausted as exc:

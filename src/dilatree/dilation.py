@@ -14,9 +14,12 @@ precision cap raises `PrecisionExhausted`, rather than guessing.
 
 Interval bookkeeping uses integer endpoints at a shared power-of-two
 scale, so accumulating a path is pure integer addition.  Distances are
-enclosed from integer coordinates over one common denominator, and one
-kernel, `root_sums`, sums them along every path from a root, in a whole
-tree or in a search's partial forest.  The max over pairs compares ratio
+enclosed from integer coordinates over one common denominator and kept
+in one n x n table per precision, `PointSet.table`, which every scan
+fetches once and reads row by row in place; `PointSet.dist_ints` runs
+only on an entry not yet filled.  One kernel, `root_sums`, sums the
+table's entries along every path from a root, in a whole tree or in a
+search's partial forest.  The max over pairs compares ratio
 numerators on one dyadic grid; only its report builds `Fraction`s.  The
 exact side mirrors this: `PointSet.exact_dist` builds each pair's
 `SqrtSum` once, and `tree_exact` sums them along tree paths, memoised per
@@ -52,14 +55,18 @@ def _dyadic(lo: int, hi: int, frac_bits: int, bits: int) -> Interval:
 
 
 class PointSet:
-    """Finite set of distinct exact points with a distance cache.
+    """Finite set of distinct exact points with its distance enclosures.
 
     Coordinates are also kept as integer numerators over one common
     denominator (1 for integer inputs), so a squared distance is an
     integer numerator over the squared denominator.  Square-root
-    enclosures come from `sqrt_ints` on those integers and are cached
-    per precision level as integer endpoint pairs at scale 2^-(bits+8);
-    the exact length of a pair, a `SqrtSum`, is cached next to them.
+    enclosures come from `sqrt_ints` on those integers, as integer
+    endpoint pairs (lo, hi) at scale 2^-(bits+8).  Each precision level
+    has one n x n table of them, `table(bits)`: symmetric, (0, 0) on the
+    diagonal and None where a pair is not enclosed yet.  A scan fetches
+    the table once, reads its rows in place and calls `dist_ints` only on
+    a None, which encloses the pair and fills both of its entries.  The
+    exact length of a pair, a `SqrtSum`, is cached next to them.
     """
 
     def __init__(self, points, labels=None):
@@ -78,7 +85,7 @@ class PointSet:
         self._xy = [(p.x.numerator * (den // p.x.denominator),
                      p.y.numerator * (den // p.y.denominator)) for p in pts]
         self._den_sq = den * den
-        self._enc: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self._tables: dict[int, list[list]] = {}
         self._exact: dict[tuple[int, int], SqrtSum] = {}
 
     @classmethod
@@ -110,10 +117,40 @@ class PointSet:
     def distance_sq(self, i: int, j: int) -> Fraction:
         return Fraction(self._d2_num(i, j), self._den_sq)
 
+    def scale_bits(self) -> int:
+        """The least k >= 0 with 2^k |p_i p_j| >= 1 for every pair: the
+        bits an enclosure on the absolute grid needs on top of `bits` to
+        keep `bits` of precision relative to this set's smallest distance.
+        0 when that distance is at least 1."""
+        m = min(self._d2_num(i, j)
+                for i, j in itertools.combinations(range(self.n), 2))
+        q = self._den_sq
+        # |uv|^2 >= m/q; no k below the estimate suffices
+        k = max(0, (q.bit_length() - m.bit_length()) // 2)
+        while m << (2 * k) < q:
+            k += 1
+        return k
+
+    def table(self, bits: int) -> list[list]:
+        """The enclosure table at `bits`: entry [i][j] is `dist_ints(i, j,
+        bits)` once enclosed, None before; (0, 0) on the diagonal."""
+        tab = self._tables.get(bits)
+        if tab is None:
+            if bits < 1:
+                raise ValueError("bits must be positive")
+            n = len(self._points)
+            tab = [[None] * n for _ in range(n)]
+            for i in range(n):
+                tab[i][i] = (0, 0)
+            self._tables[bits] = tab
+        return tab
+
     def dist_ints(self, i: int, j: int, bits: int) -> tuple[int, int]:
-        """Integer enclosure (lo, hi) of |p_i p_j| at scale 2^-(bits+8)."""
-        key = (i, j, bits) if i < j else (j, i, bits)
-        cached = self._enc.get(key)
+        """Integer enclosure (lo, hi) of |p_i p_j| at scale 2^-(bits+8),
+        read from `table(bits)` and written to both of its entries on a
+        miss."""
+        tab = self.table(bits)
+        cached = tab[i][j]
         if cached is not None:
             return cached
         p, q = self._d2_num(i, j), self._den_sq
@@ -129,7 +166,7 @@ class PointSet:
             lo, hi = s << shift, hi << shift
         else:
             lo, hi = s >> -shift, -(-hi >> -shift)
-        self._enc[key] = (lo, hi)
+        tab[i][j] = tab[j][i] = lo, hi
         return lo, hi
 
     def exact_dist(self, i: int, j: int) -> SqrtSum:
@@ -242,18 +279,20 @@ def root_sums(ps: PointSet, adj, root: int, bits: int):
     """Integer (lo, hi) path-length enclosures from `root`, by one DFS.
 
     `adj` is a tree or forest adjacency (iterables of neighbours).  Entry
-    v is the sum of `ps.dist_ints` over the root-v path, at scale
-    2^-(bits+8): (0, 0) at the root, None where v is not reachable."""
+    v is the sum of the `ps.table(bits)` entries over the root-v path, at
+    scale 2^-(bits+8): (0, 0) at the root, None where v is not
+    reachable."""
     sums = [None] * len(adj)
     sums[root] = (0, 0)
     stack = [root]
-    dist_ints = ps.dist_ints
+    tab = ps.table(bits)
     while stack:
         x = stack.pop()
         xlo, xhi = sums[x]
+        row = tab[x]
         for y in adj[x]:
             if sums[y] is None:
-                elo, ehi = dist_ints(x, y, bits)
+                elo, ehi = row[y] or ps.dist_ints(x, y, bits)
                 sums[y] = (xlo + elo, xhi + ehi)
                 stack.append(y)
     return sums
@@ -287,12 +326,13 @@ def _pair_ratios(ps, sums, pairs, bits):
     vertex share one call.  lo is the floor of dlo/lhi and hi the ceil of
     dhi/llo on the grid, the shared scale of the enclosures cancelling."""
     f = bits + 4
+    tab = ps.table(f)
     enc = {}
-    root = row = None
+    root = row = lens = None
     for u, v in sorted(pairs):
         if u != root:
-            root, row = u, sums(u, f)
-        (dlo, dhi), (llo, lhi) = row[v], ps.dist_ints(u, v, f)
+            root, row, lens = u, sums(u, f), tab[u]
+        (dlo, dhi), (llo, lhi) = row[v], lens[v] or ps.dist_ints(u, v, f)
         if not llo:
             # |uv| lies below the grid 2^-(f+8): enclose this pair alone on
             # finer grids until |uv| has f bits of its own
@@ -359,7 +399,8 @@ def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int, q_den: int,
         raise ValueError("tree and point set sizes differ")
     cap = max_bits_cap() if cap is None else cap
     adj = tree.adjacency()
-    root = sums = None
+    tab = ps.table(start_bits)
+    root = sums = lens = None
     seen = set()
     undecided = []
     for u, v in itertools.chain(pair_order or (),
@@ -369,9 +410,9 @@ def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int, q_den: int,
             continue
         seen.add((u, v))
         if u != root:
-            root, sums = u, root_sums(ps, adj, u, start_bits)
+            root, sums, lens = u, root_sums(ps, adj, u, start_bits), tab[u]
         dlo, dhi = sums[v]
-        llo, lhi = ps.dist_ints(u, v, start_bits)
+        llo, lhi = lens[v] or ps.dist_ints(u, v, start_bits)
         if q_den * dlo > p_num * lhi:
             return Verdict.GREATER
         if q_den * dhi > p_num * llo:
@@ -508,15 +549,16 @@ def _critical_scan(ps: PointSet, d: SqrtSum, length: SqrtSum,
     scale = lcm(*(x.denominator for iv in ends for x in (iv.lo, iv.hi)))
     (dlo, dhi), (llo, lhi) = ((int(iv.lo * scale), int(iv.hi * scale))
                               for iv in ends)
-    dist_ints, exact = ps.dist_ints, ps.exact_dist
+    tab, dist_ints, exact = ps.table(bits), ps.dist_ints, ps.exact_dist
     out = []
     for u, v in itertools.combinations(range(ps.n), 2):
-        uv_lo, uv_hi = dist_ints(u, v, bits)
+        row_u, row_v = tab[u], tab[v]
+        uv_lo, uv_hi = row_u[v] or dist_ints(u, v, bits)
         for w in range(ps.n):
             if w == u or w == v:
                 continue
-            uw_lo, uw_hi = dist_ints(u, w, bits)
-            wv_lo, wv_hi = dist_ints(w, v, bits)
+            uw_lo, uw_hi = row_u[w] or dist_ints(u, w, bits)
+            wv_lo, wv_hi = row_v[w] or dist_ints(w, v, bits)
             if dhi * uv_hi < llo * (uw_lo + wv_lo):
                 continue                # the detour via w certainly exceeds
             if dlo * uv_lo >= lhi * (uw_hi + wv_hi):
@@ -563,8 +605,9 @@ def crossing_edge_pairs(ps: PointSet, edges):
 
 def _shortest_sums(ps: PointSet, adj, source: int, bits: int, end: int):
     """Integer Dijkstra from `source` over endpoint `end` (0 lower, 1 upper)
-    of the `ps.dist_ints` edge enclosures, at the scale `root_sums` uses;
-    None where a vertex is not reachable."""
+    of the `ps.table(bits)` edge enclosures, at the scale `root_sums`
+    uses; None where a vertex is not reachable."""
+    tab = ps.table(bits)
     dist = [None] * len(adj)
     dist[source] = 0
     heap = [(0, source)]
@@ -572,8 +615,9 @@ def _shortest_sums(ps: PointSet, adj, source: int, bits: int, end: int):
         d, x = heapq.heappop(heap)
         if d > dist[x]:
             continue
+        row = tab[x]
         for y in adj[x]:
-            nd = d + ps.dist_ints(x, y, bits)[end]
+            nd = d + (row[y] or ps.dist_ints(x, y, bits))[end]
             if dist[y] is None or nd < dist[y]:
                 dist[y] = nd
                 heapq.heappush(heap, (nd, y))
@@ -619,15 +663,17 @@ def graph_dilation_bounds(ps: PointSet, edges, bits: int) -> Interval:
     """
     n = ps.n
     adj = _graph_adjacency(n, edges)
+    tab = ps.table(bits)
     ratio_lo = Fraction(0)
     ratio_hi = Fraction(0)
     for src in range(n):
         dlo = _shortest_sums(ps, adj, src, bits, 0)
         dhi = _shortest_sums(ps, adj, src, bits, 1)
+        lens = tab[src]
         for dst in range(src + 1, n):
             if dlo[dst] is None:
                 raise ValueError("graph is not connected")
-            llo, lhi = ps.dist_ints(src, dst, bits)
+            llo, lhi = lens[dst] or ps.dist_ints(src, dst, bits)
             d_lo, d_hi = dlo[dst], dhi[dst]
             if not llo:
                 g = bits

@@ -5,9 +5,10 @@ interval-certified incumbent; an exhaustive enumeration over labeled
 trees (Prüfer sequences) serves as the independent oracle.  Hamiltonian
 paths and tours run a depth-first search over ordering prefixes that cuts
 a prefix once integer lower bounds put one of its pairs above the
-incumbent; each complete ordering goes through the oracle's integer
-screen, with path lengths from exact integer prefix sums, and only the
-orderings the screen cannot rule out are certified.
+incumbent, or once it breaks a required edge; each complete ordering
+goes through the oracle's integer screen, with path lengths from exact
+integer prefix sums, and only the orderings the screen cannot rule out
+are certified.
 A local uncrossing exchange removes an edge crossing from a 4-point tree
 without increasing its dilation, and a randomized search hunts for
 5-point sets whose every optimal spanning tree has a crossing.
@@ -236,6 +237,7 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
     for u, v in required:
         adj[u].add(v)
         adj[v].add(u)
+    bits, tab = opts.bits, ps.table(opts.bits)
 
     state = {"best_tree": best_tree, "best_rep": best_rep,
              "examined": 0, "pruned": 0}
@@ -288,12 +290,13 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
                 any(_edges_cross(ps, e, c) for c in chosen)):
             # e joins the components of u and v: each pair x, y across
             # them gets the path x .. u - v .. y
-            elo, _ = ps.dist_ints(u, v, opts.bits)
+            elo, _ = tab[u][v] or ps.dist_ints(u, v, bits)
             comp_v = [(y, s[0] + elo) for y, s in enumerate(
-                root_sums(ps, adj, v, opts.bits)) if s is not None]
+                root_sums(ps, adj, v, bits)) if s is not None]
             if not any(inc_exceeded(xs[0] + ylo,
-                                    ps.dist_ints(x, y, opts.bits)[1])
-                       for x, xs in enumerate(root_sums(ps, adj, u, opts.bits))
+                                    (row[y] or ps.dist_ints(x, y, bits))[1])
+                       for x, (xs, row) in enumerate(zip(
+                           root_sums(ps, adj, u, bits), tab))
                        if xs is not None for y, ylo in comp_v):
                 nd = dsu.copy()
                 nd.union(u, v)
@@ -320,19 +323,25 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
                         pruned=state["pruned"])
 
 
-def _lengths(ps, bits):
-    """`ps.dist_ints` at `bits` of every pair, as a symmetric matrix
-    lens[u][v] with (0, 0) on the diagonal."""
-    return [[ps.dist_ints(u, v, bits) if v != u else (0, 0)
-             for v in range(ps.n)] for u in range(ps.n)]
+def _screen_table(ps, bits):
+    """The screens' precision, `bits` plus `ps.scale_bits()` so that a
+    set of tiny scale screens as it would at scale 1, and its
+    `ps.table`, every entry filled."""
+    bits += ps.scale_bits()
+    tab = ps.table(bits)
+    for u, row in enumerate(tab):
+        for v in range(u + 1, len(row)):
+            if row[v] is None:
+                ps.dist_ints(u, v, bits)
+    return bits, tab
 
 
 def _screen(sums, lens, bits, bound):
     """Integer bounds (lo_num, lo_den, hi_num, hi_den) on a structure's
     dilation, or None as soon as one pair's lower bound exceeds
     bound = (num, den).  `sums(u, bits)` encloses the path lengths from
-    u to every vertex, as `root_sums` does for a tree, and `lens` is
-    `_lengths` at the same `bits`."""
+    u to every vertex, as `root_sums` does for a tree, and `lens` is the
+    filled `ps.table(bits)`."""
     b_n, b_d = bound
     lo_n = lo_d = hi_n = hi_d = None
     n = len(lens)
@@ -350,7 +359,8 @@ def _screen(sums, lens, bits, bound):
 
 
 class _RunningScreen:
-    """The integer screen at `bits` over a stream of structures.
+    """The integer screen at `bits` (raised by the set's scale, see
+    `_screen_table`) over a stream of structures.
 
     It keeps a running incumbent, `bound` = (num, den), the smallest upper
     bound on a dilation seen so far (1/0 is no bound yet), and `offer`
@@ -362,8 +372,7 @@ class _RunningScreen:
     """
 
     def __init__(self, ps, bits):
-        self.bits = bits
-        self.lens = _lengths(ps, bits)
+        self.bits, self.lens = _screen_table(ps, bits)
         self.bound = (1, 0)
         self.count = 0
         # (lo_num, lo_den, key) of the structures scanned in full
@@ -395,10 +404,10 @@ def exhaustive_mdst(ps: PointSet, bits: int = 64) -> SolverResult:
     """Certified minimum over all labeled trees; the slow, simple oracle.
 
     Every Prüfer sequence is decoded to an adjacency and goes through the
-    integer screen (`_RunningScreen`) at 32 bits.  Only the trees it
-    cannot certify worse become validated `Tree`s and are separated
-    exactly, so the answer, `trees_examined` and `pruned` are those of
-    scoring every tree fully.
+    integer screen (`_RunningScreen`) at 32 bits plus the set's scale.
+    Only the trees it cannot certify worse become validated `Tree`s and
+    are separated exactly, so the answer, `trees_examined` and `pruned`
+    are those of scoring every tree fully.
     """
     n = ps.n
     if n > _ENUM_MAX:
@@ -438,8 +447,8 @@ def _order_metric(ps, order, closed, cap):
     of its tour, where a pair takes the shorter arc.
 
     Returns (sums, exact) as `_max_dilation` reads them: `sums(u, bits)`
-    comes from exact integer prefix sums of `ps.dist_ints` along the
-    order, and `exact(u, v)` from one list of exact prefix sums of
+    comes from exact integer prefix sums of `ps.table` entries along
+    the order, and `exact(u, v)` from one list of exact prefix sums of
     `ps.exact_dist` along it, built on first use.  An arc is a prefix
     difference, and a tour's other arc is the total minus that arc.
     """
@@ -448,10 +457,11 @@ def _order_metric(ps, order, closed, cap):
 
     def sums(u, bits):
         if bits not in prefixes:
+            tab = ps.table(bits)
             at = [None] * len(order)
             at[order[0]] = lo, hi = 0, 0
             for a, b in _steps(order, closed):
-                elo, ehi = ps.dist_ints(a, b, bits)
+                elo, ehi = tab[a][b] or ps.dist_ints(a, b, bits)
                 lo += elo
                 hi += ehi
                 if at[b] is None:       # a tour's last step returns to 0
@@ -489,6 +499,14 @@ def _order_search(ps, opts):
     cap = max_bits_cap()
     closed = opts.mode is Mode.TOUR
     required = {tuple(sorted(e)) for e in opts.required_edges}
+    partners = [set() for _ in range(n)]
+    for u, v in required:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise ValueError(f"bad required edge ({u}, {v})")
+        partners[u].add(v)
+        partners[v].add(u)
+    if any(len(p) > 2 for p in partners):
+        raise Infeasible("a vertex has more than two required edges")
     screen = _RunningScreen(ps, 32)
     lo = [[lens[0] for lens in row] for row in screen.lens]
     # incumbent bound -> limit[u][v], the largest lower u-v path sum that
@@ -546,6 +564,23 @@ def _order_search(ps, opts):
                 return True
         return False
 
+    def breaks_required(k, y):
+        """Whether order[:k] + [y] fixes every neighbour of a vertex but
+        not all of its required partners: order[k-1] (unless it starts a
+        tour), and at the last position y and a tour's start."""
+        fixed = []
+        if k > 1:
+            fixed.append((order[k - 1], {order[k - 2], y}))
+        elif not closed:
+            fixed.append((order[0], {y}))
+        if k == n - 1:
+            if closed:
+                fixed += [(y, {order[k - 1], order[0]}),
+                          (order[0], {order[1], y})]
+            else:
+                fixed.append((y, {order[k - 1]}))
+        return any(not partners[x] <= nbrs for x, nbrs in fixed)
+
     def extend(k):
         nonlocal cuts
         if k == n:
@@ -560,7 +595,7 @@ def _order_search(ps, opts):
             if placed[y]:
                 continue
             py = prefix[k - 1] + lo[order[k - 1]][y]
-            if cut(k, y, py):
+            if required and breaks_required(k, y) or cut(k, y, py):
                 cuts += 1
                 continue
             order[k], prefix[k], placed[y] = y, py, True
@@ -593,16 +628,20 @@ def min_dilation_structure(ps: PointSet, mode: Mode, bits: int = 64,
     sorted edge tuple).
 
     Orderings, paths up to reversal and tours up to rotation and
-    reflection, are built depth first in lexicographic order from 32-bit
-    integer enclosures of the lengths.  The incumbent starts at the best
+    reflection, are built depth first in lexicographic order from integer
+    enclosures of the lengths at 32 bits plus `ps.scale_bits()`, so a set
+    is screened alike at every scale.  The incumbent starts at the best
     feasible nearest-neighbour ordering and follows the screen below.  A
     prefix is cut when some pair's lower path sum already exceeds the
     incumbent's upper bound times the pair's upper |uv|: a placed pair
     whose path the prefix fixes, or a placed u and an unplaced w, whose
     path runs on through the prefix's end.  On a tour a pair takes the
     shorter arc, so each bound is the smaller of its own and one through
-    the tour's start.  A cut ordering is certifiably worse than a
-    feasible one, so every exact optimum is reached.  Complete orderings
+    the tour's start.  A prefix is also cut once it fixes every neighbour
+    of a vertex but not all of the vertex's required partners; a vertex
+    with more than two required edges is `Infeasible` at once.  A cut
+    ordering is infeasible or certifiably worse than a feasible one, so
+    every exact optimum is reached.  Complete orderings
     that meet the constraints go through the integer screen that
     `exhaustive_mdst` uses.  Only the orderings the screen cannot certify
     worse get a certified report, from the same certified max over pairs
@@ -720,13 +759,13 @@ def verify_crossing_witness(ps: PointSet, bits: int = 96) -> WitnessCheck | None
     best_tree, best_rep = oracle.best, oracle.report
     optimal = [best_tree]
     bh = best_rep.value.hi
-    lens = _lengths(ps, 48)
+    screen_bits, lens = _screen_table(ps, 48)
     for tree in enumerate_spanning_trees(5):
         if tree == best_tree:
             continue
         # cheap certified lower bound screens out most trees
-        if _screen(partial(root_sums, ps, tree.adjacency()), lens, 48,
-                   (bh.numerator, bh.denominator)) is None:
+        if _screen(partial(root_sums, ps, tree.adjacency()), lens,
+                   screen_bits, (bh.numerator, bh.denominator)) is None:
             continue
         rep = tree_dilation(ps, tree, bits, cap=cap)
         sign = _compare_reports(ps, tree, rep, best_tree, best_rep, cap)

@@ -32,3 +32,18 @@ def test_short_run_emits_correct_summary(workload):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert set(summary["metrics"]) == {m["name"]
                                        for m in declared["end_to_end"]}
+
+
+def test_traced_short_run_counts_dist_ints():
+    # bench/spans.py counts enclosure misses by patching the class
+    # attribute PointSet.dist_ints, so a traced run guards that it exists
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
+         "certify", "--seed", "1", "--seconds", "0", "--trace", "1",
+         "--short"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True
+    assert summary["failed"] == 0
+    assert "dilation.dist_ints.calls" in summary["metrics"]

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from dilatree.cli import run
+from dilatree import cli as cli_module
+from dilatree.cli import build_parser, run
 from dilatree.dilation import PointSet, Tree, Verdict, compare_to_threshold
 from dilatree.fileio import dump_json, load_json, points_from_json
 from dilatree.gadget import PartitionSolution
@@ -179,6 +180,34 @@ def test_mdst_respects_required_edge(square, tmp_path):
     assert cli("mdst", "--points", str(pts), "--require", "0,2",
                "-o", str(out)) == 0
     assert [0, 2] in load_json(out)["edges"]
+
+
+def test_cached_parser_answers_like_a_fresh_one(square, tmp_path, capsys,
+                                               monkeypatch):
+    # `run` builds its parser once per process; every call must give the
+    # exit code and output of a fresh parser, with no option carried over
+    pts, _ = square
+    inst = tmp_path / "inst.json"
+    sequence = [["mdst", "--points", str(pts), "--require", "0,2"],
+                ["mdst", "--points", str(pts)],
+                ["gen", "--alphas", "1,1", "-o", str(inst)],
+                ["verify", str(inst)],
+                ["decide", str(inst)]]
+
+    def outcomes():
+        capsys.readouterr()
+        return [(cli(*argv), capsys.readouterr()) for argv in sequence]
+
+    shared = outcomes()
+    assert build_parser() is build_parser()
+    assert build_parser().parse_args(
+        ["mdst", "--points", str(pts)]).require is None
+    monkeypatch.setattr(cli_module, "build_parser", build_parser.__wrapped__)
+    assert outcomes() == shared
+    # the required diagonal changes the answer, so a carried-over
+    # --require would show in the second run
+    assert shared[0] != shared[1]
+    assert [code for code, _ in shared] == [0, 0, 0, 0, 0]
 
 
 def test_mdst_size_guard(tmp_path):

@@ -16,7 +16,7 @@ from dilatree.errors import PrecisionExhausted
 from dilatree.exactgeom import (pt, round_dyadic, sqrt_interval,
                                 squared_distance)
 from dilatree.radical import SqrtSum
-from dilatree.solver import Mode, SolverOptions, mdst_exact
+from dilatree.solver import Mode, SolverOptions, mdst_exact, _RunningScreen
 
 
 def test_pointset_validation():
@@ -156,6 +156,56 @@ def test_dist_ints_rejects_nonpositive_bits(bits):
     ps = PointSet.from_coords([(0, 0), (1, 0)])
     with pytest.raises(ValueError, match="bits must be positive"):
         ps.dist_ints(0, 1, bits)
+
+
+@pytest.mark.parametrize("offset", [0, 1 << 60])
+def test_table_is_the_symmetric_dist_ints_matrix(offset):
+    # denominators 1, 3, 2^70 and 10^9+7, and a mixed set
+    for ps in kernel_sets(offset):
+        for bits in (1, 8, 33, 64, 300):
+            tab = ps.table(bits)
+            assert ps.table(bits) is tab and len(tab) == ps.n
+            assert all(len(row) == ps.n for row in tab)
+            assert all(tab[i][i] == (0, 0) for i in range(ps.n))
+            # filled on demand: a miss fills both entries of its pair
+            assert all(tab[i][j] is None for i, j in
+                       itertools.permutations(range(ps.n), 2))
+            for i, j in itertools.combinations(range(ps.n), 2):
+                enc = ps.dist_ints(j, i, bits)
+                assert tab[i][j] == ps.dist_ints(i, j, bits) == tab[j][i]
+                assert enc == tab[i][j] == fraction_dist_ints(ps, i, j, bits)
+
+
+def test_scale_bits_lifts_the_smallest_distance_to_one():
+    tiny = Fraction(1, 1 << 100)
+    for offset in (0, 1 << 60):
+        for ps in kernel_sets(offset) + [
+                PointSet.from_coords([(0, 0), (1, 0), (5, 5)]),
+                PointSet.from_coords([(0, 0), (3 * tiny, 4 * tiny)])]:
+            m = min(ps.distance_sq(i, j)
+                    for i, j in itertools.combinations(range(ps.n), 2))
+            k = ps.scale_bits()
+            assert k >= 0 and 4 ** k * m >= 1
+            assert k == 0 or 4 ** (k - 1) * m < 1
+    assert PointSet.from_coords([(0, 0), (1, 0), (5, 5)]).scale_bits() == 0
+    assert PointSet.from_coords([(0, 0), (tiny, 0)]).scale_bits() == 100
+
+
+def test_solver_screen_reads_the_point_set_table():
+    coords = [(0, 0), (1, 0), (3, 1), (5, 4), (1, 6)]
+    ps = PointSet.from_coords(coords)
+    screen = _RunningScreen(ps, 32)
+    assert screen.bits == 32 and screen.lens is ps.table(32)
+    assert all(e is not None for row in screen.lens for e in row)
+    # smallest distance 2^-100: the screen encloses at 100 more bits, on the
+    # grid of scale 1 relative to the set, and at least as tightly
+    tiny = Fraction(1, 1 << 100)
+    small = PointSet.from_coords([(x * tiny, y * tiny) for x, y in coords])
+    screen = _RunningScreen(small, 32)
+    assert screen.bits == 132 and screen.lens is small.table(132)
+    for i, j in itertools.permutations(range(ps.n), 2):
+        (lo, hi), (lo1, hi1) = screen.lens[i][j], ps.table(32)[i][j]
+        assert 0 < lo1 <= lo <= hi <= hi1
 
 
 @pytest.mark.parametrize("offset", [0, 1 << 60])

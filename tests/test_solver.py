@@ -6,6 +6,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -478,8 +479,8 @@ def test_order_search_pinned(pin):
 
 @pytest.mark.parametrize("mode", [Mode.PATH, Mode.TOUR])
 def test_order_search_invariant_under_tiny_scale(mode):
-    # at 2^-100 every length's lower end is 0 on the screen's grid, so
-    # nothing is cut or screened out and every ordering is certified
+    # the screen's precision follows the set's scale, so at 2^-100 the
+    # search cuts and screens out what it does at scale 1
     coords = random_distinct_points(random.Random(606), 6)
     tiny = Fraction(1, 1 << 100)
     results = [min_dilation_structure(PointSet.from_coords(
@@ -488,7 +489,90 @@ def test_order_search_invariant_under_tiny_scale(mode):
     assert results[0].best == results[1].best
     one, small = (res.report.value for res in results)
     assert one.lo <= small.hi and small.lo <= one.hi
-    assert results[1].trees_examined == (360 if mode is Mode.PATH else 60)
+    assert (results[1].trees_examined, results[1].pruned) == \
+        (results[0].trees_examined, results[0].pruned)
+    assert results[1].pruned > 0
+
+
+def grid_probe(seed, n):
+    """n distinct random points of a 32x32 grid, sorted."""
+    rng = random.Random(seed)
+    coords = set()
+    while len(coords) < n:
+        coords.add((rng.randrange(32), rng.randrange(32)))
+    return sorted(coords)
+
+
+@pytest.mark.parametrize("mode", ["path", "tour", "exhaustive"])
+def test_screens_cut_at_tiny_scale(mode):
+    # on a 2^-40 grid every 2^-100-scale length had lower end 0, so the
+    # 8-point path search certified all 20,160 orderings (4 s)
+    coords = grid_probe(108, 6 if mode == "exhaustive" else 8)
+    results = []
+    for scale in (1, Fraction(1, 1 << 100)):
+        ps = PointSet.from_coords([(x * scale, y * scale) for x, y in coords])
+        start = time.perf_counter()
+        results.append(exhaustive_mdst(ps) if mode == "exhaustive"
+                       else min_dilation_structure(ps, Mode(mode)))
+        elapsed = time.perf_counter() - start
+    one, tiny = results
+    assert tiny.best == one.best
+    assert tiny.pruned > 0
+    assert (tiny.trees_examined, tiny.pruned) == \
+        (one.trees_examined, one.pruned)
+    assert elapsed < 0.1
+
+
+# best and report of the path search with one required edge, recorded
+# before prefixes that break a required edge were cut (2.5 s and 28 s
+# then): best edges, the enclosure as (lo numerator, lo exponent,
+# hi numerator, hi exponent), witness
+REQUIRED_PINS = [
+    (110, 10, (0, 9),
+     ((0, 1), (0, 9), (2, 3), (2, 9), (3, 5), (4, 6), (4, 8), (5, 8), (6, 7)),
+     (4426122612597159288645, 70, 17704490450388637154585, 72), (1, 3)),
+    (111, 11, (0, 10),
+     ((0, 9), (0, 10), (1, 6), (2, 4), (2, 5), (3, 4), (3, 8), (5, 7), (6, 8),
+      (7, 10)),
+     (11349994108362612450619, 71, 11349994108362612450623, 71), (0, 2)),
+]
+
+
+@pytest.mark.parametrize("pin", REQUIRED_PINS, ids=["random10", "random11"])
+def test_required_edge_path_pinned(pin):
+    seed, n, edge, edges, value, witness = pin
+    start = time.perf_counter()
+    res = mdst_exact(PointSet.from_coords(grid_probe(seed, n)), SolverOptions(
+        mode=Mode.PATH, required_edges=frozenset({edge}), max_points=n))
+    elapsed = time.perf_counter() - start
+    assert res.best.edges == edges
+    lo_num, lo_exp, hi_num, hi_exp = value
+    assert res.report.value.lo == Fraction(lo_num, 1 << lo_exp)
+    assert res.report.value.hi == Fraction(hi_num, 1 << hi_exp)
+    assert (res.report.witness, res.report.tied) == (witness, False)
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("mode", [Mode.PATH, Mode.TOUR])
+@pytest.mark.parametrize("required", [
+    [(0, 5)], [(0, 1), (0, 2)], [(1, 4), (2, 4)], [(0, 5), (2, 3)],
+    [(3, 5), (4, 5), (0, 1)]])
+def test_order_search_required_edges_match_oracle(mode, required):
+    # required partners of the start, of the last vertex and of a vertex
+    # with two required edges: cut prefixes must never lose a feasible
+    # optimum, which a tour's start (two neighbours) makes easy to do
+    ps = PointSet.from_coords(random_distinct_points(random.Random(77), 6))
+    res = _check_against_all_orderings(ps, mode, required=required)
+    best = res.best.edges if mode is Mode.PATH else res.best
+    assert set(required) <= set(best)
+
+
+@pytest.mark.parametrize("mode", [Mode.PATH, Mode.TOUR])
+def test_order_search_rejects_overloaded_required_vertex(mode):
+    ps = PointSet.from_coords(RANDOM8)
+    with pytest.raises(Infeasible, match="more than two required edges"):
+        min_dilation_structure(ps, mode,
+                               _required={(0, 1), (0, 2), (0, 3)})
 
 
 _HASH_SEED_PROBE = """
