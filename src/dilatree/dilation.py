@@ -37,8 +37,7 @@ from functools import partial
 from math import gcd, lcm
 
 from .errors import PrecisionExhausted, max_bits_cap
-from .exactgeom import (Interval, Point, Segment, segments_properly_cross,
-                        sqrt_ints)
+from .exactgeom import Interval, Point, sqrt_ints
 from .radical import SqrtSum
 
 _EXACT_FALLBACK_BITS = 256
@@ -168,6 +167,27 @@ class PointSet:
             lo, hi = s >> -shift, -(-hi >> -shift)
         tab[i][j] = tab[j][i] = lo, hi
         return lo, hi
+
+    def edges_cross(self, e, f) -> bool:
+        """`segments_properly_cross` of the segments on vertex pairs e and
+        f, False when they share a vertex.  It is decided on the integer
+        numerators, which share one positive denominator, so orientation
+        signs and overlaps are those of the points themselves."""
+        if e[0] in f or e[1] in f:
+            return False
+        (ax, ay), (bx, by) = self._xy[e[0]], self._xy[e[1]]
+        (cx, cy), (dx, dy) = self._xy[f[0]], self._xy[f[1]]
+        o1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        o2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
+        o3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
+        o4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
+        if o1 == o2 == o3 == o4 == 0:
+            # all four collinear: overlap along e's dominant axis
+            k = int(abs(bx - ax) < abs(by - ay))
+            (s0, s1), (t0, t1) = (sorted(self._xy[i][k] for i in g)
+                                  for g in (e, f))
+            return min(s1, t1) > max(s0, t0)
+        return o1 * o2 < 0 and o3 * o4 < 0
 
     def exact_dist(self, i: int, j: int) -> SqrtSum:
         """|p_i p_j| as an exact `SqrtSum`, built once per pair."""
@@ -589,14 +609,8 @@ def tree_has_crossing(ps: PointSet, tree: Tree) -> bool:
 
 def crossing_edge_pairs(ps: PointSet, edges):
     """All properly-crossing pairs among the given edges."""
-    segs = [Segment(ps[u], ps[v]) for u, v in edges]
-    out = []
-    for i, j in itertools.combinations(range(len(edges)), 2):
-        if set(edges[i]) & set(edges[j]):
-            continue
-        if segments_properly_cross(segs[i], segs[j]):
-            out.append((edges[i], edges[j]))
-    return out
+    return [(e, f) for e, f in itertools.combinations(edges, 2)
+            if ps.edges_cross(e, f)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,6 @@ from math import isqrt
 
 from .errors import NoIntersection
 
-ExactScalar = Fraction
-
-
-def scalar(value, den=None) -> Fraction:
-    """Coerce ints, strings like '5/2', or pairs into an exact scalar."""
-    if den is not None:
-        return Fraction(value, den)
-    return Fraction(value)
-
-
 @dataclass(frozen=True, slots=True)
 class Point:
     x: Fraction

@@ -14,7 +14,8 @@ from fractions import Fraction
 from .dilation import PointSet, Tree
 from .exactgeom import Point
 from .gadget import (Gadget, IntegerInstance, PartitionInstance, _CirclePair,
-                     _LayoutView, _ideal_lengths, _labels, rounding_bits)
+                     _LayoutView, _ideal_lengths, _labels,
+                     partition_threshold, rounding_bits)
 
 _DYADIC = re.compile(r"^(-?\d+)/2\^(\d+)$")
 _RATIONAL = re.compile(r"^(-?\d+)(?:/(\d+))?$")
@@ -129,14 +130,14 @@ def instance_from_json(obj):
             raise ValueError(f"instance file is missing \"{key}\"")
     alphas_dot = tuple(int(a) for a in obj["alphas_dot"])
     inst = PartitionInstance(alphas_dot)
-    n, sd = inst.n, inst.sigma_dot
+    n = inst.n
     k = int(obj["k"])
     if obj["scale"] != f"1800*2^{k}":
         raise ValueError("scale does not match k")
     if k < rounding_bits(inst):
         raise ValueError("declared k is too small for the weights")
     P, Q = _parse_int(obj["P"], "P"), _parse_int(obj["Q"], "Q")
-    if P != 3 * 4 ** (n + 4) * sd + 1 or Q != 2 * 4 ** (n + 4) * sd:
+    if (P, Q) != partition_threshold(n, inst.sigma_dot):
         raise ValueError("threshold does not match the weights")
     entries = obj["points"]
     if len(entries) != 8 * n + 8:

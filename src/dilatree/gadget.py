@@ -35,6 +35,13 @@ def _four(j: int) -> int:
     return 1 << (2 * j)
 
 
+def partition_threshold(n: int, sigma_dot: int) -> tuple[int, int]:
+    """The decision threshold (P, Q) of n weights summing to sigma_dot:
+    P/Q = 3/2 + 1/Q with Q = 2 * 4^(n+4) * sigma_dot."""
+    q = 2 * _four(n + 4) * sigma_dot
+    return 3 * q // 2 + 1, q
+
+
 # ---------------------------------------------------------------------------
 # instance and solution types
 
@@ -413,7 +420,6 @@ def integerize(g: Gadget, k: int | None = None) -> IntegerInstance:
     an already-dyadic coordinate to the coarser grid is exact.
     """
     n = g.n
-    sd = g.sigma_dot
     if k is None:
         k = rounding_bits(PartitionInstance(g.alphas_dot))
     if g.d_bits < k:
@@ -438,11 +444,12 @@ def integerize(g: Gadget, k: int | None = None) -> IntegerInstance:
         scaled_right.append(Point(x, y))
     mirrored = [Point(-p.x, p.y) for p in scaled_right[2:]]
 
+    P, Q = partition_threshold(n, g.sigma_dot)
     return IntegerInstance(
         k=k,
         points=PointSet(scaled_right + mirrored, labels=_labels(n)),
-        P=3 * _four(n + 4) * sd + 1,
-        Q=2 * _four(n + 4) * sd,
+        P=P,
+        Q=Q,
         epsilon_bound=Fraction(1, 1 << k),
     )
 
@@ -727,14 +734,10 @@ def decide_partition(instance):
     lay = instance
     n = lay.n
     pts = lay.points
-    if isinstance(instance, IntegerInstance):
-        P, Q = instance.P, instance.Q
-        alphas_dot = _recover_alphas_dot(instance)
-    else:
-        sd = instance.sigma_dot
-        P = 3 * _four(n + 4) * sd + 1
-        Q = 2 * _four(n + 4) * sd
-        alphas_dot = instance.alphas_dot
+    # an IntegerInstance's own P/Q is this threshold, by its checks
+    P, Q = partition_threshold(n, instance.sigma_dot)
+    alphas_dot = _recover_alphas_dot(instance) \
+        if isinstance(instance, IntegerInstance) else instance.alphas_dot
 
     # the pairs whose dilation blows up on every wrong combination
     priority = [(lay.q2, lay.p2), (lay.q2, lay.mirror(lay.p2))]

@@ -1,14 +1,20 @@
 """Exact minimum-dilation structures on small point sets.
 
-Spanning-tree search runs branch-and-bound over edge subsets with an
-interval-certified incumbent; an exhaustive enumeration over labeled
-trees (Prüfer sequences) serves as the independent oracle.  Hamiltonian
-paths and tours run a depth-first search over ordering prefixes that cuts
-a prefix once integer lower bounds put one of its pairs above the
-incumbent, or once it breaks a required edge; each complete ordering
-goes through the oracle's integer screen, with path lengths from exact
-integer prefix sums, and only the orderings the screen cannot rule out
-are certified.
+Every search is one pipeline: complete structures go to the integer
+screen `_RunningScreen`, which keeps the smallest upper bound seen so far
+as its incumbent, and only the structures it cannot certify worse get a
+certified report; `_first_minimum` picks the answer, so ties keep the
+first structure offered.  `pruned` counts the cut search nodes plus the
+structures the screen certified worse, in every mode.
+Spanning-tree search runs branch-and-bound over edges sorted by length,
+including before excluding, so its first complete tree is the greedy
+shortest-first one; it cuts an include branch once a pair it connects
+lies above the incumbent.  An exhaustive enumeration over labeled trees
+(Prüfer sequences) serves as the independent oracle.  Hamiltonian paths
+and tours run a depth-first search over ordering prefixes that cuts a
+prefix once integer lower bounds put one of its pairs above the
+incumbent, or once it breaks a required edge, with path lengths from
+exact integer prefix sums.
 A local uncrossing exchange removes an edge crossing from a 4-point tree
 without increasing its dilation, and a randomized search hunts for
 5-point sets whose every optimal spanning tree has a crossing.
@@ -28,10 +34,9 @@ from .dilation import (DilationReport, PointSet, Tree, critical_edges,
                        crossing_edge_pairs, root_sums, tree_dilation,
                        tree_exact, tree_has_crossing, _critical_scan,
                        _graph_adjacency, _max_dilation, _ratio_sign)
-from .errors import (Infeasible, NotApplicable, NotCrossing,
-                     PrecisionExhausted, SizeTooLarge, max_bits_cap)
-from .exactgeom import (Orientation, Segment, orientation,
-                        segments_properly_cross)
+from .errors import (Infeasible, NotApplicable, NotCrossing, SizeTooLarge,
+                     max_bits_cap)
+from .exactgeom import Orientation, orientation
 from .radical import SqrtSum
 
 _ENUM_MAX = 9
@@ -163,45 +168,19 @@ class _DSU:
         return len({self.find(x) for x in range(len(self.parent))})
 
 
-def _edges_cross(ps, e1, e2):
-    if set(e1) & set(e2):
-        return False
-    return segments_properly_cross(Segment(ps[e1[0]], ps[e1[1]]),
-                                   Segment(ps[e2[0]], ps[e2[1]]))
-
-
-def _kruskal_feasible(ps, cands, required, crossing_free):
-    """A feasible spanning tree by shortest-first greedy, or None."""
-    dsu = _DSU(ps.n)
-    chosen = list(required)
-    for u, v in required:
-        if not dsu.union(u, v):
-            return None
-    for e in cands:
-        if len(chosen) == ps.n - 1:
-            break
-        if dsu.find(e[0]) == dsu.find(e[1]):
-            continue
-        if crossing_free and any(_edges_cross(ps, e, c) for c in chosen):
-            continue
-        dsu.union(*e)
-        chosen.append(e)
-    if len(chosen) != ps.n - 1:
-        return None
-    return Tree(ps.n, chosen)
-
-
 def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverResult:
     """Certified minimum-dilation spanning structure.
 
     Tree mode runs depth-first branch-and-bound over edges sorted by
-    length: forced edges (required, plus edges critical at the incumbent's
-    upper bound) may never be excluded, and a branch dies as soon as some
-    already-connected pair's dilation certifiably exceeds the incumbent.
-    Ties keep the first tree found in the deterministic search order.
-    Path and tour mode search orderings (see `min_dilation_structure`).
-    In every mode, `max_points` bounds the input and `enumeration_cap` the
-    complete trees, or complete feasible orderings, that are examined.
+    length, so its first complete tree is the greedy one and sets the
+    screen's incumbent: forced edges (those critical at that incumbent)
+    may never be excluded, and a branch dies as soon as some
+    already-connected pair certifiably exceeds the incumbent.  Path
+    and tour mode search orderings (see `min_dilation_structure`).  In
+    every mode, `max_points` bounds the input and `enumeration_cap` the
+    complete trees, or complete feasible orderings, that are examined,
+    and `pruned` counts the cut nodes plus the complete structures the
+    screen certified worse.
     """
     n = ps.n
     if n > opts.max_points:
@@ -216,88 +195,63 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
             raise ValueError(f"bad required edge ({u}, {v})")
         if not req_dsu.union(u, v):
             raise ValueError("required_edges contain a cycle")
-    if opts.crossing_free:
-        for e1, e2 in itertools.combinations(required, 2):
-            if _edges_cross(ps, e1, e2):
-                raise Infeasible(f"required edges {e1} and {e2} cross")
+    crossing = opts.crossing_free and crossing_edge_pairs(ps, required)
+    if crossing:
+        raise Infeasible("required edges {} and {} cross".format(*crossing[0]))
 
     cands = sorted((e for e in itertools.combinations(range(n), 2)
                     if e not in set(required)),
                    key=lambda e: (ps.distance_sq(*e), e))
-
-    best_tree = _kruskal_feasible(ps, cands, required, opts.crossing_free)
-    best_rep = tree_dilation(ps, best_tree, opts.bits, cap=cap) \
-        if best_tree is not None else None
-    forced = set(required)
-    if best_rep is not None:
-        hi = best_rep.value.hi
-        forced |= critical_edges(ps, hi.numerator, hi.denominator, cap=cap)
-
     adj = [set() for _ in range(n)]
     for u, v in required:
         adj[u].add(v)
         adj[v].add(u)
-    bits, tab = opts.bits, ps.table(opts.bits)
+    screen = _RunningScreen(ps, 32)
+    bits, lens = screen.bits, screen.lens
+    forced = frozenset()
+    cuts = 0
 
-    state = {"best_tree": best_tree, "best_rep": best_rep,
-             "examined": 0, "pruned": 0}
-
-    def inc_exceeded(dlo, lhi):
-        rep = state["best_rep"]
-        if rep is None:
+    def exceeds(u, v):
+        """Whether including edge uv puts a pair x, y across the components
+        of u and v, joined by the path x .. u - v .. y, above the limit."""
+        limit = screen.limit()
+        if limit is None:
             return False
-        hi = rep.value.hi
-        return dlo * hi.denominator > hi.numerator * lhi
+        comp_v = [(y, s[0] + lens[u][v][0])
+                  for y, s in enumerate(root_sums(ps, adj, v, bits))
+                  if s is not None]
+        return any(xs[0] + ylo > lim[y]
+                   for xs, lim in zip(root_sums(ps, adj, u, bits), limit)
+                   if xs is not None for y, ylo in comp_v)
 
     def dfs(idx, dsu, chosen):
+        nonlocal forced, cuts
         if len(chosen) == n - 1:
-            state["examined"] += 1
             if opts.enumeration_cap is not None and \
-                    state["examined"] > opts.enumeration_cap:
+                    screen.count >= opts.enumeration_cap:
                 raise SizeTooLarge("enumeration cap exceeded")
-            tree = Tree(n, chosen)
-            rep = tree_dilation(ps, tree, opts.bits, cap=cap)
-            if state["best_rep"] is None:
-                state["best_tree"], state["best_rep"] = tree, rep
-                return
-            try:
-                sign = _compare_reports(ps, tree, rep, state["best_tree"],
-                                        state["best_rep"], cap)
-            except PrecisionExhausted as exc:
-                exc.context = (state["best_tree"], tree)
-                raise
-            if sign < 0:
-                state["best_tree"], state["best_rep"] = tree, rep
+            screen.offer(tuple(chosen), partial(root_sums, ps, adj))
+            if screen.count == 1:
+                # required edges are no candidates, so only these can be
+                # forced: every tree within the incumbent holds them
+                forced = critical_edges(ps, *screen.bound, cap=cap)
             return
         if idx == len(cands):
-            return
-        need = n - 1 - len(chosen)
-        if len(cands) - idx < need:
-            state["pruned"] += 1
             return
         # is completion still possible at all?
         probe = dsu.copy()
         for e in cands[idx:]:
             probe.union(*e)
         if probe.components() > 1:
-            state["pruned"] += 1
+            cuts += 1
             return
         e = cands[idx]
         u, v = e
         # include branch
         if dsu.find(u) != dsu.find(v) and not (
                 opts.crossing_free and
-                any(_edges_cross(ps, e, c) for c in chosen)):
-            # e joins the components of u and v: each pair x, y across
-            # them gets the path x .. u - v .. y
-            elo, _ = tab[u][v] or ps.dist_ints(u, v, bits)
-            comp_v = [(y, s[0] + elo) for y, s in enumerate(
-                root_sums(ps, adj, v, bits)) if s is not None]
-            if not any(inc_exceeded(xs[0] + ylo,
-                                    (row[y] or ps.dist_ints(x, y, bits))[1])
-                       for x, (xs, row) in enumerate(zip(
-                           root_sums(ps, adj, u, bits), tab))
-                       if xs is not None for y, ylo in comp_v):
+                any(ps.edges_cross(e, c) for c in chosen)):
+            if not exceeds(u, v):
                 nd = dsu.copy()
                 nd.union(u, v)
                 adj[u].add(v)
@@ -308,96 +262,105 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
                 adj[u].discard(v)
                 adj[v].discard(u)
             else:
-                state["pruned"] += 1
+                cuts += 1
         # exclude branch
         if e not in forced:
             dfs(idx + 1, dsu, chosen)
         else:
-            state["pruned"] += 1
+            cuts += 1
 
     dfs(0, req_dsu, list(required))
-    if state["best_tree"] is None:
+    candidates = screen.survivors()
+    if not candidates:
         raise Infeasible("no spanning tree satisfies the constraints")
-    return SolverResult(best=state["best_tree"], report=state["best_rep"],
-                        trees_examined=state["examined"],
-                        pruned=state["pruned"])
-
-
-def _screen_table(ps, bits):
-    """The screens' precision, `bits` plus `ps.scale_bits()` so that a
-    set of tiny scale screens as it would at scale 1, and its
-    `ps.table`, every entry filled."""
-    bits += ps.scale_bits()
-    tab = ps.table(bits)
-    for u, row in enumerate(tab):
-        for v in range(u + 1, len(row)):
-            if row[v] is None:
-                ps.dist_ints(u, v, bits)
-    return bits, tab
-
-
-def _screen(sums, lens, bits, bound):
-    """Integer bounds (lo_num, lo_den, hi_num, hi_den) on a structure's
-    dilation, or None as soon as one pair's lower bound exceeds
-    bound = (num, den).  `sums(u, bits)` encloses the path lengths from
-    u to every vertex, as `root_sums` does for a tree, and `lens` is the
-    filled `ps.table(bits)`."""
-    b_n, b_d = bound
-    lo_n = lo_d = hi_n = hi_d = None
-    n = len(lens)
-    for u in range(n - 1):
-        row, lens_u = sums(u, bits), lens[u]
-        for v in range(u + 1, n):
-            (dlo, dhi), (llo, lhi) = row[v], lens_u[v]
-            if dlo * b_d > b_n * lhi:
-                return None
-            if lo_n is None or dlo * lo_d > lo_n * lhi:
-                lo_n, lo_d = dlo, lhi
-            if hi_n is None or dhi * hi_d > hi_n * llo:
-                hi_n, hi_d = dhi, llo
-    return lo_n, lo_d, hi_n, hi_d
+    best, report, _ = _first_minimum(
+        map(partial(_certify_tree, ps, opts.bits, cap), candidates), cap)
+    return SolverResult(best=best, report=report, trees_examined=screen.count,
+                        pruned=cuts + screen.count - len(candidates))
 
 
 class _RunningScreen:
-    """The integer screen at `bits` (raised by the set's scale, see
-    `_screen_table`) over a stream of structures.
+    """The integer screen over a stream of structures.
 
-    It keeps a running incumbent, `bound` = (num, den), the smallest upper
-    bound on a dilation seen so far (1/0 is no bound yet), and `offer`
-    drops a structure as soon as one pair's lower bound exceeds it.
-    `survivors` filters the structures scanned in full once more against
-    the final incumbent.  A dropped structure lies certifiably above the
-    final incumbent too, so the survivors, in offering order, are those
-    of scoring every structure fully.  `count` is the number offered.
+    It encloses at `bits` plus `ps.scale_bits()`, so that a set of tiny
+    scale screens as it would at scale 1, and reads that precision's
+    `ps.table`, `lens`, with every entry filled.  It keeps a running
+    incumbent, `bound` = (num, den), the smallest upper bound on a
+    dilation seen so far (1/0 is no bound yet), and `offer` drops a
+    structure as soon as one pair's lower bound exceeds it.  `survivors`
+    filters the structures scanned in full once more against the final
+    incumbent.  A dropped structure lies certifiably above the final
+    incumbent too, so the survivors, in offering order, are those of
+    scoring every structure fully.  `count` is the number offered.
     """
 
     def __init__(self, ps, bits):
-        self.bits, self.lens = _screen_table(ps, bits)
+        self.bits = bits = bits + ps.scale_bits()
+        self.lens = ps.table(bits)
+        for u, row in enumerate(self.lens):
+            for v in range(u + 1, len(row)):
+                if row[v] is None:
+                    ps.dist_ints(u, v, bits)
         self.bound = (1, 0)
         self.count = 0
         # (lo_num, lo_den, key) of the structures scanned in full
         self._scored = []
+        self._limit = None, None
 
     def offer(self, key, sums):
         self.count += 1
-        bounds = self.tighten(sums)
-        if bounds is not None:
-            self._scored.append((bounds[0], bounds[1], key))
+        lower = self.tighten(sums)
+        if lower is not None:
+            self._scored.append((*lower, key))
 
     def tighten(self, sums):
         """Screen a structure and lower the incumbent to its upper bound
-        if that is smaller, without making it a survivor; its `_screen`
-        bounds, or None when it is screened out."""
-        bounds = _screen(sums, self.lens, self.bits, self.bound)
-        if bounds is not None and \
-                bounds[2] * self.bound[1] < self.bound[0] * bounds[3]:
-            self.bound = bounds[2:]
-        return bounds
+        if that is smaller, without making it a survivor.
+
+        `sums(u, bits)` encloses the path lengths from u to every vertex,
+        as `root_sums` does for a tree.  Returns the structure's integer
+        lower bound (num, den) on its dilation, or None as soon as one
+        pair's lower bound exceeds the incumbent."""
+        b_n, b_d = self.bound
+        lo_n = lo_d = hi_n = hi_d = None
+        n = len(self.lens)
+        for u in range(n - 1):
+            row, lens_u = sums(u, self.bits), self.lens[u]
+            for v in range(u + 1, n):
+                (dlo, dhi), (llo, lhi) = row[v], lens_u[v]
+                if dlo * b_d > b_n * lhi:
+                    return None
+                if lo_n is None or dlo * lo_d > lo_n * lhi:
+                    lo_n, lo_d = dlo, lhi
+                if hi_n is None or dhi * hi_d > hi_n * llo:
+                    hi_n, hi_d = dhi, llo
+        if hi_n * b_d < b_n * hi_d:
+            self.bound = hi_n, hi_d
+        return lo_n, lo_d
+
+    def limit(self):
+        """The incumbent as a table, None before the first bound:
+        limit[u][v] is the largest lower u-v path sum that leaves the pair
+        at or below the incumbent, b_n * hi_uv // b_d."""
+        b_n, b_d = self.bound
+        if not b_d:
+            return None
+        if self._limit[0] != self.bound:
+            self._limit = self.bound, [[b_n * hi // b_d for _, hi in row]
+                                       for row in self.lens]
+        return self._limit[1]
 
     def survivors(self):
         b_n, b_d = self.bound
         return [key for lo_n, lo_d, key in self._scored
                 if lo_n * b_d <= b_n * lo_d]
+
+
+def _certify_tree(ps, bits, cap, edges):
+    """(tree, certified report, exact pair metric) of the tree on `edges`,
+    as `_first_minimum` reads them."""
+    tree = Tree(ps.n, edges)
+    return tree, tree_dilation(ps, tree, bits, cap=cap), tree_exact(ps, tree)
 
 
 def exhaustive_mdst(ps: PointSet, bits: int = 64) -> SolverResult:
@@ -418,13 +381,8 @@ def exhaustive_mdst(ps: PointSet, bits: int = 64) -> SolverResult:
         edges = _prufer_edges(n, seq)
         screen.offer(edges, partial(root_sums, ps, _graph_adjacency(n, edges)))
     candidates, count = screen.survivors(), screen.count
-
-    def certify(edges):
-        tree = Tree(n, edges)
-        return (tree, tree_dilation(ps, tree, bits, cap=cap),
-                tree_exact(ps, tree))
-
-    best, report, _ = _first_minimum(map(certify, candidates), cap)
+    best, report, _ = _first_minimum(
+        map(partial(_certify_tree, ps, bits, cap), candidates), cap)
     return SolverResult(best=best, report=report, trees_examined=count,
                         pruned=count - len(candidates))
 
@@ -509,9 +467,6 @@ def _order_search(ps, opts):
         raise Infeasible("a vertex has more than two required edges")
     screen = _RunningScreen(ps, 32)
     lo = [[lens[0] for lens in row] for row in screen.lens]
-    # incumbent bound -> limit[u][v], the largest lower u-v path sum that
-    # leaves the pair at or below that bound
-    limits = {}
 
     def feasible(key):
         if not (required or opts.crossing_free):
@@ -541,14 +496,9 @@ def _order_search(ps, opts):
         """Whether every completion of order[:k] + [y], whose lower prefix
         sum at y is py, has a pair through y certifiably above the
         incumbent: y and a placed u, or a placed u and an unplaced w."""
-        b_n, b_d = screen.bound
-        if not b_d:
+        limit = screen.limit()
+        if limit is None:
             return False
-        if screen.bound not in limits:
-            limits.clear()
-            limits[screen.bound] = [[b_n * h // b_d for _, h in row]
-                                    for row in screen.lens]
-        limit = limits[screen.bound]
         lo_y, lo_0 = lo[y], lo[order[0]]
         total = py + lo_y[order[0]]    # a tour is at least this long
         rest = [w for w in range(n) if not placed[w] and w != y]
@@ -750,36 +700,27 @@ def verify_crossing_witness(ps: PointSet, bits: int = 96) -> WitnessCheck | None
 
     Returns the verification record when the minimum over all 125 trees
     is attained only by crossing trees and every crossing-free tree is
-    certified strictly worse; None otherwise.
+    certified strictly worse; None otherwise.  The trees go once through
+    the integer screen at 48 bits, and only its survivors are certified
+    at `bits`: the optimum is their first minimum, as in
+    `exhaustive_mdst`, and the optimal trees those certified equal to it.
     """
     if ps.n != 5:
         raise ValueError("witness verification is defined for five points")
     cap = max_bits_cap()
-    oracle = exhaustive_mdst(ps, bits)
-    best_tree, best_rep = oracle.best, oracle.report
-    optimal = [best_tree]
-    bh = best_rep.value.hi
-    screen_bits, lens = _screen_table(ps, 48)
-    for tree in enumerate_spanning_trees(5):
-        if tree == best_tree:
-            continue
-        # cheap certified lower bound screens out most trees
-        if _screen(partial(root_sums, ps, tree.adjacency()), lens,
-                   screen_bits, (bh.numerator, bh.denominator)) is None:
-            continue
-        rep = tree_dilation(ps, tree, bits, cap=cap)
-        sign = _compare_reports(ps, tree, rep, best_tree, best_rep, cap)
-        if sign < 0:
-            raise AssertionError("oracle missed a better tree")
-        if sign == 0:
-            optimal.append(tree)
+    screen = _RunningScreen(ps, 48)
+    for tree in _FIVE_TREES:
+        screen.offer(tree.edges, partial(root_sums, ps, tree.adjacency()))
+    certified = [_certify_tree(ps, bits, cap, edges)
+                 for edges in screen.survivors()]
+    best_tree, best_rep, best_exact = _first_minimum(certified, cap)
+    optimal = [tree for tree, rep, exact in certified
+               if _compare_exact(rep, exact, best_rep, best_exact, cap) == 0]
     if not all(tree_has_crossing(ps, t) for t in optimal):
         return None
-    crit = _critical_scan(
-        ps, *tree_exact(ps, best_tree)(*best_rep.witness), 64, cap)
-    # every non-optimal tree above was certified strictly worse, either by
-    # the integer screen or by an exact sign, so in particular every
-    # crossing-free tree is
+    crit = _critical_scan(ps, *best_exact(*best_rep.witness), 64, cap)
+    # every other tree was certified strictly worse, by the integer screen
+    # or by an exact sign, so in particular every crossing-free tree is
     return WitnessCheck(ps=ps, best_tree=best_tree, report=best_rep,
                         optimal_trees=tuple(optimal),
                         crossing_free_strictly_worse=True,

@@ -34,16 +34,24 @@ def test_short_run_emits_correct_summary(workload):
                                        for m in declared["end_to_end"]}
 
 
-def test_traced_short_run_counts_dist_ints():
+@pytest.mark.parametrize("workload", ["certify", "search"])
+def test_traced_short_run_counts_dist_ints(workload):
     # bench/spans.py counts enclosure misses by patching the class
-    # attribute PointSet.dist_ints, so a traced run guards that it exists
+    # attribute PointSet.dist_ints, and traces solver calls by rebinding
+    # module globals, so a traced run guards that both still see calls
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
-         "certify", "--seed", "1", "--seconds", "0", "--trace", "1",
+         workload, "--seed", "1", "--seconds", "0", "--trace", "1",
          "--short"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True
     assert summary["failed"] == 0
-    assert "dilation.dist_ints.calls" in summary["metrics"]
+    metrics = summary["metrics"]
+    assert "dilation.dist_ints.calls" in metrics
+    if workload == "search":
+        for name in ("solver.candidates_examined",
+                     "dilation.critical_edges.calls",
+                     "dilation.tree_dilation.calls"):
+            assert metrics[name]["value"] > 0, name

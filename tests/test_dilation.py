@@ -13,7 +13,8 @@ from dilatree.dilation import (
     tree_path_length, _critical_scan, _pair_ratios,
 )
 from dilatree.errors import PrecisionExhausted
-from dilatree.exactgeom import (pt, round_dyadic, sqrt_interval,
+from dilatree.exactgeom import (Segment, orientation, pt, round_dyadic,
+                                segments_properly_cross, sqrt_interval,
                                 squared_distance)
 from dilatree.radical import SqrtSum
 from dilatree.solver import Mode, SolverOptions, mdst_exact, _RunningScreen
@@ -636,6 +637,37 @@ def test_tree_has_crossing():
     assert not tree_has_crossing(ps, flat)
     pairs = crossing_edge_pairs(ps, list(crossing.edges))
     assert ((0, 1), (2, 3)) in pairs
+
+
+@pytest.mark.parametrize("den, offset", [(1, 0), (3, 0), (1 << 70, 0),
+                                         (1, 1 << 60), (3, 1 << 60)])
+def test_edges_cross_matches_segments_properly_cross(den, offset):
+    # collinear runs on an axis, a column and a diagonal give overlapping,
+    # nested, touching and vertex-sharing segments; the rest are random
+    rng = random.Random(den % 1009 + offset % 1013)
+    coords = [(0, 0), (1, 0), (2, 0), (3, 0), (0, 2), (0, 3), (1, 1), (2, 2),
+              (3, 3)]
+    while len(coords) < 13:
+        p = (rng.randint(-4, 6), rng.randint(-4, 6))
+        if p not in coords:
+            coords.append(p)
+    ps = PointSet([pt(Fraction(x, den) + offset, Fraction(y, den) + offset)
+                   for x, y in coords])
+    verdicts = set()
+    for e, f in itertools.combinations(
+            itertools.combinations(range(ps.n), 2), 2):
+        expect = not set(e) & set(f) and segments_properly_cross(
+            Segment(ps[e[0]], ps[e[1]]), Segment(ps[f[0]], ps[f[1]]))
+        assert ps.edges_cross(e, f) is expect
+        assert ps.edges_cross(f, e) is expect
+        collinear = all(orientation(ps[e[0]], ps[e[1]], ps[w]) == 0
+                        for w in f)
+        verdicts.add((expect, collinear))
+    # every kind of verdict occurs, collinear overlaps included
+    assert verdicts == {(False, False), (True, False), (False, True),
+                        (True, True)}
+    assert crossing_edge_pairs(ps, [(0, 2), (1, 3), (4, 5)]) == [
+        ((0, 2), (1, 3))]
 
 
 def test_adjacent_edges_never_cross():

@@ -206,6 +206,86 @@ def test_mdst_enumeration_cap():
         mdst_exact(ps, SolverOptions(enumeration_cap=0))
 
 
+# mdst_exact tree-mode outputs recorded while tree mode still certified
+# every complete tree against a greedy start tree: coordinates, offset,
+# crossing_free, required edges, best tree, witness, precision, tie flag,
+# trees examined and the enclosure as (lo numerator, lo exponent,
+# hi numerator, hi exponent)
+RANDOM7A = [(20, 0), (16, 9), (12, 16), (5, 12), (3, 12), (1, 23), (29, 8)]
+RANDOM7B = [(4, 11), (22, 23), (19, 8), (21, 14), (24, 9), (1, 14), (29, 0)]
+RANDOM8A = [(29, 21), (24, 30), (1, 10), (9, 28), (0, 20), (18, 22), (14, 19),
+            (8, 4)]
+RANDOM8B = [(9, 31), (18, 11), (10, 16), (10, 2), (27, 30), (6, 12), (19, 8),
+            (7, 30)]
+TREE_PINS = [
+    (RANDOM7A, off, False, (),
+     ((0, 1), (0, 6), (1, 2), (2, 3), (3, 4), (4, 5)), (1, 6), 68, False, 2,
+     (7928480525044482256395, 72, 495530032815280141025, 68))
+    for off in (0, 1 << 54)] + [
+    (RANDOM7B, off, False, (),
+     ((0, 4), (0, 5), (1, 3), (2, 4), (3, 4), (4, 6)), (2, 3), 68, False, 2,
+     (2040275087481692786735, 70, 8161100349926771146945, 72))
+    for off in (0, 1 << 54)] + [
+    (RANDOM8A, off, False, (),
+     ((0, 5), (1, 5), (2, 4), (2, 7), (3, 6), (4, 6), (5, 6)), (6, 7), 68,
+     False, 3, (9735315524909993100705, 72, 4867657762454996550355, 71))
+    for off in (0, 1 << 54)] + [
+    (RANDOM8B, off, False, (),
+     ((0, 7), (1, 3), (1, 5), (1, 6), (2, 4), (2, 5), (2, 7)), (3, 5), 68,
+     False, 59, (2639883117590780709625, 70, 5279766235181561419253, 71))
+    for off in (0, 1 << 54)] + [
+    ([(31, 29), (5, 8), (24, 2), (3, 13), (12, 11), (19, 5), (3, 26),
+      (9, 22)], 0, True, (),
+     ((0, 4), (1, 3), (2, 5), (3, 4), (3, 7), (4, 5), (6, 7)), (0, 7), 68,
+     False, 8, (2362979044327791911161, 70, 4725958088655583822325, 71)),
+    ([(18, 2), (31, 0), (20, 12), (29, 31), (23, 9), (16, 29), (25, 21),
+      (14, 8)], 0, False, ((0, 7),),
+     ((0, 7), (1, 4), (2, 4), (2, 6), (3, 6), (4, 7), (5, 6)), (0, 1), 68,
+     False, 8, (5081794392098254198615, 71, 2540897196049127099309, 70)),
+]
+
+
+@pytest.mark.parametrize("pin", TREE_PINS, ids=[
+    "7a", "7a_2^54", "7b", "7b_2^54", "8a", "8a_2^54", "8b", "8b_2^54",
+    "crossing_free", "required"])
+def test_mdst_tree_mode_pinned(pin):
+    (coords, off, crossing_free, required, edges, witness, precision, tied,
+     examined, value) = pin
+    ps = PointSet.from_coords([(x + off, y + off) for x, y in coords])
+    res = mdst_exact(ps, SolverOptions(crossing_free=crossing_free,
+                                       required_edges=frozenset(required)))
+    assert res.best.edges == edges
+    assert res.report.witness == witness
+    assert res.report.precision_used == precision
+    assert res.report.tied is tied
+    assert res.trees_examined == examined
+    lo_num, lo_exp, hi_num, hi_exp = value
+    assert res.report.value.lo == Fraction(lo_num, 1 << lo_exp)
+    assert res.report.value.hi == Fraction(hi_num, 1 << hi_exp)
+
+
+def test_crossing_free_grid_search_is_fast():
+    # eight of the 3x3 unit grid's points: many exact ties and collinear
+    # triples, and every include branch tests crossings
+    ps = PointSet.from_coords([(x, y) for x in range(3) for y in range(3)][:8])
+    start = time.perf_counter()
+    res = mdst_exact(ps, SolverOptions(crossing_free=True))
+    elapsed = time.perf_counter() - start
+    assert res.best.edges == ((0, 4), (1, 2), (1, 4), (1, 5), (3, 4), (4, 6),
+                              (4, 7))
+    assert res.report.witness == (0, 1)
+    assert res.report.precision_used == 272 and res.report.tied
+    # 1 + sqrt(2)
+    assert res.report.value.lo == Fraction(
+        18320381198483092318366819162170796570593515903918213573057006220700984226932758009,
+        1 << 272)
+    assert res.report.value.hi == Fraction(
+        293126099175729477093869106594732745129496254462691417168912099531215747630924128147,
+        1 << 276)
+    assert (res.trees_examined, res.pruned) == (126, 41203)
+    assert elapsed < 5.0, elapsed
+
+
 # ---------------------------------------------------------------------------
 # paths and tours
 
@@ -503,17 +583,18 @@ def grid_probe(seed, n):
     return sorted(coords)
 
 
-@pytest.mark.parametrize("mode", ["path", "tour", "exhaustive"])
+@pytest.mark.parametrize("mode", ["path", "tour", "exhaustive", "tree"])
 def test_screens_cut_at_tiny_scale(mode):
     # on a 2^-40 grid every 2^-100-scale length had lower end 0, so the
-    # 8-point path search certified all 20,160 orderings (4 s)
+    # 8-point path search certified all 20,160 orderings (4 s); tree mode,
+    # which cut on the 64-bit grid, reached thousands of trees
     coords = grid_probe(108, 6 if mode == "exhaustive" else 8)
     results = []
     for scale in (1, Fraction(1, 1 << 100)):
         ps = PointSet.from_coords([(x * scale, y * scale) for x, y in coords])
         start = time.perf_counter()
         results.append(exhaustive_mdst(ps) if mode == "exhaustive"
-                       else min_dilation_structure(ps, Mode(mode)))
+                       else mdst_exact(ps, SolverOptions(mode=Mode(mode))))
         elapsed = time.perf_counter() - start
     one, tiny = results
     assert tiny.best == one.best
@@ -578,7 +659,8 @@ def test_order_search_rejects_overloaded_required_vertex(mode):
 _HASH_SEED_PROBE = """
 import random
 from dilatree.dilation import PointSet
-from dilatree.solver import Mode, min_dilation_structure
+from dilatree.solver import (Mode, SolverOptions, mdst_exact,
+                             min_dilation_structure)
 rng = random.Random(808)
 coords = []
 while len(coords) < 8:
@@ -588,6 +670,9 @@ while len(coords) < 8:
 ps = PointSet.from_coords(coords)
 for mode in (Mode.PATH, Mode.TOUR):
     res = min_dilation_structure(ps, mode)
+    print(res.best, res.trees_examined, res.pruned)
+for crossing_free in (False, True):
+    res = mdst_exact(ps, SolverOptions(crossing_free=crossing_free))
     print(res.best, res.trees_examined, res.pruned)
 """
 
@@ -605,7 +690,7 @@ def test_order_search_counts_ignore_hash_seed():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == 2
+    assert len(outputs[0].splitlines()) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +799,16 @@ def test_locked_witness_verifies():
     # its critical edges sit inside every optimal tree
     for tree in check.optimal_trees:
         assert check.critical <= set(tree.edges)
+
+
+def test_witness_check_agrees_with_exhaustive_oracle():
+    for off in (0, 1 << 54):
+        ps = PointSet.from_coords([(x + off, y + off) for x, y in WITNESS5])
+        check = verify_crossing_witness(ps)
+        oracle = exhaustive_mdst(ps, 96)
+        assert check.best_tree == oracle.best
+        assert check.report == oracle.report
+        assert check.optimal_trees == (oracle.best,)
 
 
 def test_non_witness_returns_none():
