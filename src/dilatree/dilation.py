@@ -12,16 +12,21 @@ instance a pair sitting exactly on a threshold) terminates instead of
 escalating forever.  Only a nonzero difference too small for the
 precision cap raises `PrecisionExhausted`, rather than guessing.
 
-Interval bookkeeping uses integer endpoints at a shared power-of-two
-scale, so accumulating a path is pure integer addition.  Distances are
-enclosed from integer coordinates over one common denominator and kept
-in one n x n table per precision, `PointSet.table`, which every scan
-fetches once and reads row by row in place; `PointSet.dist_ints` runs
-only on an entry not yet filled.  One kernel, `root_sums`, sums the
-table's entries along every path from a root, in a whole tree or in a
-search's partial forest.  The max over pairs compares ratio
-numerators on one dyadic grid; only its report builds `Fraction`s.  The
-exact side mirrors this: `PointSet.exact_dist` builds each pair's
+Interval bookkeeping uses integer endpoints in one shared unit, so
+accumulating a path is pure integer addition.  Coordinates are kept as
+integer numerators over one common denominator `den`, and a distance is
+enclosed as the square root of its squared numerator, which is at least
+1 for distinct points, in the unit 2^-(bits+8)/den.  Every enclosure so
+keeps `bits` of precision relative to its own length, at every scale of
+the input, and the unit cancels from every ratio and every comparison of
+sums; only `tree_path_length`, an absolute length, divides by it.  The
+enclosures are kept in one n x n table per precision, `PointSet.table`,
+which every scan fetches once and reads row by row in place;
+`PointSet.dist_ints` runs only on an entry not yet filled.  One kernel,
+`root_sums`, sums the table's entries along every path from a root, in a
+whole tree or in a search's partial forest.  The max over pairs compares
+ratio numerators on one dyadic grid; only its report builds `Fraction`s.
+The exact side mirrors this: `PointSet.exact_dist` builds each pair's
 `SqrtSum` once, and `tree_exact` sums them along tree paths, memoised per
 root, for every exact fallback.
 """
@@ -34,7 +39,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import lcm
 
 from .errors import PrecisionExhausted, max_bits_cap
 from .exactgeom import Interval, Point, sqrt_ints
@@ -57,15 +62,15 @@ class PointSet:
     """Finite set of distinct exact points with its distance enclosures.
 
     Coordinates are also kept as integer numerators over one common
-    denominator (1 for integer inputs), so a squared distance is an
-    integer numerator over the squared denominator.  Square-root
-    enclosures come from `sqrt_ints` on those integers, as integer
-    endpoint pairs (lo, hi) at scale 2^-(bits+8).  Each precision level
-    has one n x n table of them, `table(bits)`: symmetric, (0, 0) on the
-    diagonal and None where a pair is not enclosed yet.  A scan fetches
-    the table once, reads its rows in place and calls `dist_ints` only on
-    a None, which encloses the pair and fills both of its entries.  The
-    exact length of a pair, a `SqrtSum`, is cached next to them.
+    denominator `den` (1 for integer inputs), so a squared distance is an
+    integer numerator over den^2.  Square-root enclosures come from
+    `sqrt_ints` on the numerator alone, as integer endpoint pairs
+    (lo, hi) in the unit 2^-(bits+8)/den.  Each precision level has one
+    n x n table of them, `table(bits)`: symmetric, (0, 0) on the diagonal
+    and None where a pair is not enclosed yet.  A scan fetches the table
+    once, reads its rows in place and calls `dist_ints` only on a None,
+    which encloses the pair and fills both of its entries.  The exact
+    length of a pair, a `SqrtSum`, is cached next to them.
     """
 
     def __init__(self, points, labels=None):
@@ -83,7 +88,7 @@ class PointSet:
         den = lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
         self._xy = [(p.x.numerator * (den // p.x.denominator),
                      p.y.numerator * (den // p.y.denominator)) for p in pts]
-        self._den_sq = den * den
+        self.den = den
         self._tables: dict[int, list[list]] = {}
         self._exact: dict[tuple[int, int], SqrtSum] = {}
 
@@ -114,21 +119,7 @@ class PointSet:
         return (xi - xj) ** 2 + (yi - yj) ** 2
 
     def distance_sq(self, i: int, j: int) -> Fraction:
-        return Fraction(self._d2_num(i, j), self._den_sq)
-
-    def scale_bits(self) -> int:
-        """The least k >= 0 with 2^k |p_i p_j| >= 1 for every pair: the
-        bits an enclosure on the absolute grid needs on top of `bits` to
-        keep `bits` of precision relative to this set's smallest distance.
-        0 when that distance is at least 1."""
-        m = min(self._d2_num(i, j)
-                for i, j in itertools.combinations(range(self.n), 2))
-        q = self._den_sq
-        # |uv|^2 >= m/q; no k below the estimate suffices
-        k = max(0, (q.bit_length() - m.bit_length()) // 2)
-        while m << (2 * k) < q:
-            k += 1
-        return k
+        return Fraction(self._d2_num(i, j), self.den ** 2)
 
     def table(self, bits: int) -> list[list]:
         """The enclosure table at `bits`: entry [i][j] is `dist_ints(i, j,
@@ -145,26 +136,18 @@ class PointSet:
         return tab
 
     def dist_ints(self, i: int, j: int, bits: int) -> tuple[int, int]:
-        """Integer enclosure (lo, hi) of |p_i p_j| at scale 2^-(bits+8),
-        read from `table(bits)` and written to both of its entries on a
-        miss."""
+        """Integer enclosure (lo, hi) of |p_i p_j| in the unit
+        2^-(bits+8)/den, read from `table(bits)` and written to both of its
+        entries on a miss."""
         tab = self.table(bits)
         cached = tab[i][j]
         if cached is not None:
             return cached
-        p, q = self._d2_num(i, j), self._den_sq
-        if q != 1:
-            g = gcd(p, q)
-            p, q = p // g, q // g
-        s, t, exact = sqrt_ints(p, q, bits)
-        # [s, s+1] / 2^t rescaled to 2^-(bits+8): floor and ceil; exact
-        # unless the shift is negative, which happens for tiny distances
+        s, t, exact = sqrt_ints(self._d2_num(i, j), 1, bits)
+        # [s, s+1] / 2^t rescaled to 2^-(bits+8), exactly: the numerator
+        # distance is at least 1, so t <= bits and the shift is at least 8
         shift = _scale_exp(bits) - t
-        hi = s if exact else s + 1
-        if shift >= 0:
-            lo, hi = s << shift, hi << shift
-        else:
-            lo, hi = s >> -shift, -(-hi >> -shift)
+        lo, hi = s << shift, (s if exact else s + 1) << shift
         tab[i][j] = tab[j][i] = lo, hi
         return lo, hi
 
@@ -299,9 +282,9 @@ def root_sums(ps: PointSet, adj, root: int, bits: int):
     """Integer (lo, hi) path-length enclosures from `root`, by one DFS.
 
     `adj` is a tree or forest adjacency (iterables of neighbours).  Entry
-    v is the sum of the `ps.table(bits)` entries over the root-v path, at
-    scale 2^-(bits+8): (0, 0) at the root, None where v is not
-    reachable."""
+    v is the sum of the `ps.table(bits)` entries over the root-v path, in
+    the table's unit 2^-(bits+8)/den: (0, 0) at the root, None where v is
+    not reachable."""
     sums = [None] * len(adj)
     sums[root] = (0, 0)
     stack = [root]
@@ -324,7 +307,8 @@ def tree_path_length(ps: PointSet, tree: Tree, u: int, v: int,
     if tree.n != ps.n:
         raise ValueError("tree and point set sizes differ")
     lo, hi = root_sums(ps, tree.adjacency(), u, bits)[v]
-    return _dyadic(lo, hi, _scale_exp(bits), bits)
+    unit = ps.den << _scale_exp(bits)
+    return Interval(Fraction(lo, unit), Fraction(hi, unit), bits)
 
 
 def pair_dilation(ps: PointSet, tree: Tree, u: int, v: int,
@@ -344,7 +328,7 @@ def _pair_ratios(ps, sums, pairs, bits):
     `sums(u, bits)` gives the integer path-length enclosures from u to
     every vertex, as `root_sums` does for a tree; pairs sharing a first
     vertex share one call.  lo is the floor of dlo/lhi and hi the ceil of
-    dhi/llo on the grid, the shared scale of the enclosures cancelling."""
+    dhi/llo on the grid, the shared unit of the enclosures cancelling."""
     f = bits + 4
     tab = ps.table(f)
     enc = {}
@@ -353,14 +337,6 @@ def _pair_ratios(ps, sums, pairs, bits):
         if u != root:
             root, row, lens = u, sums(u, f), tab[u]
         (dlo, dhi), (llo, lhi) = row[v], lens[v] or ps.dist_ints(u, v, f)
-        if not llo:
-            # |uv| lies below the grid 2^-(f+8): enclose this pair alone on
-            # finer grids until |uv| has f bits of its own
-            g = f
-            while llo.bit_length() <= f:
-                g += f
-                llo, lhi = ps.dist_ints(u, v, g)
-            dlo, dhi = sums(u, g)[v]
         enc[u, v] = (dlo << f) // lhi, -((-dhi << f) // llo)
     return enc
 
@@ -619,7 +595,7 @@ def crossing_edge_pairs(ps: PointSet, edges):
 
 def _shortest_sums(ps: PointSet, adj, source: int, bits: int, end: int):
     """Integer Dijkstra from `source` over endpoint `end` (0 lower, 1 upper)
-    of the `ps.table(bits)` edge enclosures, at the scale `root_sums`
+    of the `ps.table(bits)` edge enclosures, in the unit `root_sums`
     uses; None where a vertex is not reachable."""
     tab = ps.table(bits)
     dist = [None] * len(adj)
@@ -671,9 +647,7 @@ def graph_dilation_bounds(ps: PointSet, edges, bits: int) -> Interval:
 
     Integer Dijkstra runs once over lower endpoints and once over upper
     endpoints of the edge-length enclosures; the true shortest-path
-    metric is sandwiched between the two runs.  A pair whose lower |uv|
-    is 0 on that grid is enclosed alone on finer grids, as
-    `_pair_ratios` does.
+    metric is sandwiched between the two runs.
     """
     n = ps.n
     adj = _graph_adjacency(n, edges)
@@ -688,15 +662,7 @@ def graph_dilation_bounds(ps: PointSet, edges, bits: int) -> Interval:
             if dlo[dst] is None:
                 raise ValueError("graph is not connected")
             llo, lhi = lens[dst] or ps.dist_ints(src, dst, bits)
-            d_lo, d_hi = dlo[dst], dhi[dst]
-            if not llo:
-                g = bits
-                while llo.bit_length() <= bits:
-                    g += bits
-                    llo, lhi = ps.dist_ints(src, dst, g)
-                d_lo = _shortest_sums(ps, adj, src, g, 0)[dst]
-                d_hi = _shortest_sums(ps, adj, src, g, 1)[dst]
-            # both sums share the scale of |uv|, which cancels
-            ratio_lo = max(ratio_lo, Fraction(d_lo, lhi))
-            ratio_hi = max(ratio_hi, Fraction(d_hi, llo))
+            # both sums share the unit of |uv|, which cancels
+            ratio_lo = max(ratio_lo, Fraction(dlo[dst], lhi))
+            ratio_hi = max(ratio_hi, Fraction(dhi[dst], llo))
     return Interval(ratio_lo, ratio_hi, bits)

@@ -225,6 +225,9 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
                    if xs is not None for y, ylo in comp_v)
 
     def dfs(idx, dsu, chosen):
+        """Search the completions of `chosen` from candidate `idx` on.  Each
+        include recurses and each exclude moves on in the loop, so the
+        depth is at most the n - 1 edges of a tree."""
         nonlocal forced, cuts
         if len(chosen) == n - 1:
             if opts.enumeration_cap is not None and \
@@ -236,38 +239,36 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
                 # forced: every tree within the incumbent holds them
                 forced = critical_edges(ps, *screen.bound, cap=cap)
             return
-        if idx == len(cands):
-            return
-        # is completion still possible at all?
-        probe = dsu.copy()
-        for e in cands[idx:]:
-            probe.union(*e)
-        if probe.components() > 1:
-            cuts += 1
-            return
-        e = cands[idx]
-        u, v = e
-        # include branch
-        if dsu.find(u) != dsu.find(v) and not (
-                opts.crossing_free and
-                any(ps.edges_cross(e, c) for c in chosen)):
-            if not exceeds(u, v):
-                nd = dsu.copy()
-                nd.union(u, v)
-                adj[u].add(v)
-                adj[v].add(u)
-                chosen.append(e)
-                dfs(idx + 1, nd, chosen)
-                chosen.pop()
-                adj[u].discard(v)
-                adj[v].discard(u)
-            else:
+        for idx in range(idx, len(cands)):
+            # is completion still possible at all?
+            probe = dsu.copy()
+            for e in cands[idx:]:
+                probe.union(*e)
+            if probe.components() > 1:
                 cuts += 1
-        # exclude branch
-        if e not in forced:
-            dfs(idx + 1, dsu, chosen)
-        else:
-            cuts += 1
+                return
+            e = cands[idx]
+            u, v = e
+            # include branch
+            if dsu.find(u) != dsu.find(v) and not (
+                    opts.crossing_free and
+                    any(ps.edges_cross(e, c) for c in chosen)):
+                if not exceeds(u, v):
+                    nd = dsu.copy()
+                    nd.union(u, v)
+                    adj[u].add(v)
+                    adj[v].add(u)
+                    chosen.append(e)
+                    dfs(idx + 1, nd, chosen)
+                    chosen.pop()
+                    adj[u].discard(v)
+                    adj[v].discard(u)
+                else:
+                    cuts += 1
+            # exclude branch
+            if e in forced:
+                cuts += 1
+                return
 
     dfs(0, req_dsu, list(required))
     candidates = screen.survivors()
@@ -282,20 +283,18 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
 class _RunningScreen:
     """The integer screen over a stream of structures.
 
-    It encloses at `bits` plus `ps.scale_bits()`, so that a set of tiny
-    scale screens as it would at scale 1, and reads that precision's
-    `ps.table`, `lens`, with every entry filled.  It keeps a running
-    incumbent, `bound` = (num, den), the smallest upper bound on a
-    dilation seen so far (1/0 is no bound yet), and `offer` drops a
-    structure as soon as one pair's lower bound exceeds it.  `survivors`
-    filters the structures scanned in full once more against the final
-    incumbent.  A dropped structure lies certifiably above the final
-    incumbent too, so the survivors, in offering order, are those of
-    scoring every structure fully.  `count` is the number offered.
+    It reads the enclosure table `ps.table(bits)`, `lens`, with every
+    entry filled.  It keeps a running incumbent, `bound` = (num, den),
+    the smallest upper bound on a dilation seen so far (1/0 is no bound
+    yet), and `offer` drops a structure as soon as one pair's lower bound
+    exceeds it.  `survivors` filters the structures scanned in full once
+    more against the final incumbent.  A dropped structure lies
+    certifiably above the final incumbent too, so the survivors, in
+    offering order, are those of scoring every structure fully.  `count` is the number offered.
     """
 
     def __init__(self, ps, bits):
-        self.bits = bits = bits + ps.scale_bits()
+        self.bits = bits
         self.lens = ps.table(bits)
         for u, row in enumerate(self.lens):
             for v in range(u + 1, len(row)):
@@ -367,10 +366,10 @@ def exhaustive_mdst(ps: PointSet, bits: int = 64) -> SolverResult:
     """Certified minimum over all labeled trees; the slow, simple oracle.
 
     Every Prüfer sequence is decoded to an adjacency and goes through the
-    integer screen (`_RunningScreen`) at 32 bits plus the set's scale.
-    Only the trees it cannot certify worse become validated `Tree`s and
-    are separated exactly, so the answer, `trees_examined` and `pruned`
-    are those of scoring every tree fully.
+    integer screen (`_RunningScreen`) at 32 bits.  Only the trees it
+    cannot certify worse become validated `Tree`s and are separated
+    exactly, so the answer, `trees_examined` and `pruned` are those of
+    scoring every tree fully.
     """
     n = ps.n
     if n > _ENUM_MAX:
@@ -579,13 +578,13 @@ def min_dilation_structure(ps: PointSet, mode: Mode, bits: int = 64,
 
     Orderings, paths up to reversal and tours up to rotation and
     reflection, are built depth first in lexicographic order from integer
-    enclosures of the lengths at 32 bits plus `ps.scale_bits()`, so a set
-    is screened alike at every scale.  The incumbent starts at the best
-    feasible nearest-neighbour ordering and follows the screen below.  A
-    prefix is cut when some pair's lower path sum already exceeds the
-    incumbent's upper bound times the pair's upper |uv|: a placed pair
-    whose path the prefix fixes, or a placed u and an unplaced w, whose
-    path runs on through the prefix's end.  On a tour a pair takes the
+    enclosures of the lengths at 32 bits, which keep their precision
+    relative to each length, so a set is screened alike at every scale.
+    The incumbent starts at the best feasible nearest-neighbour ordering
+    and follows the screen below.  A prefix is cut when some pair's lower
+    path sum already exceeds the incumbent's upper bound times the pair's
+    upper |uv|: a placed pair whose path the prefix fixes, or a placed u
+    and an unplaced w, whose path runs on through the prefix's end.  On a tour a pair takes the
     shorter arc, so each bound is the smaller of its own and one through
     the tour's start.  A prefix is also cut once it fixes every neighbour
     of a vertex but not all of the vertex's required partners; a vertex

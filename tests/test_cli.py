@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -214,6 +215,19 @@ def test_mdst_size_guard(tmp_path):
     path = tmp_path / "many.json"
     dump_json({"points": [[i, i * i] for i in range(11)]}, path)
     assert cli("mdst", "--points", str(path)) == 2
+
+
+def test_mdst_cap_on_fifty_points(tmp_path, capsys):
+    # the tree search must reach the cap, not Python's recursion limit
+    rng = random.Random(50)
+    coords = set()
+    while len(coords) < 50:
+        coords.add((rng.randint(0, 10 ** 4), rng.randint(0, 10 ** 4)))
+    path = tmp_path / "fifty.json"
+    dump_json({"points": sorted(coords)}, path)
+    assert cli("mdst", "--points", str(path), "--max-points", "50",
+               "--cap", "20") == 2
+    assert "enumeration cap exceeded" in capsys.readouterr().err
 
 
 def test_mdst_path_mode(square, tmp_path):

@@ -2,7 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import partial
-from math import dist, isqrt
+from math import dist, gcd, isqrt, lcm
 
 import pytest
 
@@ -104,10 +104,16 @@ def test_root_sums_on_partial_forest(offset):
                     assert sums[v] == expect
 
 
+def common_denominator(ps):
+    return lcm(*(c.denominator for p in ps.points for c in (p.x, p.y)))
+
+
 def fraction_dist_ints(ps, i, j, bits):
-    """The Fraction kernel `dist_ints` replaced: `sqrt_interval` of the
-    squared distance, rescaled to 2^-(bits+8) by floor and ceil."""
-    enc = sqrt_interval(squared_distance(ps[i], ps[j]), bits)
+    """`sqrt_interval` of the squared numerator distance, |p_i p_j|^2 den^2
+    for the common denominator den, rescaled to 2^-(bits+8) by floor and
+    ceil: `dist_ints` in its unit 2^-(bits+8)/den."""
+    d2 = squared_distance(ps[i], ps[j]) * common_denominator(ps) ** 2
+    enc = sqrt_interval(d2, bits)
     lo, hi = enc.lo * (1 << (bits + 8)), enc.hi * (1 << (bits + 8))
     return lo.numerator // lo.denominator, -(-hi.numerator // hi.denominator)
 
@@ -115,7 +121,7 @@ def fraction_dist_ints(ps, i, j, bits):
 def kernel_sets(offset):
     # per common denominator: random points, a 3-4-5 and a 5-12-13 triple
     # (perfect-square distances), and a cluster spaced 1/den, whose
-    # distances are tiny for den = 2^70 and 10^9+7 (negative shift)
+    # distances are tiny for den = 2^70 and 10^9+7
     rng = random.Random(offset % 997 + 3)
     sets = []
     for den in (1, 3, 1 << 70, 10 ** 9 + 7):
@@ -147,8 +153,11 @@ def test_dist_ints_matches_fraction_kernel(offset):
             for bits in (1, 2, 8, 33, 64, 300):
                 lo, hi = ps.dist_ints(j, i, bits)
                 assert (lo, hi) == fraction_dist_ints(ps, i, j, bits)
-                scale = Fraction(1 << (bits + 8)) ** 2
-                assert lo * lo <= d2 * scale <= hi * hi
+                unit = ps.den << (bits + 8)
+                assert lo * lo <= d2 * unit ** 2 <= hi * hi
+                # `bits` of precision relative to |uv|, however tiny
+                assert (hi - lo) << (bits - 1) <= lo
+        assert ps.den == common_denominator(ps)
     assert tiny >= 3 and squares >= 3
 
 
@@ -177,36 +186,19 @@ def test_table_is_the_symmetric_dist_ints_matrix(offset):
                 assert enc == tab[i][j] == fraction_dist_ints(ps, i, j, bits)
 
 
-def test_scale_bits_lifts_the_smallest_distance_to_one():
-    tiny = Fraction(1, 1 << 100)
-    for offset in (0, 1 << 60):
-        for ps in kernel_sets(offset) + [
-                PointSet.from_coords([(0, 0), (1, 0), (5, 5)]),
-                PointSet.from_coords([(0, 0), (3 * tiny, 4 * tiny)])]:
-            m = min(ps.distance_sq(i, j)
-                    for i, j in itertools.combinations(range(ps.n), 2))
-            k = ps.scale_bits()
-            assert k >= 0 and 4 ** k * m >= 1
-            assert k == 0 or 4 ** (k - 1) * m < 1
-    assert PointSet.from_coords([(0, 0), (1, 0), (5, 5)]).scale_bits() == 0
-    assert PointSet.from_coords([(0, 0), (tiny, 0)]).scale_bits() == 100
-
-
 def test_solver_screen_reads_the_point_set_table():
     coords = [(0, 0), (1, 0), (3, 1), (5, 4), (1, 6)]
     ps = PointSet.from_coords(coords)
     screen = _RunningScreen(ps, 32)
     assert screen.bits == 32 and screen.lens is ps.table(32)
     assert all(e is not None for row in screen.lens for e in row)
-    # smallest distance 2^-100: the screen encloses at 100 more bits, on the
-    # grid of scale 1 relative to the set, and at least as tightly
+    # scaled by 2^-100, the set has the same numerators over a larger
+    # denominator, so the screen reads the same table at the same bits
     tiny = Fraction(1, 1 << 100)
     small = PointSet.from_coords([(x * tiny, y * tiny) for x, y in coords])
     screen = _RunningScreen(small, 32)
-    assert screen.bits == 132 and screen.lens is small.table(132)
-    for i, j in itertools.permutations(range(ps.n), 2):
-        (lo, hi), (lo1, hi1) = screen.lens[i][j], ps.table(32)[i][j]
-        assert 0 < lo1 <= lo <= hi <= hi1
+    assert screen.bits == 32 and screen.lens is small.table(32)
+    assert screen.lens == ps.table(32)
 
 
 @pytest.mark.parametrize("offset", [0, 1 << 60])
@@ -793,12 +785,15 @@ def tiny_triangle(exp):
 
 
 def test_tiny_scale_distances_stay_certified():
-    # |uv| = 5 * 2^-100 lies below the absolute grid of dist_ints, whose
-    # lower end is then 0; the ratio must come from a finer enclosure
+    # |uv| = 5 * 2^-100 is enclosed in the unit 2^-(bits+8) * 2^-100, so it
+    # keeps its relative precision, and so does its absolute path length
     ps, t = tiny_triangle(100)
     rep = tree_dilation(ps, t, 64)
     assert rep.witness == (0, 2) and rep.value.contains(Fraction(5, 3))
     assert not rep.tied
+    enc = tree_path_length(ps, t, 0, 2, 64)
+    assert enc.contains(Fraction(10, 1 << 100))
+    assert enc.width <= enc.lo / (1 << 60)
     # the best tree and path is t, and the tour is the whole triangle
     for mode, value in ((Mode.TREE, Fraction(5, 3)),
                         (Mode.PATH, Fraction(5, 3)), (Mode.TOUR, 1)):
@@ -806,22 +801,51 @@ def test_tiny_scale_distances_stay_certified():
         assert res.report.value.contains(value)
     assert mdst_exact(ps).best == t
     ps70, t70 = tiny_triangle(70)
-    try:
-        iv = pair_dilation(ps70, t70, 0, 2, 16)
-    except PrecisionExhausted:
-        pass
-    else:
-        assert iv.contains(Fraction(5, 3))
+    assert pair_dilation(ps70, t70, 0, 2, 16).contains(Fraction(5, 3))
 
 
 def test_graph_bounds_on_tiny_scale():
-    # the lower |02| is 0 on the 64-bit grid, so the pair is enclosed
-    # on finer grids, as _pair_ratios does
+    # the enclosures share one unit relative to the set's denominator, so
+    # a set scaled by 2^-100 is bounded as tightly as at scale 1
     for exp in (0, 100):
         ps, t = tiny_triangle(exp)
         iv = graph_dilation_bounds(ps, list(t.edges), 64)
         assert iv.contains(Fraction(5, 3))
         assert iv.hi - iv.lo < Fraction(1, 1 << 60)
+
+
+def scaled_outputs(coords, edges, scale, shift):
+    ps = PointSet.from_coords([(x * scale + shift, y * scale)
+                               for x, y in coords])
+    searches = []
+    for mode in Mode:
+        res = mdst_exact(ps, SolverOptions(mode=mode))
+        searches.append((res.best, res.report, res.trees_examined,
+                         res.pruned))
+    return (tree_dilation(ps, Tree(ps.n, edges), 64),
+            critical_edges(ps, 3, 2), searches)
+
+
+def test_outputs_are_scale_invariant():
+    # dilation is a ratio: scaling a set, and shifting it, must give the
+    # same reports, forced edges and searches, down to the enclosures and
+    # counts.  The coordinates have no common factor, so each scaled set
+    # keeps them as its numerators.
+    rng = random.Random(12)
+    sets = 0
+    while sets < 12:
+        n = rng.randint(4, 8)
+        coords = sorted({(rng.randint(0, 60), rng.randint(0, 60))
+                         for _ in range(n)})
+        if len(coords) < 4 or gcd(*itertools.chain(*coords)) != 1:
+            continue
+        sets += 1
+        edges = random_tree(rng, len(coords)).edges
+        base = scaled_outputs(coords, edges, 1, 0)
+        for scale, shift in ((Fraction(1, 1 << 100), 0),
+                             (Fraction(1, 3), 1 << 54),
+                             (Fraction(1, 10 ** 9 + 7), 0)):
+            assert scaled_outputs(coords, edges, scale, shift) == base
 
 
 def sqrt5_half_path():

@@ -206,6 +206,22 @@ def test_mdst_enumeration_cap():
         mdst_exact(ps, SolverOptions(enumeration_cap=0))
 
 
+def fifty_points():
+    rng = random.Random(50)
+    coords = set()
+    while len(coords) < 50:
+        coords.add((rng.randint(0, 10 ** 4), rng.randint(0, 10 ** 4)))
+    return sorted(coords)
+
+
+def test_tree_search_depth_stays_within_the_tree():
+    # 1,225 candidate edges: a search recursing once per excluded edge
+    # would pass Python's recursion limit before reaching the cap
+    ps = PointSet.from_coords(fifty_points())
+    with pytest.raises(SizeTooLarge, match="enumeration cap exceeded"):
+        mdst_exact(ps, SolverOptions(max_points=50, enumeration_cap=20))
+
+
 # mdst_exact tree-mode outputs recorded while tree mode still certified
 # every complete tree against a greedy start tree: coordinates, offset,
 # crossing_free, required edges, best tree, witness, precision, tie flag,
@@ -559,18 +575,15 @@ def test_order_search_pinned(pin):
 
 @pytest.mark.parametrize("mode", [Mode.PATH, Mode.TOUR])
 def test_order_search_invariant_under_tiny_scale(mode):
-    # the screen's precision follows the set's scale, so at 2^-100 the
-    # search cuts and screens out what it does at scale 1
+    # the screen's enclosures keep their precision relative to each
+    # length, so at 2^-100 the search cuts and screens out what it does at
+    # scale 1, and reports the same enclosure
     coords = random_distinct_points(random.Random(606), 6)
     tiny = Fraction(1, 1 << 100)
     results = [min_dilation_structure(PointSet.from_coords(
         [(x * scale, y * scale) for x, y in coords]), mode)
         for scale in (1, tiny)]
-    assert results[0].best == results[1].best
-    one, small = (res.report.value for res in results)
-    assert one.lo <= small.hi and small.lo <= one.hi
-    assert (results[1].trees_examined, results[1].pruned) == \
-        (results[0].trees_examined, results[0].pruned)
+    assert results[0] == results[1]
     assert results[1].pruned > 0
 
 
@@ -585,9 +598,10 @@ def grid_probe(seed, n):
 
 @pytest.mark.parametrize("mode", ["path", "tour", "exhaustive", "tree"])
 def test_screens_cut_at_tiny_scale(mode):
-    # on a 2^-40 grid every 2^-100-scale length had lower end 0, so the
-    # 8-point path search certified all 20,160 orderings (4 s); tree mode,
-    # which cut on the 64-bit grid, reached thousands of trees
+    # enclosed on an absolute grid of 2^-40, every 2^-100-scale length has
+    # lower end 0: the 8-point path search then certifies all 20,160
+    # orderings (4 s), and tree mode, cutting at 64 bits, reaches
+    # thousands of trees
     coords = grid_probe(108, 6 if mode == "exhaustive" else 8)
     results = []
     for scale in (1, Fraction(1, 1 << 100)):
