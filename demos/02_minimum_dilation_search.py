@@ -33,11 +33,14 @@ def main():
     res = mdst_exact(ps)
     show("minimum-dilation spanning tree", ps, res)
 
-    # The plain enumerator agrees; it just looks at every tree.
+    # The plain enumerator agrees; it just looks at every tree.  Two
+    # optima can differ in their edges, but their enclosures must overlap.
     ref = exhaustive_mdst(ps, bits=64)
-    assert sorted(ref.best.edges) == sorted(res.best.edges) or \
-        ref.report.value.hi >= res.report.value.lo
-    print(f"  exhaustive check examined {ref.trees_examined} trees, same optimum\n")
+    lo, hi = ref.report.value.lo, ref.report.value.hi
+    assert lo <= res.report.value.hi and res.report.value.lo <= hi
+    print(f"  exhaustive check examined {ref.trees_examined} trees; its "
+          f"optimum in [{float(lo):.9f}, {float(hi):.9f}] overlaps the "
+          f"one above\n")
 
     # Restricting the shape costs dilation.
     for mode in (Mode.PATH, Mode.TOUR):

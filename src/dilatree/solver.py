@@ -6,11 +6,16 @@ as its incumbent, and only the structures it cannot certify worse get a
 certified report; `_first_minimum` picks the answer, so ties keep the
 first structure offered.  `pruned` counts the cut search nodes plus the
 structures the screen certified worse, in every mode.
-Spanning-tree search runs branch-and-bound over edges sorted by length,
-including before excluding, so its first complete tree is the greedy
-shortest-first one; it cuts an include branch once a pair it connects
-lies above the incumbent.  An exhaustive enumeration over labeled trees
-(Prüfer sequences) serves as the independent oracle.  Hamiltonian paths
+Spanning trees are screened from one n x n table of integer (lo, hi)
+path sums per search.  `_join` links two components of a partial tree
+by an edge, writing the sums of every pair it connects, and refuses,
+writing nothing, once such a pair lies above the incumbent; a complete
+table is read by the screen row by row.  Spanning-tree search runs
+branch-and-bound over edges sorted by length, including before
+excluding, so its first complete tree is the greedy shortest-first one,
+and each include is one `_join`.  An exhaustive enumeration over labeled
+trees (Prüfer sequences, each decoded in an order that attaches one
+leaf at a time) serves as the independent oracle.  Hamiltonian paths
 and tours run a depth-first search over ordering prefixes that cuts a
 prefix once integer lower bounds put one of its pairs above the
 incumbent, or once it breaks a required edge, with path lengths from
@@ -23,7 +28,6 @@ without increasing its dilation, and a randomized search hunts for
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
 import math
 import random
@@ -31,9 +35,9 @@ from dataclasses import dataclass
 from functools import partial
 
 from .dilation import (DilationReport, PointSet, Tree, critical_edges,
-                       crossing_edge_pairs, root_sums, tree_dilation,
-                       tree_exact, tree_has_crossing, _critical_scan,
-                       _graph_adjacency, _max_dilation, _ratio_sign)
+                       crossing_edge_pairs, tree_dilation, tree_exact,
+                       tree_has_crossing, _critical_scan, _max_dilation,
+                       _ratio_sign)
 from .errors import (Infeasible, NotApplicable, NotCrossing, SizeTooLarge,
                      max_bits_cap)
 from .exactgeom import Orientation, orientation
@@ -72,21 +76,28 @@ class SolverResult:
 
 
 def _prufer_edges(n: int, seq):
+    """The tree of Prüfer sequence `seq`, as (leaf, anchor) edges in build
+    order: the edge left at the end of the decoding first, whose anchor
+    is n - 1, then the leaves in reverse order of removal, so every
+    anchor is already placed when its leaf joins.  A linear decode: `ptr`
+    scans up for the smallest leaf, and a vertex that turns into a leaf
+    below `ptr` is removed next."""
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
+    ptr = degree.index(1)
+    leaf = ptr
     edges = []
     for x in seq:
-        leaf = heapq.heappop(leaves)
         edges.append((leaf, x))
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr = degree.index(1, ptr + 1)
+            leaf = ptr
+    edges.append((leaf, n - 1))
+    edges.reverse()
     return edges
 
 
@@ -140,10 +151,12 @@ def _first_minimum(reports, cap):
 
 
 class _DSU:
+    """Union-find on a parent list, which it takes over."""
+
     __slots__ = ("parent",)
 
-    def __init__(self, n):
-        self.parent = list(range(n))
+    def __init__(self, parent):
+        self.parent = parent
 
     def find(self, x):
         p = self.parent
@@ -159,13 +172,36 @@ class _DSU:
         self.parent[ra] = rb
         return True
 
-    def copy(self):
-        d = _DSU(0)
-        d.parent = self.parent[:]
-        return d
 
-    def components(self):
-        return len({self.find(x) for x in range(len(self.parent))})
+def _join(pairs, lens, u, v, limit, side_u, side_v):
+    """Join two components of a partial tree by the edge uv in `pairs`,
+    an n x n table of integer (lo, hi) path sums with (0, 0) on its
+    diagonal.
+
+    `side_u` lists the component holding u and `side_v` the one holding
+    v, and `pairs` holds the path sums within each.  A pair x, y across
+    them gets the path x .. u - v .. y, whose sums are those of x-u, of
+    the edge's `lens` entry and of v-y.  When some new pair's lower sum
+    exceeds `limit` (`_RunningScreen.limit`; None is no limit) nothing is
+    written and False is returned; otherwise every new pair is written,
+    both ways round, and True is returned."""
+    elo, ehi = lens[u][v]
+    row_u, row_v = pairs[u], pairs[v]
+    if limit is not None:
+        for x in side_u:
+            xlo, lim = row_u[x][0] + elo, limit[x]
+            for y in side_v:
+                if xlo + row_v[y][0] > lim[y]:
+                    return False
+    for x in side_u:
+        xlo, xhi = row_u[x]
+        xlo += elo
+        xhi += ehi
+        row_x = pairs[x]
+        for y in side_v:
+            ylo, yhi = row_v[y]
+            row_x[y] = pairs[y][x] = xlo + ylo, xhi + yhi
+    return True
 
 
 def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverResult:
@@ -174,13 +210,18 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
     Tree mode runs depth-first branch-and-bound over edges sorted by
     length, so its first complete tree is the greedy one and sets the
     screen's incumbent: forced edges (those critical at that incumbent)
-    may never be excluded, and a branch dies as soon as some
-    already-connected pair certifiably exceeds the incumbent.  Path
-    and tour mode search orderings (see `min_dilation_structure`).  In
-    every mode, `max_points` bounds the input and `enumeration_cap` the
-    complete trees, or complete feasible orderings, that are examined,
-    and `pruned` counts the cut nodes plus the complete structures the
-    screen certified worse.
+    may never be excluded.  One pair-sum table is kept across the
+    search: each include `_join`s the two components it connects, and
+    the branch dies, with nothing written, as soon as a pair it connects
+    certifiably exceeds the incumbent.  A pair's entry is rewritten
+    whenever an include on the current path joins its ends, so a
+    complete tree goes to the screen straight from the table.  A node
+    whose forest the remaining candidates can no longer connect is cut
+    too.  Path and tour mode search orderings (see
+    `min_dilation_structure`).  In every mode, `max_points` bounds the
+    input and `enumeration_cap` the complete trees, or complete feasible
+    orderings, that are examined, and `pruned` counts the cut nodes plus
+    the complete structures the screen certified worse.
     """
     n = ps.n
     if n > opts.max_points:
@@ -188,13 +229,32 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
     if opts.mode is not Mode.TREE:
         return _order_search(ps, opts)
     cap = max_bits_cap()
+    screen = _RunningScreen(ps, 32)
+    pairs = [[(0, 0)] * n for _ in range(n)]
+
+    def join(comp, u, v, limit):
+        """`_join` the components of u and v, labelled by `comp` (each
+        vertex's label is a vertex of its component that labels itself,
+        so `comp` is also a flat DSU parent list).  Returns the labels
+        after the join, or None when `_join` refuses it."""
+        cu, cv = comp[u], comp[v]
+        side_v = [y for y in range(n) if comp[y] == cv]
+        if not _join(pairs, screen.lens, u, v, limit,
+                     [x for x in range(n) if comp[x] == cu], side_v):
+            return None
+        comp = comp[:]
+        for y in side_v:
+            comp[y] = cu
+        return comp
+
     required = sorted(tuple(sorted(e)) for e in opts.required_edges)
-    req_dsu = _DSU(n)
+    comp = list(range(n))
     for u, v in required:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"bad required edge ({u}, {v})")
-        if not req_dsu.union(u, v):
+        if comp[u] == comp[v]:
             raise ValueError("required_edges contain a cycle")
+        comp = join(comp, u, v, None)
     crossing = opts.crossing_free and crossing_edge_pairs(ps, required)
     if crossing:
         raise Infeasible("required edges {} and {} cross".format(*crossing[0]))
@@ -202,67 +262,48 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
     cands = sorted((e for e in itertools.combinations(range(n), 2)
                     if e not in set(required)),
                    key=lambda e: (ps.distance_sq(*e), e))
-    adj = [set() for _ in range(n)]
-    for u, v in required:
-        adj[u].add(v)
-        adj[v].add(u)
-    screen = _RunningScreen(ps, 32)
-    bits, lens = screen.bits, screen.lens
     forced = frozenset()
     cuts = 0
 
-    def exceeds(u, v):
-        """Whether including edge uv puts a pair x, y across the components
-        of u and v, joined by the path x .. u - v .. y, above the limit."""
-        limit = screen.limit()
-        if limit is None:
-            return False
-        comp_v = [(y, s[0] + lens[u][v][0])
-                  for y, s in enumerate(root_sums(ps, adj, v, bits))
-                  if s is not None]
-        return any(xs[0] + ylo > lim[y]
-                   for xs, lim in zip(root_sums(ps, adj, u, bits), limit)
-                   if xs is not None for y, ylo in comp_v)
-
-    def dfs(idx, dsu, chosen):
-        """Search the completions of `chosen` from candidate `idx` on.  Each
-        include recurses and each exclude moves on in the loop, so the
-        depth is at most the n - 1 edges of a tree."""
+    def dfs(idx, comp, chosen):
+        """Search the completions of `chosen`, labelled by `comp`, from
+        candidate `idx` on.  Each include recurses and each exclude moves
+        on in the loop, so the depth is at most the n - 1 edges of a
+        tree."""
         nonlocal forced, cuts
         if len(chosen) == n - 1:
             if opts.enumeration_cap is not None and \
                     screen.count >= opts.enumeration_cap:
                 raise SizeTooLarge("enumeration cap exceeded")
-            screen.offer(tuple(chosen), partial(root_sums, ps, adj))
+            screen.offer(tuple(chosen), lambda u, bits: pairs[u])
             if screen.count == 1:
                 # required edges are no candidates, so only these can be
                 # forced: every tree within the incumbent holds them
                 forced = critical_edges(ps, *screen.bound, cap=cap)
             return
+        # completion stays possible while idx <= last, the largest j
+        # whose cands[j:] connect the forest; they join from the end
+        probe, left, last = _DSU(comp[:]), n - len(chosen), idx - 1
+        for j in range(len(cands) - 1, idx - 1, -1):
+            left -= probe.union(*cands[j])
+            if left == 1:
+                last = j
+                break
         for idx in range(idx, len(cands)):
-            # is completion still possible at all?
-            probe = dsu.copy()
-            for e in cands[idx:]:
-                probe.union(*e)
-            if probe.components() > 1:
+            if idx > last:
                 cuts += 1
                 return
             e = cands[idx]
             u, v = e
             # include branch
-            if dsu.find(u) != dsu.find(v) and not (
+            if comp[u] != comp[v] and not (
                     opts.crossing_free and
                     any(ps.edges_cross(e, c) for c in chosen)):
-                if not exceeds(u, v):
-                    nd = dsu.copy()
-                    nd.union(u, v)
-                    adj[u].add(v)
-                    adj[v].add(u)
+                nc = join(comp, u, v, screen.limit())
+                if nc is not None:
                     chosen.append(e)
-                    dfs(idx + 1, nd, chosen)
+                    dfs(idx + 1, nc, chosen)
                     chosen.pop()
-                    adj[u].discard(v)
-                    adj[v].discard(u)
                 else:
                     cuts += 1
             # exclude branch
@@ -270,7 +311,7 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
                 cuts += 1
                 return
 
-    dfs(0, req_dsu, list(required))
+    dfs(0, comp, list(required))
     candidates = screen.survivors()
     if not candidates:
         raise Infeasible("no spanning tree satisfies the constraints")
@@ -286,11 +327,16 @@ class _RunningScreen:
     It reads the enclosure table `ps.table(bits)`, `lens`, with every
     entry filled.  It keeps a running incumbent, `bound` = (num, den),
     the smallest upper bound on a dilation seen so far (1/0 is no bound
-    yet), and `offer` drops a structure as soon as one pair's lower bound
-    exceeds it.  `survivors` filters the structures scanned in full once
-    more against the final incumbent.  A dropped structure lies
-    certifiably above the final incumbent too, so the survivors, in
-    offering order, are those of scoring every structure fully.  `count` is the number offered.
+    yet).  `offer` takes a structure's table of integer (lo, hi) path
+    sums, row by row, and drops the structure as soon as one pair's lower
+    sum exceeds the incumbent.  Tree searches build that table pair by
+    pair with `_join`, which checks each new pair against `limit` and so
+    drops a tree before it is complete; `reject` counts such a tree.
+    `survivors` filters the structures scanned in full once more against
+    the final incumbent.  A dropped structure lies certifiably above the
+    final incumbent too, so the survivors, in offering order, are those
+    of scoring every structure fully.  `count` is the number of
+    structures offered or rejected.
     """
 
     def __init__(self, ps, bits):
@@ -312,14 +358,18 @@ class _RunningScreen:
         if lower is not None:
             self._scored.append((*lower, key))
 
+    def reject(self):
+        """Count a structure dropped against `limit` before its offer."""
+        self.count += 1
+
     def tighten(self, sums):
         """Screen a structure and lower the incumbent to its upper bound
         if that is smaller, without making it a survivor.
 
         `sums(u, bits)` encloses the path lengths from u to every vertex,
-        as `root_sums` does for a tree.  Returns the structure's integer
-        lower bound (num, den) on its dilation, or None as soon as one
-        pair's lower bound exceeds the incumbent."""
+        a row of a pair-sum table.  Returns the structure's integer lower
+        bound (num, den) on its dilation, or None as soon as one pair's
+        lower bound exceeds the incumbent."""
         b_n, b_d = self.bound
         lo_n = lo_d = hi_n = hi_d = None
         n = len(self.lens)
@@ -355,6 +405,27 @@ class _RunningScreen:
                 if lo_n * b_d <= b_n * lo_d]
 
 
+def _screen_every_tree(ps, screen):
+    """Offer all n^(n-2) labeled trees to `screen`, in Prüfer order.
+
+    Each tree is built in one pair-sum table, reused from tree to tree,
+    a leaf at a time in `_prufer_edges`' build order; a tree is
+    `reject`ed as soon as a leaf's join exceeds the incumbent."""
+    n = ps.n
+    pairs = [[(0, 0)] * n for _ in range(n)]
+    for seq in itertools.product(range(n), repeat=n - 2):
+        edges = _prufer_edges(n, seq)
+        limit, placed = screen.limit(), [n - 1]
+        for leaf, anchor in edges:
+            if not _join(pairs, screen.lens, anchor, leaf, limit, placed,
+                         (leaf,)):
+                screen.reject()
+                break
+            placed.append(leaf)
+        else:
+            screen.offer(edges, lambda u, bits: pairs[u])
+
+
 def _certify_tree(ps, bits, cap, edges):
     """(tree, certified report, exact pair metric) of the tree on `edges`,
     as `_first_minimum` reads them."""
@@ -365,20 +436,20 @@ def _certify_tree(ps, bits, cap, edges):
 def exhaustive_mdst(ps: PointSet, bits: int = 64) -> SolverResult:
     """Certified minimum over all labeled trees; the slow, simple oracle.
 
-    Every Prüfer sequence is decoded to an adjacency and goes through the
-    integer screen (`_RunningScreen`) at 32 bits.  Only the trees it
-    cannot certify worse become validated `Tree`s and are separated
-    exactly, so the answer, `trees_examined` and `pruned` are those of
-    scoring every tree fully.
+    Every Prüfer sequence is decoded in build order and its tree joined,
+    a leaf at a time, in a table of integer path sums at 32 bits, which
+    goes through the integer screen (`_RunningScreen`); a tree is dropped
+    once a pair exceeds the incumbent.  Only the trees the screen cannot
+    certify worse become validated `Tree`s and are separated exactly, so
+    the answer, `trees_examined` and `pruned` are those of scoring every
+    tree fully.
     """
     n = ps.n
     if n > _ENUM_MAX:
         raise SizeTooLarge(f"exhaustive oracle capped at {_ENUM_MAX} points")
     cap = max_bits_cap()
     screen = _RunningScreen(ps, 32)
-    for seq in itertools.product(range(n), repeat=n - 2):
-        edges = _prufer_edges(n, seq)
-        screen.offer(edges, partial(root_sums, ps, _graph_adjacency(n, edges)))
+    _screen_every_tree(ps, screen)
     candidates, count = screen.survivors(), screen.count
     best, report, _ = _first_minimum(
         map(partial(_certify_tree, ps, bits, cap), candidates), cap)
@@ -708,8 +779,7 @@ def verify_crossing_witness(ps: PointSet, bits: int = 96) -> WitnessCheck | None
         raise ValueError("witness verification is defined for five points")
     cap = max_bits_cap()
     screen = _RunningScreen(ps, 48)
-    for tree in _FIVE_TREES:
-        screen.offer(tree.edges, partial(root_sums, ps, tree.adjacency()))
+    _screen_every_tree(ps, screen)
     certified = [_certify_tree(ps, bits, cap, edges)
                  for edges in screen.survivors()]
     best_tree, best_rep, best_exact = _first_minimum(certified, cap)

@@ -1,5 +1,6 @@
 """Tree/path/tour search, uncrossing exchange, and witness hunt."""
 
+import heapq
 import itertools
 import os
 import pathlib
@@ -21,7 +22,7 @@ from dilatree.solver import (Mode, SolverOptions, SolverResult,
                              exhaustive_mdst, mdst_exact,
                              min_dilation_structure, uncross_four,
                              verify_crossing_witness, witness_search_five,
-                             _compare_reports, _order_metric)
+                             _compare_reports, _order_metric, _prufer_edges)
 from dilatree.radical import SqrtSum
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -51,6 +52,36 @@ def test_tree_counts_match_cayley():
 def test_enumerated_trees_distinct():
     seen = set(t.edges for t in enumerate_spanning_trees(5))
     assert len(seen) == 125
+
+
+def heap_prufer_edges(n, seq):
+    """The edge set of Prüfer sequence `seq`, removing the smallest leaf
+    from a heap at each step."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = set()
+    for x in seq:
+        edges.add(tuple(sorted((heapq.heappop(leaves), x))))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.add(tuple(sorted(leaves)))
+    return edges
+
+
+def test_prufer_decode_attaches_one_leaf_at_a_time():
+    for n in range(2, 8):
+        for seq in itertools.product(range(n), repeat=n - 2):
+            edges = _prufer_edges(n, seq)
+            placed = set(edges[0])
+            for leaf, anchor in edges[1:]:
+                assert anchor in placed and leaf not in placed
+                placed.add(leaf)
+            assert {tuple(sorted(e)) for e in edges} == \
+                heap_prufer_edges(n, seq)
 
 
 def test_enumeration_guard():
@@ -225,7 +256,8 @@ def test_tree_search_depth_stays_within_the_tree():
 # mdst_exact tree-mode outputs recorded while tree mode still certified
 # every complete tree against a greedy start tree: coordinates, offset,
 # crossing_free, required edges, best tree, witness, precision, tie flag,
-# trees examined and the enclosure as (lo numerator, lo exponent,
+# trees examined, pruned (recorded before tree mode built its trees in a
+# pair-sum table) and the enclosure as (lo numerator, lo exponent,
 # hi numerator, hi exponent)
 RANDOM7A = [(20, 0), (16, 9), (12, 16), (5, 12), (3, 12), (1, 23), (29, 8)]
 RANDOM7B = [(4, 11), (22, 23), (19, 8), (21, 14), (24, 9), (1, 14), (29, 0)]
@@ -236,28 +268,32 @@ RANDOM8B = [(9, 31), (18, 11), (10, 16), (10, 2), (27, 30), (6, 12), (19, 8),
 TREE_PINS = [
     (RANDOM7A, off, False, (),
      ((0, 1), (0, 6), (1, 2), (2, 3), (3, 4), (4, 5)), (1, 6), 68, False, 2,
-     (7928480525044482256395, 72, 495530032815280141025, 68))
+     48, (7928480525044482256395, 72, 495530032815280141025, 68))
     for off in (0, 1 << 54)] + [
     (RANDOM7B, off, False, (),
      ((0, 4), (0, 5), (1, 3), (2, 4), (3, 4), (4, 6)), (2, 3), 68, False, 2,
-     (2040275087481692786735, 70, 8161100349926771146945, 72))
+     14, (2040275087481692786735, 70, 8161100349926771146945, 72))
     for off in (0, 1 << 54)] + [
     (RANDOM8A, off, False, (),
      ((0, 5), (1, 5), (2, 4), (2, 7), (3, 6), (4, 6), (5, 6)), (6, 7), 68,
-     False, 3, (9735315524909993100705, 72, 4867657762454996550355, 71))
+     False, 3, 692,
+     (9735315524909993100705, 72, 4867657762454996550355, 71))
     for off in (0, 1 << 54)] + [
     (RANDOM8B, off, False, (),
      ((0, 7), (1, 3), (1, 5), (1, 6), (2, 4), (2, 5), (2, 7)), (3, 5), 68,
-     False, 59, (2639883117590780709625, 70, 5279766235181561419253, 71))
+     False, 59, 2044,
+     (2639883117590780709625, 70, 5279766235181561419253, 71))
     for off in (0, 1 << 54)] + [
     ([(31, 29), (5, 8), (24, 2), (3, 13), (12, 11), (19, 5), (3, 26),
       (9, 22)], 0, True, (),
      ((0, 4), (1, 3), (2, 5), (3, 4), (3, 7), (4, 5), (6, 7)), (0, 7), 68,
-     False, 8, (2362979044327791911161, 70, 4725958088655583822325, 71)),
+     False, 8, 169,
+     (2362979044327791911161, 70, 4725958088655583822325, 71)),
     ([(18, 2), (31, 0), (20, 12), (29, 31), (23, 9), (16, 29), (25, 21),
       (14, 8)], 0, False, ((0, 7),),
      ((0, 7), (1, 4), (2, 4), (2, 6), (3, 6), (4, 7), (5, 6)), (0, 1), 68,
-     False, 8, (5081794392098254198615, 71, 2540897196049127099309, 70)),
+     False, 8, 1193,
+     (5081794392098254198615, 71, 2540897196049127099309, 70)),
 ]
 
 
@@ -266,7 +302,7 @@ TREE_PINS = [
     "crossing_free", "required"])
 def test_mdst_tree_mode_pinned(pin):
     (coords, off, crossing_free, required, edges, witness, precision, tied,
-     examined, value) = pin
+     examined, pruned, value) = pin
     ps = PointSet.from_coords([(x + off, y + off) for x, y in coords])
     res = mdst_exact(ps, SolverOptions(crossing_free=crossing_free,
                                        required_edges=frozenset(required)))
@@ -274,10 +310,21 @@ def test_mdst_tree_mode_pinned(pin):
     assert res.report.witness == witness
     assert res.report.precision_used == precision
     assert res.report.tied is tied
-    assert res.trees_examined == examined
+    assert (res.trees_examined, res.pruned) == (examined, pruned)
     lo_num, lo_exp, hi_num, hi_exp = value
     assert res.report.value.lo == Fraction(lo_num, 1 << lo_exp)
     assert res.report.value.hi == Fraction(hi_num, 1 << hi_exp)
+
+
+@pytest.mark.parametrize("coords", [RANDOM8A, RANDOM8B], ids=["8a", "8b"])
+def test_mdst_matches_oracle_on_eight_points(coords):
+    cap = max_bits_cap()
+    for off in (0, 1 << 54):
+        ps = PointSet.from_coords([(x + off, y + off) for x, y in coords])
+        res, oracle = mdst_exact(ps), exhaustive_mdst(ps)
+        assert oracle.trees_examined == 8 ** 6
+        assert _compare_reports(ps, res.best, res.report,
+                                oracle.best, oracle.report, cap) == 0
 
 
 def test_crossing_free_grid_search_is_fast():
