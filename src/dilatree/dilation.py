@@ -628,16 +628,20 @@ def graph_exceeds(ps: PointSet, edges, p_num: int, q_den: int, pairs) -> bool:
 
     Such a tree joins u and v by a path of the graph, so its u-v length is
     at least the graph's shortest-path sum of lower endpoints.  True means
-    that sum exceeds (P/Q)|uv| for some pair of `pairs`; False only means
-    "not shown".  One Dijkstra runs per distinct first vertex, at 64 bits.
+    that sum exceeds (P/Q)|uv| for some pair of `pairs`, or that a
+    Dijkstra left a vertex unreached: a disconnected graph holds no
+    spanning tree, so every tree inside it is above P/Q vacuously.  False
+    only means "not shown".  One Dijkstra runs per distinct first vertex,
+    at 64 bits.
     """
     adj = _graph_adjacency(ps.n, edges)
     sums = {}
     for u, v in pairs:
         if u not in sums:
             sums[u] = _shortest_sums(ps, adj, u, 64, 0)
-        d = sums[u][v]
-        if d is not None and q_den * d > p_num * ps.dist_ints(u, v, 64)[1]:
+            if None in sums[u]:
+                return True
+        if q_den * sums[u][v] > p_num * ps.dist_ints(u, v, 64)[1]:
             return True
     return False
 

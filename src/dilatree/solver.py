@@ -12,8 +12,11 @@ by an edge, writing the sums of every pair it connects, and refuses,
 writing nothing, once such a pair lies above the incumbent; a complete
 table is read by the screen row by row.  Spanning-tree search runs
 branch-and-bound over edges sorted by length, including before
-excluding, so its first complete tree is the greedy shortest-first one,
-and each include is one `_join`.  An exhaustive enumeration over labeled
+excluding, so its first complete tree is the greedy shortest-first one.
+It has two cuts: each include is one `_join`, which dies against the
+incumbent, and each exclude asks `graph_exceeds` whether every spanning
+tree of the chosen and remaining edges is certifiably above it, or
+whether they no longer connect.  An exhaustive enumeration over labeled
 trees (Prüfer sequences, each decoded in an order that attaches one
 leaf at a time) serves as the independent oracle.  Hamiltonian paths
 and tours run a depth-first search over ordering prefixes that cuts a
@@ -34,8 +37,8 @@ import random
 from dataclasses import dataclass
 from functools import partial
 
-from .dilation import (DilationReport, PointSet, Tree, critical_edges,
-                       crossing_edge_pairs, tree_dilation, tree_exact,
+from .dilation import (DilationReport, PointSet, Tree, crossing_edge_pairs,
+                       graph_exceeds, tree_dilation, tree_exact,
                        tree_has_crossing, _critical_scan, _max_dilation,
                        _ratio_sign)
 from .errors import (Infeasible, NotApplicable, NotCrossing, SizeTooLarge,
@@ -150,29 +153,6 @@ def _first_minimum(reports, cap):
 # branch-and-bound spanning tree search
 
 
-class _DSU:
-    """Union-find on a parent list, which it takes over."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, parent):
-        self.parent = parent
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 def _join(pairs, lens, u, v, limit, side_u, side_v):
     """Join two components of a partial tree by the edge uv in `pairs`,
     an n x n table of integer (lo, hi) path sums with (0, 0) on its
@@ -209,17 +189,19 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
 
     Tree mode runs depth-first branch-and-bound over edges sorted by
     length, so its first complete tree is the greedy one and sets the
-    screen's incumbent: forced edges (those critical at that incumbent)
-    may never be excluded.  One pair-sum table is kept across the
-    search: each include `_join`s the two components it connects, and
-    the branch dies, with nothing written, as soon as a pair it connects
-    certifiably exceeds the incumbent.  A pair's entry is rewritten
-    whenever an include on the current path joins its ends, so a
-    complete tree goes to the screen straight from the table.  A node
-    whose forest the remaining candidates can no longer connect is cut
-    too.  Path and tour mode search orderings (see
-    `min_dilation_structure`).  In every mode, `max_points` bounds the
-    input and `enumeration_cap` the complete trees, or complete feasible
+    screen's incumbent.  It has two cuts.  One pair-sum table is kept
+    across the search: each include `_join`s the two components it
+    connects, and the branch dies, with nothing written, as soon as a
+    pair it connects certifiably exceeds the incumbent.  A pair's entry
+    is rewritten whenever an include on the current path joins its ends,
+    so a complete tree goes to the screen straight from the table.  After
+    each exclude of an edge uv, every completion is a spanning tree of G,
+    the chosen edges plus the later candidates, and the node is cut when
+    `graph_exceeds` shows, by one Dijkstra over G from u, that G is
+    disconnected or that some u-t shortest path in G already exceeds the
+    current incumbent times |ut|.  Path and tour mode search orderings
+    (see `_order_search`).  In every mode, `max_points` bounds the input
+    and `enumeration_cap` the complete trees, or complete feasible
     orderings, that are examined, and `pruned` counts the cut nodes plus
     the complete structures the screen certified worse.
     """
@@ -234,8 +216,7 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
 
     def join(comp, u, v, limit):
         """`_join` the components of u and v, labelled by `comp` (each
-        vertex's label is a vertex of its component that labels itself,
-        so `comp` is also a flat DSU parent list).  Returns the labels
+        vertex's label is a vertex of its component).  Returns the labels
         after the join, or None when `_join` refuses it."""
         cu, cv = comp[u], comp[v]
         side_v = [y for y in range(n) if comp[y] == cv]
@@ -247,7 +228,7 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
             comp[y] = cu
         return comp
 
-    required = sorted(tuple(sorted(e)) for e in opts.required_edges)
+    required = sorted({tuple(sorted(e)) for e in opts.required_edges})
     comp = list(range(n))
     for u, v in required:
         if not (0 <= u < n and 0 <= v < n) or u == v:
@@ -262,7 +243,6 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
     cands = sorted((e for e in itertools.combinations(range(n), 2)
                     if e not in set(required)),
                    key=lambda e: (ps.distance_sq(*e), e))
-    forced = frozenset()
     cuts = 0
 
     def dfs(idx, comp, chosen):
@@ -270,29 +250,14 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
         candidate `idx` on.  Each include recurses and each exclude moves
         on in the loop, so the depth is at most the n - 1 edges of a
         tree."""
-        nonlocal forced, cuts
+        nonlocal cuts
         if len(chosen) == n - 1:
             if opts.enumeration_cap is not None and \
                     screen.count >= opts.enumeration_cap:
                 raise SizeTooLarge("enumeration cap exceeded")
             screen.offer(tuple(chosen), lambda u, bits: pairs[u])
-            if screen.count == 1:
-                # required edges are no candidates, so only these can be
-                # forced: every tree within the incumbent holds them
-                forced = critical_edges(ps, *screen.bound, cap=cap)
             return
-        # completion stays possible while idx <= last, the largest j
-        # whose cands[j:] connect the forest; they join from the end
-        probe, left, last = _DSU(comp[:]), n - len(chosen), idx - 1
-        for j in range(len(cands) - 1, idx - 1, -1):
-            left -= probe.union(*cands[j])
-            if left == 1:
-                last = j
-                break
         for idx in range(idx, len(cands)):
-            if idx > last:
-                cuts += 1
-                return
             e = cands[idx]
             u, v = e
             # include branch
@@ -306,8 +271,11 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
                     chosen.pop()
                 else:
                     cuts += 1
-            # exclude branch
-            if e in forced:
+            # exclude branch: every completion is a spanning tree of the
+            # chosen and later edges; before the first leaf the bound is
+            # 1/0, under which no pair exceeds, so only a disconnection cuts
+            if graph_exceeds(ps, chosen + cands[idx + 1:], *screen.bound,
+                             [(u, t) for t in range(n) if t != u]):
                 cuts += 1
                 return
 
@@ -519,6 +487,33 @@ def _order_metric(ps, order, closed, cap):
 
 
 def _order_search(ps, opts):
+    """Certified minimum-dilation Hamiltonian path (a `Tree`) or tour (its
+    sorted edge tuple).
+
+    Orderings, paths up to reversal and tours up to rotation and
+    reflection, are built depth first in lexicographic order from integer
+    enclosures of the lengths at 32 bits, which keep their precision
+    relative to each length, so a set is screened alike at every scale.
+    The incumbent starts at the best feasible nearest-neighbour ordering
+    and follows the screen below.  A prefix is cut when some pair's lower
+    path sum already exceeds the incumbent's upper bound times the pair's
+    upper |uv|: a placed pair whose path the prefix fixes, or a placed u
+    and an unplaced w, whose path runs on through the prefix's end.  On a
+    tour a pair takes the shorter arc, so each bound is the smaller of its
+    own and one through the tour's start.  A prefix is also cut once it
+    fixes every neighbour of a vertex but not all of the vertex's required
+    partners; a vertex with more than two required edges is `Infeasible`
+    at once.  A cut ordering is infeasible or certifiably worse than a
+    feasible one, so every exact optimum is reached.  Complete orderings
+    that meet the constraints go through the integer screen that
+    `exhaustive_mdst` uses.  Only the orderings the screen cannot certify
+    worse get a certified report, from the same certified max over pairs
+    as `tree_dilation`: tied pairs name the lexicographically smallest
+    vertex pair, for tours as for trees.  Ties between orderings keep the
+    lexicographically first.  `trees_examined` counts the complete
+    feasible orderings that reach the screen, and `pruned` the cut
+    prefixes plus the orderings the screen certified worse.
+    """
     n = ps.n
     if n > _STRUCT_MAX:
         raise SizeTooLarge(f"path/tour search capped at {_STRUCT_MAX} points")
@@ -639,43 +634,6 @@ def _order_search(ps, opts):
     return SolverResult(best=tuple(sorted(edges)) if closed else Tree(n, edges),
                         report=report, trees_examined=screen.count,
                         pruned=cuts + screen.count - len(candidates))
-
-
-def min_dilation_structure(ps: PointSet, mode: Mode, bits: int = 64,
-                           *, _required=frozenset(),
-                           _crossing_free=False) -> SolverResult:
-    """Certified minimum-dilation Hamiltonian path (a `Tree`) or tour (its
-    sorted edge tuple).
-
-    Orderings, paths up to reversal and tours up to rotation and
-    reflection, are built depth first in lexicographic order from integer
-    enclosures of the lengths at 32 bits, which keep their precision
-    relative to each length, so a set is screened alike at every scale.
-    The incumbent starts at the best feasible nearest-neighbour ordering
-    and follows the screen below.  A prefix is cut when some pair's lower
-    path sum already exceeds the incumbent's upper bound times the pair's
-    upper |uv|: a placed pair whose path the prefix fixes, or a placed u
-    and an unplaced w, whose path runs on through the prefix's end.  On a tour a pair takes the
-    shorter arc, so each bound is the smaller of its own and one through
-    the tour's start.  A prefix is also cut once it fixes every neighbour
-    of a vertex but not all of the vertex's required partners; a vertex
-    with more than two required edges is `Infeasible` at once.  A cut
-    ordering is infeasible or certifiably worse than a feasible one, so
-    every exact optimum is reached.  Complete orderings
-    that meet the constraints go through the integer screen that
-    `exhaustive_mdst` uses.  Only the orderings the screen cannot certify
-    worse get a certified report, from the same certified max over pairs
-    as `tree_dilation`: tied pairs name the lexicographically smallest
-    vertex pair, for tours as for trees.  Ties between orderings keep the
-    lexicographically first.  `trees_examined` counts the complete
-    feasible orderings that reach the screen, and `pruned` the cut
-    prefixes plus the orderings the screen certified worse.
-    """
-    if mode is Mode.TREE:
-        raise ValueError("use mdst_exact for tree mode")
-    return _order_search(ps, SolverOptions(
-        mode=mode, crossing_free=_crossing_free,
-        required_edges=frozenset(_required), bits=bits))
 
 
 # ---------------------------------------------------------------------------

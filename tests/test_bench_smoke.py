@@ -52,6 +52,5 @@ def test_traced_short_run_counts_dist_ints(workload):
     assert "dilation.dist_ints.calls" in metrics
     if workload == "search":
         for name in ("solver.candidates_examined",
-                     "dilation.critical_edges.calls",
                      "dilation.tree_dilation.calls"):
             assert metrics[name]["value"] > 0, name

@@ -596,6 +596,17 @@ def test_graph_exceeds_rejects_every_tree_inside(offset):
     assert certified >= 4
 
 
+def test_graph_exceeds_on_a_disconnected_graph():
+    # no spanning tree lies inside, so every one is above any threshold,
+    # even 1/0, under which no pair exceeds
+    ps = PointSet.from_coords([(0, 0), (1, 0), (5, 5), (6, 5)])
+    edges = [(0, 1), (2, 3)]
+    assert graph_exceeds(ps, edges, 1000, 1, [(0, 1)])
+    assert graph_exceeds(ps, edges, 1, 0, [(2, 3)])
+    assert not graph_exceeds(ps, edges + [(1, 2)], 1000, 1, [(0, 1), (2, 3)])
+    assert not graph_exceeds(ps, edges + [(1, 2)], 1, 0, [(0, 3)])
+
+
 def _apply(ps, f):
     return PointSet([f(p) for p in ps.points])
 

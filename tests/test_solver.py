@@ -19,8 +19,7 @@ from dilatree.errors import (Infeasible, NotApplicable, NotCrossing,
                              SizeTooLarge, max_bits_cap)
 from dilatree.solver import (Mode, SolverOptions, SolverResult,
                              critical_path_structure, enumerate_spanning_trees,
-                             exhaustive_mdst, mdst_exact,
-                             min_dilation_structure, uncross_four,
+                             exhaustive_mdst, mdst_exact, uncross_four,
                              verify_crossing_witness, witness_search_five,
                              _compare_reports, _order_metric, _prufer_edges)
 from dilatree.radical import SqrtSum
@@ -256,8 +255,8 @@ def test_tree_search_depth_stays_within_the_tree():
 # mdst_exact tree-mode outputs recorded while tree mode still certified
 # every complete tree against a greedy start tree: coordinates, offset,
 # crossing_free, required edges, best tree, witness, precision, tie flag,
-# trees examined, pruned (recorded before tree mode built its trees in a
-# pair-sum table) and the enclosure as (lo numerator, lo exponent,
+# trees examined, pruned (re-recorded when excludes began to cut on
+# `graph_exceeds`) and the enclosure as (lo numerator, lo exponent,
 # hi numerator, hi exponent)
 RANDOM7A = [(20, 0), (16, 9), (12, 16), (5, 12), (3, 12), (1, 23), (29, 8)]
 RANDOM7B = [(4, 11), (22, 23), (19, 8), (21, 14), (24, 9), (1, 14), (29, 0)]
@@ -268,31 +267,31 @@ RANDOM8B = [(9, 31), (18, 11), (10, 16), (10, 2), (27, 30), (6, 12), (19, 8),
 TREE_PINS = [
     (RANDOM7A, off, False, (),
      ((0, 1), (0, 6), (1, 2), (2, 3), (3, 4), (4, 5)), (1, 6), 68, False, 2,
-     48, (7928480525044482256395, 72, 495530032815280141025, 68))
+     9, (7928480525044482256395, 72, 495530032815280141025, 68))
     for off in (0, 1 << 54)] + [
     (RANDOM7B, off, False, (),
      ((0, 4), (0, 5), (1, 3), (2, 4), (3, 4), (4, 6)), (2, 3), 68, False, 2,
-     14, (2040275087481692786735, 70, 8161100349926771146945, 72))
+     10, (2040275087481692786735, 70, 8161100349926771146945, 72))
     for off in (0, 1 << 54)] + [
     (RANDOM8A, off, False, (),
      ((0, 5), (1, 5), (2, 4), (2, 7), (3, 6), (4, 6), (5, 6)), (6, 7), 68,
-     False, 3, 692,
+     False, 3, 27,
      (9735315524909993100705, 72, 4867657762454996550355, 71))
     for off in (0, 1 << 54)] + [
     (RANDOM8B, off, False, (),
      ((0, 7), (1, 3), (1, 5), (1, 6), (2, 4), (2, 5), (2, 7)), (3, 5), 68,
-     False, 59, 2044,
+     False, 59, 218,
      (2639883117590780709625, 70, 5279766235181561419253, 71))
     for off in (0, 1 << 54)] + [
     ([(31, 29), (5, 8), (24, 2), (3, 13), (12, 11), (19, 5), (3, 26),
       (9, 22)], 0, True, (),
      ((0, 4), (1, 3), (2, 5), (3, 4), (3, 7), (4, 5), (6, 7)), (0, 7), 68,
-     False, 8, 169,
+     False, 8, 31,
      (2362979044327791911161, 70, 4725958088655583822325, 71)),
     ([(18, 2), (31, 0), (20, 12), (29, 31), (23, 9), (16, 29), (25, 21),
       (14, 8)], 0, False, ((0, 7),),
      ((0, 7), (1, 4), (2, 4), (2, 6), (3, 6), (4, 7), (5, 6)), (0, 1), 68,
-     False, 8, 1193,
+     False, 8, 55,
      (5081794392098254198615, 71, 2540897196049127099309, 70)),
 ]
 
@@ -345,8 +344,66 @@ def test_crossing_free_grid_search_is_fast():
     assert res.report.value.hi == Fraction(
         293126099175729477093869106594732745129496254462691417168912099531215747630924128147,
         1 << 276)
-    assert (res.trees_examined, res.pruned) == (126, 41203)
+    assert (res.trees_examined, res.pruned) == (126, 3763)
     assert elapsed < 5.0, elapsed
+
+
+def test_ten_point_tree_search_is_fast():
+    # the exclude cut: a completion probe plus one-stop forced edges took
+    # 23 s here, with 4,173,271 nodes pruned
+    ps = PointSet.from_coords([(24, 26), (15, 27), (26, 10), (30, 27),
+                               (17, 16), (4, 25), (26, 21), (20, 7), (2, 18),
+                               (7, 14)])
+    start = time.perf_counter()
+    res = mdst_exact(ps, SolverOptions(max_points=10))
+    elapsed = time.perf_counter() - start
+    assert res.best.edges == ((0, 3), (0, 4), (0, 6), (1, 4), (2, 4), (2, 7),
+                              (4, 9), (5, 9), (8, 9))
+    assert res.report.witness == (1, 5)
+    assert res.trees_examined == 23
+    assert elapsed < 5.0, elapsed
+
+
+@pytest.mark.parametrize("offset", [0, 2 ** 54])
+def test_constrained_tree_search_matches_brute_force(offset):
+    # crossing-free search, and search with one edge the unconstrained
+    # optimum avoids, against the first certified minimum over every
+    # labeled tree that meets the constraint
+    cap = max_bits_cap()
+    rng = random.Random(61)
+    for _ in range(2):
+        ps = PointSet.from_coords([(x + offset, y + offset) for x, y in
+                                   random_distinct_points(rng, 6)])
+        scored = [(tree, tree_dilation(ps, tree, 64, cap=cap))
+                  for tree in enumerate_spanning_trees(6)]
+        used = set(mdst_exact(ps).best.edges)
+        edge = next(e for e in itertools.combinations(range(6), 2)
+                    if e not in used)
+        for opts, keep in [
+                (SolverOptions(crossing_free=True),
+                 lambda t: not tree_has_crossing(ps, t)),
+                (SolverOptions(required_edges=frozenset({edge})),
+                 lambda t: t.has_edge(*edge))]:
+            best = rep = None
+            for tree, r in scored:
+                if keep(tree) and (rep is None or _compare_reports(
+                        ps, tree, r, best, rep, cap) < 0):
+                    best, rep = tree, r
+            res = mdst_exact(ps, opts)
+            assert keep(res.best)
+            assert _compare_reports(ps, res.best, res.report, best, rep,
+                                    cap) == 0
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_required_edge_given_both_ways_is_one_edge(mode):
+    ps = PointSet.from_coords(RANDOM7A)
+    results = [mdst_exact(ps, SolverOptions(
+        mode=mode, required_edges=frozenset(required)))
+        for required in ({(0, 2)}, {(0, 2), (2, 0)})]
+    assert results[0] == results[1]
+    assert (0, 2) in (results[0].best if mode is Mode.TOUR
+                      else results[0].best.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +412,7 @@ def test_crossing_free_grid_search_is_fast():
 
 def test_path_collinear_monotone():
     ps = PointSet.from_coords([(0, 0), (1, 0), (3, 0)])
-    res = min_dilation_structure(ps, Mode.PATH)
+    res = mdst_exact(ps, SolverOptions(mode=Mode.PATH))
     assert res.best.edges == ((0, 1), (1, 2))
     assert res.report.value.lo == 1 and res.report.value.hi == 1
     # the monotone order, the first incumbent, cuts every other prefix
@@ -364,7 +421,7 @@ def test_path_collinear_monotone():
 
 def test_path_square():
     ps = PointSet.from_coords(SQUARE)
-    res = min_dilation_structure(ps, Mode.PATH)
+    res = mdst_exact(ps, SolverOptions(mode=Mode.PATH))
     assert (res.trees_examined, res.pruned) == (5, 16)
     lo, hi = res.report.value.lo, res.report.value.hi
     # best Hamiltonian path value is 1 + sqrt(2)
@@ -381,7 +438,7 @@ def test_path_square():
 
 def test_tour_square_perimeter():
     ps = PointSet.from_coords(SQUARE)
-    res = min_dilation_structure(ps, Mode.TOUR)
+    res = mdst_exact(ps, SolverOptions(mode=Mode.TOUR))
     assert res.best == ((0, 1), (0, 3), (1, 2), (2, 3))
     assert (res.trees_examined, res.pruned) == (1, 4)
     lo, hi = res.report.value.lo, res.report.value.hi
@@ -394,7 +451,8 @@ def test_tour_square_perimeter():
 def test_tour_three_points_is_complete_graph():
     # a 3-cycle contains every edge, so its dilation is exactly 1
     for coords in ([(0, 0), (4, 0), (2, 3)], [(0, 0), (7, 1), (3, 5)]):
-        res = min_dilation_structure(PointSet.from_coords(coords), Mode.TOUR)
+        res = mdst_exact(PointSet.from_coords(coords),
+                         SolverOptions(mode=Mode.TOUR))
         lo, hi = res.report.value.lo, res.report.value.hi
         assert lo <= 1 <= hi
         assert hi - lo <= Fraction(1, 1 << 60)
@@ -404,7 +462,7 @@ def test_tour_three_points_is_complete_graph():
 def test_tour_respects_structural_validity():
     rng = random.Random(9)
     ps = PointSet.from_coords(random_distinct_points(rng, 6))
-    res = min_dilation_structure(ps, Mode.TOUR)
+    res = mdst_exact(ps, SolverOptions(mode=Mode.TOUR))
     edges = res.best
     assert len(edges) == 6
     deg = {}
@@ -415,13 +473,11 @@ def test_tour_respects_structural_validity():
 
 
 def test_structure_mode_guards():
-    ps = PointSet.from_coords(SQUARE)
-    with pytest.raises(ValueError):
-        min_dilation_structure(ps, Mode.TREE)
     rng = random.Random(1)
     big = PointSet.from_coords(random_distinct_points(rng, 14))
-    with pytest.raises(SizeTooLarge):
-        min_dilation_structure(big, Mode.PATH)
+    # past max_points, the order search's own cap still holds
+    with pytest.raises(SizeTooLarge, match="capped at 13 points"):
+        mdst_exact(big, SolverOptions(mode=Mode.PATH, max_points=big.n))
 
 
 def test_path_mode_via_options():
@@ -456,7 +512,7 @@ def test_order_search_invariant_under_translation(mode):
     for offset in (0, 2 ** 54, 2 ** 60):
         ps = PointSet.from_coords([(x + offset, y + offset)
                                    for x, y in TRANSLATION_PROBE])
-        res = min_dilation_structure(ps, mode)
+        res = mdst_exact(ps, SolverOptions(mode=mode))
         outcomes.append((res.best, res.report.value, res.trees_examined,
                          res.pruned))
         if mode is Mode.PATH:
@@ -512,8 +568,8 @@ def _check_against_all_orderings(ps, mode, required=(), crossing_free=False):
     """Brute force over every feasible ordering: paths by `tree_dilation`
     and `_compare_reports`, tours by `graph_dilation_bounds`."""
     cap = max_bits_cap()
-    res = min_dilation_structure(ps, mode, _required=frozenset(required),
-                                 _crossing_free=crossing_free)
+    res = mdst_exact(ps, SolverOptions(mode=mode, crossing_free=crossing_free,
+                                       required_edges=frozenset(required)))
     feasible = [edges for edges in _orderings(ps.n, mode is Mode.TOUR)
                 if set(required) <= set(edges)
                 and not (crossing_free and crossing_edge_pairs(ps, edges))]
@@ -562,7 +618,7 @@ def test_order_search_constraints_match_oracle(mode, offset):
     edges = free.best.edges if mode is Mode.PATH else free.best
     assert not crossing_edge_pairs(ps, list(edges))
     # an edge the unconstrained optimum avoids
-    unconstrained = min_dilation_structure(ps, mode)
+    unconstrained = mdst_exact(ps, SolverOptions(mode=mode))
     used = set(unconstrained.best.edges if mode is Mode.PATH
                else unconstrained.best)
     edge = next(e for e in itertools.combinations(range(6), 2)
@@ -612,7 +668,8 @@ ORDER_PINS = [
     "random10-path", "random10-tour"])
 def test_order_search_pinned(pin):
     coords, mode, edges, value, witness, tied = pin
-    res = min_dilation_structure(PointSet.from_coords(coords), mode)
+    ps = PointSet.from_coords(coords)
+    res = mdst_exact(ps, SolverOptions(mode=mode, max_points=ps.n))
     assert (res.best.edges if mode is Mode.PATH else res.best) == edges
     lo_num, lo_exp, hi_num, hi_exp = value
     assert res.report.value.lo == Fraction(lo_num, 1 << lo_exp)
@@ -627,8 +684,8 @@ def test_order_search_invariant_under_tiny_scale(mode):
     # scale 1, and reports the same enclosure
     coords = random_distinct_points(random.Random(606), 6)
     tiny = Fraction(1, 1 << 100)
-    results = [min_dilation_structure(PointSet.from_coords(
-        [(x * scale, y * scale) for x, y in coords]), mode)
+    results = [mdst_exact(PointSet.from_coords(
+        [(x * scale, y * scale) for x, y in coords]), SolverOptions(mode=mode))
         for scale in (1, tiny)]
     assert results[0] == results[1]
     assert results[1].pruned > 0
@@ -713,15 +770,14 @@ def test_order_search_required_edges_match_oracle(mode, required):
 def test_order_search_rejects_overloaded_required_vertex(mode):
     ps = PointSet.from_coords(RANDOM8)
     with pytest.raises(Infeasible, match="more than two required edges"):
-        min_dilation_structure(ps, mode,
-                               _required={(0, 1), (0, 2), (0, 3)})
+        mdst_exact(ps, SolverOptions(
+            mode=mode, required_edges=frozenset({(0, 1), (0, 2), (0, 3)})))
 
 
 _HASH_SEED_PROBE = """
 import random
 from dilatree.dilation import PointSet
-from dilatree.solver import (Mode, SolverOptions, mdst_exact,
-                             min_dilation_structure)
+from dilatree.solver import Mode, SolverOptions, mdst_exact
 rng = random.Random(808)
 coords = []
 while len(coords) < 8:
@@ -730,7 +786,7 @@ while len(coords) < 8:
         coords.append(p)
 ps = PointSet.from_coords(coords)
 for mode in (Mode.PATH, Mode.TOUR):
-    res = min_dilation_structure(ps, mode)
+    res = mdst_exact(ps, SolverOptions(mode=mode))
     print(res.best, res.trees_examined, res.pruned)
 for crossing_free in (False, True):
     res = mdst_exact(ps, SolverOptions(crossing_free=crossing_free))
