@@ -44,11 +44,12 @@ def main():
     # A star from one corner: adjacent boundary pairs must route
     # through the hub, costing 1 + sqrt(2) over distance 1.
     star = Tree(4, [(0, 1), (0, 2), (0, 3)])
-    report = tree_dilation(ps, star, bits=96, threshold=(3, 1))
+    report = tree_dilation(ps, star, bits=96)
     print("\nstar from the sw corner")
     print(f"  dilation in [{float(report.value.lo):.12f}, "
           f"{float(report.value.hi):.12f}]")
-    print(f"  verdict against 3: {report.threshold_verdict.value}")
+    print(f"  verdict against 3: "
+          f"{compare_to_threshold(ps, star, 3, 1).value}")
 
     # Edges that every tree with dilation <= 8/5 must contain.  For the
     # square that pins down the whole boundary structure.

@@ -18,8 +18,8 @@ import sys
 
 from . import fileio
 from .dilation import Verdict, compare_to_threshold, tree_dilation
-from .errors import (Infeasible, PrecisionExhausted, SizeTooLarge,
-                     SumTooLarge)
+from .errors import (Infeasible, PrecisionExhausted, PrecisionInsufficient,
+                     SizeTooLarge, SumTooLarge)
 from .gadget import (LemmaCheck, LemmaReport, PartitionInstance, build_gadget,
                      decide_partition, integerize, partition_oracle,
                      verify_gadget)
@@ -307,7 +307,7 @@ def run(argv=None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_NO
-    except (SumTooLarge, SizeTooLarge) as exc:
+    except (SumTooLarge, SizeTooLarge, PrecisionInsufficient) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, json.JSONDecodeError, ValueError, KeyError,

@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import lcm
@@ -269,7 +269,6 @@ class Verdict(enum.Enum):
 class DilationReport:
     value: Interval
     witness: tuple[int, int] | None
-    threshold_verdict: Verdict | None
     precision_used: int
     tied: bool = False
 
@@ -377,48 +376,36 @@ def _ratio_sign(a, b, cap) -> int:
 
 
 def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int, q_den: int,
-                         *, start_bits: int = 64, cap: int | None = None,
-                         pair_order=None) -> Verdict:
+                         *, cap: int | None = None) -> Verdict:
     """Certified verdict of Delta(T) <= P/Q.
 
-    Scans pairs at the starting precision and settles only pairs whose
-    enclosures straddle the threshold, by the exact sign of
-    Q d_T(u, v) - P |uv|; a pair certified strictly above P/Q settles the
-    whole tree immediately.  `pair_order` optionally front-loads pairs
-    likely to exceed, which makes rejection cheap; it never affects the
-    verdict, only the order of work.  Pairs are drawn lazily; a run of
-    pairs sharing a first vertex shares one `root_sums`.
+    Scans every pair at 64 bits, one `root_sums` per first vertex, and
+    settles only pairs whose enclosures straddle the threshold, by the
+    exact sign of Q d_T(u, v) - P |uv|; a pair certified strictly above
+    P/Q settles the whole tree immediately.
     """
     if q_den < 1 or p_num < q_den:
         raise ValueError("threshold must satisfy P/Q >= 1 with Q >= 1")
     if tree.n != ps.n:
         raise ValueError("tree and point set sizes differ")
     cap = max_bits_cap() if cap is None else cap
-    adj = tree.adjacency()
-    tab = ps.table(start_bits)
-    root = sums = lens = None
-    seen = set()
+    n, adj, tab = ps.n, tree.adjacency(), ps.table(64)
     undecided = []
-    for u, v in itertools.chain(pair_order or (),
-                                itertools.combinations(range(ps.n), 2)):
-        u, v = min(u, v), max(u, v)
-        if (u, v) in seen:
-            continue
-        seen.add((u, v))
-        if u != root:
-            root, sums, lens = u, root_sums(ps, adj, u, start_bits), tab[u]
-        dlo, dhi = sums[v]
-        llo, lhi = lens[v] or ps.dist_ints(u, v, start_bits)
-        if q_den * dlo > p_num * lhi:
-            return Verdict.GREATER
-        if q_den * dhi > p_num * llo:
-            undecided.append((u, v))
+    for u in range(n - 1):
+        sums, lens = root_sums(ps, adj, u, 64), tab[u]
+        for v in range(u + 1, n):
+            dlo, dhi = sums[v]
+            llo, lhi = lens[v] or ps.dist_ints(u, v, 64)
+            if q_den * dlo > p_num * lhi:
+                return Verdict.GREATER
+            if q_den * dhi > p_num * llo:
+                undecided.append((u, v))
     exact = tree_exact(ps, tree)
     for u, v in undecided:
         d, length = exact(u, v)
         try:
             sign = (d.scale(q_den) - length.scale(p_num)).sign(
-                start_bits=2 * start_bits, cap=cap)
+                start_bits=128, cap=cap)
         except PrecisionExhausted as exc:
             raise PrecisionExhausted(
                 f"dilation of pair {(u, v)} against {p_num}/{q_den} "
@@ -434,24 +421,18 @@ def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int, q_den: int,
 
 
 def tree_dilation(ps: PointSet, tree: Tree, bits: int,
-                  threshold: tuple[int, int] | None = None,
                   *, cap: int | None = None) -> DilationReport:
     """Enclose Delta(T) and name a pair attaining it.
 
     The maximum is certified by `_max_dilation`: genuinely equal maxima
     are reported with `tied` set and the lexicographically smallest
-    witness.  With a threshold P/Q, the report also carries the verdict
-    of `compare_to_threshold`.
+    witness.
     """
     if tree.n != ps.n:
         raise ValueError("tree and point set sizes differ")
     cap = max_bits_cap() if cap is None else cap
-    report = _max_dilation(ps, partial(root_sums, ps, tree.adjacency()),
-                          tree_exact(ps, tree), bits, cap)
-    if threshold is None:
-        return report
-    return replace(report, threshold_verdict=compare_to_threshold(
-        ps, tree, threshold[0], threshold[1], cap=cap))
+    return _max_dilation(ps, partial(root_sums, ps, tree.adjacency()),
+                         tree_exact(ps, tree), bits, cap)
 
 
 def _max_dilation(ps: PointSet, sums, exact, bits: int,
@@ -510,8 +491,8 @@ def _max_dilation(ps: PointSet, sums, exact, bits: int,
         enc = _pair_ratios(ps, sums, survivors, work)
 
     return DilationReport(value=_dyadic(lo, hi, work + 4, bits),
-                          witness=min(survivors), threshold_verdict=None,
-                          precision_used=work, tied=tied)
+                          witness=min(survivors), precision_used=work,
+                          tied=tied)
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +500,7 @@ def _max_dilation(ps: PointSet, sums, exact, bits: int,
 
 
 def critical_edges(ps: PointSet, p_num: int, q_den: int,
-                   *, start_bits: int = 64,
-                   cap: int | None = None) -> frozenset:
+                   *, cap: int | None = None) -> frozenset:
     """Pairs (u, v) whose every one-stop detour strictly exceeds (P/Q)|uv|.
 
     Such an edge is forced into any spanning tree whose dilation stays
@@ -530,7 +510,7 @@ def critical_edges(ps: PointSet, p_num: int, q_den: int,
         raise ValueError("threshold must be a positive rational P/Q")
     cap = max_bits_cap() if cap is None else cap
     return _critical_scan(ps, SqrtSum.rational(p_num),
-                          SqrtSum.rational(q_den), start_bits, cap)
+                          SqrtSum.rational(q_den), 64, cap)
 
 
 def _critical_scan(ps: PointSet, d: SqrtSum, length: SqrtSum,

@@ -13,10 +13,12 @@ decides the partition question two ways: through a certified search of
 the constrained tree family, and through a subset-sum dynamic program
 used as an independent oracle.
 
-The search settles each attachment of the hanging point at once when
-it can: all family trees with that attachment lie in one union graph, so
-a pair whose shortest path there is certified above the threshold
-rejects them all.  Other attachments are searched tree by tree.
+The search screens before it certifies.  All family trees with one
+attachment of the hanging point lie in one union graph, so a pair whose
+shortest path there is certified above the threshold rejects them all
+at once.  Within an attachment the same certificate, `graph_exceeds`,
+screens each tree on its own edges; only a tree it leaves is built and
+certified by `compare_to_threshold`.
 """
 
 from dataclasses import dataclass
@@ -638,7 +640,7 @@ def _check_angle_bounds(g) -> LemmaCheck:
     return LemmaCheck(name, True, "anchor and slope cosines all clear")
 
 
-def _check_critical_set(g, bits) -> LemmaCheck:
+def _check_critical_set(g) -> LemmaCheck:
     name = "critical set"
     expected = frozenset(_critical_index_edges(g))
     try:
@@ -682,7 +684,7 @@ def verify_gadget(g: Gadget, bits: int = 256) -> LemmaReport:
         _check_mirror_symmetry(g),
         _check_d_placement(g, bits),
         _check_angle_bounds(g),
-        _check_critical_set(g, bits),
+        _check_critical_set(g),
         _check_alternation(g),
     ))
 
@@ -730,6 +732,9 @@ def decide_partition(instance):
     edges, the attachment edge and both options of every choice slot)
     contains all 4^n of its trees, so when `graph_exceeds` certifies a
     priority pair there, each of those trees is above P/Q and is skipped.
+    Otherwise `graph_exceeds` screens each tree on its own edges, where
+    the shortest path is the tree path; only a tree it does not reject
+    is built as a `Tree` and certified by `compare_to_threshold`.
     """
     lay = instance
     n = lay.n
@@ -756,10 +761,11 @@ def decide_partition(instance):
         for mask in _gray_masks(2 * n):
             right = {i for i in full if (mask >> (i - 1)) & 1}
             left = {i for i in full if (mask >> (n + i - 1)) & 1}
-            tree = Tree(total, _family_edges(skeleton, right, left, attach))
-            verdict = compare_to_threshold(pts, tree, P, Q,
-                                           pair_order=priority)
-            if verdict is Verdict.AT_MOST:
+            edges = _family_edges(skeleton, right, left, attach)
+            if graph_exceeds(pts, edges, P, Q, priority):
+                continue
+            tree = Tree(total, edges)
+            if compare_to_threshold(pts, tree, P, Q) is Verdict.AT_MOST:
                 sol = PartitionSolution(frozenset(right), frozenset(left))
                 if not sol.consistent_with(alphas_dot):
                     raise ValueError("sub-threshold tree decodes to an"

@@ -173,8 +173,6 @@ def test_criterion_05_no_partition_gap():
         n, sd = inst.n, inst.sigma_dot
         p_num = 3 * four(n + 4) * sd + 1
         q_den = 2 * four(n + 4) * sd
-        priority = [(g.q2, g.p2), (g.q2, g.mirror(g.p2))]
-        priority += [(g.d(i), g.mirror(g.d(i))) for i in range(1, n + 1)]
         full = set(range(1, n + 1))
         count = 0
         attachments = [g.q1] + [j for j in range(8 * n + 8) if j > g.q2]
@@ -183,8 +181,7 @@ def test_criterion_05_no_partition_gap():
                 right = {i for i in full if mask >> (i - 1) & 1}
                 left = {i for i in full if mask >> (n + i - 1) & 1}
                 tree = family_tree(g, right, left, attach)
-                verdict = compare_to_threshold(g.points, tree, p_num, q_den,
-                                               pair_order=priority)
+                verdict = compare_to_threshold(g.points, tree, p_num, q_den)
                 ok &= verdict is Verdict.GREATER
                 count += 1
         ok &= count == (8 * n + 7) * 4 ** n

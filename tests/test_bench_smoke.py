@@ -34,11 +34,12 @@ def test_short_run_emits_correct_summary(workload):
                                        for m in declared["end_to_end"]}
 
 
-@pytest.mark.parametrize("workload", ["certify", "search"])
+@pytest.mark.parametrize("workload", ["certify", "search", "partition"])
 def test_traced_short_run_counts_dist_ints(workload):
     # bench/spans.py counts enclosure misses by patching the class
-    # attribute PointSet.dist_ints, and traces solver calls by rebinding
-    # module globals, so a traced run guards that both still see calls
+    # attribute PointSet.dist_ints, and traces solver and verdict calls by
+    # rebinding module globals, so a traced run guards that both still
+    # see calls
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
          workload, "--seed", "1", "--seconds", "0", "--trace", "1",
@@ -54,3 +55,7 @@ def test_traced_short_run_counts_dist_ints(workload):
         for name in ("solver.candidates_examined",
                      "dilation.tree_dilation.calls"):
             assert metrics[name]["value"] > 0, name
+    if workload == "partition":
+        # one certified tree per yes-instance of the short pass; every
+        # other family tree is screened out by graph_exceeds
+        assert metrics["gadget.trees_tried"]["value"] == 2

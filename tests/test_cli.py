@@ -62,6 +62,8 @@ def test_exit_code_matrix(tmp_path, square):
           "--threshold", "1.5"], 2),
         (["verify", str(yes)], 0),
         (["verify", str(broken)], 2),
+        (["gen", "--alphas", "1,1", "--d-bits", "40", "--k", "60",
+          "-o", str(tmp_path / "coarse.json")], 2),
         (["witness5", "--seed", "3", "--budget", "10"], 3),
     ]
     for argv, expected in scenarios:
@@ -137,6 +139,24 @@ def test_verify_json_report(tmp_path):
     assert all(c["passed"] for c in data["checks"])
 
 
+def test_verify_gadget_file(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    gad = tmp_path / "g.json"
+    assert cli("gen", "--alphas", "1,1", "-o", str(inst),
+               "--gadget", str(gad)) == 0
+    assert cli("verify", str(gad)) == 0
+    obj = load_json(gad)
+    a1 = next(p for p in obj["points"] if p["label"] == "a1")
+    a1["x"] = "3"
+    moved = tmp_path / "moved.json"
+    dump_json(obj, moved)
+    capsys.readouterr()
+    assert cli("verify", str(moved)) == 1
+    out = capsys.readouterr().out
+    for name in ("distance identities", "mirror symmetry", "critical set"):
+        assert f"[FAIL] {name}" in out, name
+
+
 def test_dilation_reports_witness(square, capsys):
     pts, tr = square
     assert cli("dilation", "--points", str(pts), "--tree", str(tr)) == 0
@@ -209,6 +229,37 @@ def test_cached_parser_answers_like_a_fresh_one(square, tmp_path, capsys,
     # --require would show in the second run
     assert shared[0] != shared[1]
     assert [code for code, _ in shared] == [0, 0, 0, 0, 0]
+
+
+def test_mdst_infeasible_requirements(square, capsys):
+    # three required edges at vertex 0 admit no Hamiltonian path
+    pts, _ = square
+    assert cli("mdst", "--points", str(pts), "--mode", "path",
+               "--require", "0,1", "--require", "0,2",
+               "--require", "0,3") == 1
+    assert "infeasible:" in capsys.readouterr().err
+
+
+@pytest.fixture
+def sqrt5_star(tmp_path):
+    # the leaf pairs (1, 2) and (3, 4) tie at sqrt(5): only the exact
+    # fallback, from 256 bits on, settles the witness
+    pts = tmp_path / "star.json"
+    tr = tmp_path / "star_tree.json"
+    dump_json({"points": [[0, 0], [1, 2], [-1, 2], [1, -2], [-1, -2]]}, pts)
+    dump_json({"edges": [[0, 1], [0, 2], [0, 3], [0, 4]]}, tr)
+    return pts, tr
+
+
+def test_precision_cap_from_environment(sqrt5_star, capsys, monkeypatch):
+    pts, tr = sqrt5_star
+    argv = ("dilation", "--points", str(pts), "--tree", str(tr))
+    monkeypatch.setenv("DILATREE_MAX_BITS", "64")
+    assert cli(*argv) == 3
+    assert "undecided:" in capsys.readouterr().err
+    monkeypatch.setenv("DILATREE_MAX_BITS", "abc")
+    assert cli(*argv) == 2
+    assert "DILATREE_MAX_BITS must be an integer" in capsys.readouterr().err
 
 
 def test_mdst_size_guard(tmp_path):

@@ -346,11 +346,8 @@ def test_compare_to_threshold_adversarial_rational():
 def test_tree_dilation_threshold_field():
     # 1 + sqrt(2) ~ 2.4142 sits between 5/2 and 49/20 = 2.45
     ps, t = square_star()
-    assert tree_dilation(ps, t, 64).threshold_verdict is None
-    assert tree_dilation(ps, t, 64, threshold=(12, 5)).threshold_verdict \
-        is Verdict.GREATER
-    assert tree_dilation(ps, t, 64, threshold=(49, 20)).threshold_verdict \
-        is Verdict.AT_MOST
+    assert compare_to_threshold(ps, t, 12, 5) is Verdict.GREATER
+    assert compare_to_threshold(ps, t, 49, 20) is Verdict.AT_MOST
 
 
 def test_critical_edges_collinear():

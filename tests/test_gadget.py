@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dilatree import gadget
 from dilatree.dilation import (
     PointSet, Tree, Verdict, compare_to_threshold, critical_edges,
     pair_dilation, tree_has_crossing,
@@ -460,6 +461,29 @@ def test_decide_pinned_answers(alphas, split):
         sol, tree = got
         assert (tuple(sorted(sol.A)), tuple(sorted(sol.A_prime))) == split
         assert tree.edges == _SPLIT_TREES[len(alphas), split[0]]
+
+
+@pytest.mark.parametrize("alphas, certified", [
+    ((1,), 0), ((1, 2), 0), ((1, 1, 1), 0), ((1, 2, 4), 0), ((1, 1, 1, 2), 0),
+    ((1, 1), 1), ((2, 3, 5), 1),
+])
+def test_decide_certifies_only_unscreened_trees(alphas, certified,
+                                                monkeypatch):
+    # graph_exceeds screens every family tree on its own edges, so
+    # compare_to_threshold runs only on the tree it cannot reject
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compare_to_threshold(*args, **kwargs)
+
+    monkeypatch.setattr(gadget, "compare_to_threshold", counted)
+    g = build_gadget(PartitionInstance(alphas))
+    for inst in (g, integerize(g)):
+        calls.clear()
+        got = decide_partition(inst)
+        assert (got is not None) == bool(certified)
+        assert len(calls) == certified
 
 
 def test_decide_rejects_tampered_integer_points():

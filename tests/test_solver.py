@@ -159,7 +159,6 @@ def test_exhaustive_mdst_pinned(pin):
     assert res.report.witness == witness
     assert res.report.precision_used == precision
     assert res.report.tied is tied
-    assert res.report.threshold_verdict is None
     assert (res.trees_examined, res.pruned) == (examined, pruned)
     lo_num, lo_exp, hi_num, hi_exp = value
     assert res.report.value.lo == Fraction(lo_num, 1 << lo_exp)
