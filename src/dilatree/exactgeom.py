@@ -179,10 +179,6 @@ def sqrt_interval(value: Fraction, bits: int) -> Interval:
     return Interval(lo, hi, bits)
 
 
-def distance_interval(p: Point, q: Point, bits: int) -> Interval:
-    return sqrt_interval(squared_distance(p, q), bits)
-
-
 # ---------------------------------------------------------------------------
 # Circle-circle intersection
 #

@@ -13,12 +13,12 @@ decides the partition question two ways: through a certified search of
 the constrained tree family, and through a subset-sum dynamic program
 used as an independent oracle.
 
-The search screens before it certifies.  All family trees with one
-attachment of the hanging point lie in one union graph, so a pair whose
-shortest path there is certified above the threshold rejects them all
-at once.  Within an attachment the same certificate, `graph_exceeds`,
-screens each tree on its own edges; only a tree it leaves is built and
-certified by `compare_to_threshold`.
+The search screens before it certifies.  Per attachment of the hanging
+point it decides the 2n choice slots one at a time, depth first.  Every
+family tree below a node lies in the node's graph: the decided options
+plus both options of every open slot.  So when `graph_exceeds` certifies
+a pair there above the threshold, the whole subtree is cut.  Only a leaf
+it leaves is built and certified by `compare_to_threshold`.
 """
 
 from dataclasses import dataclass
@@ -475,7 +475,7 @@ def _critical_index_edges(lay) -> list:
 
 
 def _family_skeleton(lay):
-    """The mask-independent edges of the tree family, and per index i the
+    """The fixed edges of the tree family, and per index i the
     (direct, detour) options of its right and its left choice edge: c_i to
     a_{i+1} or to d_i, and the mirror images of both."""
     m, choices = lay.mirror, []
@@ -485,22 +485,16 @@ def _family_skeleton(lay):
     return _critical_index_edges(lay), choices
 
 
-def _family_edges(skeleton, right_set, left_set, attach):
-    fixed, choices = skeleton
-    edges = fixed + [(_Q2, attach)]
-    for i, (right, left) in enumerate(choices, 1):
-        edges += [right[i in right_set], left[i in left_set]]
-    return edges
-
-
 def standard_tree(g, A) -> Tree:
     """Tree encoding a candidate half A: detours on the right for members
     of A, on the left for the rest, plus the forced edges."""
     A = frozenset(A)
     if not A <= set(range(1, g.n + 1)):
         raise ValueError("indices out of range")
-    complement = set(range(1, g.n + 1)) - A
-    edges = _family_edges(_family_skeleton(g), A, complement, g.q1)
+    fixed, choices = _family_skeleton(g)
+    edges = fixed + [(_Q2, g.q1)]
+    for i, (right, left) in enumerate(choices, 1):
+        edges += [right[i in A], left[i not in A]]
     return Tree(8 * g.n + 8, edges)
 
 
@@ -714,11 +708,6 @@ def _recover_alphas_dot(ii: IntegerInstance) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _gray_masks(width: int):
-    for m in range(1 << width):
-        yield m ^ (m >> 1)
-
-
 def decide_partition(instance):
     """Search the constrained tree family for a certified sub-threshold tree.
 
@@ -728,12 +717,15 @@ def decide_partition(instance):
     into the partition halves.  Returns (solution, tree), or None when
     every combination is certified above the threshold.
 
-    Each attachment is first tried whole: its union graph (the fixed
-    edges, the attachment edge and both options of every choice slot)
-    contains all 4^n of its trees, so when `graph_exceeds` certifies a
-    priority pair there, each of those trees is above P/Q and is skipped.
-    Otherwise `graph_exceeds` screens each tree on its own edges, where
-    the shortest path is the tree path; only a tree it does not reject
+    Per attachment, a depth-first search decides the 2n choice slots in
+    turn: left n down to left 1, then right n down to right 1.  A slot
+    tries direct before detour, reversed after an odd number of detours,
+    so the leaves come in reflected Gray-code order; that order fixes
+    which split is returned when several are valid.  At each node
+    `graph_exceeds` runs on the fixed edges, the attachment edge, the
+    decided options and both options of every open slot.  Every tree
+    below the node lies in that graph, so a certified pair cuts them all;
+    at a leaf the graph is the tree itself.  Only a leaf it does not cut
     is built as a `Tree` and certified by `compare_to_threshold`.
     """
     lay = instance
@@ -749,28 +741,39 @@ def decide_partition(instance):
     priority += [(lay.d(i), lay.mirror(lay.d(i))) for i in range(1, n + 1)]
 
     total = 8 * n + 8
+    fixed, choices = _family_skeleton(lay)
+    slots = [left for _, left in reversed(choices)]
+    slots += [right for right, _ in reversed(choices)]
+
+    def search(decided, depth, reflected):
+        open_options = [e for slot in slots[depth:] for e in slot]
+        if graph_exceeds(pts, decided + open_options, P, Q, priority):
+            return None
+        if depth == len(slots):
+            tree = Tree(total, decided)
+            at_most = compare_to_threshold(pts, tree, P, Q) is Verdict.AT_MOST
+            return tree if at_most else None
+        for detour in ((1, 0) if reflected else (0, 1)):
+            tree = search(decided + [slots[depth][detour]], depth + 1,
+                          reflected ^ detour)
+            if tree is not None:
+                return tree
+        return None
+
     candidates = [lay.q1] + [j for j in range(total) if j > lay.q2]
-    full = set(range(1, n + 1))
-    skeleton = _family_skeleton(lay)
-    fixed, choices = skeleton
-    options = [e for slot in choices for side in slot for e in side]
     for attach in candidates:
-        union = fixed + options + [(_Q2, attach)]
-        if graph_exceeds(pts, union, P, Q, priority):
+        tree = search(fixed + [(_Q2, attach)], 0, 0)
+        if tree is None:
             continue
-        for mask in _gray_masks(2 * n):
-            right = {i for i in full if (mask >> (i - 1)) & 1}
-            left = {i for i in full if (mask >> (n + i - 1)) & 1}
-            edges = _family_edges(skeleton, right, left, attach)
-            if graph_exceeds(pts, edges, P, Q, priority):
-                continue
-            tree = Tree(total, edges)
-            if compare_to_threshold(pts, tree, P, Q) is Verdict.AT_MOST:
-                sol = PartitionSolution(frozenset(right), frozenset(left))
-                if not sol.consistent_with(alphas_dot):
-                    raise ValueError("sub-threshold tree decodes to an"
-                                     " invalid partition")
-                return sol, tree
+        # the halves are the detours the tree takes, right then left
+        sol = PartitionSolution(*(
+            frozenset(i for i, slot in enumerate(choices, 1)
+                      if tree.has_edge(*slot[side][1]))
+            for side in (0, 1)))
+        if not sol.consistent_with(alphas_dot):
+            raise ValueError("sub-threshold tree decodes to an"
+                             " invalid partition")
+        return sol, tree
     return None
 
 

@@ -181,8 +181,3 @@ class SqrtSum:
                     f"sign of {self!r} undecided at {bits} bits",
                     bits=bits, context=self)
             bits = min(2 * bits, limit)
-
-
-def compare_sums(a: SqrtSum, b: SqrtSum, **kw) -> int:
-    """Sign of a - b; exact zero detection through the square classes."""
-    return (a - b).sign(**kw)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dilatree.errors import NoIntersection
 from dilatree.exactgeom import (
     Interval, Orientation, Point, Segment, circle_intersection_box,
-    circle_intersection_upper, distance_interval, orientation, pt,
+    circle_intersection_upper, orientation, pt,
     round_dyadic, segments_properly_cross, sqrt_interval, squared_distance,
 )
 
@@ -84,7 +84,7 @@ def test_sqrt_interval_refinement_nests(v, bits, extra):
 
 
 def test_distance_interval_345():
-    enc = distance_interval(pt(0, 0), pt(3, 4), 64)
+    enc = sqrt_interval(squared_distance(pt(0, 0), pt(3, 4)), 64)
     assert enc.lo == enc.hi == 5
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dilatree import gadget
 from dilatree.dilation import (
     PointSet, Tree, Verdict, compare_to_threshold, critical_edges,
-    pair_dilation, tree_has_crossing,
+    graph_exceeds, pair_dilation, tree_has_crossing,
 )
 from dilatree.errors import PrecisionInsufficient, SumTooLarge
 from dilatree.exactgeom import Orientation, Point, orientation, squared_distance
@@ -382,7 +382,8 @@ def test_decide_rejects_unsplittable_weights():
 
 
 @pytest.mark.parametrize("alphas", [(2, 3, 5), (1, 2, 4), (1, 1, 2, 8),
-                                    (1, 1, 1, 2), (1, 1, 1, 1, 3)])
+                                    (1, 1, 1, 2), (1, 1, 1, 1, 3),
+                                    (1, 1, 1, 1, 1, 1, 2, 10)])
 def test_decide_agrees_with_oracle(alphas):
     inst = PartitionInstance(alphas)
     expect = partition_oracle(inst)
@@ -394,7 +395,8 @@ def test_decide_agrees_with_oracle(alphas):
         assert sol.consistent_with(inst.alphas_dot)
 
 
-@pytest.mark.parametrize("alphas", [(1, 1), (1, 1, 1), (2, 3, 5)])
+@pytest.mark.parametrize("alphas", [(1, 1), (1, 1, 1), (2, 3, 5),
+                                    (1, 1, 1, 1, 1, 1, 2, 10)])
 def test_decide_on_integer_instance(alphas):
     inst = PartitionInstance(alphas)
     ii = integerize(build_gadget(inst))
@@ -408,9 +410,9 @@ def test_decide_on_integer_instance(alphas):
             is Verdict.AT_MOST
 
 
-# decide_partition's answers as recorded from the tree-by-tree search,
-# before attachments were settled whole; the returned tree depends only
-# on n and the split, keyed here by n and the sorted first half
+# decide_partition's answers as recorded from the mask-by-mask searches
+# that preceded the slot search; the returned tree depends only on n and
+# the split, keyed here by n and the sorted first half
 _SPLIT_TREES = {
     (2, (2,)): (
         (0, 1), (0, 2), (0, 13), (2, 5), (3, 6), (3, 7), (3, 9), (4, 10),
@@ -441,6 +443,16 @@ _SPLIT_TREES = {
         (25, 37), (25, 38), (26, 30), (27, 31), (28, 32), (29, 33), (30, 34),
         (31, 35), (38, 39),
     ),
+    (6, (5, 6)): (
+        (0, 1), (0, 2), (0, 29), (2, 9), (3, 10), (3, 15), (3, 21), (4, 11),
+        (4, 16), (4, 22), (5, 12), (5, 17), (5, 23), (6, 13), (6, 18), (6, 24),
+        (7, 14), (7, 25), (8, 26), (8, 27), (9, 15), (10, 16), (11, 17),
+        (12, 18), (13, 19), (14, 20), (19, 25), (20, 26), (27, 28), (29, 36),
+        (30, 37), (30, 48), (31, 38), (31, 49), (32, 39), (32, 50), (33, 40),
+        (33, 51), (34, 41), (34, 46), (34, 52), (35, 47), (35, 53), (35, 54),
+        (36, 42), (37, 43), (38, 44), (39, 45), (40, 46), (41, 47), (42, 48),
+        (43, 49), (44, 50), (45, 51), (54, 55),
+    ),
 }
 
 
@@ -449,7 +461,8 @@ _SPLIT_TREES = {
     ((1, 2), None), ((1, 1, 1), None), ((1, 1, 2), ((3,), (1, 2))),
     ((2, 3, 5), ((3,), (1, 2))), ((1, 2, 4), None), ((1, 1, 1, 2), None),
     ((1, 2, 3, 4), ((1, 4), (2, 3))), ((1, 1, 2, 8), None),
-    ((2, 1, 1, 2), ((3, 4), (1, 2))),
+    ((2, 1, 1, 2), ((3, 4), (1, 2))), ((1, 1, 2, 2), ((1, 4), (2, 3))),
+    ((1, 1, 1, 1, 2, 2), ((5, 6), (1, 2, 3, 4))), ((1, 1, 1, 1, 1, 1, 5), None),
 ])
 def test_decide_pinned_answers(alphas, split):
     g = build_gadget(PartitionInstance(alphas))
@@ -469,8 +482,9 @@ def test_decide_pinned_answers(alphas, split):
 ])
 def test_decide_certifies_only_unscreened_trees(alphas, certified,
                                                 monkeypatch):
-    # graph_exceeds screens every family tree on its own edges, so
-    # compare_to_threshold runs only on the tree it cannot reject
+    # graph_exceeds cuts every node of the slot search, and at a leaf its
+    # graph is the tree itself, so compare_to_threshold runs only on the
+    # tree it cannot reject
     calls = []
 
     def counted(*args, **kwargs):
@@ -484,6 +498,21 @@ def test_decide_certifies_only_unscreened_trees(alphas, certified,
         got = decide_partition(inst)
         assert (got is not None) == bool(certified)
         assert len(calls) == certified
+
+
+def test_decide_slot_search_work_pin(monkeypatch):
+    # one graph_exceeds call per node of the slot search; the 4^7 family
+    # trees of each attachment would take 16,384 calls one by one
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return graph_exceeds(*args)
+
+    monkeypatch.setattr(gadget, "graph_exceeds", counted)
+    ii = integerize(build_gadget(PartitionInstance((1, 1, 1, 1, 1, 1, 5))))
+    assert decide_partition(ii) is None
+    assert len(calls) == 585
 
 
 def test_decide_rejects_tampered_integer_points():
