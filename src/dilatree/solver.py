@@ -16,9 +16,9 @@ excluding, so its first complete tree is the greedy shortest-first one.
 It has two cuts: each include is one `_join`, which dies against the
 incumbent, and each exclude asks `graph_exceeds` whether every spanning
 tree of the chosen and remaining edges is certifiably above it, or
-whether they no longer connect.  An exhaustive enumeration over labeled
-trees (Prüfer sequences, each decoded in an order that attaches one
-leaf at a time) serves as the independent oracle.  Hamiltonian paths
+whether they no longer connect.  The independent oracle builds every
+labeled tree by parent picks that share their joins, and counts the
+trees below a refused join in closed form.  Hamiltonian paths
 and tours run a depth-first search over ordering prefixes that cuts a
 prefix once integer lower bounds put one of its pairs above the
 incumbent, or once it breaks a required edge, with path lengths from
@@ -299,7 +299,7 @@ class _RunningScreen:
     sums, row by row, and drops the structure as soon as one pair's lower
     sum exceeds the incumbent.  Tree searches build that table pair by
     pair with `_join`, which checks each new pair against `limit` and so
-    drops a tree before it is complete; `reject` counts such a tree.
+    drops trees before they are complete; `reject` counts them.
     `survivors` filters the structures scanned in full once more against
     the final incumbent.  A dropped structure lies certifiably above the
     final incumbent too, so the survivors, in offering order, are those
@@ -326,9 +326,9 @@ class _RunningScreen:
         if lower is not None:
             self._scored.append((*lower, key))
 
-    def reject(self):
-        """Count a structure dropped against `limit` before its offer."""
-        self.count += 1
+    def reject(self, count):
+        """Count `count` structures dropped against `limit` unoffered."""
+        self.count += count
 
     def tighten(self, sums):
         """Screen a structure and lower the incumbent to its upper bound
@@ -373,25 +373,65 @@ class _RunningScreen:
                 if lo_n * b_d <= b_n * lo_d]
 
 
-def _screen_every_tree(ps, screen):
-    """Offer all n^(n-2) labeled trees to `screen`, in Prüfer order.
+def _prufer_code(parent):
+    """The Prüfer sequence of the tree whose vertex v < n - 1 has parent
+    parent[v] toward n - 1, the inverse of `_prufer_edges`."""
+    kids = [parent.count(v) for v in range(len(parent) + 1)]
+    code = []
+    for _ in range(len(parent) - 1):
+        leaf = kids.index(0)        # the smallest leaf left; n - 1 stays
+        kids[leaf] = None
+        code.append(parent[leaf])
+        kids[parent[leaf]] -= 1
+    return tuple(code)
 
-    Each tree is built in one pair-sum table, reused from tree to tree,
-    a leaf at a time in `_prufer_edges`' build order; a tree is
-    `reject`ed as soon as a leaf's join exceeds the incumbent."""
+
+def _completions(n, k, s):
+    """The trees that complete a forest of k components on n vertices,
+    s of them in the root's, when the one unpicked vertex of every other
+    component picks a parent: s * n^(k-2)."""
+    return s * n ** (k - 2) if k > 1 else 1
+
+
+def _screen_every_tree(ps, screen):
+    """Offer all n^(n-2) labeled trees to `screen`; return its survivors
+    in Prüfer order, as `_prufer_edges` gives them.
+
+    Vertices 0 .. n-2 in turn pick a parent toward n - 1, nearest first
+    so that the incumbent drops early; a pick is one `_join` of two
+    components, labelled as in `mdst_exact`.  A refused pick `reject`s
+    the `_completions` below it.  The survivors do not depend on the
+    order of offering (`_RunningScreen`), so sorting their Prüfer codes
+    restores the order of `enumerate_spanning_trees`."""
     n = ps.n
     pairs = [[(0, 0)] * n for _ in range(n)]
-    for seq in itertools.product(range(n), repeat=n - 2):
-        edges = _prufer_edges(n, seq)
-        limit, placed = screen.limit(), [n - 1]
-        for leaf, anchor in edges:
-            if not _join(pairs, screen.lens, anchor, leaf, limit, placed,
-                         (leaf,)):
-                screen.reject()
-                break
-            placed.append(leaf)
-        else:
-            screen.offer(edges, lambda u, bits: pairs[u])
+    near = [sorted((p for p in range(n) if p != v),
+                   key=lambda p: (screen.lens[v][p], p))
+            for v in range(n - 1)]
+    parent = [n - 1] * (n - 1)
+
+    def pick(v, comp):
+        if v == n - 1:
+            screen.offer(_prufer_code(parent), lambda u, bits: pairs[u])
+            return
+        sides = {}
+        for x in range(n):
+            sides.setdefault(comp[x], []).append(x)
+        cv = comp[v]
+        for p in near[v]:
+            cp = comp[p]
+            if cp == cv:
+                continue
+            if _join(pairs, screen.lens, p, v, screen.limit(), sides[cp],
+                     sides[cv]):
+                parent[v] = p
+                pick(v + 1, [cp if c == cv else c for c in comp])
+            else:       # the root's component keeps the label n - 1
+                s = len(sides[n - 1]) + (len(sides[cv]) if cp == n - 1 else 0)
+                screen.reject(_completions(n, n - 1 - v, s))
+
+    pick(0, list(range(n)))
+    return [_prufer_edges(n, code) for code in sorted(screen.survivors())]
 
 
 def _certify_tree(ps, bits, cap, edges):
@@ -402,23 +442,22 @@ def _certify_tree(ps, bits, cap, edges):
 
 
 def exhaustive_mdst(ps: PointSet, bits: int = 64) -> SolverResult:
-    """Certified minimum over all labeled trees; the slow, simple oracle.
+    """Certified minimum over all labeled trees; the simple oracle.
 
-    Every Prüfer sequence is decoded in build order and its tree joined,
-    a leaf at a time, in a table of integer path sums at 32 bits, which
-    goes through the integer screen (`_RunningScreen`); a tree is dropped
-    once a pair exceeds the incumbent.  Only the trees the screen cannot
-    certify worse become validated `Tree`s and are separated exactly, so
-    the answer, `trees_examined` and `pruned` are those of scoring every
-    tree fully.
+    Trees are built by parent picks, a join at a time, in a table of
+    integer path sums at 32 bits screened by `_RunningScreen`, and a
+    refused join drops every tree below it (`_screen_every_tree`).  Only
+    the trees the screen cannot certify worse become validated `Tree`s,
+    in Prüfer order, and are separated exactly, so the answer,
+    `trees_examined` and `pruned` are those of scoring every Prüfer tree
+    fully.
     """
     n = ps.n
     if n > _ENUM_MAX:
         raise SizeTooLarge(f"exhaustive oracle capped at {_ENUM_MAX} points")
     cap = max_bits_cap()
     screen = _RunningScreen(ps, 32)
-    _screen_every_tree(ps, screen)
-    candidates, count = screen.survivors(), screen.count
+    candidates, count = _screen_every_tree(ps, screen), screen.count
     best, report, _ = _first_minimum(
         map(partial(_certify_tree, ps, bits, cap), candidates), cap)
     return SolverResult(best=best, report=report, trees_examined=count,
@@ -737,9 +776,8 @@ def verify_crossing_witness(ps: PointSet, bits: int = 96) -> WitnessCheck | None
         raise ValueError("witness verification is defined for five points")
     cap = max_bits_cap()
     screen = _RunningScreen(ps, 48)
-    _screen_every_tree(ps, screen)
     certified = [_certify_tree(ps, bits, cap, edges)
-                 for edges in screen.survivors()]
+                 for edges in _screen_every_tree(ps, screen)]
     best_tree, best_rep, best_exact = _first_minimum(certified, cap)
     optimal = [tree for tree, rep, exact in certified
                if _compare_exact(rep, exact, best_rep, best_exact, cap) == 0]

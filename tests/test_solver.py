@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,9 @@ from dilatree.solver import (Mode, SolverOptions, SolverResult,
                              critical_path_structure, enumerate_spanning_trees,
                              exhaustive_mdst, mdst_exact, uncross_four,
                              verify_crossing_witness, witness_search_five,
-                             _compare_reports, _order_metric, _prufer_edges)
+                             _RunningScreen, _compare_reports, _completions,
+                             _order_metric, _prufer_code, _prufer_edges,
+                             _screen_every_tree)
 from dilatree.radical import SqrtSum
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -83,6 +86,89 @@ def test_prufer_decode_attaches_one_leaf_at_a_time():
                 heap_prufer_edges(n, seq)
 
 
+def test_prufer_code_inverts_the_decode():
+    for n in range(2, 8):
+        for seq in itertools.product(range(n), repeat=n - 2):
+            parent = [None] * (n - 1)
+            for leaf, anchor in _prufer_edges(n, seq):
+                parent[leaf] = anchor
+            assert _prufer_code(parent) == seq
+
+
+class _FixedLimitScreen(_RunningScreen):
+    """A screen whose limit stays `fixed` (None: no incumbent) and which
+    keeps every tree offered to it as a survivor."""
+
+    def __init__(self, ps):
+        super().__init__(ps, 32)
+        self.fixed, self.offered = None, []
+
+    def limit(self):
+        return self.fixed
+
+    def offer(self, key, sums):
+        self.count += 1
+        self.offered.append(key)
+
+    def survivors(self):
+        return self.offered
+
+
+def test_oracle_offers_every_tree_once_without_incumbent():
+    rng = random.Random(29)
+    for n in range(2, 8):
+        ps = PointSet.from_coords(random_distinct_points(rng, n))
+        screen = _FixedLimitScreen(ps)
+        survivors = _screen_every_tree(ps, screen)
+        # each tree offered once, by its Prüfer code ...
+        assert screen.count == n ** (n - 2)
+        assert sorted(screen.offered) == \
+            list(itertools.product(range(n), repeat=n - 2))
+        # ... and handed back in Prüfer order
+        assert [Tree(n, edges).edges for edges in survivors] == \
+            [t.edges for t in enumerate_spanning_trees(n)]
+
+
+def test_completions_count_the_trees_below_each_prefix():
+    # a prefix: the parents picked by vertices 0 .. i-1, toward root n - 1
+    for n in range(2, 7):
+        below = Counter()
+        for tree in enumerate_spanning_trees(n):
+            parent = tree.parents_from(n - 1)
+            for i in range(n):
+                below[tuple(parent[:i])] += 1
+        for prefix, count in below.items():
+            i = len(prefix)
+
+            def top(v):
+                while v < i:
+                    v = prefix[v]
+                return v
+
+            root_size = sum(top(v) == n - 1 for v in range(n))
+            assert _completions(n, n - i, root_size) == count
+
+
+@pytest.mark.parametrize("ratio", [Fraction(6, 5), Fraction(3, 2), 2, 3])
+def test_oracle_counts_every_tree_below_a_refused_pick(ratio):
+    # with a fixed limit, picks are refused at every depth; the trees
+    # offered are exactly those whose every pair stays within the limit,
+    # and the refused ones are counted in closed form
+    rng = random.Random(31)
+    for n in range(3, 7):
+        ps = PointSet.from_coords(random_distinct_points(rng, n))
+        screen = _FixedLimitScreen(ps)
+        lens = screen.lens
+        limit = screen.fixed = [[int(ratio * hi) for _, hi in row]
+                                for row in lens]
+        survivors = _screen_every_tree(ps, screen)
+        assert screen.count == n ** (n - 2)
+        within = [t.edges for t in enumerate_spanning_trees(n) if all(
+            sum(lens[a][b][0] for a, b in t.path_edges(u, v)) <= limit[u][v]
+            for u, v in itertools.combinations(range(n), 2))]
+        assert [Tree(n, edges).edges for edges in survivors] == within
+
+
 def test_enumeration_guard():
     with pytest.raises(SizeTooLarge):
         list(enumerate_spanning_trees(10))
@@ -115,6 +201,14 @@ def test_mdst_square_matches_oracle():
     # the optimum is a star; its value is 1 + sqrt(2)
     lo, hi = res.report.value.lo, res.report.value.hi
     assert (lo - 1) ** 2 <= 2 <= (hi - 1) ** 2
+
+
+def test_exhaustive_mdst_edge_sizes():
+    res = exhaustive_mdst(PointSet.from_coords([(0, 0), (3, 4)]))
+    assert res.best.edges == ((0, 1),)
+    assert (res.trees_examined, res.pruned) == (1, 0)
+    with pytest.raises(ValueError):
+        exhaustive_mdst(PointSet.from_coords([(0, 0)]))
 
 
 def test_mdst_matches_oracle_random_sets():
@@ -151,7 +245,24 @@ EXHAUSTIVE_PINS = [
 ]
 
 
-@pytest.mark.parametrize("pin", EXHAUSTIVE_PINS, ids=["square", "a", "b", "c"])
+# the same, recorded on two lattice sets whose many exact ties make the
+# survivors' order decide the answer: eight of the 3x3 unit grid's points
+# (7 survivors) and the 2x3 grid (14 survivors)
+EXHAUSTIVE_TIE_PINS = [
+    ([(x, y) for x in range(3) for y in range(3)][:8],
+     ((0, 4), (1, 2), (1, 4), (1, 5), (3, 4), (4, 6), (4, 7)), (0, 1), 272,
+     True, 262144, 262137,
+     (18320381198483092318366819162170796570593515903918213573057006220700984226932758009, 272,
+      293126099175729477093869106594732745129496254462691417168912099531215747630924128147, 276)),
+    ([(x, y) for x in range(2) for y in range(3)],
+     ((0, 3), (0, 4), (1, 2), (1, 4), (1, 5)), (0, 1), 272, True, 1296, 1282,
+     (18320381198483092318366819162170796570593515903918213573057006220700984226932758009, 272,
+      293126099175729477093869106594732745129496254462691417168912099531215747630924128147, 276)),
+]
+
+
+@pytest.mark.parametrize("pin", EXHAUSTIVE_PINS + EXHAUSTIVE_TIE_PINS,
+                         ids=["square", "a", "b", "c", "grid3x3_8", "grid2x3"])
 def test_exhaustive_mdst_pinned(pin):
     coords, edges, witness, precision, tied, examined, pruned, value = pin
     res = exhaustive_mdst(PointSet.from_coords(coords))
@@ -317,12 +428,25 @@ def test_mdst_tree_mode_pinned(pin):
 @pytest.mark.parametrize("coords", [RANDOM8A, RANDOM8B], ids=["8a", "8b"])
 def test_mdst_matches_oracle_on_eight_points(coords):
     cap = max_bits_cap()
-    for off in (0, 1 << 54):
+    for off in (0, 1 << 54, 1 << 60):
         ps = PointSet.from_coords([(x + off, y + off) for x, y in coords])
         res, oracle = mdst_exact(ps), exhaustive_mdst(ps)
         assert oracle.trees_examined == 8 ** 6
         assert _compare_reports(ps, res.best, res.report,
                                 oracle.best, oracle.report, cap) == 0
+
+
+def test_mdst_matches_oracle_on_nine_points():
+    # 9^7 = 4,782,969 trees each; about 0.15-0.6 s per oracle run
+    cap = max_bits_cap()
+    for seed in range(900, 904):
+        for off in (0, 1 << 54):
+            ps = PointSet.from_coords([(x + off, y + off)
+                                       for x, y in grid_probe(seed, 9)])
+            res, oracle = mdst_exact(ps), exhaustive_mdst(ps)
+            assert oracle.trees_examined == 9 ** 7
+            assert _compare_reports(ps, res.best, res.report,
+                                    oracle.best, oracle.report, cap) == 0
 
 
 def test_crossing_free_grid_search_is_fast():
@@ -925,6 +1049,15 @@ def test_witness_check_agrees_with_exhaustive_oracle():
         assert check.best_tree == oracle.best
         assert check.report == oracle.report
         assert check.optimal_trees == (oracle.best,)
+
+
+def test_witness_optimal_trees_pinned():
+    # recorded before the oracle enumerated trees by shared prefixes
+    check = verify_crossing_witness(PointSet.from_coords(WITNESS5))
+    assert [t.edges for t in check.optimal_trees] == \
+        [((0, 1), (1, 3), (1, 4), (2, 3))]
+    assert check.best_tree.edges == ((0, 1), (1, 3), (1, 4), (2, 3))
+    assert sorted(check.critical) == [(0, 1), (1, 3), (2, 3)]
 
 
 def test_non_witness_returns_none():
