@@ -57,7 +57,7 @@ def _load_points(path):
 
 def _load_instance_or_gadget(path):
     obj = fileio.load_json(path)
-    if "alphas_dot" in obj:
+    if isinstance(obj, dict) and "alphas_dot" in obj:
         return fileio.instance_from_json(obj)
     g = fileio.gadget_from_json(obj)
     return g, g.alphas_dot
@@ -97,7 +97,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     obj = fileio.load_json(args.input)
-    if "alphas_dot" in obj:
+    if isinstance(obj, dict) and "alphas_dot" in obj:
         ii, alphas_dot = fileio.instance_from_json(obj)
         g = build_gadget(PartitionInstance(alphas_dot),
                          d_bits=max(ii.k + 8, 32))

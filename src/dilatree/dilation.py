@@ -365,18 +365,18 @@ def tree_exact(ps: PointSet, tree: Tree):
     return exact
 
 
-def _ratio_sign(a, b, cap) -> int:
+def _ratio_sign(a, b) -> int:
     """Certified sign of d_a/l_a - d_b/l_b for exact pairs (d, l)."""
     (da, la), (db, lb) = a, b
-    return (da * lb - db * la).sign(cap=cap)
+    return (da * lb - db * la).sign()
 
 
 # ---------------------------------------------------------------------------
 # threshold comparison
 
 
-def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int, q_den: int,
-                         *, cap: int | None = None) -> Verdict:
+def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int,
+                         q_den: int) -> Verdict:
     """Certified verdict of Delta(T) <= P/Q.
 
     Scans every pair at 64 bits, one `root_sums` per first vertex, and
@@ -388,7 +388,6 @@ def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int, q_den: int,
         raise ValueError("threshold must satisfy P/Q >= 1 with Q >= 1")
     if tree.n != ps.n:
         raise ValueError("tree and point set sizes differ")
-    cap = max_bits_cap() if cap is None else cap
     n, adj, tab = ps.n, tree.adjacency(), ps.table(64)
     undecided = []
     for u in range(n - 1):
@@ -404,8 +403,7 @@ def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int, q_den: int,
     for u, v in undecided:
         d, length = exact(u, v)
         try:
-            sign = (d.scale(q_den) - length.scale(p_num)).sign(
-                start_bits=128, cap=cap)
+            sign = (d.scale(q_den) - length.scale(p_num)).sign(start_bits=128)
         except PrecisionExhausted as exc:
             raise PrecisionExhausted(
                 f"dilation of pair {(u, v)} against {p_num}/{q_den} "
@@ -420,8 +418,7 @@ def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int, q_den: int,
 # tree dilation with witness separation
 
 
-def tree_dilation(ps: PointSet, tree: Tree, bits: int,
-                  *, cap: int | None = None) -> DilationReport:
+def tree_dilation(ps: PointSet, tree: Tree, bits: int) -> DilationReport:
     """Enclose Delta(T) and name a pair attaining it.
 
     The maximum is certified by `_max_dilation`: genuinely equal maxima
@@ -430,13 +427,11 @@ def tree_dilation(ps: PointSet, tree: Tree, bits: int,
     """
     if tree.n != ps.n:
         raise ValueError("tree and point set sizes differ")
-    cap = max_bits_cap() if cap is None else cap
     return _max_dilation(ps, partial(root_sums, ps, tree.adjacency()),
-                         tree_exact(ps, tree), bits, cap)
+                         tree_exact(ps, tree), bits)
 
 
-def _max_dilation(ps: PointSet, sums, exact, bits: int,
-                 cap: int) -> DilationReport:
+def _max_dilation(ps: PointSet, sums, exact, bits: int) -> DilationReport:
     """Enclose the largest pair dilation of a structure on `ps` and name a
     pair attaining it.
 
@@ -450,6 +445,7 @@ def _max_dilation(ps: PointSet, sums, exact, bits: int,
     the lexicographically smallest witness.  `PrecisionExhausted` at the
     cap names the surviving pairs, all of them in its `context`.
     """
+    cap = max_bits_cap()
     work = max(bits + 4, 64)
     enc = _pair_ratios(ps, sums, itertools.combinations(range(ps.n), 2), work)
     tied = False
@@ -470,7 +466,7 @@ def _max_dilation(ps: PointSet, sums, exact, bits: int,
                 top = exact(*order[0])
                 for pq in order[1:]:
                     cand = exact(*pq)
-                    sign = _ratio_sign(cand, top, cap)
+                    sign = _ratio_sign(cand, top)
                     if sign > 0:
                         best, top = [pq], cand
                     elif sign == 0:
@@ -499,8 +495,7 @@ def _max_dilation(ps: PointSet, sums, exact, bits: int,
 # critical edges
 
 
-def critical_edges(ps: PointSet, p_num: int, q_den: int,
-                   *, cap: int | None = None) -> frozenset:
+def critical_edges(ps: PointSet, p_num: int, q_den: int) -> frozenset:
     """Pairs (u, v) whose every one-stop detour strictly exceeds (P/Q)|uv|.
 
     Such an edge is forced into any spanning tree whose dilation stays
@@ -508,13 +503,12 @@ def critical_edges(ps: PointSet, p_num: int, q_den: int,
     """
     if q_den < 1 or p_num < 1:
         raise ValueError("threshold must be a positive rational P/Q")
-    cap = max_bits_cap() if cap is None else cap
     return _critical_scan(ps, SqrtSum.rational(p_num),
-                          SqrtSum.rational(q_den), 64, cap)
+                          SqrtSum.rational(q_den), 64)
 
 
 def _critical_scan(ps: PointSet, d: SqrtSum, length: SqrtSum,
-                   bits: int, cap: int) -> frozenset:
+                   bits: int) -> frozenset:
     """Pairs (u, v) with (d/length)|uv| < |uw| + |wv| for every other w.
 
     Each triple is screened with integer enclosures at `bits` against
@@ -541,7 +535,7 @@ def _critical_scan(ps: PointSet, d: SqrtSum, length: SqrtSum,
                 break                   # w certainly gives a short enough one
             try:
                 sign = _ratio_sign((exact(u, w) + exact(w, v), exact(u, v)),
-                                   (d, length), cap)
+                                   (d, length))
             except PrecisionExhausted as exc:
                 raise PrecisionExhausted(
                     f"detour {(u, v, w)} against {d!r}/{length!r} "

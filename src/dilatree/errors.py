@@ -7,7 +7,7 @@ _ENV_MAX_BITS = "DILATREE_MAX_BITS"
 
 
 def max_bits_cap() -> int:
-    """Hard ceiling for precision escalation, overridable via DILATREE_MAX_BITS."""
+    """The one precision ceiling: DILATREE_MAX_BITS, else 4096 bits."""
     raw = os.environ.get(_ENV_MAX_BITS)
     if raw is None:
         return DEFAULT_MAX_BITS

@@ -14,8 +14,7 @@ from fractions import Fraction
 from .dilation import PointSet, Tree
 from .exactgeom import Point
 from .gadget import (Gadget, IntegerInstance, PartitionInstance, _CirclePair,
-                     _LayoutView, _ideal_lengths, _labels,
-                     partition_threshold, rounding_bits)
+                     _labels, partition_threshold, rounding_bits)
 
 _DYADIC = re.compile(r"^(-?\d+)/2\^(\d+)$")
 _RATIONAL = re.compile(r"^(-?\d+)(?:/(\d+))?$")
@@ -37,7 +36,7 @@ def format_dyadic(x, frac_bits: int) -> str:
 
 
 def parse_number(s) -> Fraction:
-    if isinstance(s, int):
+    if type(s) is int:                  # a JSON true is not a number
         return Fraction(s)
     if not isinstance(s, str):
         raise ValueError(f"expected a number string, got {s!r}")
@@ -55,6 +54,32 @@ def _parse_int(s, what) -> int:
     if v.denominator != 1:
         raise ValueError(f"{what} must be an integer, got {s!r}")
     return v.numerator
+
+
+def _shape(v, kind, what):
+    if not isinstance(v, kind):
+        raise ValueError(f"{what} must be a JSON {kind.__name__}, got {v!r}")
+    return v
+
+
+def _point(xy) -> Point:
+    x, y = _shape(xy, list, "an [x, y] point")
+    return Point(parse_number(x), parse_number(y))
+
+
+def _canonical_points(obj, n, parse) -> PointSet:
+    """The 8n+8 points of an instance or gadget file, in canonical order."""
+    entries = _shape(obj["points"], list, "\"points\"")
+    if len(entries) != 8 * n + 8:
+        raise ValueError(f"wrong number of points for n={n}")
+    pts, labels = [], []
+    for entry in entries:
+        entry = _shape(entry, dict, "a labelled point")
+        pts.append(Point(parse(entry["x"]), parse(entry["y"])))
+        labels.append(entry["label"])
+    if tuple(labels) != tuple(_labels(n)):
+        raise ValueError("labels deviate from the canonical ordering")
+    return PointSet(pts, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +100,13 @@ def points_from_json(obj) -> PointSet:
     if not isinstance(obj, dict) or "points" not in obj:
         raise ValueError("points file needs a top-level \"points\" list")
     pts, labels = [], []
-    for entry in obj["points"]:
+    for entry in _shape(obj["points"], list, "\"points\""):
         if isinstance(entry, dict):
             pts.append(Point(parse_number(entry["x"]),
                              parse_number(entry["y"])))
             labels.append(entry.get("label"))
         else:
-            x, y = entry
-            pts.append(Point(parse_number(x), parse_number(y)))
+            pts.append(_point(entry))
             labels.append(None)
     if any(lab is None for lab in labels):
         return PointSet(pts)
@@ -96,7 +120,12 @@ def tree_to_json(tree: Tree) -> dict:
 def tree_from_json(obj, n: int) -> Tree:
     if not isinstance(obj, dict) or "edges" not in obj:
         raise ValueError("tree file needs a top-level \"edges\" list")
-    return Tree(n, [tuple(e) for e in obj["edges"]])
+    edges = _shape(obj["edges"], list, "\"edges\"")
+    # a vertex index is a JSON integer: not a string, float or bool
+    if any(type(v) is not int
+           for e in edges for v in _shape(e, list, "an edge")):
+        raise ValueError("edge ends must be integer vertex indices")
+    return Tree(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +155,13 @@ def instance_from_json(obj):
     itself is revalidated later by whoever consumes the points.
     """
     for key in ("alphas_dot", "k", "P", "Q", "points", "scale"):
-        if key not in obj:
+        if key not in _shape(obj, dict, "instance file"):
             raise ValueError(f"instance file is missing \"{key}\"")
-    alphas_dot = tuple(int(a) for a in obj["alphas_dot"])
+    alphas_dot = tuple(_parse_int(a, "weight") for a in
+                       _shape(obj["alphas_dot"], list, "\"alphas_dot\""))
     inst = PartitionInstance(alphas_dot)
     n = inst.n
-    k = int(obj["k"])
+    k = _parse_int(obj["k"], "k")
     if obj["scale"] != f"1800*2^{k}":
         raise ValueError("scale does not match k")
     if k < rounding_bits(inst):
@@ -139,17 +169,9 @@ def instance_from_json(obj):
     P, Q = _parse_int(obj["P"], "P"), _parse_int(obj["Q"], "Q")
     if (P, Q) != partition_threshold(n, inst.sigma_dot):
         raise ValueError("threshold does not match the weights")
-    entries = obj["points"]
-    if len(entries) != 8 * n + 8:
-        raise ValueError("wrong number of points for the declared weights")
-    pts, labels = [], []
-    for entry in entries:
-        pts.append(Point(Fraction(_parse_int(entry["x"], "x")),
-                         Fraction(_parse_int(entry["y"], "y"))))
-        labels.append(entry["label"])
-    if tuple(labels) != tuple(_labels(n)):
-        raise ValueError("labels deviate from the canonical ordering")
-    ii = IntegerInstance(k=k, points=PointSet(pts, labels=labels), P=P, Q=Q,
+    ps = _canonical_points(
+        obj, n, lambda s: Fraction(_parse_int(s, "coordinate")))
+    ii = IntegerInstance(k=k, points=ps, P=P, Q=Q,
                          epsilon_bound=Fraction(1, 1 << k))
     return ii, alphas_dot
 
@@ -192,27 +214,19 @@ def gadget_to_json(g: Gadget) -> dict:
 def gadget_from_json(obj) -> Gadget:
     for key in ("n", "d_bits", "alphas", "sigma_total", "xi", "points",
                 "d_defs"):
-        if key not in obj:
+        if key not in _shape(obj, dict, "gadget file"):
             raise ValueError(f"gadget file is missing \"{key}\"")
-    n = int(obj["n"])
-    alphas = tuple(parse_number(a) for a in obj["alphas"])
-    entries = obj["points"]
-    if len(entries) != 8 * n + 8:
-        raise ValueError("wrong number of points for the declared n")
-    pts, labels = [], []
-    for entry in entries:
-        pts.append(Point(parse_number(entry["x"]), parse_number(entry["y"])))
-        labels.append(entry["label"])
-    if tuple(labels) != tuple(_labels(n)):
-        raise ValueError("labels deviate from the canonical ordering")
+    n = _parse_int(obj["n"], "n")
+    alphas = tuple(map(parse_number,
+                       _shape(obj["alphas"], list, "\"alphas\"")))
+    ps = _canonical_points(obj, n, parse_number)
     defs = []
-    for spec in obj["d_defs"]:
+    for spec in _shape(obj["d_defs"], list, "\"d_defs\""):
+        spec = _shape(spec, dict, "a choice point definition")
         defs.append(_CirclePair(
-            center_c=Point(parse_number(spec["center_c"][0]),
-                           parse_number(spec["center_c"][1])),
+            center_c=_point(spec["center_c"]),
             r1_sq=parse_number(spec["r1_sq"]),
-            center_a=Point(parse_number(spec["center_a"][0]),
-                           parse_number(spec["center_a"][1])),
+            center_a=_point(spec["center_a"]),
             r2_sq=parse_number(spec["r2_sq"]),
         ))
     return Gadget(
@@ -220,10 +234,9 @@ def gadget_from_json(obj) -> Gadget:
         alphas=alphas,
         sigma_total=parse_number(obj["sigma_total"]),
         xi=parse_number(obj["xi"]),
-        points=PointSet(pts, labels=labels),
+        points=ps,
         d_defs=tuple(defs),
-        d_bits=int(obj["d_bits"]),
-        rational_lengths=_ideal_lengths(n, alphas, _LayoutView(n)),
+        d_bits=_parse_int(obj["d_bits"], "d_bits"),
     )
 
 

@@ -23,6 +23,7 @@ it leaves is built and certified by `compare_to_threshold`.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .dilation import (PointSet, Tree, Verdict, compare_to_threshold,
                        critical_edges, graph_exceeds)
@@ -183,13 +184,16 @@ class Gadget(_PointLayout):
     points: PointSet
     d_defs: tuple[_CirclePair, ...]
     d_bits: int
-    rational_lengths: dict
 
     def __post_init__(self):
         if len(self.points) != 8 * self.n + 8:
             raise ValueError("point count does not match n")
         if len(self.alphas) != self.n or len(self.d_defs) != self.n:
             raise ValueError("per-index data does not match n")
+
+    @cached_property
+    def rational_lengths(self) -> dict:
+        return _ideal_lengths(self)
 
     @property
     def sigma_dot(self) -> int:
@@ -310,15 +314,14 @@ def _labels(n):
     return right + [lab + "'" for lab in right[2:]]
 
 
-def _ideal_lengths(g_n, alphas, layout):
-    n = g_n
+def _ideal_lengths(lay):
+    n, alphas = lay.n, lay.alphas
     L = {}
 
     def put(u, v, value):
         key = (u, v) if u < v else (v, u)
         L[key] = Fraction(value)
 
-    lay = layout
     put(lay.q1, lay.a(1), Fraction(5, 2))
     put(lay.q1, lay.mirror(lay.a(1)), Fraction(5, 2))
     put(lay.q1, lay.q2, Fraction(25, 9) * _four(n) - Fraction(11, 18))
@@ -351,11 +354,6 @@ def _ideal_lengths(g_n, alphas, layout):
     return L
 
 
-class _LayoutView(_PointLayout):
-    def __init__(self, n):
-        self.n = n
-
-
 def build_gadget(inst: PartitionInstance, d_bits: int | None = None) -> Gadget:
     """Construct the exact 8n+8-point reduction set for a weight sequence.
 
@@ -376,7 +374,6 @@ def build_gadget(inst: PartitionInstance, d_bits: int | None = None) -> Gadget:
     mirrored = [Point(-p.x, p.y) for p in right[2:]]
     ps = PointSet(right + mirrored, labels=_labels(n))
 
-    layout = _LayoutView(n)
     return Gadget(
         n=n,
         alphas=alphas,
@@ -385,7 +382,6 @@ def build_gadget(inst: PartitionInstance, d_bits: int | None = None) -> Gadget:
         points=ps,
         d_defs=defs,
         d_bits=d_bits,
-        rational_lengths=_ideal_lengths(n, alphas, layout),
     )
 
 

@@ -153,13 +153,13 @@ class SqrtSum:
                 hi += c * enc.lo
         return Interval(lo, hi, bits)
 
-    def sign(self, *, start_bits: int = 64, cap: int | None = None) -> int:
+    def sign(self, *, start_bits: int = 64) -> int:
         """Certified sign in {-1, 0, +1}.
 
         Zero is recognized exactly through the square classes; a nonzero
-        value is separated from zero by interval refinement, and
-        PrecisionExhausted means it is nonzero but closer to zero than
-        the cap can resolve.
+        value is separated from zero by interval refinement from
+        `start_bits` up to the ceiling, never above it, and
+        PrecisionExhausted means it is nonzero but closer to zero than that.
         """
         if not self._terms:
             return 0
@@ -168,8 +168,8 @@ class SqrtSum:
             return 1
         if all(c < 0 for c in coefs):
             return -1
-        limit = max_bits_cap() if cap is None else cap
-        bits = start_bits
+        limit = max_bits_cap()
+        bits = min(start_bits, limit)
         while True:
             enc = self.eval_interval(bits)
             if enc.lo > 0:

@@ -41,8 +41,7 @@ from .dilation import (DilationReport, PointSet, Tree, crossing_edge_pairs,
                        graph_exceeds, tree_dilation, tree_exact,
                        tree_has_crossing, _critical_scan, _max_dilation,
                        _ratio_sign)
-from .errors import (Infeasible, NotApplicable, NotCrossing, SizeTooLarge,
-                     max_bits_cap)
+from .errors import Infeasible, NotApplicable, NotCrossing, SizeTooLarge
 from .exactgeom import Orientation, orientation
 from .radical import SqrtSum
 
@@ -119,7 +118,7 @@ def enumerate_spanning_trees(n: int):
 # certified comparison of two structures' dilations
 
 
-def _compare_exact(rep_a, exact_a, rep_b, exact_b, cap):
+def _compare_exact(rep_a, exact_a, rep_b, exact_b):
     """Certified sign of rep_a's dilation minus rep_b's.
 
     `exact_x(u, v)` gives the exact (path length, |uv|) of a pair in that
@@ -129,22 +128,22 @@ def _compare_exact(rep_a, exact_a, rep_b, exact_b, cap):
         return -1
     if rep_a.value.lo > rep_b.value.hi:
         return 1
-    return _ratio_sign(exact_a(*rep_a.witness), exact_b(*rep_b.witness), cap)
+    return _ratio_sign(exact_a(*rep_a.witness), exact_b(*rep_b.witness))
 
 
-def _compare_reports(ps, tree_a, rep_a, tree_b, rep_b, cap):
+def _compare_reports(ps, tree_a, rep_a, tree_b, rep_b):
     """Certified sign of Delta(tree_a) - Delta(tree_b)."""
     return _compare_exact(rep_a, tree_exact(ps, tree_a),
-                          rep_b, tree_exact(ps, tree_b), cap)
+                          rep_b, tree_exact(ps, tree_b))
 
 
-def _first_minimum(reports, cap):
+def _first_minimum(reports):
     """The first (structure, report, exact) of `reports` that no later one
     certifiably beats, so ties keep the earliest."""
     best = None
     for item in reports:
         if best is None or _compare_exact(item[1], item[2],
-                                          best[1], best[2], cap) < 0:
+                                          best[1], best[2]) < 0:
             best = item
     return best
 
@@ -210,7 +209,6 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
         raise SizeTooLarge(f"{n} points exceeds max_points={opts.max_points}")
     if opts.mode is not Mode.TREE:
         return _order_search(ps, opts)
-    cap = max_bits_cap()
     screen = _RunningScreen(ps, 32)
     pairs = [[(0, 0)] * n for _ in range(n)]
 
@@ -284,7 +282,7 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
     if not candidates:
         raise Infeasible("no spanning tree satisfies the constraints")
     best, report, _ = _first_minimum(
-        map(partial(_certify_tree, ps, opts.bits, cap), candidates), cap)
+        map(partial(_certify_tree, ps, opts.bits), candidates))
     return SolverResult(best=best, report=report, trees_examined=screen.count,
                         pruned=cuts + screen.count - len(candidates))
 
@@ -434,11 +432,11 @@ def _screen_every_tree(ps, screen):
     return [_prufer_edges(n, code) for code in sorted(screen.survivors())]
 
 
-def _certify_tree(ps, bits, cap, edges):
+def _certify_tree(ps, bits, edges):
     """(tree, certified report, exact pair metric) of the tree on `edges`,
     as `_first_minimum` reads them."""
     tree = Tree(ps.n, edges)
-    return tree, tree_dilation(ps, tree, bits, cap=cap), tree_exact(ps, tree)
+    return tree, tree_dilation(ps, tree, bits), tree_exact(ps, tree)
 
 
 def exhaustive_mdst(ps: PointSet, bits: int = 64) -> SolverResult:
@@ -455,11 +453,10 @@ def exhaustive_mdst(ps: PointSet, bits: int = 64) -> SolverResult:
     n = ps.n
     if n > _ENUM_MAX:
         raise SizeTooLarge(f"exhaustive oracle capped at {_ENUM_MAX} points")
-    cap = max_bits_cap()
     screen = _RunningScreen(ps, 32)
     candidates, count = _screen_every_tree(ps, screen), screen.count
     best, report, _ = _first_minimum(
-        map(partial(_certify_tree, ps, bits, cap), candidates), cap)
+        map(partial(_certify_tree, ps, bits), candidates))
     return SolverResult(best=best, report=report, trees_examined=count,
                         pruned=count - len(candidates))
 
@@ -477,7 +474,7 @@ def _order_edges(order, closed):
     return [tuple(sorted(e)) for e in _steps(order, closed)]
 
 
-def _order_metric(ps, order, closed, cap):
+def _order_metric(ps, order, closed):
     """Path metric of the Hamiltonian path through `order` or, if `closed`,
     of its tour, where a pair takes the shorter arc.
 
@@ -518,7 +515,7 @@ def _order_metric(ps, order, closed, cap):
         d = exact_prefix[j] - exact_prefix[i]
         if closed:
             other = exact_prefix[-1] - d
-            if (other - d).sign(cap=cap) < 0:
+            if (other - d).sign() < 0:
                 d = other
         return d, ps.exact_dist(u, v)
 
@@ -558,7 +555,6 @@ def _order_search(ps, opts):
         raise SizeTooLarge(f"path/tour search capped at {_STRUCT_MAX} points")
     if n < 3:
         raise ValueError("need at least three points")
-    cap = max_bits_cap()
     closed = opts.mode is Mode.TOUR
     required = {tuple(sorted(e)) for e in opts.required_edges}
     partners = [set() for _ in range(n)]
@@ -589,7 +585,7 @@ def _order_search(ps, opts):
         if closed:
             seq = seq[seq.index(0):] + seq[:seq.index(0)]
         if feasible(seq):
-            screen.tighten(_order_metric(ps, tuple(seq), closed, cap)[0])
+            screen.tighten(_order_metric(ps, tuple(seq), closed)[0])
 
     order = [0] * n        # the prefix being extended, ...
     prefix = [0] * n       # the lower sums of its edges up to each vertex
@@ -643,7 +639,7 @@ def _order_search(ps, opts):
                 if opts.enumeration_cap is not None and \
                         screen.count >= opts.enumeration_cap:
                     raise SizeTooLarge("enumeration cap exceeded")
-                screen.offer(key, _order_metric(ps, key, closed, cap)[0])
+                screen.offer(key, _order_metric(ps, key, closed)[0])
             return
         for y in range(n):
             if placed[y]:
@@ -665,10 +661,10 @@ def _order_search(ps, opts):
         raise Infeasible("no ordering satisfies the constraints")
 
     def certify(order):
-        sums, exact = _order_metric(ps, order, closed, cap)
-        return order, _max_dilation(ps, sums, exact, opts.bits, cap), exact
+        sums, exact = _order_metric(ps, order, closed)
+        return order, _max_dilation(ps, sums, exact, opts.bits), exact
 
-    order, report, _ = _first_minimum(map(certify, candidates), cap)
+    order, report, _ = _first_minimum(map(certify, candidates))
     edges = _order_edges(order, closed)
     return SolverResult(best=tuple(sorted(edges)) if closed else Tree(n, edges),
                         report=report, trees_examined=screen.count,
@@ -774,16 +770,15 @@ def verify_crossing_witness(ps: PointSet, bits: int = 96) -> WitnessCheck | None
     """
     if ps.n != 5:
         raise ValueError("witness verification is defined for five points")
-    cap = max_bits_cap()
     screen = _RunningScreen(ps, 48)
-    certified = [_certify_tree(ps, bits, cap, edges)
+    certified = [_certify_tree(ps, bits, edges)
                  for edges in _screen_every_tree(ps, screen)]
-    best_tree, best_rep, best_exact = _first_minimum(certified, cap)
+    best_tree, best_rep, best_exact = _first_minimum(certified)
     optimal = [tree for tree, rep, exact in certified
-               if _compare_exact(rep, exact, best_rep, best_exact, cap) == 0]
+               if _compare_exact(rep, exact, best_rep, best_exact) == 0]
     if not all(tree_has_crossing(ps, t) for t in optimal):
         return None
-    crit = _critical_scan(ps, *best_exact(*best_rep.witness), 64, cap)
+    crit = _critical_scan(ps, *best_exact(*best_rep.witness), 64)
     # every other tree was certified strictly worse, by the integer screen
     # or by an exact sign, so in particular every crossing-free tree is
     return WitnessCheck(ps=ps, best_tree=best_tree, report=best_rep,

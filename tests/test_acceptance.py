@@ -221,7 +221,7 @@ def test_criterion_07_search_matches_exhaustive():
         bb = mdst_exact(ps)
         oracle = exhaustive_mdst(ps, 64)
         ok &= _compare_reports(ps, bb.best, bb.report,
-                               oracle.best, oracle.report, None) == 0
+                               oracle.best, oracle.report) == 0
         done += 1
     announce(7, ok, f"branch-and-bound optimum certified equal to the "
                     f"exhaustive oracle on {done}/100 sets of 5-7 points")
@@ -259,19 +259,18 @@ def test_criterion_08_four_points_never_need_crossings():
         constrained = mdst_exact(ps, SolverOptions(crossing_free=True))
         ok &= not tree_has_crossing(ps, constrained.best)
         ok &= _compare_reports(ps, free.best, free.report, constrained.best,
-                               constrained.report, None) == 0
+                               constrained.report) == 0
         for tree in enumerate_spanning_trees(4):
             if not tree_has_crossing(ps, tree):
                 continue
             report = tree_dilation(ps, tree, 64)
-            if _compare_reports(ps, tree, report, free.best, free.report,
-                                None) != 0:
+            if _compare_reports(ps, tree, report, free.best, free.report) != 0:
                 continue
             fixed = uncross_four(ps, tree)
             ok &= not tree_has_crossing(ps, fixed)
             fixed_report = tree_dilation(ps, fixed, 64)
             ok &= _compare_reports(ps, fixed, fixed_report, tree,
-                                   report, None) <= 0
+                                   report) <= 0
             uncrossed += 1
     announce(8, ok, f"crossing-free optimum certified on 100/100 convex "
                     f"quads; {uncrossed} crossing optima uncrossed no-worse")

@@ -46,6 +46,23 @@ def test_exit_code_matrix(tmp_path, square):
     dump_json(obj, tampered)
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
+    # malformed shapes: an input error (2), never a certified no (1)
+    bad = {}
+    for name, obj in [
+            ("str_vertex", {"edges": [[0, 1], [1, 2], [2, "3"]]}),
+            ("float_vertex", {"edges": [[0, 1], [1, 2], [2, 3.0]]}),
+            ("bool_vertex", {"edges": [[0, 1], [1, 2], [True, 3]]}),
+            ("edges_int", {"edges": 5}),
+            ("points_int", {"points": 5}),
+            ("scalar", 5)]:
+        bad[name] = tmp_path / f"{name}.json"
+        dump_json(obj, bad[name])
+    for name, key, value in [("null_weight", "alphas_dot", [None, 1]),
+                             ("null_k", "k", None)]:
+        obj = load_json(yes)
+        obj[key] = value
+        bad[name] = tmp_path / f"{name}.json"
+        dump_json(obj, bad[name])
 
     scenarios = [
         (["oracle", "--alphas", "1,1"], 0),
@@ -62,6 +79,15 @@ def test_exit_code_matrix(tmp_path, square):
           "--threshold", "1.5"], 2),
         (["verify", str(yes)], 0),
         (["verify", str(broken)], 2),
+        *[(["dilation", "--points", str(pts), "--tree", str(bad[name])], 2)
+          for name in ("str_vertex", "float_vertex", "bool_vertex",
+                       "edges_int")],
+        (["dilation", "--points", str(bad["points_int"]), "--tree",
+          str(tr)], 2),
+        (["decide", str(bad["null_weight"])], 2),
+        (["decide", str(bad["null_k"])], 2),
+        (["verify", str(bad["null_k"])], 2),
+        (["decide", str(bad["scalar"])], 2),
         (["gen", "--alphas", "1,1", "--d-bits", "40", "--k", "60",
           "-o", str(tmp_path / "coarse.json")], 2),
         (["witness5", "--seed", "3", "--budget", "10"], 3),

@@ -426,7 +426,7 @@ def test_critical_edges_match_exact_brute_force(offset):
         u, w, v = rng.sample(range(ps.n), 3)
         d = _exact_dist(ps, u, w) + _exact_dist(ps, w, v)
         length = _exact_dist(ps, u, v)
-        assert _critical_scan(ps, d, length, 64, 4096) \
+        assert _critical_scan(ps, d, length, 64) \
             == brute_critical(ps, d, length)
 
 
@@ -460,7 +460,7 @@ def test_critical_scan_coarse_screens_are_sound(offset):
                                    for x, y in coords])
         d = _exact_dist(ps, u, w) + _exact_dist(ps, w, v)
         length = _exact_dist(ps, u, v)
-        assert _critical_scan(ps, d, length, 8, 4096) \
+        assert _critical_scan(ps, d, length, 8) \
             == brute_critical(ps, d, length)
 
 
@@ -683,14 +683,17 @@ def sqrt5_star():
     return ps, Tree(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
 
 
-def test_precision_exhausted_surfaces():
+def test_precision_exhausted_surfaces(monkeypatch):
     ps, t = sqrt5_star()
     for cap in (64, 128):
+        monkeypatch.setenv("DILATREE_MAX_BITS", str(cap))
         with pytest.raises(PrecisionExhausted) as info:
-            tree_dilation(ps, t, 64, cap=cap)
+            tree_dilation(ps, t, 64)
         assert info.value.bits == cap
-    rep = tree_dilation(ps, t, 64, cap=256)
+    monkeypatch.setenv("DILATREE_MAX_BITS", "256")
+    rep = tree_dilation(ps, t, 64)
     assert (rep.tied, rep.witness, rep.precision_used) == (True, (1, 2), 256)
+    monkeypatch.delenv("DILATREE_MAX_BITS")
     assert tree_dilation(ps, t, 64).precision_used == 272
 
 
@@ -864,40 +867,56 @@ def sqrt5_half_path():
     return ps, Tree(3, [(0, 1), (1, 2)]), isqrt(5 << 260), 1 << 131
 
 
-def test_compare_to_threshold_names_undecided_pair():
+def test_compare_to_threshold_names_undecided_pair(monkeypatch):
     ps, t, p, q = sqrt5_half_path()
+    monkeypatch.setenv("DILATREE_MAX_BITS", "128")
     with pytest.raises(PrecisionExhausted) as info:
-        compare_to_threshold(ps, t, p, q, cap=128)
+        compare_to_threshold(ps, t, p, q)
     assert info.value.context == (0, 2)
     assert info.value.bits == 128
     assert f"pair (0, 2) against {p}/{q}" in str(info.value)
     assert isinstance(info.value.__cause__, PrecisionExhausted)
+    monkeypatch.delenv("DILATREE_MAX_BITS")
     assert compare_to_threshold(ps, t, p, q) is Verdict.GREATER
 
 
-def test_critical_scan_names_undecided_triple():
-    ps, _, p, q = sqrt5_half_path()
+def test_compare_to_threshold_keeps_below_the_ceiling(monkeypatch):
+    # the exact sign starts at 128 bits, but never above the ceiling
+    ps, t, p, q = sqrt5_half_path()
+    monkeypatch.setenv("DILATREE_MAX_BITS", "64")
     with pytest.raises(PrecisionExhausted) as info:
-        critical_edges(ps, p, q, cap=128)
+        compare_to_threshold(ps, t, p, q)
+    assert info.value.context == (0, 2)
+    assert info.value.bits == 64
+
+
+def test_critical_scan_names_undecided_triple(monkeypatch):
+    ps, _, p, q = sqrt5_half_path()
+    monkeypatch.setenv("DILATREE_MAX_BITS", "128")
+    with pytest.raises(PrecisionExhausted) as info:
+        critical_edges(ps, p, q)
     assert info.value.context == (0, 2, 1)
     assert info.value.bits == 128
     assert f"detour (0, 2, 1) against SqrtSum({p})/SqrtSum({q})" \
         in str(info.value)
     assert isinstance(info.value.__cause__, PrecisionExhausted)
+    monkeypatch.delenv("DILATREE_MAX_BITS")
     assert critical_edges(ps, p, q) == {(0, 1), (0, 2), (1, 2)}
 
 
-def test_precision_exhausted_names_survivors():
+def test_precision_exhausted_names_survivors(monkeypatch):
     ps, t = sqrt5_star()
+    monkeypatch.setenv("DILATREE_MAX_BITS", "64")
     with pytest.raises(PrecisionExhausted) as info:
-        tree_dilation(ps, t, 64, cap=64)
+        tree_dilation(ps, t, 64)
     assert info.value.bits == 64
     assert info.value.context == [(1, 2), (3, 4)]
     assert "among 2 pairs, first (1, 2), (3, 4)" in str(info.value)
     # on a chain every pair survives: four are named, all are carried
     ps, t = collinear_chain()
+    monkeypatch.setenv("DILATREE_MAX_BITS", "128")
     with pytest.raises(PrecisionExhausted) as info:
-        tree_dilation(ps, t, 64, cap=128)
+        tree_dilation(ps, t, 64)
     assert info.value.context == list(itertools.combinations(range(5), 2))
     assert str(info.value).endswith("among 10 pairs, first (0, 1), (0, 2), "
                                     "(0, 3), (0, 4)")

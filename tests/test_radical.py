@@ -45,7 +45,7 @@ def test_product_difference_of_squares():
     assert (a * b).rational_value() == 1
 
 
-def test_signs():
+def test_signs(monkeypatch):
     assert SqrtSum.zero().sign() == 0
     assert SqrtSum.sqrt_of(2).sign() == 1
     assert (-SqrtSum.sqrt_of(2)).sign() == -1
@@ -59,8 +59,11 @@ def test_signs():
     assert t.sign() == -1
     # nonzero, but closer to zero than a 64-bit cap can resolve
     tiny = SqrtSum.sqrt_of(10 ** 30 + 1) - SqrtSum.rational(10 ** 15)
-    with pytest.raises(PrecisionExhausted):
-        tiny.sign(cap=64)
+    monkeypatch.setenv("DILATREE_MAX_BITS", "64")
+    with pytest.raises(PrecisionExhausted) as info:
+        tiny.sign()
+    assert info.value.bits == 64
+    monkeypatch.delenv("DILATREE_MAX_BITS")
     assert tiny.sign() == 1
 
 

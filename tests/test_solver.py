@@ -17,7 +17,7 @@ from dilatree.dilation import (PointSet, Tree, crossing_edge_pairs,
                                graph_dilation_bounds, tree_dilation,
                                tree_has_crossing)
 from dilatree.errors import (Infeasible, NotApplicable, NotCrossing,
-                             SizeTooLarge, max_bits_cap)
+                             PrecisionExhausted, SizeTooLarge)
 from dilatree.solver import (Mode, SolverOptions, SolverResult,
                              critical_path_structure, enumerate_spanning_trees,
                              exhaustive_mdst, mdst_exact, uncross_four,
@@ -211,16 +211,35 @@ def test_exhaustive_mdst_edge_sizes():
         exhaustive_mdst(PointSet.from_coords([(0, 0)]))
 
 
+@pytest.mark.parametrize("ceiling", [64, 128])
+def test_every_search_keeps_to_the_precision_ceiling(ceiling, monkeypatch):
+    # the leaf pairs (1, 2) and (3, 4) of this star tie at sqrt(5), so each
+    # search meets a tie that only the exact fallback, from 256 bits on,
+    # settles; below that every search stops at the ceiling
+    ps = PointSet.from_coords([(0, 0), (1, 2), (-1, 2), (1, -2), (-1, -2)])
+    monkeypatch.setenv("DILATREE_MAX_BITS", str(ceiling))
+    for search, context in [
+            (lambda: exhaustive_mdst(ps), [(0, 2), (0, 3), (2, 3)]),
+            (lambda: mdst_exact(ps), [(0, 2), (0, 3), (2, 3)]),
+            (lambda: mdst_exact(ps, SolverOptions(mode=Mode.PATH)),
+             [(0, 1), (0, 4), (1, 4)]),
+            (lambda: mdst_exact(ps, SolverOptions(mode=Mode.TOUR)),
+             [(0, 2), (0, 3)])]:
+        with pytest.raises(PrecisionExhausted) as info:
+            search()
+        assert info.value.bits == ceiling
+        assert info.value.context == context
+
+
 def test_mdst_matches_oracle_random_sets():
     rng = random.Random(20240818)
-    cap = max_bits_cap()
     for _ in range(10):
         n = rng.choice((5, 5, 6))
         ps = PointSet.from_coords(random_distinct_points(rng, n))
         res = mdst_exact(ps)
         oracle = exhaustive_mdst(ps)
         sign = _compare_reports(ps, res.best, res.report,
-                                oracle.best, oracle.report, cap)
+                                oracle.best, oracle.report)
         assert sign == 0
         assert res.trees_examined <= n ** (n - 2)
 
@@ -279,14 +298,13 @@ def test_exhaustive_mdst_pinned(pin):
 
 def test_exhaustive_mdst_matches_brute_force():
     # score all 125 trees fully and keep the first certified minimum
-    cap = max_bits_cap()
     for offset in (0, 2 ** 54):
         ps = PointSet.from_coords([(x + offset, y + offset) for x, y in
                                    [(0, 0), (3, 1), (5, 4), (1, 6), (7, 7)]])
         best = rep = None
         for tree in enumerate_spanning_trees(5):
-            r = tree_dilation(ps, tree, 64, cap=cap)
-            if rep is None or _compare_reports(ps, tree, r, best, rep, cap) < 0:
+            r = tree_dilation(ps, tree, 64)
+            if rep is None or _compare_reports(ps, tree, r, best, rep) < 0:
                 best, rep = tree, r
         res = exhaustive_mdst(ps)
         assert res.best == best
@@ -325,9 +343,8 @@ def test_mdst_crossing_free_worse_on_witness():
     assert tree_has_crossing(ps, free.best)
     constrained = mdst_exact(ps, SolverOptions(crossing_free=True))
     assert not tree_has_crossing(ps, constrained.best)
-    cap = max_bits_cap()
     sign = _compare_reports(ps, constrained.best, constrained.report,
-                            free.best, free.report, cap)
+                            free.best, free.report)
     assert sign > 0
 
 
@@ -427,18 +444,16 @@ def test_mdst_tree_mode_pinned(pin):
 
 @pytest.mark.parametrize("coords", [RANDOM8A, RANDOM8B], ids=["8a", "8b"])
 def test_mdst_matches_oracle_on_eight_points(coords):
-    cap = max_bits_cap()
     for off in (0, 1 << 54, 1 << 60):
         ps = PointSet.from_coords([(x + off, y + off) for x, y in coords])
         res, oracle = mdst_exact(ps), exhaustive_mdst(ps)
         assert oracle.trees_examined == 8 ** 6
         assert _compare_reports(ps, res.best, res.report,
-                                oracle.best, oracle.report, cap) == 0
+                                oracle.best, oracle.report) == 0
 
 
 def test_mdst_matches_oracle_on_nine_points():
     # 9^7 = 4,782,969 trees each; about 0.15-0.6 s per oracle run
-    cap = max_bits_cap()
     for seed in range(900, 904):
         for off in (0, 1 << 54):
             ps = PointSet.from_coords([(x + off, y + off)
@@ -446,7 +461,7 @@ def test_mdst_matches_oracle_on_nine_points():
             res, oracle = mdst_exact(ps), exhaustive_mdst(ps)
             assert oracle.trees_examined == 9 ** 7
             assert _compare_reports(ps, res.best, res.report,
-                                    oracle.best, oracle.report, cap) == 0
+                                    oracle.best, oracle.report) == 0
 
 
 def test_crossing_free_grid_search_is_fast():
@@ -492,12 +507,11 @@ def test_constrained_tree_search_matches_brute_force(offset):
     # crossing-free search, and search with one edge the unconstrained
     # optimum avoids, against the first certified minimum over every
     # labeled tree that meets the constraint
-    cap = max_bits_cap()
     rng = random.Random(61)
     for _ in range(2):
         ps = PointSet.from_coords([(x + offset, y + offset) for x, y in
                                    random_distinct_points(rng, 6)])
-        scored = [(tree, tree_dilation(ps, tree, 64, cap=cap))
+        scored = [(tree, tree_dilation(ps, tree, 64))
                   for tree in enumerate_spanning_trees(6)]
         used = set(mdst_exact(ps).best.edges)
         edge = next(e for e in itertools.combinations(range(6), 2)
@@ -510,12 +524,11 @@ def test_constrained_tree_search_matches_brute_force(offset):
             best = rep = None
             for tree, r in scored:
                 if keep(tree) and (rep is None or _compare_reports(
-                        ps, tree, r, best, rep, cap) < 0):
+                        ps, tree, r, best, rep) < 0):
                     best, rep = tree, r
             res = mdst_exact(ps, opts)
             assert keep(res.best)
-            assert _compare_reports(ps, res.best, res.report, best, rep,
-                                    cap) == 0
+            assert _compare_reports(ps, res.best, res.report, best, rep) == 0
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -662,7 +675,7 @@ def test_order_exact_matches_independent_arc_sums(offset):
         order = tuple(rng.sample(range(n), n))
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
         for closed in (False, True):
-            _, exact = _order_metric(ps, order, closed, max_bits_cap())
+            _, exact = _order_metric(ps, order, closed)
             rng.shuffle(pairs)
             for u, v in pairs:
                 i, j = sorted((order.index(u), order.index(v)))
@@ -690,7 +703,6 @@ def _orderings(n, closed):
 def _check_against_all_orderings(ps, mode, required=(), crossing_free=False):
     """Brute force over every feasible ordering: paths by `tree_dilation`
     and `_compare_reports`, tours by `graph_dilation_bounds`."""
-    cap = max_bits_cap()
     res = mdst_exact(ps, SolverOptions(mode=mode, crossing_free=crossing_free,
                                        required_edges=frozenset(required)))
     feasible = [edges for edges in _orderings(ps.n, mode is Mode.TOUR)
@@ -704,8 +716,7 @@ def _check_against_all_orderings(ps, mode, required=(), crossing_free=False):
         for edges in feasible:
             tree = Tree(ps.n, edges)
             rep = tree_dilation(ps, tree, 64)
-            assert _compare_reports(ps, tree, rep, res.best, res.report,
-                                    cap) >= 0
+            assert _compare_reports(ps, tree, rep, res.best, res.report) >= 0
     else:
         own = graph_dilation_bounds(ps, best, 64)
         assert own.lo <= res.report.value.hi and res.report.value.lo <= own.hi
@@ -966,15 +977,13 @@ def test_uncross_square_diagonals():
     assert tree_has_crossing(ps, t)
     fixed = uncross_four(ps, t)
     assert not tree_has_crossing(ps, fixed)
-    cap = max_bits_cap()
     before = tree_dilation(ps, t, 64)
     after = tree_dilation(ps, fixed, 64)
-    assert _compare_reports(ps, fixed, after, t, before, cap) <= 0
+    assert _compare_reports(ps, fixed, after, t, before) <= 0
 
 
 def test_uncross_all_crossing_trees_random_convex():
     rng = random.Random(77)
-    cap = max_bits_cap()
     checked = 0
     for _ in range(12):
         ps = PointSet.from_coords(convex_position_4(rng))
@@ -985,7 +994,7 @@ def test_uncross_all_crossing_trees_random_convex():
             assert not tree_has_crossing(ps, fixed)
             before = tree_dilation(ps, tree, 64)
             after = tree_dilation(ps, fixed, 64)
-            assert _compare_reports(ps, fixed, after, tree, before, cap) <= 0
+            assert _compare_reports(ps, fixed, after, tree, before) <= 0
             checked += 1
     assert checked > 0
 
@@ -1012,13 +1021,12 @@ def test_uncross_wrong_size():
 def test_crossing_free_optimum_exists_on_4_points():
     # no 4-point set needs a crossing: constrained equals unconstrained
     rng = random.Random(123)
-    cap = max_bits_cap()
     for _ in range(10):
         ps = PointSet.from_coords(convex_position_4(rng))
         free = mdst_exact(ps)
         constrained = mdst_exact(ps, SolverOptions(crossing_free=True))
         sign = _compare_reports(ps, constrained.best, constrained.report,
-                                free.best, free.report, cap)
+                                free.best, free.report)
         assert sign == 0
 
 
