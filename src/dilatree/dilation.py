@@ -23,9 +23,9 @@ sums; only `tree_path_length`, an absolute length, divides by it.  The
 enclosures are kept in one n x n table per precision, `PointSet.table`,
 which every scan fetches once and reads row by row in place;
 `PointSet.dist_ints` runs only on an entry not yet filled.  One kernel,
-`root_sums`, sums the table's entries along every path from a root, in a
-whole tree or in a search's partial forest.  The max over pairs compares
-ratio numerators on one dyadic grid; only its report builds `Fraction`s.
+`root_sums`, sums the table's entries along every path from a root in a
+whole tree.  The max over pairs compares ratio numerators on one dyadic
+grid; only its report builds `Fraction`s.
 The exact side mirrors this: `PointSet.exact_dist` builds each pair's
 `SqrtSum` once, and `tree_exact` sums them along tree paths, memoised per
 root, for every exact fallback.
@@ -445,6 +445,8 @@ def _max_dilation(ps: PointSet, sums, exact, bits: int) -> DilationReport:
     the lexicographically smallest witness.  `PrecisionExhausted` at the
     cap names the surviving pairs, all of them in its `context`.
     """
+    if bits < 1:
+        raise ValueError("bits must be positive")
     cap = max_bits_cap()
     work = max(bits + 4, 64)
     enc = _pair_ratios(ps, sums, itertools.combinations(range(ps.n), 2), work)

@@ -45,7 +45,10 @@ def parse_number(s) -> Fraction:
         return Fraction(int(m.group(1)), 1 << int(m.group(2)))
     m = _RATIONAL.match(s)
     if m:
-        return Fraction(int(m.group(1)), int(m.group(2) or 1))
+        den = int(m.group(2) or 1)
+        if not den:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Fraction(int(m.group(1)), den)
     raise ValueError(f"unreadable number {s!r}")
 
 
@@ -300,10 +303,12 @@ def render_svg(ps: PointSet, tree: Tree | None = None) -> str:
         lines.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="5" '
                      'fill="crimson" stroke="black" stroke-width="1"/>')
     if ps.labels:
+        # imported here, as it loads urllib.request, http.client and ssl
+        from xml.sax.saxutils import escape
         for i in range(ps.n):
             x, y = proj(i)
             lines.append(f'<text x="{_fmt(x + 8)}" y="{_fmt(y - 8)}" '
                          f'font-family="monospace" font-size="16">'
-                         f'{ps.labels[i]}</text>')
+                         f'{escape(str(ps.labels[i]))}</text>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

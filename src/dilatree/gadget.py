@@ -234,7 +234,7 @@ class IntegerInstance(_PointLayout):
         sd2 = self.Q // (2 * _four(n + 4))
         if self.Q != 2 * _four(n + 4) * sd2 or sd2 < 1:
             raise ValueError("threshold denominator has the wrong shape")
-        if (1 << (self.k - 4 * n - 22)) <= n * sd2:
+        if self.k < 4 * n + 22 or (1 << (self.k - 4 * n - 22)) <= n * sd2:
             raise ValueError("fractional precision too small for the gap")
         limit = 2 * n + self.k + 15
         for p in self.points.points:

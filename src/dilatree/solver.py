@@ -2,8 +2,9 @@
 
 Every search is one pipeline: complete structures go to the integer
 screen `_RunningScreen`, which keeps the smallest upper bound seen so far
-as its incumbent, and only the structures it cannot certify worse get a
-certified report; `_first_minimum` picks the answer, so ties keep the
+as its incumbent and enforces the enumeration cap, and `_result` ends the
+search: only the structures the screen cannot certify worse get a
+certified report, and `_first_minimum` picks the answer, so ties keep the
 first structure offered.  `pruned` counts the cut search nodes plus the
 structures the screen certified worse, in every mode.
 Spanning trees are screened from one n x n table of integer (lo, hi)
@@ -17,12 +18,12 @@ It has two cuts: each include is one `_join`, which dies against the
 incumbent, and each exclude asks `graph_exceeds` whether every spanning
 tree of the chosen and remaining edges is certifiably above it, or
 whether they no longer connect.  The independent oracle builds every
-labeled tree by parent picks that share their joins, and counts the
-trees below a refused join in closed form.  Hamiltonian paths
-and tours run a depth-first search over ordering prefixes that cuts a
-prefix once integer lower bounds put one of its pairs above the
-incumbent, or once it breaks a required edge, with path lengths from
-exact integer prefix sums.
+labeled tree by parent picks that share their joins; a tree it does not
+offer lies below a refused join.  Hamiltonian paths and tours run a
+depth-first search over ordering prefixes that cuts a prefix once
+integer lower bounds put one of its pairs above the incumbent, or once
+it breaks a required edge, with path lengths from exact integer prefix
+sums.
 A local uncrossing exchange removes an edge crossing from a 4-point tree
 without increasing its dilation, and a randomized search hunts for
 5-point sets whose every optimal spanning tree has a crossing.
@@ -34,6 +35,7 @@ import enum
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
@@ -47,6 +49,7 @@ from .radical import SqrtSum
 
 _ENUM_MAX = 9
 _STRUCT_MAX = 13
+_SCREEN_BITS = 32
 
 
 class Mode(enum.Enum):
@@ -148,6 +151,18 @@ def _first_minimum(reports):
     return best
 
 
+def _result(candidates, certify, examined, cuts=0):
+    """End a search: the first minimum of `certify` over `candidates`, the
+    screen's survivors in order, each certified to (structure, report,
+    exact).  `examined` structures were screened; `pruned` counts the
+    `cuts` plus those the screen certified worse."""
+    if not candidates:
+        raise Infeasible("no structure satisfies the constraints")
+    best, report, _ = _first_minimum(map(certify, candidates))
+    return SolverResult(best=best, report=report, trees_examined=examined,
+                        pruned=cuts + examined - len(candidates))
+
+
 # ---------------------------------------------------------------------------
 # branch-and-bound spanning tree search
 
@@ -209,7 +224,7 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
         raise SizeTooLarge(f"{n} points exceeds max_points={opts.max_points}")
     if opts.mode is not Mode.TREE:
         return _order_search(ps, opts)
-    screen = _RunningScreen(ps, 32)
+    screen = _RunningScreen(ps, opts.enumeration_cap)
     pairs = [[(0, 0)] * n for _ in range(n)]
 
     def join(comp, u, v, limit):
@@ -250,9 +265,6 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
         tree."""
         nonlocal cuts
         if len(chosen) == n - 1:
-            if opts.enumeration_cap is not None and \
-                    screen.count >= opts.enumeration_cap:
-                raise SizeTooLarge("enumeration cap exceeded")
             screen.offer(tuple(chosen), lambda u, bits: pairs[u])
             return
         for idx in range(idx, len(cands)):
@@ -278,40 +290,36 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
                 return
 
     dfs(0, comp, list(required))
-    candidates = screen.survivors()
-    if not candidates:
-        raise Infeasible("no spanning tree satisfies the constraints")
-    best, report, _ = _first_minimum(
-        map(partial(_certify_tree, ps, opts.bits), candidates))
-    return SolverResult(best=best, report=report, trees_examined=screen.count,
-                        pruned=cuts + screen.count - len(candidates))
+    return _result(screen.survivors(), partial(_certify_tree, ps, opts.bits),
+                   screen.count, cuts)
 
 
 class _RunningScreen:
     """The integer screen over a stream of structures.
 
-    It reads the enclosure table `ps.table(bits)`, `lens`, with every
-    entry filled.  It keeps a running incumbent, `bound` = (num, den),
-    the smallest upper bound on a dilation seen so far (1/0 is no bound
-    yet).  `offer` takes a structure's table of integer (lo, hi) path
-    sums, row by row, and drops the structure as soon as one pair's lower
-    sum exceeds the incumbent.  Tree searches build that table pair by
-    pair with `_join`, which checks each new pair against `limit` and so
-    drops trees before they are complete; `reject` counts them.
+    It reads the enclosure table `ps.table(_SCREEN_BITS)`, `lens`, with
+    every entry filled.  It keeps a running incumbent, `bound` =
+    (num, den), the smallest upper bound on a dilation seen so far (1/0
+    is no bound yet).  `offer` takes a structure's table of integer
+    (lo, hi) path sums, row by row, and drops the structure as soon as
+    one pair's lower sum exceeds the incumbent.  Tree searches build that
+    table pair by pair with `_join`, which checks each new pair against
+    `limit` and so drops trees before they are complete, unoffered.
     `survivors` filters the structures scanned in full once more against
     the final incumbent.  A dropped structure lies certifiably above the
     final incumbent too, so the survivors, in offering order, are those
     of scoring every structure fully.  `count` is the number of
-    structures offered or rejected.
+    structures offered; offering one more than `cap` (None: no cap)
+    raises `SizeTooLarge`.
     """
 
-    def __init__(self, ps, bits):
-        self.bits = bits
-        self.lens = ps.table(bits)
+    def __init__(self, ps, cap=None):
+        self.lens = ps.table(_SCREEN_BITS)
         for u, row in enumerate(self.lens):
             for v in range(u + 1, len(row)):
                 if row[v] is None:
-                    ps.dist_ints(u, v, bits)
+                    ps.dist_ints(u, v, _SCREEN_BITS)
+        self.cap = cap
         self.bound = (1, 0)
         self.count = 0
         # (lo_num, lo_den, key) of the structures scanned in full
@@ -319,14 +327,12 @@ class _RunningScreen:
         self._limit = None, None
 
     def offer(self, key, sums):
+        if self.cap is not None and self.count >= self.cap:
+            raise SizeTooLarge("enumeration cap exceeded")
         self.count += 1
         lower = self.tighten(sums)
         if lower is not None:
             self._scored.append((*lower, key))
-
-    def reject(self, count):
-        """Count `count` structures dropped against `limit` unoffered."""
-        self.count += count
 
     def tighten(self, sums):
         """Screen a structure and lower the incumbent to its upper bound
@@ -340,7 +346,7 @@ class _RunningScreen:
         lo_n = lo_d = hi_n = hi_d = None
         n = len(self.lens)
         for u in range(n - 1):
-            row, lens_u = sums(u, self.bits), self.lens[u]
+            row, lens_u = sums(u, _SCREEN_BITS), self.lens[u]
             for v in range(u + 1, n):
                 (dlo, dhi), (llo, lhi) = row[v], lens_u[v]
                 if dlo * b_d > b_n * lhi:
@@ -384,23 +390,17 @@ def _prufer_code(parent):
     return tuple(code)
 
 
-def _completions(n, k, s):
-    """The trees that complete a forest of k components on n vertices,
-    s of them in the root's, when the one unpicked vertex of every other
-    component picks a parent: s * n^(k-2)."""
-    return s * n ** (k - 2) if k > 1 else 1
-
-
 def _screen_every_tree(ps, screen):
-    """Offer all n^(n-2) labeled trees to `screen`; return its survivors
-    in Prüfer order, as `_prufer_edges` gives them.
+    """Screen all n^(n-2) labeled trees with `screen`; return its
+    survivors in Prüfer order, as `_prufer_edges` gives them.
 
     Vertices 0 .. n-2 in turn pick a parent toward n - 1, nearest first
     so that the incumbent drops early; a pick is one `_join` of two
-    components, labelled as in `mdst_exact`.  A refused pick `reject`s
-    the `_completions` below it.  The survivors do not depend on the
-    order of offering (`_RunningScreen`), so sorting their Prüfer codes
-    restores the order of `enumerate_spanning_trees`."""
+    components, labelled as in `mdst_exact`.  Every tree is offered, or
+    lies below a refused pick and so certifiably above the incumbent.
+    The survivors do not depend on the order of offering
+    (`_RunningScreen`), so sorting their Prüfer codes restores the order
+    of `enumerate_spanning_trees`."""
     n = ps.n
     pairs = [[(0, 0)] * n for _ in range(n)]
     near = [sorted((p for p in range(n) if p != v),
@@ -424,9 +424,6 @@ def _screen_every_tree(ps, screen):
                      sides[cv]):
                 parent[v] = p
                 pick(v + 1, [cp if c == cv else c for c in comp])
-            else:       # the root's component keeps the label n - 1
-                s = len(sides[n - 1]) + (len(sides[cv]) if cp == n - 1 else 0)
-                screen.reject(_completions(n, n - 1 - v, s))
 
     pick(0, list(range(n)))
     return [_prufer_edges(n, code) for code in sorted(screen.survivors())]
@@ -443,22 +440,18 @@ def exhaustive_mdst(ps: PointSet, bits: int = 64) -> SolverResult:
     """Certified minimum over all labeled trees; the simple oracle.
 
     Trees are built by parent picks, a join at a time, in a table of
-    integer path sums at 32 bits screened by `_RunningScreen`, and a
-    refused join drops every tree below it (`_screen_every_tree`).  Only
-    the trees the screen cannot certify worse become validated `Tree`s,
-    in Prüfer order, and are separated exactly, so the answer,
-    `trees_examined` and `pruned` are those of scoring every Prüfer tree
-    fully.
+    integer path sums screened by `_RunningScreen`, and a refused join
+    drops every tree below it (`_screen_every_tree`).  Only the trees the
+    screen cannot certify worse become validated `Tree`s, in Prüfer
+    order, and are separated exactly, so the answer, `trees_examined`
+    (all n^(n-2) trees) and `pruned` are those of scoring every Prüfer
+    tree fully.
     """
     n = ps.n
     if n > _ENUM_MAX:
         raise SizeTooLarge(f"exhaustive oracle capped at {_ENUM_MAX} points")
-    screen = _RunningScreen(ps, 32)
-    candidates, count = _screen_every_tree(ps, screen), screen.count
-    best, report, _ = _first_minimum(
-        map(partial(_certify_tree, ps, bits), candidates))
-    return SolverResult(best=best, report=report, trees_examined=count,
-                        pruned=count - len(candidates))
+    return _result(_screen_every_tree(ps, _RunningScreen(ps)),
+                   partial(_certify_tree, ps, bits), n ** (n - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +558,7 @@ def _order_search(ps, opts):
         partners[v].add(u)
     if any(len(p) > 2 for p in partners):
         raise Infeasible("a vertex has more than two required edges")
-    screen = _RunningScreen(ps, 32)
+    screen = _RunningScreen(ps, opts.enumeration_cap)
     lo = [[lens[0] for lens in row] for row in screen.lens]
 
     def feasible(key):
@@ -636,9 +629,6 @@ def _order_search(ps, opts):
         if k == n:
             key = tuple(order)
             if key[1 if closed else 0] < key[-1] and feasible(key):
-                if opts.enumeration_cap is not None and \
-                        screen.count >= opts.enumeration_cap:
-                    raise SizeTooLarge("enumeration cap exceeded")
                 screen.offer(key, _order_metric(ps, key, closed)[0])
             return
         for y in range(n):
@@ -656,19 +646,14 @@ def _order_search(ps, opts):
         order[0], placed[first] = first, True
         extend(1)
         placed[first] = False
-    candidates = screen.survivors()
-    if not candidates:
-        raise Infeasible("no ordering satisfies the constraints")
 
     def certify(order):
         sums, exact = _order_metric(ps, order, closed)
-        return order, _max_dilation(ps, sums, exact, opts.bits), exact
+        edges = _order_edges(order, closed)
+        return (tuple(sorted(edges)) if closed else Tree(n, edges),
+                _max_dilation(ps, sums, exact, opts.bits), exact)
 
-    order, report, _ = _first_minimum(map(certify, candidates))
-    edges = _order_edges(order, closed)
-    return SolverResult(best=tuple(sorted(edges)) if closed else Tree(n, edges),
-                        report=report, trees_examined=screen.count,
-                        pruned=cuts + screen.count - len(candidates))
+    return _result(screen.survivors(), certify, screen.count, cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -733,29 +718,16 @@ def critical_path_structure(check: WitnessCheck) -> bool:
     edge that crosses one of them.
     """
     crit = check.critical
-    if len(crit) < 3:
+    deg = Counter(v for e in crit for v in e)
+    if len(crit) < 3 or max(deg.values()) > 2:
         return False
-    deg = {}
-    for u, v in crit:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    if any(d > 2 for d in deg.values()):
+    # a tree of maximum degree 2 is a path
+    label = {v: k for k, v in enumerate(deg)}
+    try:
+        Tree(len(crit) + 1, [(label[u], label[v]) for u, v in crit])
+    except ValueError:
         return False
-    if len(crit) != len(deg) - 1:
-        return False
-    adj = {}
-    for u, v in crit:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    start = next(iter(deg))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen == set(deg)
+    return True
 
 
 def verify_crossing_witness(ps: PointSet, bits: int = 96) -> WitnessCheck | None:
@@ -764,15 +736,13 @@ def verify_crossing_witness(ps: PointSet, bits: int = 96) -> WitnessCheck | None
     Returns the verification record when the minimum over all 125 trees
     is attained only by crossing trees and every crossing-free tree is
     certified strictly worse; None otherwise.  The trees go once through
-    the integer screen at 48 bits, and only its survivors are certified
-    at `bits`: the optimum is their first minimum, as in
+    the integer screen, and only its survivors are certified at `bits`: the optimum is their first minimum, as in
     `exhaustive_mdst`, and the optimal trees those certified equal to it.
     """
     if ps.n != 5:
         raise ValueError("witness verification is defined for five points")
-    screen = _RunningScreen(ps, 48)
     certified = [_certify_tree(ps, bits, edges)
-                 for edges in _screen_every_tree(ps, screen)]
+                 for edges in _screen_every_tree(ps, _RunningScreen(ps))]
     best_tree, best_rep, best_exact = _first_minimum(certified)
     optimal = [tree for tree, rep, exact in certified
                if _compare_exact(rep, exact, best_rep, best_exact) == 0]

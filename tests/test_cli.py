@@ -58,11 +58,19 @@ def test_exit_code_matrix(tmp_path, square):
         bad[name] = tmp_path / f"{name}.json"
         dump_json(obj, bad[name])
     for name, key, value in [("null_weight", "alphas_dot", [None, 1]),
-                             ("null_k", "k", None)]:
+                             ("null_k", "k", None),
+                             ("zero_den_k", "k", "1/0")]:
         obj = load_json(yes)
         obj[key] = value
         bad[name] = tmp_path / f"{name}.json"
         dump_json(obj, bad[name])
+    obj = load_json(yes)
+    obj["points"][0]["x"] = "1/0"
+    bad["zero_den_point"] = tmp_path / "zero_den_point.json"
+    dump_json(obj, bad["zero_den_point"])
+    bad["zero_den_points"] = tmp_path / "zero_den_points.json"
+    dump_json({"points": [{"x": "1/0", "y": "0"}, [1, 0], [1, 1], [0, 1]]},
+              bad["zero_den_points"])
 
     scenarios = [
         (["oracle", "--alphas", "1,1"], 0),
@@ -88,12 +96,33 @@ def test_exit_code_matrix(tmp_path, square):
         (["decide", str(bad["null_k"])], 2),
         (["verify", str(bad["null_k"])], 2),
         (["decide", str(bad["scalar"])], 2),
+        *[([cmd, str(bad[name])], 2) for cmd in ("verify", "decide")
+          for name in ("zero_den_k", "zero_den_point")],
+        (["mdst", "--points", str(bad["zero_den_points"])], 2),
+        (["dilation", "--points", str(bad["zero_den_points"]), "--tree",
+          str(tr)], 2),
+        (["svg", "--points", str(bad["zero_den_points"]), "-o",
+          str(tmp_path / "zero_den.svg")], 2),
         (["gen", "--alphas", "1,1", "--d-bits", "40", "--k", "60",
           "-o", str(tmp_path / "coarse.json")], 2),
         (["witness5", "--seed", "3", "--budget", "10"], 3),
     ]
     for argv, expected in scenarios:
         assert cli(*argv) == expected, argv
+
+
+def test_precision_arguments_below_range_exit_2(tmp_path, capsys):
+    assert cli("gen", "--alphas", "1,1", "--k", "5",
+               "-o", str(tmp_path / "inst.json")) == 2
+    assert "fractional precision too small for the gap" in \
+        capsys.readouterr().err
+    # the center star of the 2 x 2 square ties its four sides
+    pts, star = tmp_path / "pts.json", tmp_path / "star.json"
+    dump_json({"points": [[0, 0], [2, 0], [2, 2], [0, 2], [1, 1]]}, pts)
+    dump_json({"edges": [[0, 4], [1, 4], [2, 4], [3, 4]]}, star)
+    assert cli("dilation", "--points", str(pts), "--tree", str(star),
+               "--bits", "0") == 2
+    assert "bits must be positive" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -189,15 +189,15 @@ def test_table_is_the_symmetric_dist_ints_matrix(offset):
 def test_solver_screen_reads_the_point_set_table():
     coords = [(0, 0), (1, 0), (3, 1), (5, 4), (1, 6)]
     ps = PointSet.from_coords(coords)
-    screen = _RunningScreen(ps, 32)
-    assert screen.bits == 32 and screen.lens is ps.table(32)
+    screen = _RunningScreen(ps)
+    assert screen.lens is ps.table(32)
     assert all(e is not None for row in screen.lens for e in row)
     # scaled by 2^-100, the set has the same numerators over a larger
     # denominator, so the screen reads the same table at the same bits
     tiny = Fraction(1, 1 << 100)
     small = PointSet.from_coords([(x * tiny, y * tiny) for x, y in coords])
-    screen = _RunningScreen(small, 32)
-    assert screen.bits == 32 and screen.lens is small.table(32)
+    screen = _RunningScreen(small)
+    assert screen.lens is small.table(32)
     assert screen.lens == ps.table(32)
 
 
@@ -277,6 +277,16 @@ def test_pair_dilation_lower_bound_invariant():
             enc = pair_dilation(ps, t, min(u, v), max(u, v), bits)
             assert enc.lo >= 1 - Fraction(1, 1 << (bits - 2))
             assert enc.lo <= enc.hi
+
+
+@pytest.mark.parametrize("bits", [0, -3])
+def test_tree_dilation_rejects_nonpositive_bits(bits):
+    # the center star of the 2 x 2 square ties its four sides
+    ps = PointSet.from_coords([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)])
+    star = Tree(5, [(0, 4), (1, 4), (2, 4), (3, 4)])
+    assert tree_dilation(ps, star, 64).tied
+    with pytest.raises(ValueError, match="bits must be positive"):
+        tree_dilation(ps, star, bits)
 
 
 def test_tree_dilation_square_path():

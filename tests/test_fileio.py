@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from xml.etree import ElementTree
 
 import pytest
 
@@ -29,6 +30,9 @@ def test_number_formats_round_trip():
         format_dyadic(Fraction(1, 3), 10)
     for bad in ("1.5", "", "3/", "/4", "x", "2^5", None):
         with pytest.raises(ValueError):
+            parse_number(bad)
+    for bad in ("1/0", "-3/00"):
+        with pytest.raises(ValueError, match="zero denominator"):
             parse_number(bad)
 
 
@@ -131,3 +135,11 @@ def test_svg_is_deterministic_and_complete():
     bare = render_svg(PointSet([pt(0, 0), pt(0, 5)]))
     assert bare.count("<circle") == 2
     assert "<line" not in bare and "<text" not in bare
+
+
+def test_svg_escapes_labels():
+    labels = ["a<b", "c&d", "e>f", 'g"h']
+    ps = PointSet([pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)], labels=labels)
+    root = ElementTree.fromstring(render_svg(ps))
+    texts = root.findall("{http://www.w3.org/2000/svg}text")
+    assert [t.text for t in texts] == labels
