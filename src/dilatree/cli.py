@@ -58,9 +58,8 @@ def _load_points(path):
 def _load_instance_or_gadget(path):
     obj = fileio.load_json(path)
     if isinstance(obj, dict) and "alphas_dot" in obj:
-        return fileio.instance_from_json(obj)
-    g = fileio.gadget_from_json(obj)
-    return g, g.alphas_dot
+        return fileio.instance_from_json(obj)[0]
+    return fileio.gadget_from_json(obj)
 
 
 def _pair_name(ps, pair):
@@ -123,8 +122,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    target, alphas_dot = _load_instance_or_gadget(args.input)
-    result = decide_partition(target)
+    result = decide_partition(_load_instance_or_gadget(args.input))
     if result is None:
         print("no partition: every candidate tree certifies dilation"
               " above the threshold")
@@ -307,11 +305,8 @@ def run(argv=None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_NO
-    except (SumTooLarge, SizeTooLarge, PrecisionInsufficient) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, ValueError, KeyError,
-            IndexError) as exc:
+    except (SumTooLarge, SizeTooLarge, PrecisionInsufficient, OSError,
+            json.JSONDecodeError, ValueError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -315,6 +315,8 @@ def pair_dilation(ps: PointSet, tree: Tree, u: int, v: int,
     """Dyadic enclosure of d_T(u, v) / |uv| with relative width ~2^-bits."""
     if u == v:
         raise ValueError("pair must be two distinct vertices")
+    if bits < 1:
+        raise ValueError("bits must be positive")
     sums = partial(root_sums, ps, tree.adjacency())
     lo, hi = _pair_ratios(ps, sums, [(u, v)], bits)[u, v]
     return _dyadic(lo, hi, bits + 4, bits)

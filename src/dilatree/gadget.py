@@ -418,8 +418,11 @@ def integerize(g: Gadget, k: int | None = None) -> IntegerInstance:
     an already-dyadic coordinate to the coarser grid is exact.
     """
     n = g.n
+    need = rounding_bits(PartitionInstance(g.alphas_dot))
     if k is None:
-        k = rounding_bits(PartitionInstance(g.alphas_dot))
+        k = need
+    elif k < need:      # checked before any shift by k
+        raise ValueError("fractional precision too small for the gap")
     if g.d_bits < k:
         raise PrecisionInsufficient(
             f"choice points carry {g.d_bits} fractional bits, need {k}")

@@ -7,23 +7,23 @@ search: only the structures the screen cannot certify worse get a
 certified report, and `_first_minimum` picks the answer, so ties keep the
 first structure offered.  `pruned` counts the cut search nodes plus the
 structures the screen certified worse, in every mode.
-Spanning trees are screened from one n x n table of integer (lo, hi)
-path sums per search.  `_join` links two components of a partial tree
-by an edge, writing the sums of every pair it connects, and refuses,
-writing nothing, once such a pair lies above the incumbent; a complete
-table is read by the screen row by row.  Spanning-tree search runs
-branch-and-bound over edges sorted by length, including before
-excluding, so its first complete tree is the greedy shortest-first one.
-It has two cuts: each include is one `_join`, which dies against the
-incumbent, and each exclude asks `graph_exceeds` whether every spanning
-tree of the chosen and remaining edges is certifiably above it, or
-whether they no longer connect.  The independent oracle builds every
-labeled tree by parent picks that share their joins; a tree it does not
-offer lies below a refused join.  Hamiltonian paths and tours run a
-depth-first search over ordering prefixes that cuts a prefix once
-integer lower bounds put one of its pairs above the incumbent, or once
-it breaks a required edge, with path lengths from exact integer prefix
-sums.
+Spanning trees are screened from the screen's n x n table of integer
+(lo, hi) path sums.  `_RunningScreen.join` links two components of a
+partial tree, each a list of its vertices, by an edge, writing the sums
+of every pair it connects, and refuses, writing nothing, once such a
+pair lies above the incumbent; a complete table is read row by row.
+Spanning-tree search runs branch-and-bound over edges sorted by length,
+including before excluding, so its first complete tree is the greedy
+shortest-first one.  It has two cuts: each include is one join, which
+dies against the incumbent, and each exclude asks `graph_exceeds`
+whether every spanning tree of the chosen and remaining edges is
+certifiably above it, or whether they no longer connect.  The
+independent oracle builds every labeled tree by parent picks that share
+their joins; a tree it does not offer lies below a refused join.
+Hamiltonian paths and tours run a depth-first search over ordering
+prefixes that cuts a prefix once integer lower bounds put one of its
+pairs above the incumbent, or once it breaks a required edge, with path
+lengths from exact integer prefix sums.
 A local uncrossing exchange removes an edge crossing from a 4-point tree
 without increasing its dilation, and a randomized search hunts for
 5-point sets whose every optimal spanning tree has a crossing.
@@ -167,57 +167,27 @@ def _result(candidates, certify, examined, cuts=0):
 # branch-and-bound spanning tree search
 
 
-def _join(pairs, lens, u, v, limit, side_u, side_v):
-    """Join two components of a partial tree by the edge uv in `pairs`,
-    an n x n table of integer (lo, hi) path sums with (0, 0) on its
-    diagonal.
-
-    `side_u` lists the component holding u and `side_v` the one holding
-    v, and `pairs` holds the path sums within each.  A pair x, y across
-    them gets the path x .. u - v .. y, whose sums are those of x-u, of
-    the edge's `lens` entry and of v-y.  When some new pair's lower sum
-    exceeds `limit` (`_RunningScreen.limit`; None is no limit) nothing is
-    written and False is returned; otherwise every new pair is written,
-    both ways round, and True is returned."""
-    elo, ehi = lens[u][v]
-    row_u, row_v = pairs[u], pairs[v]
-    if limit is not None:
-        for x in side_u:
-            xlo, lim = row_u[x][0] + elo, limit[x]
-            for y in side_v:
-                if xlo + row_v[y][0] > lim[y]:
-                    return False
-    for x in side_u:
-        xlo, xhi = row_u[x]
-        xlo += elo
-        xhi += ehi
-        row_x = pairs[x]
-        for y in side_v:
-            ylo, yhi = row_v[y]
-            row_x[y] = pairs[y][x] = xlo + ylo, xhi + yhi
-    return True
-
-
 def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverResult:
     """Certified minimum-dilation spanning structure.
 
     Tree mode runs depth-first branch-and-bound over edges sorted by
     length, so its first complete tree is the greedy one and sets the
-    screen's incumbent.  It has two cuts.  One pair-sum table is kept
-    across the search: each include `_join`s the two components it
-    connects, and the branch dies, with nothing written, as soon as a
-    pair it connects certifiably exceeds the incumbent.  A pair's entry
-    is rewritten whenever an include on the current path joins its ends,
-    so a complete tree goes to the screen straight from the table.  After
-    each exclude of an edge uv, every completion is a spanning tree of G,
-    the chosen edges plus the later candidates, and the node is cut when
-    `graph_exceeds` shows, by one Dijkstra over G from u, that G is
-    disconnected or that some u-t shortest path in G already exceeds the
-    current incumbent times |ut|.  Path and tour mode search orderings
-    (see `_order_search`).  In every mode, `max_points` bounds the input
-    and `enumeration_cap` the complete trees, or complete feasible
-    orderings, that are examined, and `pruned` counts the cut nodes plus
-    the complete structures the screen certified worse.
+    screen's incumbent.  It has two cuts.  The screen's pair-sum table is
+    kept across the search: each include joins the two components it
+    connects (`_RunningScreen.join`), and the branch dies, with nothing
+    written, as soon as a pair it connects certifiably exceeds the
+    incumbent.  A pair's entry is rewritten whenever an include on the
+    current path joins its ends, so a complete tree goes to the screen
+    straight from the table.  After each exclude of an edge uv, every
+    completion is a spanning tree of G, the chosen edges plus the later
+    candidates, and the node is cut when `graph_exceeds` shows, by one
+    Dijkstra over G from u, that G is disconnected or that some u-t
+    shortest path in G already exceeds the current incumbent times |ut|.
+    Path and tour mode search orderings (see `_order_search`).  In every
+    mode, `max_points` bounds the input and `enumeration_cap` the
+    complete trees, or complete feasible orderings, that are examined,
+    and `pruned` counts the cut nodes plus the complete structures the
+    screen certified worse.
     """
     n = ps.n
     if n > opts.max_points:
@@ -225,30 +195,14 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
     if opts.mode is not Mode.TREE:
         return _order_search(ps, opts)
     screen = _RunningScreen(ps, opts.enumeration_cap)
-    pairs = [[(0, 0)] * n for _ in range(n)]
-
-    def join(comp, u, v, limit):
-        """`_join` the components of u and v, labelled by `comp` (each
-        vertex's label is a vertex of its component).  Returns the labels
-        after the join, or None when `_join` refuses it."""
-        cu, cv = comp[u], comp[v]
-        side_v = [y for y in range(n) if comp[y] == cv]
-        if not _join(pairs, screen.lens, u, v, limit,
-                     [x for x in range(n) if comp[x] == cu], side_v):
-            return None
-        comp = comp[:]
-        for y in side_v:
-            comp[y] = cu
-        return comp
-
     required = sorted({tuple(sorted(e)) for e in opts.required_edges})
-    comp = list(range(n))
+    comp = [[x] for x in range(n)]
     for u, v in required:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"bad required edge ({u}, {v})")
-        if comp[u] == comp[v]:
+        if comp[u] is comp[v]:
             raise ValueError("required_edges contain a cycle")
-        comp = join(comp, u, v, None)
+        comp = screen.join(comp, u, v)
     crossing = opts.crossing_free and crossing_edge_pairs(ps, required)
     if crossing:
         raise Infeasible("required edges {} and {} cross".format(*crossing[0]))
@@ -259,22 +213,22 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
     cuts = 0
 
     def dfs(idx, comp, chosen):
-        """Search the completions of `chosen`, labelled by `comp`, from
-        candidate `idx` on.  Each include recurses and each exclude moves
-        on in the loop, so the depth is at most the n - 1 edges of a
-        tree."""
+        """Search the completions of `chosen`, whose components are
+        `comp`, from candidate `idx` on.  Each include recurses and each
+        exclude moves on in the loop, so the depth is at most the n - 1
+        edges of a tree."""
         nonlocal cuts
         if len(chosen) == n - 1:
-            screen.offer(tuple(chosen), lambda u, bits: pairs[u])
+            screen.offer(tuple(chosen), screen.row)
             return
         for idx in range(idx, len(cands)):
             e = cands[idx]
             u, v = e
             # include branch
-            if comp[u] != comp[v] and not (
+            if comp[u] is not comp[v] and not (
                     opts.crossing_free and
                     any(ps.edges_cross(e, c) for c in chosen)):
-                nc = join(comp, u, v, screen.limit())
+                nc = screen.join(comp, u, v)
                 if nc is not None:
                     chosen.append(e)
                     dfs(idx + 1, nc, chosen)
@@ -303,8 +257,8 @@ class _RunningScreen:
     is no bound yet).  `offer` takes a structure's table of integer
     (lo, hi) path sums, row by row, and drops the structure as soon as
     one pair's lower sum exceeds the incumbent.  Tree searches build that
-    table pair by pair with `_join`, which checks each new pair against
-    `limit` and so drops trees before they are complete, unoffered.
+    table, `pairs`, pair by pair with `join`, which checks each new pair
+    against `limit()` and so drops trees unoffered; `row` reads it.
     `survivors` filters the structures scanned in full once more against
     the final incumbent.  A dropped structure lies certifiably above the
     final incumbent too, so the survivors, in offering order, are those
@@ -319,6 +273,8 @@ class _RunningScreen:
             for v in range(u + 1, len(row)):
                 if row[v] is None:
                     ps.dist_ints(u, v, _SCREEN_BITS)
+        n = len(self.lens)
+        self.pairs = [[(0, 0)] * n for _ in range(n)]
         self.cap = cap
         self.bound = (1, 0)
         self.count = 0
@@ -371,6 +327,42 @@ class _RunningScreen:
                                        for row in self.lens]
         return self._limit[1]
 
+    def row(self, u, bits):
+        return self.pairs[u]
+
+    def join(self, comp, u, v):
+        """Join the components of u and v by the edge uv in `pairs`.
+
+        `comp[x]` lists the vertices of x's component, one list shared by
+        all of them.  A pair x, y across them gets the path x .. u - v ..
+        y, whose sums are those of x-u, of the edge's `lens` entry and of
+        v-y.  When some new pair's lower sum exceeds `limit()` nothing is
+        written and None is returned; otherwise every new pair is written,
+        both ways round, and a new `comp` is returned with the two lists
+        replaced by their concatenation.  The caller's `comp` is unchanged."""
+        side_u, side_v = comp[u], comp[v]
+        elo, ehi = self.lens[u][v]
+        pairs, limit = self.pairs, self.limit()
+        row_u, row_v = pairs[u], pairs[v]
+        if limit is not None:
+            for x in side_u:
+                xlo, lim = row_u[x][0] + elo, limit[x]
+                for y in side_v:
+                    if xlo + row_v[y][0] > lim[y]:
+                        return None
+        for x in side_u:
+            xlo, xhi = row_u[x]
+            xlo += elo
+            xhi += ehi
+            row_x = pairs[x]
+            for y in side_v:
+                ylo, yhi = row_v[y]
+                row_x[y] = pairs[y][x] = xlo + ylo, xhi + yhi
+        merged, comp = side_u + side_v, comp[:]
+        for x in merged:
+            comp[x] = merged
+        return comp
+
     def survivors(self):
         b_n, b_d = self.bound
         return [key for lo_n, lo_d, key in self._scored
@@ -395,14 +387,13 @@ def _screen_every_tree(ps, screen):
     survivors in Prüfer order, as `_prufer_edges` gives them.
 
     Vertices 0 .. n-2 in turn pick a parent toward n - 1, nearest first
-    so that the incumbent drops early; a pick is one `_join` of two
-    components, labelled as in `mdst_exact`.  Every tree is offered, or
+    so that the incumbent drops early; a pick is one `join` of two
+    components, as in `mdst_exact`.  Every tree is offered, or
     lies below a refused pick and so certifiably above the incumbent.
     The survivors do not depend on the order of offering
     (`_RunningScreen`), so sorting their Prüfer codes restores the order
     of `enumerate_spanning_trees`."""
     n = ps.n
-    pairs = [[(0, 0)] * n for _ in range(n)]
     near = [sorted((p for p in range(n) if p != v),
                    key=lambda p: (screen.lens[v][p], p))
             for v in range(n - 1)]
@@ -410,22 +401,16 @@ def _screen_every_tree(ps, screen):
 
     def pick(v, comp):
         if v == n - 1:
-            screen.offer(_prufer_code(parent), lambda u, bits: pairs[u])
+            screen.offer(_prufer_code(parent), screen.row)
             return
-        sides = {}
-        for x in range(n):
-            sides.setdefault(comp[x], []).append(x)
-        cv = comp[v]
         for p in near[v]:
-            cp = comp[p]
-            if cp == cv:
-                continue
-            if _join(pairs, screen.lens, p, v, screen.limit(), sides[cp],
-                     sides[cv]):
-                parent[v] = p
-                pick(v + 1, [cp if c == cv else c for c in comp])
+            if comp[p] is not comp[v]:
+                nc = screen.join(comp, p, v)
+                if nc is not None:
+                    parent[v] = p
+                    pick(v + 1, nc)
 
-    pick(0, list(range(n)))
+    pick(0, [[x] for x in range(n)])
     return [_prufer_edges(n, code) for code in sorted(screen.survivors())]
 
 
@@ -439,8 +424,8 @@ def _certify_tree(ps, bits, edges):
 def exhaustive_mdst(ps: PointSet, bits: int = 64) -> SolverResult:
     """Certified minimum over all labeled trees; the simple oracle.
 
-    Trees are built by parent picks, a join at a time, in a table of
-    integer path sums screened by `_RunningScreen`, and a refused join
+    Trees are built by parent picks, a join at a time, in the integer
+    path-sum table of `_RunningScreen`, which screens them; a refused join
     drops every tree below it (`_screen_every_tree`).  Only the trees the
     screen cannot certify worse become validated `Tree`s, in Prüfer
     order, and are separated exactly, so the answer, `trees_examined`

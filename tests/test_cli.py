@@ -112,10 +112,11 @@ def test_exit_code_matrix(tmp_path, square):
 
 
 def test_precision_arguments_below_range_exit_2(tmp_path, capsys):
-    assert cli("gen", "--alphas", "1,1", "--k", "5",
-               "-o", str(tmp_path / "inst.json")) == 2
-    assert "fractional precision too small for the gap" in \
-        capsys.readouterr().err
+    for k in ("5", "-1"):
+        assert cli("gen", "--alphas", "1,1", "--k", k,
+                   "-o", str(tmp_path / "inst.json")) == 2
+        assert "fractional precision too small for the gap" in \
+            capsys.readouterr().err
     # the center star of the 2 x 2 square ties its four sides
     pts, star = tmp_path / "pts.json", tmp_path / "star.json"
     dump_json({"points": [[0, 0], [2, 0], [2, 2], [0, 2], [1, 1]]}, pts)

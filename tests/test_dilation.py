@@ -287,6 +287,8 @@ def test_tree_dilation_rejects_nonpositive_bits(bits):
     assert tree_dilation(ps, star, 64).tied
     with pytest.raises(ValueError, match="bits must be positive"):
         tree_dilation(ps, star, bits)
+    with pytest.raises(ValueError, match="bits must be positive"):
+        pair_dilation(ps, star, 0, 1, bits)
 
 
 def test_tree_dilation_square_path():

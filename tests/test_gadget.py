@@ -344,8 +344,9 @@ def test_integerize_demands_enough_stored_bits():
     with pytest.raises(ValueError):
         integerize(coarse, k=32)            # k itself too small for the gap
     fine = build_gadget(inst, d_bits=64)
-    with pytest.raises(ValueError, match="too small for the gap"):
-        integerize(fine, k=5)               # below 4n + 22
+    for k in (5, -1):                       # below 4n + 22, before any shift
+        with pytest.raises(ValueError, match="too small for the gap"):
+            integerize(fine, k=k)
     ii = integerize(fine, k=40)
     assert ii.k == 40
 

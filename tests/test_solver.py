@@ -1,5 +1,6 @@
 """Tree/path/tour search, uncrossing exchange, and witness hunt."""
 
+import copy
 import heapq
 import itertools
 import os
@@ -507,6 +508,83 @@ def test_constrained_tree_search_matches_brute_force(offset):
             res = mdst_exact(ps, opts)
             assert keep(res.best)
             assert _compare_reports(ps, res.best, res.report, best, rep) == 0
+
+
+class _KeepScreen(_RunningScreen):
+    """A screen that passes on only the trees `keep` accepts, decoded from
+    their Prüfer codes, so its incumbent comes from those trees alone."""
+
+    def __init__(self, ps, keep):
+        super().__init__(ps)
+        self.keep = keep
+
+    def offer(self, key, sums):
+        n = len(self.lens)
+        if self.keep(Tree(n, _prufer_edges(n, key))):
+            super().offer(key, sums)
+
+
+def constrained_oracle(ps, keep):
+    """The first certified minimum over the labeled trees `keep` accepts:
+    `_screen_every_tree` under a `_KeepScreen` drops only trees certifiably
+    above one that `keep` accepts."""
+    best = rep = None
+    for edges in _screen_every_tree(ps, _KeepScreen(ps, keep)):
+        tree = Tree(ps.n, edges)
+        r = tree_dilation(ps, tree, 64)
+        if rep is None or _compare_reports(ps, tree, r, best, rep) < 0:
+            best, rep = tree, r
+    return best, rep
+
+
+@pytest.mark.parametrize("n, seeds", [(8, (934, 810)), (9, (1096, 1104))])
+def test_constrained_tree_search_matches_oracle(n, seeds):
+    # crossing-free search on 8 and 9 points, and search with one edge the
+    # unconstrained optimum avoids on 8 (at 9 the oracle takes seconds);
+    # the free search's optimum crosses on sets 934, 1096 and 1104
+    for seed in seeds:
+        ps = PointSet.from_coords(grid_probe(seed, n))
+        used = set(mdst_exact(ps).best.edges)
+        edge = next(e for e in itertools.combinations(range(n), 2)
+                    if e not in used)
+        cases = [(SolverOptions(crossing_free=True),
+                  lambda t: not tree_has_crossing(ps, t))]
+        if n == 8:
+            cases.append((SolverOptions(required_edges=frozenset({edge})),
+                          lambda t: t.has_edge(*edge)))
+        for opts, keep in cases:
+            best, rep = constrained_oracle(ps, keep)
+            res = mdst_exact(ps, opts)
+            assert keep(res.best)
+            assert _compare_reports(ps, res.best, res.report, best, rep) == 0
+
+
+def test_screen_join_writes_new_pairs_and_leaves_the_caller_alone():
+    ps = PointSet.from_coords([(0, 0), (4, 0), (4, 3), (1, 5)])
+    screen = _RunningScreen(ps)
+    pairs, lens = screen.pairs, screen.lens
+    singles = [[x] for x in range(4)]
+    comp = screen.join(screen.join(singles, 0, 1), 2, 3)
+    kept = copy.deepcopy(comp)
+    joined = screen.join(comp, 1, 2)
+    # each new pair x, y is x-1 plus the edge plus 2-y, both ways round
+    for x, y in itertools.product((0, 1), (2, 3)):
+        want = tuple(a + e + b for a, e, b in
+                     zip(pairs[x][1], lens[1][2], pairs[2][y]))
+        assert pairs[x][y] == pairs[y][x] == want
+    # one shared list for the merged component; the caller's untouched
+    assert all(c is joined[0] for c in joined)
+    assert sorted(joined[0]) == [0, 1, 2, 3]
+    assert comp == kept and comp[0] is comp[1] and comp[2] is comp[3]
+    assert singles == [[0], [1], [2], [3]]
+    # below the detour 0-1-2, of 7 against |02| = 5, the join is refused
+    # and writes nothing
+    screen = _RunningScreen(ps)
+    comp = screen.join(screen.join(singles, 0, 1), 2, 3)
+    before = copy.deepcopy(screen.pairs)
+    screen.bound = (6, 5)
+    assert screen.join(comp, 1, 2) is None
+    assert screen.pairs == before
 
 
 @pytest.mark.parametrize("mode", list(Mode))
