@@ -77,7 +77,12 @@ class PointSet:
         pts = tuple(points)
         if len(pts) < 2:
             raise ValueError("point set needs at least two points")
-        if len(set(pts)) != len(pts):
+        den = lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
+        self._xy = [(p.x.numerator * (den // p.x.denominator),
+                     p.y.numerator * (den // p.y.denominator)) for p in pts]
+        # over one denominator, points are equal exactly when their
+        # numerators are, and integer pairs hash far faster than Fractions
+        if len(set(self._xy)) != len(pts):
             raise ValueError("points must be pairwise distinct")
         self._points = pts
         if labels is not None:
@@ -85,9 +90,6 @@ class PointSet:
             if len(labels) != len(pts):
                 raise ValueError("labels must match points one to one")
         self._labels = labels
-        den = lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
-        self._xy = [(p.x.numerator * (den // p.x.denominator),
-                     p.y.numerator * (den // p.y.denominator)) for p in pts]
         self.den = den
         self._tables: dict[int, list[list]] = {}
         self._exact: dict[tuple[int, int], SqrtSum] = {}
@@ -612,14 +614,29 @@ def graph_exceeds(ps: PointSet, edges, p_num: int, q_den: int, pairs) -> bool:
     only means "not shown".  One Dijkstra runs per distinct first vertex,
     at 64 bits.
     """
+    return _separator_exceeds(ps, edges, p_num, q_den,
+                              [(u, u, v) for u, v in pairs])
+
+
+def _separator_exceeds(ps: PointSet, edges, p_num: int, q_den: int,
+                       triples) -> bool:
+    """`graph_exceeds` on the pairs (u, v) of `triples` (s, u, v), where
+    every u-v path of the graph passes through s.
+
+    The shortest u-v sum of lower endpoints is then D_s(u) + D_s(v), read
+    from one 64-bit Dijkstra per distinct s; s = u always qualifies, with
+    D_u(u) = 0.  Triples are read in order, and the first certified pair
+    ends the check.
+    """
     adj = _graph_adjacency(ps.n, edges)
     sums = {}
-    for u, v in pairs:
-        if u not in sums:
-            sums[u] = _shortest_sums(ps, adj, u, 64, 0)
-            if None in sums[u]:
+    for s, u, v in triples:
+        if s not in sums:
+            sums[s] = _shortest_sums(ps, adj, s, 64, 0)
+            if None in sums[s]:
                 return True
-        if q_den * sums[u][v] > p_num * ps.dist_ints(u, v, 64)[1]:
+        ds = sums[s]
+        if q_den * (ds[u] + ds[v]) > p_num * ps.dist_ints(u, v, 64)[1]:
             return True
     return False
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .dilation import PointSet, Tree
 from .exactgeom import Point
 from .gadget import (Gadget, IntegerInstance, PartitionInstance, _CirclePair,
-                     _labels, partition_threshold, rounding_bits)
+                     _check_rounding_bits, _labels, partition_threshold)
 
 _DYADIC = re.compile(r"^(-?\d+)/2\^(\d+)$")
 _RATIONAL = re.compile(r"^(-?\d+)(?:/(\d+))?$")
@@ -167,8 +167,7 @@ def instance_from_json(obj):
     k = _parse_int(obj["k"], "k")
     if obj["scale"] != f"1800*2^{k}":
         raise ValueError("scale does not match k")
-    if k < rounding_bits(inst):
-        raise ValueError("declared k is too small for the weights")
+    _check_rounding_bits(k, inst)
     P, Q = _parse_int(obj["P"], "P"), _parse_int(obj["Q"], "Q")
     if (P, Q) != partition_threshold(n, inst.sigma_dot):
         raise ValueError("threshold does not match the weights")

@@ -16,9 +16,14 @@ used as an independent oracle.
 The search screens before it certifies.  Per attachment of the hanging
 point it decides the 2n choice slots one at a time, depth first.  Every
 family tree below a node lies in the node's graph: the decided options
-plus both options of every open slot.  So when `graph_exceeds` certifies
-a pair there above the threshold, the whole subtree is cut.  Only a leaf
-it leaves is built and certified by `compare_to_threshold`.
+plus both options of every open slot.  So when a priority pair's
+shortest path there is certifiably above the threshold, the whole
+subtree is cut.  Every edge of that graph stays inside one half, except
+the two q1-a1 edges and the hanging edge of q2, so q1 separates the
+halves and each pair's shortest path is the sum of two entries of one
+Dijkstra: from q1 for the choice-point pairs, and from q1 or q2 for q2's
+pairs.  Only a leaf the cut leaves is built and certified by
+`compare_to_threshold`.
 """
 
 from dataclasses import dataclass
@@ -26,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .dilation import (PointSet, Tree, Verdict, compare_to_threshold,
-                       critical_edges, graph_exceeds)
+                       critical_edges, _separator_exceeds)
 from .errors import NoIntersection, PrecisionInsufficient, SumTooLarge
 from .exactgeom import (Interval, Orientation, Point,
                         circle_intersection_upper, orientation, round_dyadic,
@@ -234,8 +239,7 @@ class IntegerInstance(_PointLayout):
         sd2 = self.Q // (2 * _four(n + 4))
         if self.Q != 2 * _four(n + 4) * sd2 or sd2 < 1:
             raise ValueError("threshold denominator has the wrong shape")
-        if self.k < 4 * n + 22 or (1 << (self.k - 4 * n - 22)) <= n * sd2:
-            raise ValueError("fractional precision too small for the gap")
+        _check_rounding_bits(self.k, self)
         limit = 2 * n + self.k + 15
         for p in self.points.points:
             for coord in (p.x, p.y):
@@ -257,14 +261,22 @@ class IntegerInstance(_PointLayout):
 # construction
 
 
-def rounding_bits(inst: PartitionInstance) -> int:
+def rounding_bits(inst) -> int:
     """Smallest fractional bit count whose rounding error fits the gap.
 
     2^-k must stay below xi / 4^(n+7) / n so that moving every choice
     point by up to 2^-k shifts no tree's dilation across the threshold.
+    Reads only `inst.n` and `inst.sigma_dot`, which a `PartitionInstance`,
+    a `Gadget` and an `IntegerInstance` all have.
     """
     m = inst.n * inst.sigma_dot
     return 4 * inst.n + 22 + m.bit_length()
+
+
+def _check_rounding_bits(k: int, inst) -> None:
+    """Reject a k below `rounding_bits(inst)`, before anything shifts by k."""
+    if k < rounding_bits(inst):
+        raise ValueError("fractional precision too small for the gap")
 
 
 def _right_half_points(inst: PartitionInstance, alphas, d_bits):
@@ -418,11 +430,10 @@ def integerize(g: Gadget, k: int | None = None) -> IntegerInstance:
     an already-dyadic coordinate to the coarser grid is exact.
     """
     n = g.n
-    need = rounding_bits(PartitionInstance(g.alphas_dot))
+    inst = PartitionInstance(g.alphas_dot)
     if k is None:
-        k = need
-    elif k < need:      # checked before any shift by k
-        raise ValueError("fractional precision too small for the gap")
+        k = rounding_bits(inst)
+    _check_rounding_bits(k, inst)
     if g.d_bits < k:
         raise PrecisionInsufficient(
             f"choice points carry {g.d_bits} fractional bits, need {k}")
@@ -721,11 +732,19 @@ def decide_partition(instance):
     tries direct before detour, reversed after an odd number of detours,
     so the leaves come in reflected Gray-code order; that order fixes
     which split is returned when several are valid.  At each node
-    `graph_exceeds` runs on the fixed edges, the attachment edge, the
+    `_separator_exceeds` runs on the fixed edges, the attachment edge, the
     decided options and both options of every open slot.  Every tree
     below the node lies in that graph, so a certified pair cuts them all;
     at a leaf the graph is the tree itself.  Only a leaf it does not cut
     is built as a `Tree` and certified by `compare_to_threshold`.
+
+    The cut is exact, not a bound.  q1's only edges go to a1, to a1' and
+    possibly to q2, q2 is a leaf, and every other edge stays inside one
+    half, so every path between the halves passes through q1.  A pair
+    (d_i, d_i') is then read from one Dijkstra from q1, and so are q2's
+    pairs when q2 hangs at q1; otherwise they are read from q2's own
+    Dijkstra.  Each node makes one Dijkstra under the q1 attachment and
+    at most two under any other.
     """
     lay = instance
     n = lay.n
@@ -735,10 +754,6 @@ def decide_partition(instance):
     alphas_dot = _recover_alphas_dot(instance) \
         if isinstance(instance, IntegerInstance) else instance.alphas_dot
 
-    # the pairs whose dilation blows up on every wrong combination
-    priority = [(lay.q2, lay.p2), (lay.q2, lay.mirror(lay.p2))]
-    priority += [(lay.d(i), lay.mirror(lay.d(i))) for i in range(1, n + 1)]
-
     total = 8 * n + 8
     fixed, choices = _family_skeleton(lay)
     slots = [left for _, left in reversed(choices)]
@@ -746,7 +761,8 @@ def decide_partition(instance):
 
     def search(decided, depth, reflected):
         open_options = [e for slot in slots[depth:] for e in slot]
-        if graph_exceeds(pts, decided + open_options, P, Q, priority):
+        if _separator_exceeds(pts, decided + open_options, P, Q,
+                              priority):
             return None
         if depth == len(slots):
             tree = Tree(total, decided)
@@ -761,6 +777,12 @@ def decide_partition(instance):
 
     candidates = [lay.q1] + [j for j in range(total) if j > lay.q2]
     for attach in candidates:
+        # the pairs whose dilation blows up on every wrong combination,
+        # each with the separator its shortest paths pass through
+        hub = lay.q1 if attach == lay.q1 else lay.q2
+        priority = [(hub, lay.q2, lay.p2), (hub, lay.q2, lay.mirror(lay.p2))]
+        priority += [(lay.q1, lay.d(i), lay.mirror(lay.d(i)))
+                     for i in range(1, n + 1)]
         tree = search(fixed + [(_Q2, attach)], 0, 0)
         if tree is None:
             continue

@@ -134,12 +134,6 @@ def _compare_exact(rep_a, exact_a, rep_b, exact_b):
     return _ratio_sign(exact_a(*rep_a.witness), exact_b(*rep_b.witness))
 
 
-def _compare_reports(ps, tree_a, rep_a, tree_b, rep_b):
-    """Certified sign of Delta(tree_a) - Delta(tree_b)."""
-    return _compare_exact(rep_a, tree_exact(ps, tree_a),
-                          rep_b, tree_exact(ps, tree_b))
-
-
 def _first_minimum(reports):
     """The first (structure, report, exact) of `reports` that no later one
     certifiably beats, so ties keep the earliest."""

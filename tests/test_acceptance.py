@@ -20,10 +20,11 @@ from dilatree.gadget import (
     standard_tree, symbolic_pair_ratio,
 )
 from dilatree.solver import (
-    SolverOptions, _compare_reports, critical_path_structure,
-    enumerate_spanning_trees, exhaustive_mdst, mdst_exact, uncross_four,
-    verify_crossing_witness, witness_search_five,
+    SolverOptions, critical_path_structure, enumerate_spanning_trees,
+    exhaustive_mdst, mdst_exact, uncross_four, verify_crossing_witness,
+    witness_search_five,
 )
+from test_solver import _compare_reports
 
 HALF = Fraction(3, 2)
 

@@ -57,5 +57,5 @@ def test_traced_short_run_counts_dist_ints(workload):
             assert metrics[name]["value"] > 0, name
     if workload == "partition":
         # one certified tree per yes-instance of the short pass; every
-        # other family tree is screened out by graph_exceeds
+        # other family tree is screened out by the slot search's cut
         assert metrics["gadget.trees_tried"]["value"] == 2

@@ -117,6 +117,17 @@ def test_precision_arguments_below_range_exit_2(tmp_path, capsys):
                    "-o", str(tmp_path / "inst.json")) == 2
         assert "fractional precision too small for the gap" in \
             capsys.readouterr().err
+    # an instance file whose k is below rounding_bits (33 for 1,1) is
+    # refused by the same check, before anything shifts by k
+    yes, coarse = gen_instance(tmp_path, "1,1"), tmp_path / "coarse.json"
+    for k in (32, -1):
+        obj = load_json(yes)
+        obj["k"], obj["scale"] = k, f"1800*2^{k}"
+        dump_json(obj, coarse)
+        for cmd in ("verify", "decide"):
+            assert cli(cmd, str(coarse)) == 2
+            assert "fractional precision too small for the gap" in \
+                capsys.readouterr().err
     # the center star of the 2 x 2 square ties its four sides
     pts, star = tmp_path / "pts.json", tmp_path / "star.json"
     dump_json({"points": [[0, 0], [2, 0], [2, 2], [0, 2], [1, 1]]}, pts)

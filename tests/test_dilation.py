@@ -27,6 +27,13 @@ def test_pointset_validation():
         PointSet([pt(0, 0), pt(0, 0)])
     with pytest.raises(ValueError):
         PointSet([pt(0, 0), pt(1, 0)], labels=["a"])
+    # distinctness is decided over the common denominator: 1/2 and 2/4
+    # are one point, 1/3 and 1/2 are two
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        PointSet([pt(Fraction(1, 3), 1), pt(Fraction(1, 2), 0),
+                  pt("2/4", 0)])
+    ps = PointSet([pt(Fraction(1, 3), 0), pt(Fraction(1, 2), 0)])
+    assert (ps.den, ps.distance_sq(0, 1)) == (6, Fraction(1, 36))
 
 
 def test_tree_validation():

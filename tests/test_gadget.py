@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilatree import gadget
+from dilatree import dilation, gadget
 from dilatree.dilation import (
     PointSet, Tree, Verdict, compare_to_threshold, critical_edges,
     graph_exceeds, pair_dilation, tree_has_crossing,
@@ -485,9 +485,9 @@ def test_decide_pinned_answers(alphas, split):
 ])
 def test_decide_certifies_only_unscreened_trees(alphas, certified,
                                                 monkeypatch):
-    # graph_exceeds cuts every node of the slot search, and at a leaf its
-    # graph is the tree itself, so compare_to_threshold runs only on the
-    # tree it cannot reject
+    # the separator cut runs at every node of the slot search, and at a
+    # leaf its graph is the tree itself, so compare_to_threshold runs only
+    # on the tree it cannot reject
     calls = []
 
     def counted(*args, **kwargs):
@@ -504,18 +504,72 @@ def test_decide_certifies_only_unscreened_trees(alphas, certified,
 
 
 def test_decide_slot_search_work_pin(monkeypatch):
-    # one graph_exceeds call per node of the slot search; the 4^7 family
-    # trees of each attachment would take 16,384 calls one by one
-    calls = []
+    # one cut per node of the slot search, and one Dijkstra per cut; the
+    # 4^7 family trees of each attachment would take 16,384 cuts one by one
+    cuts, dijkstras = [], []
 
-    def counted(*args):
-        calls.append(args)
-        return graph_exceeds(*args)
+    def counted_cut(*args):
+        cuts.append(args)
+        return cut(*args)
 
-    monkeypatch.setattr(gadget, "graph_exceeds", counted)
+    def counted_sums(*args):
+        dijkstras.append(args)
+        return sums(*args)
+
+    cut, sums = gadget._separator_exceeds, dilation._shortest_sums
+    monkeypatch.setattr(gadget, "_separator_exceeds", counted_cut)
+    monkeypatch.setattr(dilation, "_shortest_sums", counted_sums)
     ii = integerize(build_gadget(PartitionInstance((1, 1, 1, 1, 1, 1, 5))))
     assert decide_partition(ii) is None
-    assert len(calls) == 585
+    assert len(cuts) == 585
+    assert len(dijkstras) == 585
+
+
+@pytest.mark.parametrize("alphas", [
+    (1,), (1, 1), (2, 3, 5), (1, 2, 4), (1, 1, 1, 2), (1, 1, 2, 2),
+    (1, 1, 1, 1, 1, 1, 5),
+])
+def test_separator_exceeds_matches_graph_exceeds(alphas, monkeypatch):
+    # the separator sums are exact shortest paths, so every node of the
+    # slot search gets graph_exceeds's verdict on its graph and pairs, at
+    # the threshold and at looser ones that leave more pairs uncertified
+    cut = gadget._separator_exceeds
+    nodes = []
+
+    def checked(pts, edges, p, q, pairs):
+        plain = [(u, v) for _, u, v in pairs]
+        got = [cut(pts, edges, loose * p, q, pairs) for loose in (1, 2, 8)]
+        assert got == [graph_exceeds(pts, edges, loose * p, q, plain)
+                       for loose in (1, 2, 8)]
+        nodes.append(got)
+        return got[0]
+
+    monkeypatch.setattr(gadget, "_separator_exceeds", checked)
+    g = build_gadget(PartitionInstance(alphas))
+    for inst in (g, integerize(g)):
+        nodes.clear()
+        decide_partition(inst)
+        assert len(nodes) > 1
+
+
+@pytest.mark.parametrize("alphas", [(1,), (1, 1), (2, 3, 5)])
+def test_q1_separates_the_halves_of_every_root_graph(alphas):
+    # the cut's sums are exact only because q1 is a cut vertex between
+    # the halves and q2 hangs off one vertex
+    g = build_gadget(PartitionInstance(alphas))
+    total = 8 * g.n + 8
+    half = 4 * g.n + 3
+    right = set(range(2, half + 2))
+    fixed, choices = gadget._family_skeleton(g)
+    options = [e for slots in choices for slot in slots for e in slot]
+    for attach in [g.q1] + list(range(2, total)):
+        edges = fixed + [(g.q2, attach)] + options
+        for u, v in edges:
+            if g.q1 not in (u, v) and g.q2 not in (u, v):
+                assert (u in right) == (v in right), (u, v)
+        at_q1 = {v if u == g.q1 else u for u, v in edges if g.q1 in (u, v)}
+        assert at_q1 - {g.q2} == {g.a(1), g.mirror(g.a(1))}
+        assert sum(g.q2 in e for e in edges) == 1
 
 
 def test_decide_rejects_tampered_integer_points():

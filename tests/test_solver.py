@@ -16,14 +16,14 @@ import pytest
 
 from dilatree.dilation import (PointSet, Tree, crossing_edge_pairs,
                                graph_dilation_bounds, tree_dilation,
-                               tree_has_crossing)
+                               tree_exact, tree_has_crossing)
 from dilatree.errors import (Infeasible, NotApplicable, NotCrossing,
                              PrecisionExhausted, SizeTooLarge)
 from dilatree.solver import (Mode, SolverOptions, SolverResult,
                              critical_path_structure, enumerate_spanning_trees,
                              exhaustive_mdst, mdst_exact, uncross_four,
                              verify_crossing_witness, witness_search_five,
-                             _RunningScreen, _compare_reports,
+                             _RunningScreen, _compare_exact,
                              _order_metric, _prufer_code, _prufer_edges,
                              _screen_every_tree)
 from dilatree.radical import SqrtSum
@@ -34,6 +34,12 @@ SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 # found by witness_search_five and locked in; every optimal spanning tree
 # of this set has an edge crossing
 WITNESS5 = [(-53, -12), (0, 0), (2, -9), (3, -7), (63, -283)]
+
+
+def _compare_reports(ps, tree_a, rep_a, tree_b, rep_b):
+    """Certified sign of Delta(tree_a) - Delta(tree_b)."""
+    return _compare_exact(rep_a, tree_exact(ps, tree_a),
+                          rep_b, tree_exact(ps, tree_b))
 
 
 def random_distinct_points(rng, n, lo=0, hi=64):
