@@ -34,7 +34,7 @@ def main():
     # Every defined distance is a rational number; the audit checks the
     # realized coordinates against all of them, plus the angle, mirror,
     # and spacing conditions that make the reduction work.
-    report = verify_gadget(g, bits=256)
+    report = verify_gadget(g)
     print(f"\naudit: {len(report.checks)} checks, "
           f"{'all passed' if report.passed else 'FAILURES ' + str(report.failures())}")
 

@@ -20,9 +20,9 @@ from . import fileio
 from .dilation import Verdict, compare_to_threshold, tree_dilation
 from .errors import (Infeasible, PrecisionExhausted, PrecisionInsufficient,
                      SizeTooLarge, SumTooLarge)
-from .gadget import (LemmaCheck, LemmaReport, PartitionInstance, build_gadget,
-                     decide_partition, integerize, partition_oracle,
-                     verify_gadget)
+from .gadget import (IntegerInstance, LemmaCheck, LemmaReport,
+                     PartitionInstance, decide_partition, partition_oracle,
+                     reduction, verify_gadget)
 from .solver import Mode, SolverOptions, mdst_exact, witness_search_five
 
 EXIT_OK = 0
@@ -58,7 +58,7 @@ def _load_points(path):
 def _load_instance_or_gadget(path):
     obj = fileio.load_json(path)
     if isinstance(obj, dict) and "alphas_dot" in obj:
-        return fileio.instance_from_json(obj)[0]
+        return fileio.instance_from_json(obj)
     return fileio.gadget_from_json(obj)
 
 
@@ -84,9 +84,8 @@ def _report_lines(report):
 
 def _cmd_gen(args) -> int:
     inst = PartitionInstance(args.alphas)
-    g = build_gadget(inst, d_bits=args.d_bits)
-    ii = integerize(g, k=args.k)
-    fileio.dump_json(fileio.instance_to_json(ii, inst.alphas_dot), args.output)
+    g, ii = reduction(inst, args.k)
+    fileio.dump_json(fileio.instance_to_json(ii), args.output)
     if args.gadget:
         fileio.dump_json(fileio.gadget_to_json(g), args.gadget)
     print(f"n={inst.n} weights={list(inst.alphas_dot)} k={ii.k} "
@@ -95,20 +94,15 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    obj = fileio.load_json(args.input)
-    if isinstance(obj, dict) and "alphas_dot" in obj:
-        ii, alphas_dot = fileio.instance_from_json(obj)
-        g = build_gadget(PartitionInstance(alphas_dot),
-                         d_bits=max(ii.k + 8, 32))
-        report = verify_gadget(g, bits=args.bits)
-        rebuilt = integerize(g, k=ii.k)
+    ii = _load_instance_or_gadget(args.input)
+    g, rescale = ii, ()
+    if isinstance(ii, IntegerInstance):
+        g, rebuilt = reduction(ii, ii.k)
         same = rebuilt.points.points == ii.points.points
         detail = "stored points match a fresh rescale" if same \
             else "stored points deviate from the construction"
-        report = LemmaReport(checks=report.checks + (
-            LemmaCheck("integer rescaling", same, detail),))
-    else:
-        report = verify_gadget(fileio.gadget_from_json(obj), bits=args.bits)
+        rescale = (LemmaCheck("integer rescaling", same, detail),)
+    report = LemmaReport(checks=verify_gadget(g).checks + rescale)
     for check in report.checks:
         print(f"[{'ok' if check.passed else 'FAIL'}] {check.name}:"
               f" {check.detail}")
@@ -232,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="build an integer instance from weights")
     p.add_argument("--alphas", type=_alphas, required=True,
                    help="comma-separated positive integer weights")
-    p.add_argument("--d-bits", type=int, default=None,
-                   help="fractional bits stored for the choice points")
     p.add_argument("--k", type=int, default=None,
                    help="fractional bits kept by the integer rescale")
     p.add_argument("-o", "--output", required=True)
@@ -243,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="audit a stored instance or gadget")
     p.add_argument("input")
-    p.add_argument("--bits", type=int, default=256)
     p.add_argument("--json", default=None,
                    help="also write the report to this path")
     p.set_defaults(func=_cmd_verify)

@@ -207,6 +207,8 @@ class CircleCrossing:
 
 
 def _radical_foot(c1: Point, r1_sq: Fraction, c2: Point, r2_sq: Fraction):
+    """(dx, dy, d2, M, H) of two circles that meet; NoIntersection when
+    they are concentric, disjoint or nested."""
     dx = c2.x - c1.x
     dy = c2.y - c1.y
     d2 = dx * dx + dy * dy
@@ -216,6 +218,8 @@ def _radical_foot(c1: Point, r1_sq: Fraction, c2: Point, r2_sq: Fraction):
     mx = c1.x + t * dx / d2
     my = c1.y + t * dy / d2
     h = (r1_sq * d2 - t * t) / (d2 * d2)
+    if h < 0:
+        raise NoIntersection(_classify_empty(d2, r1_sq, r2_sq))
     return dx, dy, d2, Point(mx, my), h
 
 
@@ -228,19 +232,7 @@ def _classify_empty(d2, r1_sq, r2_sq) -> str:
     return "nested circles"
 
 
-def circle_intersection_box(c1: Point, r1_sq: Fraction, c2: Point,
-                            r2_sq: Fraction, bits: int):
-    """Axis-aligned box enclosing the intersection point left of C1->C2.
-
-    Returns (x_interval, y_interval) whose Euclidean diameter is at most
-    2^-bits.  Raises NoIntersection when the circles are disjoint, nested,
-    or merely tangent (a tangency has no left/right choice to make).
-    """
-    dx, dy, d2, m, h = _radical_foot(c1, r1_sq, c2, r2_sq)
-    if h < 0:
-        raise NoIntersection(_classify_empty(d2, r1_sq, r2_sq))
-    if h == 0:
-        raise NoIntersection("tangent circles admit no two-point crossing")
+def _crossing_box(dx, dy, d2, m: Point, h: Fraction, bits: int):
     # Offset is s * (-dy, dx) with s = sqrt(h); box diameter is
     # width(s) * |Delta|, so aim the sqrt precision at 2^-(bits+1) total.
     sb = bits + max(0, d2.numerator.bit_length() - d2.denominator.bit_length()) // 2 + 4
@@ -257,6 +249,20 @@ def circle_intersection_box(c1: Point, r1_sq: Fraction, c2: Point,
     return (Interval(min(xs), max(xs), bits), Interval(min(ys), max(ys), bits))
 
 
+def circle_intersection_box(c1: Point, r1_sq: Fraction, c2: Point,
+                            r2_sq: Fraction, bits: int):
+    """Axis-aligned box enclosing the intersection point left of C1->C2.
+
+    Returns (x_interval, y_interval) whose Euclidean diameter is at most
+    2^-bits.  Raises NoIntersection when the circles are disjoint, nested,
+    or merely tangent (a tangency has no left/right choice to make).
+    """
+    dx, dy, d2, m, h = _radical_foot(c1, r1_sq, c2, r2_sq)
+    if h == 0:
+        raise NoIntersection("tangent circles admit no two-point crossing")
+    return _crossing_box(dx, dy, d2, m, h, bits)
+
+
 def circle_intersection_upper(c1: Point, r1_sq: Fraction, c2: Point,
                               r2_sq: Fraction, bits: int) -> CircleCrossing:
     """Dyadic point within 2^-bits of the intersection left of C1->C2.
@@ -269,11 +275,9 @@ def circle_intersection_upper(c1: Point, r1_sq: Fraction, c2: Point,
     `tangent` instead of raising.
     """
     dx, dy, d2, m, h = _radical_foot(c1, r1_sq, c2, r2_sq)
-    if h < 0:
-        raise NoIntersection(_classify_empty(d2, r1_sq, r2_sq))
     if h == 0:
         return CircleCrossing(m, Fraction(0), Fraction(0), tangent=True)
-    bx, by = circle_intersection_box(c1, r1_sq, c2, r2_sq, bits + 2)
+    bx, by = _crossing_box(dx, dy, d2, m, h, bits + 2)
     grid = bits + 2
     p = Point(round_dyadic((bx.lo + bx.hi) / 2, grid),
               round_dyadic((by.lo + by.hi) / 2, grid))

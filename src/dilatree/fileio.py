@@ -13,11 +13,10 @@ from fractions import Fraction
 
 from .dilation import PointSet, Tree
 from .exactgeom import Point
-from .gadget import (Gadget, IntegerInstance, PartitionInstance, _CirclePair,
-                     _check_rounding_bits, _labels, partition_threshold)
+from .gadget import Gadget, IntegerInstance, _CirclePair, _labels
 
-_DYADIC = re.compile(r"^(-?\d+)/2\^(\d+)$")
-_RATIONAL = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_DYADIC = re.compile(r"(-?\d+)/2\^(\d+)")
+_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
 def format_rational(x) -> str:
@@ -40,10 +39,10 @@ def parse_number(s) -> Fraction:
         return Fraction(s)
     if not isinstance(s, str):
         raise ValueError(f"expected a number string, got {s!r}")
-    m = _DYADIC.match(s)
+    m = _DYADIC.fullmatch(s)
     if m:
         return Fraction(int(m.group(1)), 1 << int(m.group(2)))
-    m = _RATIONAL.match(s)
+    m = _RATIONAL.fullmatch(s)
     if m:
         den = int(m.group(2) or 1)
         if not den:
@@ -135,13 +134,13 @@ def tree_from_json(obj, n: int) -> Tree:
 # integerized instances
 
 
-def instance_to_json(ii: IntegerInstance, alphas_dot) -> dict:
+def instance_to_json(ii: IntegerInstance) -> dict:
     pts = []
     for i, p in enumerate(ii.points.points):
         pts.append({"label": ii.points.labels[i],
                     "x": str(p.x.numerator), "y": str(p.y.numerator)})
     return {
-        "alphas_dot": list(alphas_dot),
+        "alphas_dot": list(ii.alphas_dot),
         "k": ii.k,
         "P": str(ii.P),
         "Q": str(ii.Q),
@@ -150,32 +149,27 @@ def instance_to_json(ii: IntegerInstance, alphas_dot) -> dict:
     }
 
 
-def instance_from_json(obj):
+def instance_from_json(obj) -> IntegerInstance:
     """Parse and cross-check an instance file.
 
-    Returns (instance, alphas_dot).  The threshold, the precision, and
-    the label layout must all agree with the declared weights; geometry
-    itself is revalidated later by whoever consumes the points.
+    The threshold, the scale and the label layout must all agree with
+    what the declared weights and k fix; geometry itself is revalidated
+    later by whoever consumes the points.
     """
     for key in ("alphas_dot", "k", "P", "Q", "points", "scale"):
         if key not in _shape(obj, dict, "instance file"):
             raise ValueError(f"instance file is missing \"{key}\"")
     alphas_dot = tuple(_parse_int(a, "weight") for a in
                        _shape(obj["alphas_dot"], list, "\"alphas_dot\""))
-    inst = PartitionInstance(alphas_dot)
-    n = inst.n
     k = _parse_int(obj["k"], "k")
     if obj["scale"] != f"1800*2^{k}":
         raise ValueError("scale does not match k")
-    _check_rounding_bits(k, inst)
-    P, Q = _parse_int(obj["P"], "P"), _parse_int(obj["Q"], "Q")
-    if (P, Q) != partition_threshold(n, inst.sigma_dot):
-        raise ValueError("threshold does not match the weights")
     ps = _canonical_points(
-        obj, n, lambda s: Fraction(_parse_int(s, "coordinate")))
-    ii = IntegerInstance(k=k, points=ps, P=P, Q=Q,
-                         epsilon_bound=Fraction(1, 1 << k))
-    return ii, alphas_dot
+        obj, len(alphas_dot), lambda s: Fraction(_parse_int(s, "coordinate")))
+    ii = IntegerInstance(alphas_dot=alphas_dot, k=k, points=ps)
+    if (_parse_int(obj["P"], "P"), _parse_int(obj["Q"], "Q")) != (ii.P, ii.Q):
+        raise ValueError("threshold does not match the weights")
+    return ii
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ pairs.  Only a leaf the cut leaves is built and certified by
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 
 from .dilation import (PointSet, Tree, Verdict, compare_to_threshold,
                        critical_edges, _separator_exceeds)
@@ -220,27 +221,20 @@ class Gadget(_PointLayout):
 
 
 @dataclass(frozen=True)
-class IntegerInstance(_PointLayout):
-    """Integer-coordinate instance with decision threshold P/Q."""
+class IntegerInstance(PartitionInstance, _PointLayout):
+    """Integer-coordinate instance of the weights `alphas_dot`, rounded
+    to k fractional bits; its decision threshold P/Q is fixed by the
+    weights."""
 
     k: int
     points: PointSet
-    P: int
-    Q: int
-    epsilon_bound: Fraction
 
     def __post_init__(self):
-        m = len(self.points)
-        if m % 8 != 0 or m < 16:
-            raise ValueError("point count must be 8n+8")
-        n = self.n
-        if 2 * self.P != 3 * self.Q + 2:
-            raise ValueError("threshold is not 3/2 plus half the gap")
-        sd2 = self.Q // (2 * _four(n + 4))
-        if self.Q != 2 * _four(n + 4) * sd2 or sd2 < 1:
-            raise ValueError("threshold denominator has the wrong shape")
+        super().__post_init__()
         _check_rounding_bits(self.k, self)
-        limit = 2 * n + self.k + 15
+        if len(self.points) != 8 * self.n + 8:
+            raise ValueError("point count must be 8n+8")
+        limit = 2 * self.n + self.k + 15
         for p in self.points.points:
             for coord in (p.x, p.y):
                 if coord.denominator != 1:
@@ -249,12 +243,12 @@ class IntegerInstance(_PointLayout):
                     raise ValueError("coordinate exceeds the bit budget")
 
     @property
-    def n(self) -> int:
-        return (len(self.points) - 8) // 8
+    def P(self) -> int:
+        return partition_threshold(self.n, self.sigma_dot)[0]
 
     @property
-    def sigma_dot(self) -> int:
-        return self.Q // (2 * _four(self.n + 4))
+    def Q(self) -> int:
+        return partition_threshold(self.n, self.sigma_dot)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +450,25 @@ def integerize(g: Gadget, k: int | None = None) -> IntegerInstance:
         scaled_right.append(Point(x, y))
     mirrored = [Point(-p.x, p.y) for p in scaled_right[2:]]
 
-    P, Q = partition_threshold(n, g.sigma_dot)
     return IntegerInstance(
+        alphas_dot=inst.alphas_dot,
         k=k,
         points=PointSet(scaled_right + mirrored, labels=_labels(n)),
-        P=P,
-        Q=Q,
-        epsilon_bound=Fraction(1, 1 << k),
     )
+
+
+def reduction(inst: PartitionInstance, k: int | None = None):
+    """The gadget of `inst` and its integer rescale to k fractional bits,
+    `rounding_bits(inst)` by default.
+
+    The gadget is built at k + 8 bits, so rounding its choice points to
+    k bits is exact grid arithmetic; k is checked against the gap first.
+    """
+    if k is None:
+        k = rounding_bits(inst)
+    _check_rounding_bits(k, inst)
+    g = build_gadget(inst, d_bits=k + 8)
+    return g, integerize(g, k)
 
 
 # ---------------------------------------------------------------------------
@@ -597,10 +602,13 @@ def _check_mirror_symmetry(g) -> LemmaCheck:
     return LemmaCheck(name, True, "primed points reflect exactly")
 
 
-def _check_d_placement(g, bits) -> LemmaCheck:
+def _check_d_placement(g) -> LemmaCheck:
     name = "choice-point placement"
     pts = g.points
     bound = Fraction(1, 1 << (g.d_bits - 4))
+    # radii stay below 4^(n+1), so enclosures at this relative precision
+    # are under 2^-(d_bits+5) wide, far inside the tolerance
+    bits = g.d_bits + 2 * g.n + 8
     a1 = pts[g.a(1)]
     an1 = pts[g.a(g.n + 1)]
     for i in range(1, g.n + 1):
@@ -676,17 +684,18 @@ def _check_alternation(g) -> LemmaCheck:
     return LemmaCheck(name, True, "every index keeps exactly two choices")
 
 
-def verify_gadget(g: Gadget, bits: int = 256) -> LemmaReport:
+def verify_gadget(g: Gadget) -> LemmaReport:
     """Audit the construction: identities, placements, and inequalities.
 
-    Every check is certified with exact or interval arithmetic at the
-    given precision; failures are collected in the report, not raised.
+    Every check is certified with exact arithmetic, or with interval
+    arithmetic at a precision worked out from the gadget's own `d_bits`;
+    failures are collected in the report, not raised.
     """
     return LemmaReport(checks=(
         _check_distance_identities(g),
         _check_weights(g),
         _check_mirror_symmetry(g),
-        _check_d_placement(g, bits),
+        _check_d_placement(g),
         _check_angle_bounds(g),
         _check_critical_set(g),
         _check_alternation(g),
@@ -697,31 +706,29 @@ def verify_gadget(g: Gadget, bits: int = 256) -> LemmaReport:
 # deciding the instance
 
 
-def _recover_alphas_dot(ii: IntegerInstance) -> tuple[int, ...]:
-    """Read the weights back out of the scaled choice-edge lengths."""
-    n = ii.n
+def _check_encoded_weights(ii: IntegerInstance) -> None:
+    """Reject an instance whose choice edges encode other weights.
+
+    |c_i d_i| is scale * (9 * 4^(i-1) + alpha_i) up to the rounding of
+    d_i, and alpha_i = alphas_dot_i / (10 * sigma_dot), so each weight is
+    the nearest integer to 10 * sigma_dot * |c_i d_i| / scale minus
+    90 * sigma_dot * 4^(i-1), found exactly with an integer square root.
+    """
     sd = ii.sigma_dot
     scale = _SCALE_BASE << ii.k
-    out = []
-    for i in range(1, n + 1):
+    for i, declared in enumerate(ii.alphas_dot, 1):
         d2 = squared_distance(ii.points[ii.c(i)], ii.points[ii.d(i)])
-        enc = sqrt_interval(d2, 80)
-        alpha = (enc.lo + enc.hi) / (2 * scale) - 9 * _four(i - 1)
-        scaled = alpha * 10 * sd
-        ad = (2 * scaled.numerator + scaled.denominator) \
-            // (2 * scaled.denominator)
-        if ad < 1:
-            raise ValueError(f"choice edge {i} encodes no positive weight")
-        out.append(ad)
-    if sum(out) != sd:
-        raise ValueError("recovered weights contradict the threshold")
-    return tuple(out)
+        near = (isqrt(400 * sd * sd * d2.numerator) + scale) // (2 * scale)
+        if near - 90 * sd * _four(i - 1) != declared:
+            raise ValueError(f"choice edge {i} does not encode weight"
+                             f" {declared}")
 
 
 def decide_partition(instance):
     """Search the constrained tree family for a certified sub-threshold tree.
 
-    Accepts either the exact gadget or its integerized form.  Tries every
+    Accepts either the exact gadget or its integerized form, whose
+    choice edges must encode its declared weights.  Tries every
     alternation pattern with every attachment of the hanging point, the
     forced attachment first; the first tree certified at most P/Q decodes
     into the partition halves.  Returns (solution, tree), or None when
@@ -749,10 +756,9 @@ def decide_partition(instance):
     lay = instance
     n = lay.n
     pts = lay.points
-    # an IntegerInstance's own P/Q is this threshold, by its checks
     P, Q = partition_threshold(n, instance.sigma_dot)
-    alphas_dot = _recover_alphas_dot(instance) \
-        if isinstance(instance, IntegerInstance) else instance.alphas_dot
+    if isinstance(instance, IntegerInstance):
+        _check_encoded_weights(instance)
 
     total = 8 * n + 8
     fixed, choices = _family_skeleton(lay)
@@ -791,7 +797,7 @@ def decide_partition(instance):
             frozenset(i for i, slot in enumerate(choices, 1)
                       if tree.has_edge(*slot[side][1]))
             for side in (0, 1)))
-        if not sol.consistent_with(alphas_dot):
+        if not sol.consistent_with(instance.alphas_dot):
             raise ValueError("sub-threshold tree decodes to an"
                              " invalid partition")
         return sol, tree

@@ -103,12 +103,35 @@ def test_exit_code_matrix(tmp_path, square):
           str(tr)], 2),
         (["svg", "--points", str(bad["zero_den_points"]), "-o",
           str(tmp_path / "zero_den.svg")], 2),
-        (["gen", "--alphas", "1,1", "--d-bits", "40", "--k", "60",
-          "-o", str(tmp_path / "coarse.json")], 2),
+        (["gen", "--alphas", "1,1", "--k", "60",
+          "-o", str(tmp_path / "fine.json")], 0),
         (["witness5", "--seed", "3", "--budget", "10"], 3),
     ]
     for argv, expected in scenarios:
         assert cli(*argv) == expected, argv
+
+
+@pytest.mark.parametrize("alphas, codes", [
+    ((2 ** 75, 2 ** 75), [0, 0, 0]),
+    ((2 ** 230, 2 ** 230), [0, 0, 0]),
+    ((2 ** 230, 2 ** 230 + 2), [0, 0, 1]),
+])
+def test_huge_weights_round_trip(tmp_path, alphas, codes):
+    # decide reads the weights back exactly, and verify encloses at the
+    # gadget's own precision, however large the weights
+    inst = tmp_path / "inst.json"
+    assert [cli("gen", "--alphas", ",".join(map(str, alphas)),
+                "-o", str(inst)),
+            cli("verify", str(inst)), cli("decide", str(inst))] == codes
+
+
+@pytest.mark.parametrize("k", ["42", "60"])
+def test_gen_at_a_finer_k_verifies(tmp_path, k):
+    inst = tmp_path / "inst.json"
+    assert cli("gen", "--alphas", "1,1", "--k", k, "-o", str(inst)) == 0
+    assert load_json(inst)["k"] == int(k)
+    assert cli("verify", str(inst)) == 0
+    assert cli("decide", str(inst)) == 0
 
 
 def test_precision_arguments_below_range_exit_2(tmp_path, capsys):

@@ -28,7 +28,8 @@ def test_number_formats_round_trip():
     assert parse_number("-9/2^0") == Fraction(-9)
     with pytest.raises(ValueError):
         format_dyadic(Fraction(1, 3), 10)
-    for bad in ("1.5", "", "3/", "/4", "x", "2^5", None):
+    for bad in ("1.5", "", "3/", "/4", "x", "2^5", None, "5\n", "1/2^3\n",
+                "-3/7\n"):
         with pytest.raises(ValueError):
             parse_number(bad)
     for bad in ("1/0", "-3/00"):
@@ -63,26 +64,29 @@ def test_tree_round_trip():
 def test_instance_round_trip_is_exact():
     inst = PartitionInstance((1, 2, 1))
     ii = integerize(build_gadget(inst))
-    obj = instance_to_json(ii, inst.alphas_dot)
+    obj = instance_to_json(ii)
     text = json.dumps(obj, indent=2)
-    back, alphas = instance_from_json(json.loads(text))
-    assert alphas == inst.alphas_dot
+    back = instance_from_json(json.loads(text))
+    assert back.alphas_dot == inst.alphas_dot
     assert back.k == ii.k and back.P == ii.P and back.Q == ii.Q
     assert back.points.points == ii.points.points
     assert back.points.labels == ii.points.labels
-    assert json.dumps(instance_to_json(back, alphas), indent=2) == text
+    assert json.dumps(instance_to_json(back), indent=2) == text
 
 
 def test_instance_file_cross_checks():
     inst = PartitionInstance((1, 1))
     ii = integerize(build_gadget(inst))
-    good = instance_to_json(ii, inst.alphas_dot)
+    good = instance_to_json(ii)
 
     bad = dict(good, scale="1800*2^7")
     with pytest.raises(ValueError):
         instance_from_json(bad)
     bad = dict(good, P=str(ii.P + 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="threshold does not match"):
+        instance_from_json(bad)
+    bad = dict(good, Q=str(ii.Q * 2))
+    with pytest.raises(ValueError, match="threshold does not match"):
         instance_from_json(bad)
     bad = dict(good, k=5, scale="1800*2^5")
     with pytest.raises(ValueError):

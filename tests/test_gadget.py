@@ -305,8 +305,7 @@ def test_integerize_small_instance():
     assert ii.k == 27
     assert ii.P == 3073 and ii.Q == 2048
     assert Fraction(ii.P, ii.Q) == HALF + Fraction(1, 2) * Fraction(1, 1 << 10)
-    assert ii.epsilon_bound == Fraction(1, 1 << 27)
-    assert ii.n == 1 and ii.sigma_dot == 1
+    assert ii.alphas_dot == (1,) and ii.n == 1 and ii.sigma_dot == 1
     scale = 1800 << 27
     assert ii.points[ii.a(1)] == Point(Fraction(4500 << 27), Fraction(0))
     assert ii.points[ii.q2].y == Fraction(-21, 2) * scale
@@ -354,12 +353,23 @@ def test_integerize_demands_enough_stored_bits():
 def test_integer_instance_validation():
     g = build_gadget(PartitionInstance((1,)))
     ii = integerize(g)
-    with pytest.raises(ValueError):
-        IntegerInstance(k=ii.k, points=ii.points, P=ii.P + 1, Q=ii.Q,
-                        epsilon_bound=ii.epsilon_bound)
-    with pytest.raises(ValueError):
-        IntegerInstance(k=ii.k, points=ii.points, P=3 * 1024 * 7 + 1,
-                        Q=2 * 1024 * 7, epsilon_bound=ii.epsilon_bound)
+    assert [f.name for f in dataclasses.fields(ii)] \
+        == ["alphas_dot", "k", "points"]
+    # the threshold follows from the weights, so it cannot disagree
+    assert IntegerInstance((7,), 40, ii.points).P == 3 * 2 * 1024 * 7 // 2 + 1
+    with pytest.raises(ValueError, match="positive integers"):
+        IntegerInstance((0,), ii.k, ii.points)
+    with pytest.raises(ValueError, match="too small for the gap"):
+        IntegerInstance((1,), ii.k - 1, ii.points)
+    with pytest.raises(ValueError, match="8n\\+8"):
+        IntegerInstance((1, 1), 40, ii.points)
+    pts = list(ii.points.points)
+    pts[ii.d(1)] = Point(pts[ii.d(1)].x + Fraction(1, 2), pts[ii.d(1)].y)
+    with pytest.raises(ValueError, match="integers"):
+        IntegerInstance((1,), ii.k, PointSet(pts))
+    pts[ii.d(1)] = Point(Fraction(1 << (2 + ii.k + 15)), pts[ii.d(1)].y)
+    with pytest.raises(ValueError, match="bit budget"):
+        IntegerInstance((1,), ii.k, PointSet(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +589,15 @@ def test_decide_rejects_tampered_integer_points():
     j = ii.d(1)
     shift = 1800 << ii.k
     pts[j] = Point(pts[j].x + shift, pts[j].y)
-    bad = IntegerInstance(k=ii.k, points=PointSet(pts, labels=ii.points.labels),
-                          P=ii.P, Q=ii.Q, epsilon_bound=ii.epsilon_bound)
-    with pytest.raises(ValueError):
+    bad = IntegerInstance(alphas_dot=ii.alphas_dot, k=ii.k,
+                          points=PointSet(pts, labels=ii.points.labels))
+    with pytest.raises(ValueError, match="choice edge 1 does not encode"):
         decide_partition(bad)
+    # the same points declared with the weights swapped
+    g = build_gadget(PartitionInstance((2, 1)))
+    ii = integerize(g)
+    with pytest.raises(ValueError, match="choice edge 1 does not encode"):
+        decide_partition(IntegerInstance((1, 2), ii.k, ii.points))
 
 
 # ---------------------------------------------------------------------------
