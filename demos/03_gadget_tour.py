@@ -21,8 +21,7 @@ def main():
     n = g.n
 
     print(f"weights {inst.alphas_dot}, n = {n}, points = {len(g.points.points)}")
-    print(f"normalized weights {[str(a) for a in g.alphas]} "
-          f"(sum {g.sigma_total})")
+    print(f"normalized weights {[str(a) for a in g.alphas]}")
     print(f"choice points carried at {g.d_bits} fractional bits\n")
 
     labels = g.points.labels

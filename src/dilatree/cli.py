@@ -57,7 +57,7 @@ def _load_points(path):
 
 def _load_instance_or_gadget(path):
     obj = fileio.load_json(path)
-    if isinstance(obj, dict) and "alphas_dot" in obj:
+    if isinstance(obj, dict) and "k" in obj:
         return fileio.instance_from_json(obj)
     return fileio.gadget_from_json(obj)
 

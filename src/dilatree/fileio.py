@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .dilation import PointSet, Tree
 from .exactgeom import Point
-from .gadget import Gadget, IntegerInstance, _CirclePair, _labels
+from .gadget import Gadget, IntegerInstance, _labels
 
 _DYADIC = re.compile(r"(-?\d+)/2\^(\d+)")
 _RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
@@ -67,6 +67,15 @@ def _shape(v, kind, what):
 def _point(xy) -> Point:
     x, y = _shape(xy, list, "an [x, y] point")
     return Point(parse_number(x), parse_number(y))
+
+
+def _weights(obj, what, keys) -> tuple[int, ...]:
+    """The weights of an instance or gadget file that has all of `keys`."""
+    for key in keys:
+        if key not in _shape(obj, dict, what):
+            raise ValueError(f"{what} is missing \"{key}\"")
+    return tuple(_parse_int(a, "weight") for a in
+                 _shape(obj["alphas_dot"], list, "\"alphas_dot\""))
 
 
 def _canonical_points(obj, n, parse) -> PointSet:
@@ -156,11 +165,8 @@ def instance_from_json(obj) -> IntegerInstance:
     what the declared weights and k fix; geometry itself is revalidated
     later by whoever consumes the points.
     """
-    for key in ("alphas_dot", "k", "P", "Q", "points", "scale"):
-        if key not in _shape(obj, dict, "instance file"):
-            raise ValueError(f"instance file is missing \"{key}\"")
-    alphas_dot = tuple(_parse_int(a, "weight") for a in
-                       _shape(obj["alphas_dot"], list, "\"alphas_dot\""))
+    alphas_dot = _weights(obj, "instance file",
+                          ("alphas_dot", "k", "P", "Q", "points", "scale"))
     k = _parse_int(obj["k"], "k")
     if obj["scale"] != f"1800*2^{k}":
         raise ValueError("scale does not match k")
@@ -189,51 +195,17 @@ def gadget_to_json(g: Gadget) -> dict:
         else:
             x, y = format_rational(p.x), format_rational(p.y)
         pts.append({"label": g.points.labels[j], "x": x, "y": y})
-    return {
-        "n": g.n,
-        "d_bits": g.d_bits,
-        "alphas": [format_rational(a) for a in g.alphas],
-        "sigma_total": format_rational(g.sigma_total),
-        "xi": format_rational(g.xi),
-        "points": pts,
-        "d_defs": [{
-            "center_c": [format_rational(cp.center_c.x),
-                         format_rational(cp.center_c.y)],
-            "r1_sq": format_rational(cp.r1_sq),
-            "center_a": [format_rational(cp.center_a.x),
-                         format_rational(cp.center_a.y)],
-            "r2_sq": format_rational(cp.r2_sq),
-        } for cp in g.d_defs],
-    }
+    return {"alphas_dot": list(g.alphas_dot), "d_bits": g.d_bits,
+            "points": pts}
 
 
 def gadget_from_json(obj) -> Gadget:
-    for key in ("n", "d_bits", "alphas", "sigma_total", "xi", "points",
-                "d_defs"):
-        if key not in _shape(obj, dict, "gadget file"):
-            raise ValueError(f"gadget file is missing \"{key}\"")
-    n = _parse_int(obj["n"], "n")
-    alphas = tuple(map(parse_number,
-                       _shape(obj["alphas"], list, "\"alphas\"")))
-    ps = _canonical_points(obj, n, parse_number)
-    defs = []
-    for spec in _shape(obj["d_defs"], list, "\"d_defs\""):
-        spec = _shape(spec, dict, "a choice point definition")
-        defs.append(_CirclePair(
-            center_c=_point(spec["center_c"]),
-            r1_sq=parse_number(spec["r1_sq"]),
-            center_a=_point(spec["center_a"]),
-            r2_sq=parse_number(spec["r2_sq"]),
-        ))
-    return Gadget(
-        n=n,
-        alphas=alphas,
-        sigma_total=parse_number(obj["sigma_total"]),
-        xi=parse_number(obj["xi"]),
-        points=ps,
-        d_defs=tuple(defs),
-        d_bits=_parse_int(obj["d_bits"], "d_bits"),
-    )
+    """Parse a gadget file; the weights fix all but `d_bits` and the points."""
+    alphas_dot = _weights(obj, "gadget file",
+                          ("alphas_dot", "d_bits", "points"))
+    return Gadget(alphas_dot=alphas_dot,
+                  d_bits=_parse_int(obj["d_bits"], "d_bits"),
+                  points=_canonical_points(obj, len(alphas_dot), parse_number))
 
 
 # ---------------------------------------------------------------------------

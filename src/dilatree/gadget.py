@@ -172,52 +172,41 @@ class _CirclePair:
 
 
 @dataclass(frozen=True)
-class Gadget(_PointLayout):
-    """Exact reduction point set with its defining data.
+class Gadget(PartitionInstance, _PointLayout):
+    """Exact reduction point set of the weights `alphas_dot`.
 
     `points` holds exact coordinates; the n choice points are dyadic
-    approximations whose accuracy is recorded in `d_bits` and whose
-    exact defining circles live in `d_defs`.  `rational_lengths` maps
-    the edges the construction defines to their exact ideal lengths,
-    which is what makes the threshold identity checkable as a rational
-    equation rather than a numeric limit.
+    approximations whose accuracy is recorded in `d_bits`.  The weights
+    fix everything else: the scaled weights `alphas`, each choice
+    point's two defining circles `d_defs`, and `rational_lengths`,
+    the exact ideal lengths of the edges the construction defines, which
+    make the threshold identity checkable as a rational equation rather
+    than a numeric limit.
     """
 
-    n: int
-    alphas: tuple[Fraction, ...]
-    sigma_total: Fraction
-    xi: Fraction
-    points: PointSet
-    d_defs: tuple[_CirclePair, ...]
     d_bits: int
+    points: PointSet
 
     def __post_init__(self):
+        super().__post_init__()
+        if self.d_bits < 32:
+            raise ValueError(f"d_bits must be at least 32, got {self.d_bits}")
         if len(self.points) != 8 * self.n + 8:
-            raise ValueError("point count does not match n")
-        if len(self.alphas) != self.n or len(self.d_defs) != self.n:
-            raise ValueError("per-index data does not match n")
+            raise ValueError("point count must be 8n+8")
+
+    @cached_property
+    def alphas(self) -> tuple[Fraction, ...]:
+        """The weights scaled to sum to 1/10."""
+        return tuple(Fraction(ad, 10 * self.sigma_dot)
+                     for ad in self.alphas_dot)
+
+    @cached_property
+    def d_defs(self) -> tuple[_CirclePair, ...]:
+        return tuple(_choice_circles(self, i) for i in range(1, self.n + 1))
 
     @cached_property
     def rational_lengths(self) -> dict:
         return _ideal_lengths(self)
-
-    @property
-    def sigma_dot(self) -> int:
-        sd = 1 / (self.xi * _four(self.n + 4))
-        if sd.denominator != 1:
-            raise ValueError("stored gap does not come from integer weights")
-        return sd.numerator
-
-    @property
-    def alphas_dot(self) -> tuple[int, ...]:
-        sd = self.sigma_dot
-        out = []
-        for al in self.alphas:
-            v = al * 10 * sd
-            if v.denominator != 1:
-                raise ValueError("stored alphas are not scaled integers")
-            out.append(v.numerator)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -255,13 +244,13 @@ class IntegerInstance(PartitionInstance, _PointLayout):
 # construction
 
 
-def rounding_bits(inst) -> int:
+def rounding_bits(inst: PartitionInstance) -> int:
     """Smallest fractional bit count whose rounding error fits the gap.
 
-    2^-k must stay below xi / 4^(n+7) / n so that moving every choice
-    point by up to 2^-k shifts no tree's dilation across the threshold.
-    Reads only `inst.n` and `inst.sigma_dot`, which a `PartitionInstance`,
-    a `Gadget` and an `IntegerInstance` all have.
+    2^-k must stay below xi / 4^(n+7) / n, with xi = 1 / (4^(n+4) *
+    sigma_dot), so that moving every choice point by up to 2^-k shifts no
+    tree's dilation across the threshold.  A `Gadget` and an
+    `IntegerInstance` are `PartitionInstance`s too.
     """
     m = inst.n * inst.sigma_dot
     return 4 * inst.n + 22 + m.bit_length()
@@ -273,41 +262,46 @@ def _check_rounding_bits(k: int, inst) -> None:
         raise ValueError("fractional precision too small for the gap")
 
 
-def _right_half_points(inst: PartitionInstance, alphas, d_bits):
-    n = inst.n
-    a = [None]
-    for i in range(1, n + 2):
-        t = _four(i - 1) - 1
-        a.append(Point(Fraction(5, 2) + 4 * t, Fraction(3 * t)))
-    b = [None]
-    c = [None]
-    for i in range(1, n + 1):
-        step = Fraction(_four(i - 1), 5)
-        b.append(Point(a[i].x + 4 * step, a[i].y + 3 * step))
-        c.append(Point(b[i].x + 12 * step, b[i].y + 9 * step))
-    tp = Fraction(_four(n), 9) - Fraction(179, 1800)
-    an1 = a[n + 1]
-    p1 = Point(an1.x + 3 * tp, an1.y - 4 * tp)
-    p2 = Point(an1.x + 12 * tp, an1.y - 16 * tp)
-    q1 = Point(Fraction(0), Fraction(0))
-    q2 = Point(Fraction(0), Fraction(11, 18) - Fraction(25, 9) * _four(n))
+def _spine(length) -> Point:
+    """The point `length` beyond a_1 along the slope-3/4 line."""
+    return Point(Fraction(5, 2) + Fraction(4 * length, 5),
+                 Fraction(3 * length, 5))
 
-    d = [None]
-    defs = []
-    for i in range(1, n + 1):
-        r1 = 9 * _four(i - 1) + alphas[i - 1]
-        r1_sq = r1 * r1
-        r2_sq = Fraction(4 * _four(i - 1) ** 2)
+
+def _choice_circles(inst: PartitionInstance, i: int) -> _CirclePair:
+    """The two circles the i-th choice point lies on: around c_i with
+    radius 9 * 4^(i-1) + alpha_i, and around a_{i+1} with radius
+    2 * 4^(i-1)."""
+    s = _four(i - 1)
+    r1 = 9 * s + Fraction(inst.alphas_dot[i - 1], 10 * inst.sigma_dot)
+    return _CirclePair(_spine(9 * s - 5), r1 * r1,
+                       _spine(20 * s - 5), Fraction(4 * s * s))
+
+
+def _right_half_points(inst: PartitionInstance, d_bits: int) -> list:
+    """q1, q2, a_1..a_{n+1}, b_1..b_n, c_1..c_n, d_1..d_n, p1, p2."""
+    n = inst.n
+    a = [_spine(5 * (_four(i) - 1)) for i in range(n + 1)]
+    b = [_spine(6 * _four(i) - 5) for i in range(n)]
+    circles = [_choice_circles(inst, i) for i in range(1, n + 1)]
+    d = []
+    for i, cp in enumerate(circles, 1):
         # aim the intersection precision so even the squared residuals
         # land below the 2^-d_bits budget
         pad = (18 * _four(i - 1) + 3).bit_length()
-        crossing = circle_intersection_upper(c[i], r1_sq, a[i + 1], r2_sq,
+        crossing = circle_intersection_upper(cp.center_c, cp.r1_sq,
+                                             cp.center_a, cp.r2_sq,
                                              d_bits + pad)
         if crossing.tangent:
             raise NoIntersection("choice-point circles merely touch")
         d.append(crossing.point)
-        defs.append(_CirclePair(c[i], r1_sq, a[i + 1], r2_sq))
-    return a, b, c, d, p1, p2, q1, q2, tuple(defs)
+    tp = Fraction(_four(n), 9) - Fraction(179, 1800)
+    an1 = a[n]
+    p1 = Point(an1.x + 3 * tp, an1.y - 4 * tp)
+    p2 = Point(an1.x + 12 * tp, an1.y - 16 * tp)
+    q1 = Point(Fraction(0), Fraction(0))
+    q2 = Point(Fraction(0), Fraction(11, 18) - Fraction(25, 9) * _four(n))
+    return [q1, q2] + a + b + [cp.center_c for cp in circles] + d + [p1, p2]
 
 
 def _labels(n):
@@ -369,26 +363,10 @@ def build_gadget(inst: PartitionInstance, d_bits: int | None = None) -> Gadget:
     """
     if d_bits is None:
         d_bits = rounding_bits(inst) + 8
-    if d_bits < 32:
-        raise ValueError("choice points need at least 32 fractional bits")
-    n = inst.n
-    sd = inst.sigma_dot
-    alphas = tuple(Fraction(ad, 10 * sd) for ad in inst.alphas_dot)
-    a, b, c, d, p1, p2, q1, q2, defs = _right_half_points(inst, alphas, d_bits)
-
-    right = [q1, q2] + a[1:] + b[1:] + c[1:] + d[1:] + [p1, p2]
+    right = _right_half_points(inst, d_bits)
     mirrored = [Point(-p.x, p.y) for p in right[2:]]
-    ps = PointSet(right + mirrored, labels=_labels(n))
-
-    return Gadget(
-        n=n,
-        alphas=alphas,
-        sigma_total=sum(alphas, Fraction(0)),
-        xi=Fraction(1, _four(n + 4) * sd),
-        points=ps,
-        d_defs=defs,
-        d_bits=d_bits,
-    )
+    return Gadget(alphas_dot=inst.alphas_dot, d_bits=d_bits,
+                  points=PointSet(right + mirrored, labels=_labels(inst.n)))
 
 
 def auxiliary_dstar(g: Gadget, i: int) -> Point:
@@ -424,10 +402,9 @@ def integerize(g: Gadget, k: int | None = None) -> IntegerInstance:
     an already-dyadic coordinate to the coarser grid is exact.
     """
     n = g.n
-    inst = PartitionInstance(g.alphas_dot)
     if k is None:
-        k = rounding_bits(inst)
-    _check_rounding_bits(k, inst)
+        k = rounding_bits(g)
+    _check_rounding_bits(k, g)
     if g.d_bits < k:
         raise PrecisionInsufficient(
             f"choice points carry {g.d_bits} fractional bits, need {k}")
@@ -451,7 +428,7 @@ def integerize(g: Gadget, k: int | None = None) -> IntegerInstance:
     mirrored = [Point(-p.x, p.y) for p in scaled_right[2:]]
 
     return IntegerInstance(
-        alphas_dot=inst.alphas_dot,
+        alphas_dot=g.alphas_dot,
         k=k,
         points=PointSet(scaled_right + mirrored, labels=_labels(n)),
     )
@@ -572,22 +549,6 @@ def _check_distance_identities(g) -> LemmaCheck:
     return LemmaCheck(name, True, f"{count} squared identities hold exactly")
 
 
-def _check_weights(g) -> LemmaCheck:
-    name = "weight normalization"
-    try:
-        alphas_dot = g.alphas_dot
-        sd = g.sigma_dot
-    except ValueError as exc:
-        return LemmaCheck(name, False, str(exc))
-    if sum(g.alphas, Fraction(0)) != Fraction(1, 10):
-        return LemmaCheck(name, False, "scaled weights do not sum to 1/10")
-    if g.sigma_total != Fraction(1, 10):
-        return LemmaCheck(name, False, "stored total is not 1/10")
-    if sum(alphas_dot) != sd or any(ad < 1 for ad in alphas_dot):
-        return LemmaCheck(name, False, "integer weights are inconsistent")
-    return LemmaCheck(name, True, f"n={g.n}, total weight {sd}")
-
-
 def _check_mirror_symmetry(g) -> LemmaCheck:
     name = "mirror symmetry"
     pts = g.points
@@ -693,7 +654,6 @@ def verify_gadget(g: Gadget) -> LemmaReport:
     """
     return LemmaReport(checks=(
         _check_distance_identities(g),
-        _check_weights(g),
         _check_mirror_symmetry(g),
         _check_d_placement(g),
         _check_angle_bounds(g),
@@ -706,19 +666,21 @@ def verify_gadget(g: Gadget) -> LemmaReport:
 # deciding the instance
 
 
-def _check_encoded_weights(ii: IntegerInstance) -> None:
-    """Reject an instance whose choice edges encode other weights.
+def _check_encoded_weights(inst) -> None:
+    """Reject a gadget or instance whose choice edges encode other weights.
 
     |c_i d_i| is scale * (9 * 4^(i-1) + alpha_i) up to the rounding of
-    d_i, and alpha_i = alphas_dot_i / (10 * sigma_dot), so each weight is
-    the nearest integer to 10 * sigma_dot * |c_i d_i| / scale minus
+    d_i, with scale 1 for a gadget and 1800 * 2^k for an instance, and
+    alpha_i = alphas_dot_i / (10 * sigma_dot), so each weight is the
+    nearest integer to 10 * sigma_dot * |c_i d_i| / scale minus
     90 * sigma_dot * 4^(i-1), found exactly with an integer square root.
     """
-    sd = ii.sigma_dot
-    scale = _SCALE_BASE << ii.k
-    for i, declared in enumerate(ii.alphas_dot, 1):
-        d2 = squared_distance(ii.points[ii.c(i)], ii.points[ii.d(i)])
-        near = (isqrt(400 * sd * sd * d2.numerator) + scale) // (2 * scale)
+    sd = inst.sigma_dot
+    scale = _SCALE_BASE << inst.k if isinstance(inst, IntegerInstance) else 1
+    for i, declared in enumerate(inst.alphas_dot, 1):
+        d2 = squared_distance(inst.points[inst.c(i)], inst.points[inst.d(i)])
+        near = (isqrt(400 * sd * sd * d2.numerator // d2.denominator)
+                + scale) // (2 * scale)
         if near - 90 * sd * _four(i - 1) != declared:
             raise ValueError(f"choice edge {i} does not encode weight"
                              f" {declared}")
@@ -727,8 +689,8 @@ def _check_encoded_weights(ii: IntegerInstance) -> None:
 def decide_partition(instance):
     """Search the constrained tree family for a certified sub-threshold tree.
 
-    Accepts either the exact gadget or its integerized form, whose
-    choice edges must encode its declared weights.  Tries every
+    Accepts either the exact gadget or its integerized form; in both,
+    the choice edges must encode the declared weights.  Tries every
     alternation pattern with every attachment of the hanging point, the
     forced attachment first; the first tree certified at most P/Q decodes
     into the partition halves.  Returns (solution, tree), or None when
@@ -757,8 +719,7 @@ def decide_partition(instance):
     n = lay.n
     pts = lay.points
     P, Q = partition_threshold(n, instance.sigma_dot)
-    if isinstance(instance, IntegerInstance):
-        _check_encoded_weights(instance)
+    _check_encoded_weights(instance)
 
     total = 8 * n + 8
     fixed, choices = _family_skeleton(lay)

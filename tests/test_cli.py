@@ -151,6 +151,16 @@ def test_precision_arguments_below_range_exit_2(tmp_path, capsys):
             assert cli(cmd, str(coarse)) == 2
             assert "fractional precision too small for the gap" in \
                 capsys.readouterr().err
+    # a gadget file whose choice points claim fewer than 32 bits
+    gad = tmp_path / "gadget.json"
+    assert cli("gen", "--alphas", "1,1", "-o", str(tmp_path / "inst.json"),
+               "--gadget", str(gad)) == 0
+    obj = load_json(gad)
+    obj["d_bits"] = 3
+    dump_json(obj, gad)
+    for cmd in ("verify", "decide"):
+        assert cli(cmd, str(gad)) == 2
+        assert "d_bits must be at least 32" in capsys.readouterr().err
     # the center star of the 2 x 2 square ties its four sides
     pts, star = tmp_path / "pts.json", tmp_path / "star.json"
     dump_json({"points": [[0, 0], [2, 0], [2, 2], [0, 2], [1, 1]]}, pts)
@@ -208,6 +218,43 @@ def test_gadget_file_decides_like_instance(tmp_path, capsys):
     assert capsys.readouterr().out == via_instance
 
 
+def _gadget_file(tmp_path, alphas):
+    gad = tmp_path / f"gadget_{alphas.replace(',', '_')}.json"
+    assert cli("gen", "--alphas", alphas, "--k", "40",
+               "-o", str(tmp_path / "inst.json"), "--gadget", str(gad)) == 0
+    return load_json(gad)
+
+
+def test_gadget_file_is_audited_against_its_weights(tmp_path, capsys):
+    # the choice points of weights 1,9 under the weights 1,1, at the same
+    # d_bits: the circles come from the weights, never from the file
+    obj, other = _gadget_file(tmp_path, "1,1"), _gadget_file(tmp_path, "1,9")
+    for mine, theirs in zip(obj["points"], other["points"]):
+        if mine["label"].rstrip("'") in ("d1", "d2"):
+            mine.update(theirs)
+    swapped = tmp_path / "swapped.json"
+    dump_json(obj, swapped)
+    capsys.readouterr()
+    assert cli("verify", str(swapped)) == 1
+    assert "[FAIL] choice-point placement" in capsys.readouterr().out
+    assert cli("decide", str(swapped)) == 2
+    assert "choice edge 1 does not encode weight 1" in \
+        capsys.readouterr().err
+
+
+def test_old_gadget_layout_is_refused(tmp_path, capsys):
+    obj = _gadget_file(tmp_path, "1,1")
+    old = {k: v for k, v in obj.items() if k != "alphas_dot"}
+    old.update(n=2, alphas=["1/20", "1/20"], sigma_total="1/10",
+               xi="1/8192", d_defs=[])
+    path = tmp_path / "old.json"
+    dump_json(old, path)
+    for cmd in ("verify", "decide"):
+        assert cli(cmd, str(path)) == 2
+        assert 'gadget file is missing "alphas_dot"' in \
+            capsys.readouterr().err
+
+
 def test_verify_reports_tampered_points(tmp_path, capsys):
     inst = gen_instance(tmp_path, "1,1")
     obj = load_json(inst)
@@ -225,7 +272,7 @@ def test_verify_json_report(tmp_path):
     assert cli("verify", str(inst), "--json", str(report)) == 0
     data = load_json(report)
     assert data["passed"] is True
-    assert len(data["checks"]) == 8
+    assert len(data["checks"]) == 7
     assert all(c["passed"] for c in data["checks"])
 
 

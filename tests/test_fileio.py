@@ -106,9 +106,8 @@ def test_gadget_round_trip_is_exact():
     obj = gadget_to_json(g)
     text = json.dumps(obj, indent=2)
     back = gadget_from_json(json.loads(text))
-    assert back.n == g.n and back.d_bits == g.d_bits
-    assert back.alphas == g.alphas
-    assert back.xi == g.xi and back.sigma_total == g.sigma_total
+    assert set(obj) == {"alphas_dot", "d_bits", "points"}
+    assert back.alphas_dot == g.alphas_dot and back.d_bits == g.d_bits
     assert back.points.points == g.points.points
     assert back.points.labels == g.points.labels
     assert back.d_defs == g.d_defs
@@ -123,7 +122,7 @@ def test_gadget_file_rejects_label_drift():
     with pytest.raises(ValueError):
         gadget_from_json(obj)
     with pytest.raises(ValueError):
-        gadget_from_json({k: v for k, v in obj.items() if k != "d_defs"})
+        gadget_from_json({k: v for k, v in obj.items() if k != "alphas_dot"})
 
 
 def test_svg_is_deterministic_and_complete():

@@ -90,8 +90,6 @@ def test_small_instance_exact_coordinates():
     assert abs(d1.y - Fraction(83036, 10000)) < Fraction(1, 1000)
     key = (g.q2, g.p2)
     assert g.rational_lengths[key] == Fraction(233, 10)
-    assert g.sigma_total == Fraction(1, 10)
-    assert g.xi == Fraction(1, 1024)
     assert g.alphas == (Fraction(1, 10),)
     assert g.alphas_dot == (1,) and g.sigma_dot == 1
 
@@ -200,8 +198,8 @@ def test_audit_passes_on_built_instances(alphas):
     g = build_gadget(PartitionInstance(alphas))
     report = verify_gadget(g)
     assert report.passed
-    assert len(report.checks) == 7
-    assert len({c.name for c in report.checks}) == 7
+    assert len(report.checks) == 6
+    assert len({c.name for c in report.checks}) == 6
     assert report.failures() == []
 
 
@@ -214,14 +212,6 @@ def test_audit_flags_displaced_choice_point():
     assert not report.passed
     names = {c.name for c in report.failures()}
     assert "choice-point placement" in names
-
-
-def test_audit_reports_bad_weights_instead_of_raising():
-    g = build_gadget(PartitionInstance((1, 1)))
-    bad = dataclasses.replace(g, xi=Fraction(1, 3))
-    report = verify_gadget(bad)
-    assert not report.passed
-    assert any(c.name == "weight normalization" for c in report.failures())
 
 
 def test_forced_edge_scan_matches_construction():
@@ -321,7 +311,6 @@ def test_integerize_threshold_shape():
     ii = integerize(g)
     assert ii.k == 33
     assert Fraction(ii.P, ii.Q) == HALF + Fraction(1, 16384)
-    assert g.xi == Fraction(1, 8192)
 
 
 def test_integerize_rounding_keeps_points_near_circles():
