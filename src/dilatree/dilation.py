@@ -25,7 +25,11 @@ which every scan fetches once and reads row by row in place;
 `PointSet.dist_ints` runs only on an entry not yet filled.  One kernel,
 `root_sums`, sums the table's entries along every path from a root in a
 whole tree.  The max over pairs compares ratio numerators on one dyadic
-grid; only its report builds `Fraction`s.
+grid; only its report builds `Fraction`s.  It does not enclose every
+pair: before a pair's |uv| is enclosed, an exact integer test of its
+upper path sum against its squared distance drops it when its ratio is
+certainly below one already seen, so no square root is taken for a pair
+that can neither be the maximum nor raise its lower bound.
 The exact side mirrors this: `PointSet.exact_dist` builds each pair's
 `SqrtSum` once, and `tree_exact` sums them along tree paths, memoised per
 root, for every exact fallback.
@@ -331,16 +335,38 @@ def _pair_ratios(ps, sums, pairs, bits):
     `sums(u, bits)` gives the integer path-length enclosures from u to
     every vertex, as `root_sums` does for a tree; pairs sharing a first
     vertex share one call.  lo is the floor of dlo/lhi and hi the ceil of
-    dhi/llo on the grid, the shared unit of the enclosures cancelling."""
+    dhi/llo on the grid, the shared unit of the enclosures cancelling.
+
+    A pair whose |uv| is not enclosed yet is left out, with no square
+    root taken, when its hi is certainly below `best`, the largest lo of
+    the pairs before it.  Such a pair can neither raise the maximum of
+    lo nor reach it, so `_max_dilation` keeps exactly the survivors, the
+    maximum and the witness it would keep with the pair in.  The test is
+    exact: `dist_ints` gives llo > L (1 - 2^(1-f)) for the numerator
+    distance L, with L^2 = d2 * 2^(2f+16), so dhi^2 * 2^(f-2) <=
+    (best-1)^2 * d2 * 2^16 * (2^(f-2) - 1) implies dhi * 2^f <=
+    (best-1) * llo, hence hi <= best - 1.  Every pair is kept until some
+    lo is positive."""
     f = bits + 4
-    tab = ps.table(f)
+    tab, d2_num = ps.table(f), ps._d2_num
+    margin = ((1 << (f - 2)) - 1) << 16
     enc = {}
+    best, cut = 0, -1
     root = row = lens = None
     for u, v in sorted(pairs):
         if u != root:
             root, row, lens = u, sums(u, f), tab[u]
-        (dlo, dhi), (llo, lhi) = row[v], lens[v] or ps.dist_ints(u, v, f)
-        enc[u, v] = (dlo << f) // lhi, -((-dhi << f) // llo)
+        dlo, dhi = row[v]
+        length = lens[v]
+        if length is None:
+            if (dhi * dhi) << (f - 2) <= cut * d2_num(u, v):
+                continue
+            length = ps.dist_ints(u, v, f)
+        llo, lhi = length
+        lo = (dlo << f) // lhi
+        enc[u, v] = lo, -((-dhi << f) // llo)
+        if lo > best:
+            best, cut = lo, (lo - 1) ** 2 * margin
     return enc
 
 

@@ -29,7 +29,6 @@ pairs.  Only a leaf the cut leaves is built and certified by
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
 
 from .dilation import (PointSet, Tree, Verdict, compare_to_threshold,
                        critical_edges, _separator_exceeds)
@@ -535,12 +534,13 @@ class LemmaReport:
 def _check_distance_identities(g) -> LemmaCheck:
     name = "distance identities"
     count = 0
+    # choice-point edges are defined by radii, not realized distances
+    choice, left = range(g.d(1), g.d(g.n) + 1), 4 * g.n + 5
     for (u, v), length in sorted(g.rational_lengths.items()):
-        # choice-point edges are defined by radii, not realized distances
-        if u in range(g.d(1), g.d(g.n) + 1) or v in range(g.d(1), g.d(g.n) + 1):
+        if u in choice or v in choice:
             continue
         mu, mv = g.mirror(u), g.mirror(v)
-        if (mu, mv) != (u, v) and u >= 4 * g.n + 5:
+        if (mu, mv) != (u, v) and u >= left:
             continue
         if g.points.distance_sq(u, v) != length * length:
             return LemmaCheck(name, False,
@@ -669,19 +669,26 @@ def verify_gadget(g: Gadget) -> LemmaReport:
 def _check_encoded_weights(inst) -> None:
     """Reject a gadget or instance whose choice edges encode other weights.
 
-    |c_i d_i| is scale * (9 * 4^(i-1) + alpha_i) up to the rounding of
-    d_i, with scale 1 for a gadget and 1800 * 2^k for an instance, and
-    alpha_i = alphas_dot_i / (10 * sigma_dot), so each weight is the
-    nearest integer to 10 * sigma_dot * |c_i d_i| / scale minus
-    90 * sigma_dot * 4^(i-1), found exactly with an integer square root.
+    |c_i d_i| is scale * r_i, with r_i = 9 * 4^(i-1) + alpha_i and
+    alpha_i = alphas_dot_i / (10 * sigma_dot), up to the error in d_i.
+    `build_gadget` places d_i within 2^-(d_bits+2) of its circles'
+    crossing.  An instance (scale 1800 * 2^k) rounds a gadget's d_i with
+    d_bits >= k to k fractional bits, which moves it by at most
+    2^-k / sqrt(2), so it stays within 2^-k: the error `rounding_bits`
+    fits under the gap.  So |c_i d_i| must lie within 2^-d_bits of r_i
+    in a gadget (scale 1), and within scale * 2^-k of scale * r_i in an
+    instance, tested exactly on the squares.  A weight one unit off moves r_i by 1 / (10 *
+    sigma_dot), far beyond either error.
     """
-    sd = inst.sigma_dot
-    scale = _SCALE_BASE << inst.k if isinstance(inst, IntegerInstance) else 1
+    if isinstance(inst, IntegerInstance):
+        scale, bits = _SCALE_BASE << inst.k, inst.k
+    else:
+        scale, bits = 1, inst.d_bits
+    err = Fraction(scale, 1 << bits)
     for i, declared in enumerate(inst.alphas_dot, 1):
         d2 = squared_distance(inst.points[inst.c(i)], inst.points[inst.d(i)])
-        near = (isqrt(400 * sd * sd * d2.numerator // d2.denominator)
-                + scale) // (2 * scale)
-        if near - 90 * sd * _four(i - 1) != declared:
+        r = scale * (9 * _four(i - 1) + Fraction(declared, 10 * inst.sigma_dot))
+        if not (r - err) ** 2 <= d2 <= (r + err) ** 2:
             raise ValueError(f"choice edge {i} does not encode weight"
                              f" {declared}")
 

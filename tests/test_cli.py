@@ -242,6 +242,31 @@ def test_gadget_file_is_audited_against_its_weights(tmp_path, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [None] + list(range(34, 43)))
+def test_choice_points_half_a_weight_off_are_refused(tmp_path, capsys, k):
+    # the choice points of 1,3 sit half a weight unit of 1,1 away from
+    # the circles of 1,1: no rounding of d_i explains that, at any k
+    files = {}
+    for alphas in ("1,1", "1,3"):
+        tag = alphas.replace(",", "_")
+        files[alphas] = tmp_path / f"gadget_{tag}.json"
+        argv = ["gen", "--alphas", alphas, "-o", str(tmp_path / f"{tag}.json"),
+                "--gadget", str(files[alphas])]
+        assert cli(*argv, *(() if k is None else ("--k", str(k)))) == 0
+    obj, other = load_json(files["1,1"]), load_json(files["1,3"])
+    for mine, theirs in zip(obj["points"], other["points"]):
+        if mine["label"].rstrip("'") in ("d1", "d2"):
+            mine.update(theirs)
+    swapped = tmp_path / "swapped.json"
+    dump_json(obj, swapped)
+    capsys.readouterr()
+    assert cli("decide", str(swapped)) == 2
+    assert "choice edge 1 does not encode weight 1" in \
+        capsys.readouterr().err
+    for path in (files["1,1"], tmp_path / "1_1.json"):
+        assert cli("decide", str(path)) == 0
+
+
 def test_old_gadget_layout_is_refused(tmp_path, capsys):
     obj = _gadget_file(tmp_path, "1,1")
     old = {k: v for k, v in obj.items() if k != "alphas_dot"}

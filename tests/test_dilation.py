@@ -231,6 +231,27 @@ def test_pair_ratios_round_like_round_dyadic(offset):
                     (Fraction(lo, 1 << f), Fraction(hi, 1 << f), bits)
 
 
+@pytest.mark.parametrize("offset", [0, 1 << 60])
+def test_pair_ratios_leave_out_only_pairs_below_an_earlier_lo(offset):
+    # a pair left out has an upper ratio certainly below the lower ratio
+    # of a pair before it, so it could neither reach nor raise the maximum;
+    # the comb and the chain hold many exactly tied pairs
+    rng = random.Random(offset % 1019 + 31)
+    cases = [random_tree_instance(rng, n, offset) for n in (9, 30)]
+    for ps, tree in cases + [grid_comb(), collinear_chain(), prim_mst(40)]:
+        sums = partial(root_sums, ps, tree.adjacency())
+        pairs = list(itertools.combinations(range(ps.n), 2))
+        for bits in (1, 8, 64):
+            kept = _pair_ratios(ps, sums, pairs, bits)
+            best = 0
+            for u, v in pairs:
+                if (u, v) in kept:
+                    best = max(best, kept[u, v][0])
+                else:
+                    hi = pair_dilation(ps, tree, u, v, bits).hi
+                    assert hi * (1 << (bits + 4)) < best
+
+
 def square_star():
     ps = PointSet([pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)])
     return ps, Tree(4, [(0, 1), (0, 2), (0, 3)])
@@ -758,6 +779,29 @@ def mst20_at_2_60():
     return ps, Tree(20, edges)
 
 
+def prim_mst(n, offset=0):
+    # Prim's tree of n random points in [0, 10^6]^2, seeded by n, over
+    # exact squared distances, ties to the lower index
+    rng = random.Random(n)
+    coords = set()
+    while len(coords) < n:
+        coords.add((rng.randint(0, 10 ** 6), rng.randint(0, 10 ** 6)))
+    ps = PointSet.from_coords([(x + offset, y + offset)
+                               for x, y in sorted(coords)])
+    best = {v: (ps.distance_sq(0, v), 0) for v in range(1, n)}
+    edges = []
+    while best:
+        v = min(best, key=lambda w: (best[w], w))
+        edges.append((best.pop(v)[1], v))
+        for w in best:
+            best[w] = min(best[w], (ps.distance_sq(v, w), v))
+    return ps, Tree(n, edges)
+
+
+def random_tree40():
+    return random_tree_instance(random.Random(40), 40, 0)
+
+
 @pytest.mark.parametrize("build, expect", [
     (sqrt5_star, (int("2714962312994339329268758480884221604143013268553418"
                       "29055970864250408765591889702142"), 2, (1, 2), True,
@@ -766,6 +810,12 @@ def mst20_at_2_60():
     (collinear_chain, ((1 << 276) - 1, 3, (0, 1), True, 272)),
     (dyadic_rational, (8017394746013931682658, 4, (1, 4), False, 68)),
     (mst20_at_2_60, (18298307499487237111374, 9, (13, 14), False, 68)),
+    # recorded while every pair was still enclosed
+    (partial(prim_mst, 200),
+     (119227031529709113409163, 46, (129, 142), False, 68)),
+    (partial(prim_mst, 200, 1 << 54),
+     (119227031529709113409163, 46, (129, 142), False, 68)),
+    (random_tree40, (630932071911783872475073, 273, (3, 5), False, 68)),
 ])
 def test_tree_dilation_pinned_reports(build, expect):
     # recorded from the Fraction-interval kernel: the enclosure's lower
@@ -778,6 +828,23 @@ def test_tree_dilation_pinned_reports(build, expect):
         == expect[1]
     assert (lo.numerator, expect[1], rep.witness, rep.tied,
             rep.precision_used) == expect
+
+
+def test_tree_dilation_encloses_few_pairs_of_an_mst(monkeypatch):
+    # path sums read only the n-1 tree edges, and a pair whose upper ratio
+    # is certainly below the running maximum never has |uv| enclosed
+    ps, tree = prim_mst(200)
+    calls = []
+    dist_ints = PointSet.dist_ints
+
+    def counted(self, *args):
+        calls.append(args)
+        return dist_ints(self, *args)
+
+    monkeypatch.setattr(PointSet, "dist_ints", counted)
+    tree_dilation(ps, tree, 64)
+    assert len(calls) == 222
+    assert len(calls) < ps.n * (ps.n - 1) // 8
 
 
 def exact_kernel_trees(offset):
