@@ -25,11 +25,14 @@ which every scan fetches once and reads row by row in place;
 `PointSet.dist_ints` runs only on an entry not yet filled.  One kernel,
 `root_sums`, sums the table's entries along every path from a root in a
 whole tree.  The max over pairs compares ratio numerators on one dyadic
-grid; only its report builds `Fraction`s.  It does not enclose every
-pair: before a pair's |uv| is enclosed, an exact integer test of its
-upper path sum against its squared distance drops it when its ratio is
-certainly below one already seen, so no square root is taken for a pair
-that can neither be the maximum nor raise its lower bound.
+grid; only its report builds `Fraction`s.  No scan encloses every
+pair.  Before a pair's |uv| is enclosed, an exact integer test on its
+squared numerator distance tries to settle it: the max over pairs drops
+a pair whose ratio is certainly below one already seen,
+`compare_to_threshold` one whose ratio is certainly within P/Q, and
+`critical_edges` settles a detour u-w-v against (P/Q)|uv| from the
+three squared distances alone.  A square root is taken only where those
+tests cannot settle the pair or triple.
 The exact side mirrors this: `PointSet.exact_dist` builds each pair's
 `SqrtSum` once, and `tree_exact` sums them along tree paths, memoised per
 root, for every exact fallback.
@@ -413,18 +416,36 @@ def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int,
     settles only pairs whose enclosures straddle the threshold, by the
     exact sign of Q d_T(u, v) - P |uv|; a pair certified strictly above
     P/Q settles the whole tree immediately.
+
+    A pair whose |uv| is not enclosed yet is left out, with no square
+    root taken, when Q dhi <= P llo is certain from its squared distance
+    d2 alone: such a pair is neither above P/Q nor undecided, so the
+    verdict and the pairs sent to the exact sign are those of the full
+    scan.  The test is exact: `dist_ints` gives llo > L (1 - 2^-63) for
+    the numerator distance L in the table's unit, L^2 = d2 * 2^144, and
+    1 - 2^-62 < (1 - 2^-63)^2, so (Q dhi)^2 * 2^62 <= P^2 * d2 * 2^144 *
+    (2^62 - 1) implies Q dhi <= P llo.
     """
     if q_den < 1 or p_num < q_den:
         raise ValueError("threshold must satisfy P/Q >= 1 with Q >= 1")
     if tree.n != ps.n:
         raise ValueError("tree and point set sizes differ")
-    n, adj, tab = ps.n, tree.adjacency(), ps.table(64)
+    n, adj, tab, xy = ps.n, tree.adjacency(), ps.table(64), ps._xy
+    cut = p_num * p_num * ((1 << 62) - 1) << 144
     undecided = []
     for u in range(n - 1):
         sums, lens = root_sums(ps, adj, u, 64), tab[u]
+        xu, yu = xy[u]
         for v in range(u + 1, n):
             dlo, dhi = sums[v]
-            llo, lhi = lens[v] or ps.dist_ints(u, v, 64)
+            length = lens[v]
+            if length is None:
+                x, y = xy[v]
+                if (q_den * dhi) ** 2 << 62 <= cut * ((x - xu) ** 2
+                                                      + (y - yu) ** 2):
+                    continue
+                length = ps.dist_ints(u, v, 64)
+            llo, lhi = length
             if q_den * dlo > p_num * lhi:
                 return Verdict.GREATER
             if q_den * dhi > p_num * llo:
@@ -543,40 +564,68 @@ def _critical_scan(ps: PointSet, d: SqrtSum, length: SqrtSum,
                    bits: int) -> frozenset:
     """Pairs (u, v) with (d/length)|uv| < |uw| + |wv| for every other w.
 
-    Each triple is screened with integer enclosures at `bits` against
-    integer bounds on d and `length` (exactly P and Q for a rational
-    P/Q); only a triple the screen cannot settle gets an exact sign.
+    Each triple is screened against integer bounds dlo/dhi on d and
+    llo/lhi on `length` (exactly P and Q for a rational P/Q), first on
+    the exact squared numerator distances uw2, wv2 and uv2, with no
+    square root:
+    - 2 (uw2 + wv2) lhi^2 <= dlo^2 uv2 means a short enough detour, since
+      |uw| + |wv| <= sqrt(2 (|uw|^2 + |wv|^2)) by QM-AM;
+    - 4 llo^2 max(uw2, wv2) > (llo + dhi)^2 uv2 means the detour exceeds,
+      since the triangle inequality gives |uw| + |wv| >= 2 max(|uw|,
+      |wv|) - |uv|, and that is above (d/length) |uv|.
+    A triple neither test settles is screened with the integer
+    enclosures at `bits`, |uv| enclosed only once a triple of the pair
+    gets there; only a triple that screen cannot settle gets an exact
+    sign.
     """
     ends = d.eval_interval(bits), length.eval_interval(bits)
     scale = lcm(*(x.denominator for iv in ends for x in (iv.lo, iv.hi)))
     (dlo, dhi), (llo, lhi) = ((int(iv.lo * scale), int(iv.hi * scale))
                               for iv in ends)
+    short, far = 2 * lhi * lhi, 4 * llo * llo
+    near_k, far_k = dlo * dlo, (llo + dhi) ** 2
     tab, dist_ints, exact = ps.table(bits), ps.dist_ints, ps.exact_dist
+    n, sq = ps.n, []
+    for u, (xu, yu) in enumerate(ps._xy):
+        # squared numerator distances from u; those to earlier vertices
+        # are already in their rows
+        sq.append([row[u] for row in sq] + [(x - xu) ** 2 + (y - yu) ** 2
+                                            for x, y in ps._xy[u:]])
     out = []
-    for u, v in itertools.combinations(range(ps.n), 2):
-        row_u, row_v = tab[u], tab[v]
-        uv_lo, uv_hi = row_u[v] or dist_ints(u, v, bits)
-        for w in range(ps.n):
-            if w == u or w == v:
-                continue
-            uw_lo, uw_hi = row_u[w] or dist_ints(u, w, bits)
-            wv_lo, wv_hi = row_v[w] or dist_ints(w, v, bits)
-            if dhi * uv_hi < llo * (uw_lo + wv_lo):
-                continue                # the detour via w certainly exceeds
-            if dlo * uv_lo >= lhi * (uw_hi + wv_hi):
-                break                   # w certainly gives a short enough one
-            try:
-                sign = _ratio_sign((exact(u, w) + exact(w, v), exact(u, v)),
-                                   (d, length))
-            except PrecisionExhausted as exc:
-                raise PrecisionExhausted(
-                    f"detour {(u, v, w)} against {d!r}/{length!r} "
-                    f"undecided at {exc.bits} bits",
-                    bits=exc.bits, context=(u, v, w)) from exc
-            if sign <= 0:
-                break
-        else:
-            out.append((u, v))
+    for u in range(n - 1):
+        row_u, sq_u = tab[u], sq[u]
+        for v in range(u + 1, n):
+            row_v, sq_v = tab[v], sq[v]
+            near, beyond = near_k * sq_u[v], far_k * sq_u[v]
+            uv_lo = None
+            for w in range(n):
+                if w == u or w == v:
+                    continue
+                uw2, wv2 = sq_u[w], sq_v[w]
+                if short * (uw2 + wv2) <= near:
+                    break           # w certainly gives a short enough one
+                if far * (uw2 if uw2 > wv2 else wv2) > beyond:
+                    continue        # the detour via w certainly exceeds
+                if uv_lo is None:
+                    uv_lo, uv_hi = row_u[v] or dist_ints(u, v, bits)
+                uw_lo, uw_hi = row_u[w] or dist_ints(u, w, bits)
+                wv_lo, wv_hi = row_v[w] or dist_ints(w, v, bits)
+                if dhi * uv_hi < llo * (uw_lo + wv_lo):
+                    continue        # the detour via w certainly exceeds
+                if dlo * uv_lo >= lhi * (uw_hi + wv_hi):
+                    break           # w certainly gives a short enough one
+                try:
+                    sign = _ratio_sign(
+                        (exact(u, w) + exact(w, v), exact(u, v)), (d, length))
+                except PrecisionExhausted as exc:
+                    raise PrecisionExhausted(
+                        f"detour {(u, v, w)} against {d!r}/{length!r} "
+                        f"undecided at {exc.bits} bits",
+                        bits=exc.bits, context=(u, v, w)) from exc
+                if sign <= 0:
+                    break
+            else:
+                out.append((u, v))
     return frozenset(out)
 
 

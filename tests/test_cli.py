@@ -1,13 +1,16 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from dilatree import cli as cli_module
 from dilatree.cli import build_parser, run
-from dilatree.dilation import PointSet, Tree, Verdict, compare_to_threshold
-from dilatree.fileio import dump_json, load_json, points_from_json
-from dilatree.gadget import PartitionSolution
+from dilatree.dilation import (PointSet, Tree, Verdict, compare_to_threshold,
+                               critical_edges)
+from dilatree.fileio import (dump_json, gadget_from_json, load_json,
+                             points_from_json)
+from dilatree.gadget import PartitionSolution, verify_gadget
 
 
 def cli(*argv):
@@ -317,6 +320,30 @@ def test_verify_gadget_file(tmp_path, capsys):
     out = capsys.readouterr().out
     for name in ("distance identities", "mirror symmetry", "critical set"):
         assert f"[FAIL] {name}" in out, name
+
+
+def test_verify_fails_a_gadget_whose_forced_edges_changed(tmp_path, capsys):
+    # b1 and b1' moved halfway to a1 and a1', mirror images still: the
+    # edges q1 a1, b1 c1 and their mirrors are no longer forced
+    gad = tmp_path / "g.json"
+    assert cli("gen", "--alphas", "1", "-o", str(tmp_path / "inst.json"),
+               "--gadget", str(gad)) == 0
+    obj = load_json(gad)
+    forced = critical_edges(gadget_from_json(obj).points, 8, 5)
+    at = {p["label"]: p for p in obj["points"]}
+    for a, b in (("a1", "b1"), ("a1'", "b1'")):
+        for c in "xy":
+            at[b][c] = str((Fraction(at[a][c]) + Fraction(at[b][c])) / 2)
+    bad = gadget_from_json(obj)
+    assert forced - critical_edges(bad.points, 8, 5) == {
+        (0, 2), (0, 9), (4, 5), (11, 12)}
+    assert "critical set" in {c.name for c in verify_gadget(bad).failures()}
+    moved = tmp_path / "moved.json"
+    dump_json(obj, moved)
+    capsys.readouterr()
+    assert cli("verify", str(moved)) == 1
+    assert "[FAIL] critical set: extra [], missing [(0, 2), (0, 9), " \
+        "(4, 5), (11, 12)]" in capsys.readouterr().out
 
 
 def test_dilation_reports_witness(square, capsys):

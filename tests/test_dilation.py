@@ -6,6 +6,7 @@ from math import dist, gcd, isqrt, lcm
 
 import pytest
 
+from dilatree import dilation
 from dilatree.dilation import (
     DilationReport, PointSet, Tree, Verdict, compare_to_threshold,
     critical_edges, crossing_edge_pairs, graph_dilation_bounds, graph_exceeds,
@@ -16,6 +17,7 @@ from dilatree.errors import PrecisionExhausted
 from dilatree.exactgeom import (Segment, orientation, pt, round_dyadic,
                                 segments_properly_cross, sqrt_interval,
                                 squared_distance)
+from dilatree.gadget import PartitionInstance, build_gadget, integerize
 from dilatree.radical import SqrtSum
 from dilatree.solver import Mode, SolverOptions, mdst_exact, _RunningScreen
 
@@ -459,7 +461,8 @@ def test_critical_edges_match_exact_brute_force(offset):
         coords = sorted(coords)
         rng.shuffle(coords)
         ps = PointSet.from_coords([(x + offset, y + offset) for x, y in coords])
-        for p_num, q_den in ((p, q), (8, 5), (3, 2)):
+        # at 1/1 and 1/2 the triangle bound (1 + P/Q)/2 is at most 1
+        for p_num, q_den in ((p, q), (8, 5), (3, 2), (1, 1), (1, 2)):
             assert critical_edges(ps, p_num, q_den) == brute_critical(
                 ps, SqrtSum.rational(p_num), SqrtSum.rational(q_den))
         # an irrational ratio met exactly: the detour of a random triple
@@ -468,6 +471,19 @@ def test_critical_edges_match_exact_brute_force(offset):
         length = _exact_dist(ps, u, v)
         assert _critical_scan(ps, d, length, 64) \
             == brute_critical(ps, d, length)
+
+
+@pytest.mark.parametrize("alphas", [(1,), (1, 2)])
+def test_critical_edges_of_gadgets_match_exact_brute_force(alphas):
+    # the gadget's forced edges at 8/5, its integerized form also at its
+    # own threshold P/Q, and both at 1/1 and 1/2
+    g = build_gadget(PartitionInstance(alphas))
+    ii = integerize(g)
+    for ps, thresholds in ((g.points, [(8, 5)]),
+                           (ii.points, [(8, 5), (ii.P, ii.Q)])):
+        for p_num, q_den in thresholds + [(1, 1), (1, 2)]:
+            assert critical_edges(ps, p_num, q_den) == brute_critical(
+                ps, SqrtSum.rational(p_num), SqrtSum.rational(q_den))
 
 
 def _float_detour(coords, u, w, v):
@@ -845,6 +861,103 @@ def test_tree_dilation_encloses_few_pairs_of_an_mst(monkeypatch):
     tree_dilation(ps, tree, 64)
     assert len(calls) == 222
     assert len(calls) < ps.n * (ps.n - 1) // 8
+
+
+def compare_every_pair(ps, tree, p_num, q_den):
+    """`compare_to_threshold` as a scan that encloses every pair: the
+    verdict, and the pairs whose exact sign it takes, in order."""
+    adj, undecided = tree.adjacency(), []
+    for u in range(ps.n - 1):
+        sums = root_sums(ps, adj, u, 64)
+        for v in range(u + 1, ps.n):
+            (dlo, dhi), (llo, lhi) = sums[v], ps.dist_ints(u, v, 64)
+            if q_den * dlo > p_num * lhi:
+                return Verdict.GREATER, []
+            if q_den * dhi > p_num * llo:
+                undecided.append((u, v))
+    exact, signed = tree_exact(ps, tree), []
+    for u, v in undecided:
+        signed.append((u, v))
+        d, length = exact(u, v)
+        if (d.scale(q_den) - length.scale(p_num)).sign() > 0:
+            return Verdict.GREATER, signed
+    return Verdict.AT_MOST, signed
+
+
+def threshold_cases(offset):
+    """(points, tree, thresholds): random trees and MSTs against both
+    ends of their 64-bit dilation enclosure and 1/8 to either side, and
+    against dhi / (llo + 1) for the witness's 64-bit enclosures, which
+    lies between dhi / |uv| and dhi / llo."""
+    rng = random.Random(offset % 1013 + 5)
+    cases = [random_tree_instance(rng, n, offset) for n in (6, 12, 25)]
+    cases += [prim_mst(n, offset) for n in (20, 40)]
+    for ps, tree in cases:
+        rep = tree_dilation(ps, tree, 64)
+        u, v = rep.witness
+        fresh = PointSet(ps.points)
+        dhi = root_sums(fresh, tree.adjacency(), u, 64)[v][1]
+        llo = fresh.dist_ints(u, v, 64)[0]
+        yield ps, tree, sorted({max(end + shift, Fraction(1))
+                                for end in (rep.value.lo, rep.value.hi)
+                                for shift in (-Fraction(1, 8), 0,
+                                              Fraction(1, 8))}
+                               | {Fraction(dhi, llo + 1)})
+    chain = PointSet.from_coords([(offset + k, offset + k)
+                                  for k in (0, 4099, 8210)])
+    yield chain, Tree(3, [(0, 1), (1, 2)]), [Fraction(1)]
+    ps, tree = square_path()
+    yield ps, tree, [Fraction(3)]
+
+
+@pytest.mark.parametrize("offset", [0, 1 << 54, 1 << 60])
+def test_compare_to_threshold_matches_a_scan_of_every_pair(offset,
+                                                          monkeypatch):
+    # the pairs compare_to_threshold leaves unenclosed change neither its
+    # verdict nor the pairs it sends to the exact sign; exact ties (the
+    # chain at 1, the square path at 3) and a threshold 2^-131 below
+    # sqrt(5)/2 are among the inputs
+    signed = []
+
+    def recording(ps, tree):
+        exact = tree_exact(ps, tree)
+
+        def record(u, v):
+            signed.append((u, v))
+            return exact(u, v)
+        return record
+
+    monkeypatch.setattr(dilation, "tree_exact", recording)
+    near, near_tree, p, q = sqrt5_half_path()
+    cases = [(near, near_tree, [Fraction(p, q)])]
+    for ps, tree, thresholds in itertools.chain(cases,
+                                                threshold_cases(offset)):
+        for t in thresholds:
+            signed.clear()
+            got = compare_to_threshold(PointSet(ps.points), tree,
+                                       t.numerator, t.denominator)
+            assert (got, signed) == compare_every_pair(
+                PointSet(ps.points), tree, t.numerator, t.denominator)
+
+
+def test_compare_to_threshold_encloses_only_the_tree_edges_of_an_mst(
+        monkeypatch):
+    # the MST's dilation is about 25.2473: at the coarse threshold 101/4
+    # above it, every pair but the 199 tree edges the path sums read is
+    # settled by its squared distance, against 19,900 enclosed when every
+    # pair was
+    ps, tree = prim_mst(200)
+    calls = []
+    dist_ints = PointSet.dist_ints
+
+    def counted(self, *args):
+        calls.append(args)
+        return dist_ints(self, *args)
+
+    monkeypatch.setattr(PointSet, "dist_ints", counted)
+    assert compare_to_threshold(ps, tree, 101, 4) is Verdict.AT_MOST
+    assert len(calls) == 199
+    assert len(calls) <= ps.n
 
 
 def exact_kernel_trees(offset):

@@ -230,6 +230,23 @@ def test_forced_edge_scan_matches_construction():
     assert len(got) == 6 * n + 6
 
 
+def test_forced_edge_scan_encloses_few_pairs(monkeypatch):
+    # squared-distance tests settle most triples of the (1, 2, 4) gadget,
+    # so fewer than half of its 496 pairs are ever enclosed
+    g = build_gadget(PartitionInstance((1, 2, 4)))
+    calls = []
+    dist_ints = PointSet.dist_ints
+
+    def counted(self, *args):
+        calls.append(args)
+        return dist_ints(self, *args)
+
+    monkeypatch.setattr(PointSet, "dist_ints", counted)
+    assert len(critical_edges(g.points, 8, 5)) == 6 * g.n + 6
+    assert len(calls) == 143
+    assert len(calls) < g.points.n * (g.points.n - 1) // 4
+
+
 # ---------------------------------------------------------------------------
 # tree family
 
