@@ -98,7 +98,7 @@ def _cmd_verify(args) -> int:
     g, rescale = ii, ()
     if isinstance(ii, IntegerInstance):
         g, rebuilt = reduction(ii, ii.k)
-        same = rebuilt.points.points == ii.points.points
+        same = rebuilt.points.numerators == ii.points.numerators
         detail = "stored points match a fresh rescale" if same \
             else "stored points deviate from the construction"
         rescale = (LemmaCheck("integer rescaling", same, detail),)

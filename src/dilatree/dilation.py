@@ -46,7 +46,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from math import gcd, lcm
 
 from .errors import PrecisionExhausted, max_bits_cap
 from .exactgeom import Interval, Point, sqrt_ints
@@ -82,46 +82,77 @@ class PointSet:
 
     def __init__(self, points, labels=None):
         pts = tuple(points)
-        if len(pts) < 2:
-            raise ValueError("point set needs at least two points")
         den = lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
-        self._xy = [(p.x.numerator * (den // p.x.denominator),
-                     p.y.numerator * (den // p.y.denominator)) for p in pts]
-        # over one denominator, points are equal exactly when their
-        # numerators are, and integer pairs hash far faster than Fractions
-        if len(set(self._xy)) != len(pts):
-            raise ValueError("points must be pairwise distinct")
+        self._setup([(p.x.numerator * (den // p.x.denominator),
+                      p.y.numerator * (den // p.y.denominator))
+                     for p in pts], den, labels)
         self._points = pts
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != len(pts):
-                raise ValueError("labels must match points one to one")
-        self._labels = labels
-        self.den = den
-        self._tables: dict[int, list[list]] = {}
-        self._exact: dict[tuple[int, int], SqrtSum] = {}
 
     @classmethod
     def from_coords(cls, coords, labels=None):
         return cls([Point(Fraction(x), Fraction(y)) for x, y in coords], labels)
 
+    @classmethod
+    def from_ints(cls, xy, den, labels=None):
+        """The points (x/den, y/den) of the integer pairs `xy`, for a
+        positive den; `den` is reduced to the lowest common denominator,
+        as the Point constructor finds it.  The `Point`s themselves are
+        built on first use."""
+        if den < 1:
+            raise ValueError("denominator must be positive")
+        xy = [(x, y) for x, y in xy]
+        g = gcd(den, *(c for p in xy for c in p)) if den > 1 else 1
+        if g > 1:
+            den //= g
+            xy = [(x // g, y // g) for x, y in xy]
+        self = cls.__new__(cls)
+        self._setup(xy, den, labels)
+        self._points = None
+        return self
+
+    def _setup(self, xy, den, labels):
+        if len(xy) < 2:
+            raise ValueError("point set needs at least two points")
+        # over one denominator, points are equal exactly when their
+        # numerators are, and integer pairs hash far faster than Fractions
+        if len(set(xy)) != len(xy):
+            raise ValueError("points must be pairwise distinct")
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != len(xy):
+                raise ValueError("labels must match points one to one")
+        self._xy = xy
+        self._labels = labels
+        self.den = den
+        self._tables: dict[int, list[list]] = {}
+        self._exact: dict[tuple[int, int], SqrtSum] = {}
+
     @property
     def points(self):
+        if self._points is None:
+            den = self.den
+            self._points = tuple(Point(Fraction(x, den), Fraction(y, den))
+                                 for x, y in self._xy)
         return self._points
+
+    @property
+    def numerators(self) -> list[tuple[int, int]]:
+        """The coordinates as integer (x, y) pairs over `den`; read only."""
+        return self._xy
 
     @property
     def labels(self):
         return self._labels
 
     def __len__(self):
-        return len(self._points)
+        return len(self._xy)
 
     def __getitem__(self, i) -> Point:
-        return self._points[i]
+        return self.points[i]
 
     @property
     def n(self) -> int:
-        return len(self._points)
+        return len(self._xy)
 
     def _d2_num(self, i: int, j: int) -> int:
         (xi, yi), (xj, yj) = self._xy[i], self._xy[j]
@@ -137,7 +168,7 @@ class PointSet:
         if tab is None:
             if bits < 1:
                 raise ValueError("bits must be positive")
-            n = len(self._points)
+            n = len(self._xy)
             tab = [[None] * n for _ in range(n)]
             for i in range(n):
                 tab[i][i] = (0, 0)

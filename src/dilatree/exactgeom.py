@@ -1,10 +1,13 @@
 """Exact plane geometry over rational coordinates.
 
-Scalars are `fractions.Fraction` throughout, so every predicate in this
-module is decided exactly.  Square roots never appear as scalars; they are
-enclosed in dyadic intervals (`sqrt_interval`) whose width contracts
-geometrically with the requested precision, which is what the certified
-comparison machinery in the rest of the package is built on.
+Every predicate in this module is decided exactly.  Square roots never
+appear as scalars; they are enclosed in dyadic intervals (`sqrt_interval`)
+whose width contracts geometrically with the requested precision, which
+is what the certified comparison machinery in the rest of the package is
+built on.  The enclosures and circle crossings are computed by integer
+cores on numerators over one denominator (`sqrt_ints`, `crossing_ints`);
+the `Fraction` functions `sqrt_interval`, `circle_intersection_upper` and
+`circle_intersection_box` are thin wrappers around them.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import NoIntersection
 
@@ -186,7 +189,10 @@ def sqrt_interval(value: Fraction, bits: int) -> Interval:
 # R1, R2, the radical-axis foot is M = C1 + (t/d2) Delta for
 # t = (d2 + R1 - R2)/2, and the intersection points are M +- sqrt(H) *
 # perp(Delta) with perp(v) = (-v_y, v_x) and H = (R1*d2 - t^2)/d2^2.
-# M and H are exact rationals; only sqrt(H) needs an enclosure.
+# M and H are exact rationals; only sqrt(H) needs an enclosure.  On
+# integer numerators, with the centers over one denominator den and the
+# squared radii over den^2, M is over 2 * den * d2 and den cancels from
+# H = (4 R1 d2 - (2t)^2) / (4 d2^2).
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,47 +212,75 @@ class CircleCrossing:
     tangent: bool = False
 
 
-def _radical_foot(c1: Point, r1_sq: Fraction, c2: Point, r2_sq: Fraction):
-    """(dx, dy, d2, M, H) of two circles that meet; NoIntersection when
-    they are concentric, disjoint or nested."""
-    dx = c2.x - c1.x
-    dy = c2.y - c1.y
+def crossing_ints(x1: int, y1: int, r1_sq: int, x2: int, y2: int,
+                  r2_sq: int, den: int, bits: int):
+    """Integer core of the crossing left of C1->C2.
+
+    The centers are (x1, y1)/den and (x2, y2)/den and the squared radii
+    r1_sq/den^2 and r2_sq/den^2, for a positive den.  Returns (xm, ym,
+    hx, hy, f): the crossing lies in the box [xm - hx, xm + hx]/f x
+    [ym - hy, ym + hy]/f, whose diameter is at most 2^-bits.  Its point
+    rounded to the grid 2^-g has the numerators `nearest(xm, f, g)` and
+    `nearest(ym, f, g)`.  At a tangency hx and hy are None and (xm, ym)/f
+    is the touching point.  Raises NoIntersection when the circles are
+    concentric, disjoint or nested.
+    """
+    dx, dy = x2 - x1, y2 - y1
     d2 = dx * dx + dy * dy
     if d2 == 0:
         raise NoIntersection("concentric circles")
-    t = (d2 + r1_sq - r2_sq) / 2
-    mx = c1.x + t * dx / d2
-    my = c1.y + t * dy / d2
-    h = (r1_sq * d2 - t * t) / (d2 * d2)
+    t2 = d2 + r1_sq - r2_sq
+    h = 4 * r1_sq * d2 - t2 * t2
     if h < 0:
-        raise NoIntersection(_classify_empty(d2, r1_sq, r2_sq))
-    return dx, dy, d2, Point(mx, my), h
-
-
-def _classify_empty(d2, r1_sq, r2_sq) -> str:
-    # H < 0: decide disjoint vs nested by comparing d against r1 + r2 and
-    # |r1 - r2| using only rational arithmetic (square both sides).
-    gap = d2 - r1_sq - r2_sq
-    if gap > 0 and gap * gap > 4 * r1_sq * r2_sq:
-        return "disjoint circles"
-    return "nested circles"
-
-
-def _crossing_box(dx, dy, d2, m: Point, h: Fraction, bits: int):
-    # Offset is s * (-dy, dx) with s = sqrt(h); box diameter is
-    # width(s) * |Delta|, so aim the sqrt precision at 2^-(bits+1) total.
-    sb = bits + max(0, d2.numerator.bit_length() - d2.denominator.bit_length()) // 2 + 4
-    target = Fraction(1, 1 << (2 * bits))
+        # disjoint vs nested: d against r1 + r2 and |r1 - r2|, squared
+        gap = d2 - r1_sq - r2_sq
+        raise NoIntersection("disjoint circles"
+                             if gap > 0 and gap * gap > 4 * r1_sq * r2_sq
+                             else "nested circles")
+    mx, my, f = 2 * d2 * x1 + t2 * dx, 2 * d2 * y1 + t2 * dy, 2 * den * d2
+    if h == 0:
+        return mx, my, None, None, f
+    g = gcd(h, 4 * d2 * d2)
+    hp, hq = h // g, 4 * d2 * d2 // g
+    g = gcd(d2, den * den)
+    p, q = d2 // g, den * den // g            # |Delta|^2 in lowest terms
+    # The box is sqrt(H)'s enclosure [s, s+1]/2^t times |Delta|, of
+    # diameter 2^-t |Delta|: aim the precision at 2^-bits in total.
+    sb = bits + max(0, p.bit_length() - q.bit_length()) // 2 + 4
     while True:
-        s = sqrt_interval(h, sb)
-        wx = s.width * abs(dy)
-        wy = s.width * abs(dx)
-        if wx * wx + wy * wy <= target:
+        s, t, exact = sqrt_ints(hp, hq, sb)
+        e = 2 * (bits - t)                    # 2^-2t p/q <= 2^-2bits
+        if exact or (p << e <= q if e >= 0 else p <= q << -e):
             break
         sb *= 2
-    xs = (m.x - s.lo * dy, m.x - s.hi * dy)
-    ys = (m.y + s.lo * dx, m.y + s.hi * dx)
-    return (Interval(min(xs), max(xs), bits), Interval(min(ys), max(ys), bits))
+    # sqrt(H) is (2s + 1)/2^(t+1) give or take 1/2^(t+1), or exactly
+    # 2s/2^(t+1) when the enclosure is exact
+    mid, half, e = 2 * s + (not exact), int(not exact), t + 1
+    if e >= 0:
+        mx, my, f = mx << e, my << e, f << e
+    else:
+        mid, half = mid << -e, half << -e
+    u = 2 * d2                                # Delta is over f / u
+    return (mx - mid * u * dy, my + mid * u * dx,
+            half * u * abs(dy), half * u * abs(dx), f)
+
+
+def nearest(num: int, den: int, frac_bits: int) -> int:
+    """Numerator over 2^frac_bits of `round_dyadic(num/den, frac_bits)`:
+    the nearest grid point, ties rounded up, for a positive den."""
+    return ((num << (frac_bits + 1)) + den) // (2 * den)
+
+
+def _crossing_of(c1: Point, r1_sq: Fraction, c2: Point, r2_sq: Fraction,
+                 bits: int):
+    """`crossing_ints` of rational centers and squared radii."""
+    den = lcm(c1.x.denominator, c1.y.denominator, c2.x.denominator,
+              c2.y.denominator, r1_sq.denominator, r2_sq.denominator)
+    x1, y1, x2, y2 = (v.numerator * (den // v.denominator)
+                      for v in (c1.x, c1.y, c2.x, c2.y))
+    r1, r2 = (r.numerator * (den * den // r.denominator)
+              for r in (r1_sq, r2_sq))
+    return crossing_ints(x1, y1, r1, x2, y2, r2, den, bits)
 
 
 def circle_intersection_box(c1: Point, r1_sq: Fraction, c2: Point,
@@ -257,10 +291,11 @@ def circle_intersection_box(c1: Point, r1_sq: Fraction, c2: Point,
     2^-bits.  Raises NoIntersection when the circles are disjoint, nested,
     or merely tangent (a tangency has no left/right choice to make).
     """
-    dx, dy, d2, m, h = _radical_foot(c1, r1_sq, c2, r2_sq)
-    if h == 0:
+    xm, ym, hx, hy, f = _crossing_of(c1, r1_sq, c2, r2_sq, bits)
+    if hx is None:
         raise NoIntersection("tangent circles admit no two-point crossing")
-    return _crossing_box(dx, dy, d2, m, h, bits)
+    return (Interval(Fraction(xm - hx, f), Fraction(xm + hx, f), bits),
+            Interval(Fraction(ym - hy, f), Fraction(ym + hy, f), bits))
 
 
 def circle_intersection_upper(c1: Point, r1_sq: Fraction, c2: Point,
@@ -274,13 +309,13 @@ def circle_intersection_upper(c1: Point, r1_sq: Fraction, c2: Point,
     alongside.  A tangency returns the exact touching point flagged
     `tangent` instead of raising.
     """
-    dx, dy, d2, m, h = _radical_foot(c1, r1_sq, c2, r2_sq)
-    if h == 0:
-        return CircleCrossing(m, Fraction(0), Fraction(0), tangent=True)
-    bx, by = _crossing_box(dx, dy, d2, m, h, bits + 2)
     grid = bits + 2
-    p = Point(round_dyadic((bx.lo + bx.hi) / 2, grid),
-              round_dyadic((by.lo + by.hi) / 2, grid))
+    xm, ym, hx, _, f = _crossing_of(c1, r1_sq, c2, r2_sq, grid)
+    if hx is None:
+        return CircleCrossing(Point(Fraction(xm, f), Fraction(ym, f)),
+                              Fraction(0), Fraction(0), tangent=True)
+    p = Point(Fraction(nearest(xm, f, grid), 1 << grid),
+              Fraction(nearest(ym, f, grid), 1 << grid))
     return CircleCrossing(p,
                           squared_distance(p, c1) - r1_sq,
                           squared_distance(p, c2) - r2_sq)

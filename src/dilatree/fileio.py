@@ -17,6 +17,7 @@ from .gadget import Gadget, IntegerInstance, _labels
 
 _DYADIC = re.compile(r"(-?\d+)/2\^(\d+)")
 _RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
+_INTEGER = re.compile(r"-?\d+")
 
 
 def format_rational(x) -> str:
@@ -52,6 +53,10 @@ def parse_number(s) -> Fraction:
 
 
 def _parse_int(s, what) -> int:
+    # a plain decimal string is read by int(); any other spelling goes
+    # through parse_number, so the same strings are accepted
+    if isinstance(s, str) and _INTEGER.fullmatch(s):
+        return int(s)
     v = parse_number(s)
     if v.denominator != 1:
         raise ValueError(f"{what} must be an integer, got {s!r}")
@@ -78,19 +83,20 @@ def _weights(obj, what, keys) -> tuple[int, ...]:
                  _shape(obj["alphas_dot"], list, "\"alphas_dot\""))
 
 
-def _canonical_points(obj, n, parse) -> PointSet:
-    """The 8n+8 points of an instance or gadget file, in canonical order."""
+def _canonical_points(obj, n, parse):
+    """The 8n+8 (x, y) pairs of an instance or gadget file, each
+    coordinate read by `parse`, and their labels, in canonical order."""
     entries = _shape(obj["points"], list, "\"points\"")
     if len(entries) != 8 * n + 8:
         raise ValueError(f"wrong number of points for n={n}")
-    pts, labels = [], []
+    xy, labels = [], []
     for entry in entries:
         entry = _shape(entry, dict, "a labelled point")
-        pts.append(Point(parse(entry["x"]), parse(entry["y"])))
+        xy.append((parse(entry["x"]), parse(entry["y"])))
         labels.append(entry["label"])
     if tuple(labels) != tuple(_labels(n)):
         raise ValueError("labels deviate from the canonical ordering")
-    return PointSet(pts, labels=labels)
+    return xy, labels
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +150,8 @@ def tree_from_json(obj, n: int) -> Tree:
 
 
 def instance_to_json(ii: IntegerInstance) -> dict:
-    pts = []
-    for i, p in enumerate(ii.points.points):
-        pts.append({"label": ii.points.labels[i],
-                    "x": str(p.x.numerator), "y": str(p.y.numerator)})
+    pts = [{"label": label, "x": str(x), "y": str(y)} for label, (x, y)
+           in zip(ii.points.labels, ii.points.numerators)]
     return {
         "alphas_dot": list(ii.alphas_dot),
         "k": ii.k,
@@ -170,9 +174,10 @@ def instance_from_json(obj) -> IntegerInstance:
     k = _parse_int(obj["k"], "k")
     if obj["scale"] != f"1800*2^{k}":
         raise ValueError("scale does not match k")
-    ps = _canonical_points(
-        obj, len(alphas_dot), lambda s: Fraction(_parse_int(s, "coordinate")))
-    ii = IntegerInstance(alphas_dot=alphas_dot, k=k, points=ps)
+    xy, labels = _canonical_points(obj, len(alphas_dot),
+                                   lambda s: _parse_int(s, "coordinate"))
+    ii = IntegerInstance(alphas_dot=alphas_dot, k=k,
+                         points=PointSet.from_ints(xy, 1, labels))
     if (_parse_int(obj["P"], "P"), _parse_int(obj["Q"], "Q")) != (ii.P, ii.Q):
         raise ValueError("threshold does not match the weights")
     return ii
@@ -203,9 +208,10 @@ def gadget_from_json(obj) -> Gadget:
     """Parse a gadget file; the weights fix all but `d_bits` and the points."""
     alphas_dot = _weights(obj, "gadget file",
                           ("alphas_dot", "d_bits", "points"))
-    return Gadget(alphas_dot=alphas_dot,
-                  d_bits=_parse_int(obj["d_bits"], "d_bits"),
-                  points=_canonical_points(obj, len(alphas_dot), parse_number))
+    d_bits = _parse_int(obj["d_bits"], "d_bits")
+    xy, labels = _canonical_points(obj, len(alphas_dot), parse_number)
+    return Gadget(alphas_dot=alphas_dot, d_bits=d_bits,
+                  points=PointSet([Point(x, y) for x, y in xy], labels))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +220,7 @@ def gadget_from_json(obj) -> Gadget:
 
 def dump_json(obj, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def load_json(path):

@@ -13,6 +13,14 @@ decides the partition question two ways: through a certified search of
 the constrained tree family, and through a subset-sum dynamic program
 used as an independent oracle.
 
+Construction and rescaling run on integer numerators over one
+denominator: 1800 * 2^G for the gadget, with G its finest choice-point
+grid, and 1 for the integer instance.  The choice points come from the
+integer core `exactgeom.crossing_ints`, and the weight and identity
+checks compare squared numerator distances.  `Fraction`s sit only on
+top, as the points a `PointSet` hands out, the defining circles
+`d_defs`, the ideal lengths and the audit's interval checks.
+
 The search screens before it certifies.  Per attachment of the hanging
 point it decides the 2n choice slots one at a time, depth first.  Every
 family tree below a node lies in the node's graph: the decided options
@@ -33,9 +41,8 @@ from functools import cached_property
 from .dilation import (PointSet, Tree, Verdict, compare_to_threshold,
                        critical_edges, _separator_exceeds)
 from .errors import NoIntersection, PrecisionInsufficient, SumTooLarge
-from .exactgeom import (Interval, Orientation, Point,
-                        circle_intersection_upper, orientation, round_dyadic,
-                        sqrt_interval, squared_distance)
+from .exactgeom import (Interval, Orientation, Point, crossing_ints, nearest,
+                        orientation, sqrt_interval, squared_distance)
 from .radical import SqrtSum
 
 
@@ -222,13 +229,12 @@ class IntegerInstance(PartitionInstance, _PointLayout):
         _check_rounding_bits(self.k, self)
         if len(self.points) != 8 * self.n + 8:
             raise ValueError("point count must be 8n+8")
+        if self.points.den != 1:
+            raise ValueError("coordinates must be integers")
         limit = 2 * self.n + self.k + 15
-        for p in self.points.points:
-            for coord in (p.x, p.y):
-                if coord.denominator != 1:
-                    raise ValueError("coordinates must be integers")
-                if abs(coord.numerator).bit_length() > limit:
-                    raise ValueError("coordinate exceeds the bit budget")
+        if any(abs(c).bit_length() > limit
+               for p in self.points.numerators for c in p):
+            raise ValueError("coordinate exceeds the bit budget")
 
     @property
     def P(self) -> int:
@@ -261,46 +267,70 @@ def _check_rounding_bits(k: int, inst) -> None:
         raise ValueError("fractional precision too small for the gap")
 
 
-def _spine(length) -> Point:
-    """The point `length` beyond a_1 along the slope-3/4 line."""
-    return Point(Fraction(5, 2) + Fraction(4 * length, 5),
-                 Fraction(3 * length, 5))
+_SCALE_BASE = 1800  # clears every rational denominator in the construction
+
+
+def _spine(length) -> tuple[int, int]:
+    """Numerators over 10 of the point `length` beyond a_1 along the
+    slope-3/4 line."""
+    return 25 + 8 * length, 6 * length
+
+
+def _circle_ints(inst: PartitionInstance, i: int) -> tuple:
+    """The two circles the i-th choice point lies on, as the centers,
+    squared radii and denominator `crossing_ints` takes: around c_i with
+    radius 9 * 4^(i-1) + alpha_i, and around a_{i+1} with radius
+    2 * 4^(i-1), over the denominator 10 * sigma_dot."""
+    s, sd = _four(i - 1), inst.sigma_dot
+    (xc, yc), (xa, ya) = _spine(9 * s - 5), _spine(20 * s - 5)
+    return (xc * sd, yc * sd, (90 * s * sd + inst.alphas_dot[i - 1]) ** 2,
+            xa * sd, ya * sd, (20 * s * sd) ** 2, 10 * sd)
 
 
 def _choice_circles(inst: PartitionInstance, i: int) -> _CirclePair:
-    """The two circles the i-th choice point lies on: around c_i with
-    radius 9 * 4^(i-1) + alpha_i, and around a_{i+1} with radius
-    2 * 4^(i-1)."""
-    s = _four(i - 1)
-    r1 = 9 * s + Fraction(inst.alphas_dot[i - 1], 10 * inst.sigma_dot)
-    return _CirclePair(_spine(9 * s - 5), r1 * r1,
-                       _spine(20 * s - 5), Fraction(4 * s * s))
+    """`_circle_ints` as exact centers and squared radii."""
+    xc, yc, r1_sq, xa, ya, r2_sq, den = _circle_ints(inst, i)
+    return _CirclePair(Point(Fraction(xc, den), Fraction(yc, den)),
+                       Fraction(r1_sq, den * den),
+                       Point(Fraction(xa, den), Fraction(ya, den)),
+                       Fraction(r2_sq, den * den))
 
 
-def _right_half_points(inst: PartitionInstance, d_bits: int) -> list:
-    """q1, q2, a_1..a_{n+1}, b_1..b_n, c_1..c_n, d_1..d_n, p1, p2."""
+def _right_half_points(inst: PartitionInstance, d_bits: int):
+    """q1, q2, a_1..a_{n+1}, b_1..b_n, c_1..c_n, d_1..d_n, p1, p2 as
+    integer pairs over one denominator, returned with it.
+
+    The choice point d_i is its circles' upper crossing rounded to the
+    grid 2^-g_i, finer for larger i; every other coordinate has a
+    denominator dividing 1800, so the denominator is 1800 * 2^G for the
+    finest grid G."""
     n = inst.n
-    a = [_spine(5 * (_four(i) - 1)) for i in range(n + 1)]
-    b = [_spine(6 * _four(i) - 5) for i in range(n)]
-    circles = [_choice_circles(inst, i) for i in range(1, n + 1)]
+    # aim the intersection precision so even the squared residuals
+    # land below the 2^-d_bits budget
+    grids = [d_bits + (18 * _four(i - 1) + 3).bit_length() + 2
+             for i in range(1, n + 1)]
+    top = max(grids)
+
+    def spine(length):
+        x, y = _spine(length)
+        return (_SCALE_BASE // 10 * x) << top, (_SCALE_BASE // 10 * y) << top
+
+    a = [spine(5 * (_four(i) - 1)) for i in range(n + 1)]
+    b = [spine(6 * _four(i) - 5) for i in range(n)]
+    c = [spine(9 * _four(i) - 5) for i in range(n)]
     d = []
-    for i, cp in enumerate(circles, 1):
-        # aim the intersection precision so even the squared residuals
-        # land below the 2^-d_bits budget
-        pad = (18 * _four(i - 1) + 3).bit_length()
-        crossing = circle_intersection_upper(cp.center_c, cp.r1_sq,
-                                             cp.center_a, cp.r2_sq,
-                                             d_bits + pad)
-        if crossing.tangent:
+    for i, grid in enumerate(grids, 1):
+        xm, ym, hx, _, f = crossing_ints(*_circle_ints(inst, i), grid)
+        if hx is None:
             raise NoIntersection("choice-point circles merely touch")
-        d.append(crossing.point)
-    tp = Fraction(_four(n), 9) - Fraction(179, 1800)
-    an1 = a[n]
-    p1 = Point(an1.x + 3 * tp, an1.y - 4 * tp)
-    p2 = Point(an1.x + 12 * tp, an1.y - 16 * tp)
-    q1 = Point(Fraction(0), Fraction(0))
-    q2 = Point(Fraction(0), Fraction(11, 18) - Fraction(25, 9) * _four(n))
-    return [q1, q2] + a + b + [cp.center_c for cp in circles] + d + [p1, p2]
+        d.append(((_SCALE_BASE * nearest(xm, f, grid)) << (top - grid),
+                  (_SCALE_BASE * nearest(ym, f, grid)) << (top - grid)))
+    tp = (200 * _four(n) - 179) << top     # 4^n / 9 - 179 / 1800
+    ax, ay = a[n]
+    p1 = (ax + 3 * tp, ay - 4 * tp)
+    p2 = (ax + 12 * tp, ay - 16 * tp)
+    q2 = (0, (1100 - 5000 * _four(n)) << top)  # 11 / 18 - 25 / 9 * 4^n
+    return [(0, 0), q2] + a + b + c + d + [p1, p2], _SCALE_BASE << top
 
 
 def _labels(n):
@@ -362,10 +392,11 @@ def build_gadget(inst: PartitionInstance, d_bits: int | None = None) -> Gadget:
     """
     if d_bits is None:
         d_bits = rounding_bits(inst) + 8
-    right = _right_half_points(inst, d_bits)
-    mirrored = [Point(-p.x, p.y) for p in right[2:]]
+    right, den = _right_half_points(inst, d_bits)
+    mirrored = [(-x, y) for x, y in right[2:]]
     return Gadget(alphas_dot=inst.alphas_dot, d_bits=d_bits,
-                  points=PointSet(right + mirrored, labels=_labels(inst.n)))
+                  points=PointSet.from_ints(right + mirrored, den,
+                                            _labels(inst.n)))
 
 
 def auxiliary_dstar(g: Gadget, i: int) -> Point:
@@ -390,15 +421,14 @@ def dstar_gap(g: Gadget, i: int, bits: int = 96) -> Interval:
 # ---------------------------------------------------------------------------
 # integer rescaling
 
-_SCALE_BASE = 1800  # clears every rational denominator in the construction
-
 
 def integerize(g: Gadget, k: int | None = None) -> IntegerInstance:
     """Round the choice points to k fractional bits and scale to integers.
 
     All other coordinates have denominators dividing 1800, so after
     multiplying by 1800 * 2^k everything is an integer; the rounding of
-    an already-dyadic coordinate to the coarser grid is exact.
+    an already-dyadic coordinate to the coarser grid is exact.  Both
+    steps work on the gadget's integer numerators.
     """
     n = g.n
     if k is None:
@@ -407,30 +437,22 @@ def integerize(g: Gadget, k: int | None = None) -> IntegerInstance:
     if g.d_bits < k:
         raise PrecisionInsufficient(
             f"choice points carry {g.d_bits} fractional bits, need {k}")
-    scale = _SCALE_BASE << k
-
-    half = 4 * n + 3
-    d_lo = g.d(1)
-    d_hi = g.d(n)
-    scaled_right = []
-    for j in range(half + 2):
-        p = g.points[j]
+    scale, den = _SCALE_BASE << k, g.points.den
+    d_lo, d_hi = g.d(1), g.d(n)
+    right = []
+    for j, (x, y) in enumerate(g.points.numerators[:4 * n + 5]):
         if d_lo <= j <= d_hi:
-            x = round_dyadic(p.x, k, "nearest") * scale
-            y = round_dyadic(p.y, k, "nearest") * scale
-        else:
-            x = p.x * scale
-            y = p.y * scale
-        if x.denominator != 1 or y.denominator != 1:
+            right.append((_SCALE_BASE * nearest(x, den, k),
+                          _SCALE_BASE * nearest(y, den, k)))
+            continue
+        (x, rx), (y, ry) = divmod(x * scale, den), divmod(y * scale, den)
+        if rx or ry:
             raise ValueError(f"point {j} did not scale to integers")
-        scaled_right.append(Point(x, y))
-    mirrored = [Point(-p.x, p.y) for p in scaled_right[2:]]
-
-    return IntegerInstance(
-        alphas_dot=g.alphas_dot,
-        k=k,
-        points=PointSet(scaled_right + mirrored, labels=_labels(n)),
-    )
+        right.append((x, y))
+    mirrored = [(-x, y) for x, y in right[2:]]
+    return IntegerInstance(alphas_dot=g.alphas_dot, k=k,
+                           points=PointSet.from_ints(right + mirrored, 1,
+                                                     _labels(n)))
 
 
 def reduction(inst: PartitionInstance, k: int | None = None):
@@ -542,7 +564,9 @@ def _check_distance_identities(g) -> LemmaCheck:
         mu, mv = g.mirror(u), g.mirror(v)
         if (mu, mv) != (u, v) and u >= left:
             continue
-        if g.points.distance_sq(u, v) != length * length:
+        # |uv|^2 = d2 / den^2 against (num / den_L)^2, cross-multiplied
+        if g.points._d2_num(u, v) * length.denominator ** 2 \
+                != (length.numerator * g.points.den) ** 2:
             return LemmaCheck(name, False,
                               f"|{u},{v}| differs from its defined value")
         count += 1
@@ -551,13 +575,13 @@ def _check_distance_identities(g) -> LemmaCheck:
 
 def _check_mirror_symmetry(g) -> LemmaCheck:
     name = "mirror symmetry"
-    pts = g.points
+    xy = g.points.numerators
     for j in (g.q1, g.q2):
-        if pts[j].x != 0:
+        if xy[j][0] != 0:
             return LemmaCheck(name, False, f"axis point {j} is off the axis")
     for j in range(2, 4 * g.n + 5):
         m = g.mirror(j)
-        if pts[m].x != -pts[j].x or pts[m].y != pts[j].y:
+        if xy[m] != (-xy[j][0], xy[j][1]):
             return LemmaCheck(name, False, f"point {m} is not the"
                                            f" reflection of {j}")
     return LemmaCheck(name, True, "primed points reflect exactly")
@@ -679,16 +703,21 @@ def _check_encoded_weights(inst) -> None:
     in a gadget (scale 1), and within scale * 2^-k of scale * r_i in an
     instance, tested exactly on the squares.  A weight one unit off moves r_i by 1 / (10 *
     sigma_dot), far beyond either error.
+
+    The test runs on integers: with r_i = a / b for b = 10 * sigma_dot,
+    the bounds are scale * (a * 2^bits -+ b) / (b * 2^bits), and
+    |c_i d_i|^2 is the squared numerator distance over den^2.
     """
     if isinstance(inst, IntegerInstance):
         scale, bits = _SCALE_BASE << inst.k, inst.k
     else:
         scale, bits = 1, inst.d_bits
-    err = Fraction(scale, 1 << bits)
+    pts, b = inst.points, 10 * inst.sigma_dot
     for i, declared in enumerate(inst.alphas_dot, 1):
-        d2 = squared_distance(inst.points[inst.c(i)], inst.points[inst.d(i)])
-        r = scale * (9 * _four(i - 1) + Fraction(declared, 10 * inst.sigma_dot))
-        if not (r - err) ** 2 <= d2 <= (r + err) ** 2:
+        a = 9 * _four(i - 1) * b + declared
+        d2 = pts._d2_num(inst.c(i), inst.d(i)) * (b << bits) ** 2
+        lo, hi = (scale * pts.den * ((a << bits) + e) for e in (-b, b))
+        if not lo * lo <= d2 <= hi * hi:
             raise ValueError(f"choice edge {i} does not encode weight"
                              f" {declared}")
 
@@ -758,18 +787,21 @@ def decide_partition(instance):
         priority += [(lay.q1, lay.d(i), lay.mirror(lay.d(i)))
                      for i in range(1, n + 1)]
         tree = search(fixed + [(_Q2, attach)], 0, 0)
-        if tree is None:
-            continue
-        # the halves are the detours the tree takes, right then left
-        sol = PartitionSolution(*(
-            frozenset(i for i, slot in enumerate(choices, 1)
-                      if tree.has_edge(*slot[side][1]))
-            for side in (0, 1)))
-        if not sol.consistent_with(instance.alphas_dot):
-            raise ValueError("sub-threshold tree decodes to an"
-                             " invalid partition")
-        return sol, tree
-    return None
+        if tree is not None:
+            break
+    # `search` calls itself through its closure, a reference cycle that
+    # would keep the points and their tables until the next collection
+    del search
+    if tree is None:
+        return None
+    # the halves are the detours the tree takes, right then left
+    sol = PartitionSolution(*(
+        frozenset(i for i, slot in enumerate(choices, 1)
+                  if tree.has_edge(*slot[side][1]))
+        for side in (0, 1)))
+    if not sol.consistent_with(instance.alphas_dot):
+        raise ValueError("sub-threshold tree decodes to an invalid partition")
+    return sol, tree
 
 
 _ORACLE_SUM_CAP = 10 ** 6

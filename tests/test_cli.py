@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -509,3 +510,84 @@ def test_oracle_prints_split(capsys):
     assert cli("oracle", "--alphas", "2,3,5") == 0
     data = json.loads(capsys.readouterr().out)
     assert data == {"A": [1, 2], "A_prime": [3]}
+
+
+# ---------------------------------------------------------------------------
+# pinned reduction files: gen writes these bytes, verify and decide print
+# these verdicts
+
+_NO_SPLIT = ("no partition: every candidate tree certifies dilation above"
+             " the threshold")
+
+# (weights, k or None for the default, SHA-256 of the instance file and of
+# the --gadget file, count of squared identities the audit checks,
+# decide's line)
+GEN_PINS = [
+    ("1", None,
+     "86c92e153819f6f2434fb14c065ac0dac12966f07a374951914025cad5c659dc",
+     "f866836b01b2e0fd2476bdf702b5706b196e7e269afeba2af0028942dc82d8e7",
+     12, _NO_SPLIT),
+    ("1,1", None,
+     "c9043596cd372712c048364bfa04e2fffb72feec5be33af1111cb0c8644b5ba0",
+     "cc5a6dd4ca715b5be8903c37785f6567c7e3c7ea2bc5d9447e1b57a8fbd74e2a",
+     17, "partition found: A=[2] A'=[1]"),
+    ("2,3,5", None,
+     "170327a564ea0d9aa28624cad25fa2d3dd2ac6b0b900cd6a64a05dadc82e49e9",
+     "4e4293e182b7aa83ade1905253b31fcf885e5e601b8c43de56b11afe170664c8",
+     21, "partition found: A=[3] A'=[1, 2]"),
+    ("1,2,4", None,
+     "c6da18f7312b03164cb2538da3e7ffb8691165bc2f9a90a5b61907d29f177f80",
+     "570c6545e771b390a961db617863517fb07a143164cea5f0edb12764730aa48f",
+     21, _NO_SPLIT),
+    ("3,5,2,4,6", None,
+     "cf0c7cb4da332a585fd0ced47f3a6b48fe7d3220d1fda65edafbe98963a026c6",
+     "373f267ab5e395267b844d19b55857e24e5bdc1f3c8a8a4e90d44a72a51145bb",
+     29, "partition found: A=[4, 5] A'=[1, 2, 3]"),
+    ("1,1,1,1,1,1,5", None,
+     "96abfa78009402b112ee5fb62aed4acdb98e2c158290913dda385d1f54f5910e",
+     "870c11041fbb37e59cb1ad8b0baea97799efe190ae4a9da6906651c4daec5585",
+     37, _NO_SPLIT),
+    ("9,8,7,6,5,4,3,2,1", None,
+     "739b66406f51fd3cd836393ede7e394ab6667e10bfc7713906b45213164d8031",
+     "19e711ce90c3a8fa83843593821dd8410e2db2a2d93bfd62d837a7619beeeedd",
+     45, _NO_SPLIT),
+    ("2,3,5", 60,
+     "818a9b081119848d39bf41782e4822e53d7caeb8d60e82af81fecce82f82542e",
+     "53b48840ae16807c59462ae889dae10a40ef4558167c0f0a460c270f2b84843a",
+     21, "partition found: A=[3] A'=[1, 2]"),
+]
+
+
+@pytest.mark.parametrize("alphas, k, inst_sha, gadget_sha, identities,"
+                         " verdict", GEN_PINS,
+                         ids=[f"{a}-k{k}" for a, k, *_ in GEN_PINS])
+def test_gen_files_and_verdicts_are_pinned(tmp_path, capsys, alphas, k,
+                                           inst_sha, gadget_sha,
+                                           identities, verdict):
+    inst, gadget = tmp_path / "inst.json", tmp_path / "gadget.json"
+    argv = ["gen", "--alphas", alphas, "-o", str(inst),
+            "--gadget", str(gadget)] + (["--k", str(k)] if k else [])
+    assert cli(*argv) == 0
+    k = int(capsys.readouterr().out.split(" k=")[1].split()[0])
+    for path, sha in ((inst, inst_sha), (gadget, gadget_sha)):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+    n = alphas.count(",") + 1
+    audit = [
+        f"[ok] distance identities: {identities} squared identities"
+        " hold exactly",
+        "[ok] mirror symmetry: primed points reflect exactly",
+        f"[ok] choice-point placement: residuals under 2^-{k + 4},"
+        " sides correct",
+        "[ok] angle bounds: anchor and slope cosines all clear",
+        f"[ok] critical set: exactly the {6 * n + 6} forced edges",
+        "[ok] alternation obstruction: every index keeps exactly two"
+        " choices",
+    ]
+    rescale = ["[ok] integer rescaling: stored points match a fresh"
+               " rescale"]
+    for path, lines in ((inst, audit + rescale), (gadget, audit)):
+        assert cli("verify", str(path)) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+        assert cli("decide", str(path)) == (1 if verdict == _NO_SPLIT
+                                            else 0)
+        assert capsys.readouterr().out.splitlines() == [verdict]

@@ -38,6 +38,52 @@ def test_pointset_validation():
     assert (ps.den, ps.distance_sq(0, 1)) == (6, Fraction(1, 36))
 
 
+def _from_ints_and_points(xy, den, labels):
+    """The same points through both constructors."""
+    by_ints = PointSet.from_ints(xy, den, labels)
+    by_points = PointSet([pt(Fraction(x, den), Fraction(y, den))
+                          for x, y in xy], labels)
+    return by_ints, by_points
+
+
+@pytest.mark.parametrize("den", [1, 2, 6, 1800, 1800 << 40, 7 ** 5])
+def test_pointset_from_ints_equals_the_point_constructor(den):
+    rng = random.Random(den)
+    xy = list({(rng.randint(-10 ** 6, 10 ** 6) * rng.choice([1, 2, 3, 8]),
+                rng.randint(-10 ** 6, 10 ** 6)) for _ in range(12)})
+    labels = [f"p{i}" for i in range(len(xy))]
+    for lab in (None, labels):
+        a, b = _from_ints_and_points(xy, den, lab)
+        assert a.points == b.points and a.den == b.den
+        assert a.labels == b.labels
+        assert a.numerators == b.numerators
+        for bits in (8, 64):
+            assert [a.dist_ints(i, j, bits) for i in range(a.n)
+                    for j in range(a.n)] \
+                == [b.dist_ints(i, j, bits) for i in range(b.n)
+                    for j in range(b.n)]
+    # a common factor of every numerator and den cancels, as in Fractions
+    a, b = _from_ints_and_points([(0, 6), (12, 0), (18, 30)], 36, None)
+    assert a.den == b.den == 6
+    assert a.numerators == b.numerators == [(0, 1), (2, 0), (3, 5)]
+
+
+def test_pointset_from_ints_validation_matches_the_point_constructor():
+    cases = [
+        ([(0, 0)], 1, None, "at least two points"),
+        ([(1, 2), (3, 4), (1, 2)], 2, None, "pairwise distinct"),
+        ([(0, 0), (1, 0)], 3, ["a"], "one to one"),
+    ]
+    for xy, den, labels, message in cases:
+        for build in (lambda: PointSet.from_ints(xy, den, labels),
+                      lambda: PointSet([pt(Fraction(x, den), Fraction(y, den))
+                                        for x, y in xy], labels)):
+            with pytest.raises(ValueError, match=message):
+                build()
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        PointSet.from_ints([(0, 0), (1, 0)], 0)
+
+
 def test_tree_validation():
     with pytest.raises(ValueError):
         Tree(3, [(0, 1)])                       # too few edges

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilatree.errors import NoIntersection
+from dilatree import exactgeom
 from dilatree.exactgeom import (
     Interval, Orientation, Point, Segment, circle_intersection_box,
-    circle_intersection_upper, orientation, pt,
+    circle_intersection_upper, crossing_ints, nearest, orientation, pt,
     round_dyadic, segments_properly_cross, sqrt_interval, squared_distance,
 )
 
@@ -243,3 +244,185 @@ def test_circle_crossing_random_soundness():
             r_hi = sqrt_interval(rs, 32).hi
             eps = Fraction(1, 1 << 64)
             assert abs(resid) <= eps * (2 * r_hi + eps)
+
+
+# ---------------------------------------------------------------------------
+# the integer crossing core against the Fraction routine it replaced
+
+
+def _reference_crossing(c1, r1_sq, c2, r2_sq, bits):
+    """The Fraction crossing: the radical-axis foot M and H, then
+    sqrt_interval(H) at doubling precision until the box is 2^-bits
+    across.  Returns ("tangent", M) or ("box", x interval, y interval)."""
+    dx = c2.x - c1.x
+    dy = c2.y - c1.y
+    d2 = dx * dx + dy * dy
+    if d2 == 0:
+        raise NoIntersection("concentric circles")
+    t = (d2 + r1_sq - r2_sq) / 2
+    m = Point(c1.x + t * dx / d2, c1.y + t * dy / d2)
+    h = (r1_sq * d2 - t * t) / (d2 * d2)
+    if h < 0:
+        gap = d2 - r1_sq - r2_sq
+        if gap > 0 and gap * gap > 4 * r1_sq * r2_sq:
+            raise NoIntersection("disjoint circles")
+        raise NoIntersection("nested circles")
+    if h == 0:
+        return "tangent", m
+    sb = bits + max(0, d2.numerator.bit_length()
+                    - d2.denominator.bit_length()) // 2 + 4
+    target = Fraction(1, 1 << (2 * bits))
+    while True:
+        s = sqrt_interval(h, sb)
+        wx = s.width * abs(dy)
+        wy = s.width * abs(dx)
+        if wx * wx + wy * wy <= target:
+            break
+        sb *= 2
+    xs = (m.x - s.lo * dy, m.x - s.hi * dy)
+    ys = (m.y + s.lo * dx, m.y + s.hi * dx)
+    return ("box", Interval(min(xs), max(xs), bits),
+            Interval(min(ys), max(ys), bits))
+
+
+def _core_matches_reference(x1, y1, r1_sq, x2, y2, r2_sq, den, bits):
+    """Assert that crossing_ints agrees with the reference on the same
+    circles, and return the reference's kind of answer."""
+    c1 = Point(Fraction(x1, den), Fraction(y1, den))
+    c2 = Point(Fraction(x2, den), Fraction(y2, den))
+    args = (c1, Fraction(r1_sq, den * den), c2, Fraction(r2_sq, den * den),
+            bits)
+    try:
+        ref = _reference_crossing(*args)
+    except NoIntersection as exc:
+        with pytest.raises(NoIntersection) as got:
+            crossing_ints(x1, y1, r1_sq, x2, y2, r2_sq, den, bits)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    xm, ym, hx, hy, f = crossing_ints(x1, y1, r1_sq, x2, y2, r2_sq, den, bits)
+    assert f > 0
+    if ref[0] == "tangent":
+        assert hx is None and hy is None
+        assert Point(Fraction(xm, f), Fraction(ym, f)) == ref[1]
+        return "tangent"
+    _, bx, by = ref
+    assert (Fraction(xm - hx, f), Fraction(xm + hx, f)) == (bx.lo, bx.hi)
+    assert (Fraction(ym - hy, f), Fraction(ym + hy, f)) == (by.lo, by.hi)
+    # the rounded point circle_intersection_upper takes from the box
+    for num, iv in ((xm, bx), (ym, by)):
+        assert Fraction(nearest(num, f, bits), 1 << bits) \
+            == round_dyadic((iv.lo + iv.hi) / 2, bits)
+    return "box"
+
+
+coords = st.integers(-60, 60)
+dens = st.sampled_from([1, 2, 3, 10, 1800, 1 << 20])
+precisions = st.integers(1, 90)
+
+
+@given(coords, coords, st.integers(0, 8000), coords, coords,
+       st.integers(0, 8000), dens, precisions)
+@settings(max_examples=400, deadline=None)
+def test_crossing_core_matches_fraction_reference(x1, y1, r1, x2, y2, r2,
+                                                  den, bits):
+    _core_matches_reference(x1, y1, r1, x2, y2, r2, den, bits)
+
+
+@given(coords, coords, coords, coords, coords, coords, dens, precisions)
+@settings(max_examples=200, deadline=None)
+def test_crossing_core_on_circles_through_a_rational_point(px, py, x1, y1,
+                                                           x2, y2, den,
+                                                           bits):
+    # both circles pass through (px, py), so sqrt(H) is rational and its
+    # enclosure exact, or the circles touch there
+    r1 = (px - x1) ** 2 + (py - y1) ** 2
+    r2 = (px - x2) ** 2 + (py - y2) ** 2
+    kind = _core_matches_reference(x1, y1, r1, x2, y2, r2, den, bits)
+    if (x1, y1) != (x2, y2) and (x1, y1) != (px, py) \
+            and (x2, y2) != (px, py):
+        collinear = (x2 - x1) * (py - y1) == (y2 - y1) * (px - x1)
+        assert kind == ("tangent" if collinear else "box")
+
+
+@given(coords, coords, st.integers(-9, 9), st.integers(-9, 9),
+       st.integers(-5, 5).filter(bool), st.integers(-5, 5).filter(bool),
+       dens, precisions)
+@settings(max_examples=200, deadline=None)
+def test_crossing_core_on_touching_circles(px, py, vx, vy, a, b, den, bits):
+    # centers P + a v and P + b v with radii |a v| and |b v| touch at P
+    if (vx, vy) == (0, 0) or a == b:
+        return
+    v2 = vx * vx + vy * vy
+    kind = _core_matches_reference(px + a * vx, py + a * vy, a * a * v2,
+                                   px + b * vx, py + b * vy, b * b * v2,
+                                   den, bits)
+    assert kind == "tangent"
+
+
+@given(st.integers(1, 40), st.integers(20, 60), st.integers(1, 4),
+       st.integers(-3, 3))
+@settings(max_examples=100, deadline=None)
+def test_crossing_core_on_close_centers_and_large_radii(gap, big, bits,
+                                                       drift):
+    # centers a few 2^-20 apart with radii near 2^(big-20): sqrt(H) is far
+    # above 2^sb, so sqrt_ints returns a negative exponent t
+    r = 1 << big
+    kind = _core_matches_reference(0, 0, r * r, gap, drift, r * r + drift,
+                                   1 << 20, bits)
+    assert kind == "box"
+
+
+def test_crossing_core_reaches_a_negative_sqrt_exponent(monkeypatch):
+    exps, real = [], exactgeom.sqrt_ints
+
+    def spy(p, q, bits):
+        out = real(p, q, bits)
+        exps.append(out[1])
+        return out
+
+    monkeypatch.setattr(exactgeom, "sqrt_ints", spy)
+    r = 1 << 40
+    _core_matches_reference(0, 0, r * r, 1, 0, r * r, 1 << 20, 1)
+    assert min(exps) < 0
+
+
+@given(points, st.fractions(0, 2000, max_denominator=99), points,
+       st.fractions(0, 2000, max_denominator=99), st.integers(1, 70))
+@settings(max_examples=200, deadline=None)
+def test_crossing_wrappers_match_fraction_reference(c1, r1_sq, c2, r2_sq,
+                                                    bits):
+    try:
+        kind, *ref = _reference_crossing(c1, r1_sq, c2, r2_sq, bits + 2)
+    except NoIntersection as exc:
+        for fn in (circle_intersection_upper, circle_intersection_box):
+            with pytest.raises(NoIntersection) as got:
+                fn(c1, r1_sq, c2, r2_sq, bits)
+            assert str(got.value) == str(exc)
+        return
+    up = circle_intersection_upper(c1, r1_sq, c2, r2_sq, bits)
+    if kind == "tangent":
+        assert (up.point, up.residual_c1, up.residual_c2, up.tangent) \
+            == (ref[0], 0, 0, True)
+        with pytest.raises(NoIntersection, match="tangent circles admit"):
+            circle_intersection_box(c1, r1_sq, c2, r2_sq, bits)
+        return
+    p = Point(*(round_dyadic((iv.lo + iv.hi) / 2, bits + 2) for iv in ref))
+    assert (up.point, up.tangent) == (p, False)
+    assert up.residual_c1 == squared_distance(p, c1) - r1_sq
+    assert up.residual_c2 == squared_distance(p, c2) - r2_sq
+    assert circle_intersection_box(c1, r1_sq, c2, r2_sq, bits) \
+        == tuple(_reference_crossing(c1, r1_sq, c2, r2_sq, bits)[1:])
+
+
+def test_crossing_core_raises_every_no_intersection_message():
+    cases = {
+        "concentric circles": (0, 0, 1, 0, 0, 4),
+        "disjoint circles": (0, 0, 1, 10, 0, 1),
+        "nested circles": (0, 0, 100, 1, 0, 1),
+    }
+    for message, circles in cases.items():
+        assert _core_matches_reference(*circles, 1, 64) == message
+        assert _core_matches_reference(*circles, 7, 3) == message
+    with pytest.raises(NoIntersection, match="tangent circles admit"):
+        circle_intersection_box(pt(0, 0), Fraction(1), pt(2, 0),
+                                Fraction(1), 64)

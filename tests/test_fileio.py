@@ -7,7 +7,7 @@ import pytest
 from dilatree.dilation import PointSet, Tree
 from dilatree.exactgeom import Point, pt
 from dilatree.fileio import (
-    format_dyadic, format_rational, gadget_from_json, gadget_to_json,
+    _parse_int, format_dyadic, format_rational, gadget_from_json, gadget_to_json,
     instance_from_json, instance_to_json, parse_number, points_from_json,
     points_to_json, render_svg, tree_from_json, tree_to_json,
 )
@@ -35,6 +35,27 @@ def test_number_formats_round_trip():
     for bad in ("1/0", "-3/00"):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_number(bad)
+
+
+def test_parse_int_accepts_the_same_strings_as_before():
+    def reference(s, what):             # every string through parse_number
+        v = parse_number(s)
+        if v.denominator != 1:
+            raise ValueError(f"{what} must be an integer, got {s!r}")
+        return v.numerator
+
+    for s in ("42", "-7", "007", "-0", "84/2", "8/2^2", "-9/2^0",
+              "\u0664\u0662", 42, "5/3", "1/2^1", " 5", "+5", "1_000", "5\n",
+              "", "-", "--5", "1.0", "\u00b2", None, True, 4.0):
+        try:
+            want = reference(s, "k")
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _parse_int(s, "k")
+            assert str(got.value) == str(exc)
+        else:
+            got = _parse_int(s, "k")
+            assert type(got) is int and got == want
 
 
 def test_points_round_trip():
