@@ -9,8 +9,11 @@ only when intervals separate.  A comparison whose enclosures straddle
 its boundary is settled by the certified sign of an exact
 `radical.SqrtSum`, whose zero test is complete, so an exact equality (for
 instance a pair sitting exactly on a threshold) terminates instead of
-escalating forever.  Only a nonzero difference too small for the
-precision cap raises `PrecisionExhausted`, rather than guessing.
+escalating forever.  The max over pairs makes that comparison only from
+`_EXACT_FALLBACK_BITS` = 256 bits up, so it settles an exact tie only
+under a precision cap of at least 256 bits; below that, and for a nonzero
+difference too small for the cap, `PrecisionExhausted` is raised rather
+than guessing.
 
 Interval bookkeeping uses integer endpoints in one shared unit, so
 accumulating a path is pure integer addition.  Coordinates are kept as
@@ -35,7 +38,12 @@ three squared distances alone.  A square root is taken only where those
 tests cannot settle the pair or triple.
 The exact side mirrors this: `PointSet.exact_dist` builds each pair's
 `SqrtSum` once, and `tree_exact` sums them along tree paths, memoised per
-root, for every exact fallback.
+root, for every exact fallback.  A ratio is at least 1, and exactly 1
+when the tree path is a straight segment, which integer cross and dot
+products on the coordinates decide: `tree_exact` hands such a pair back
+as |uv| twice, one object, `_ratio_sign` ties two of them with no
+arithmetic, and the max over pairs skips the rungs below 256 bits when
+every survivor is one, since none of them can drop it.
 """
 
 from __future__ import annotations
@@ -412,26 +420,56 @@ def tree_exact(ps: PointSet, tree: Tree):
     """The exact twin of `root_sums`: `exact(u, v)` gives the exact
     (d_T(u, v), |uv|) of a pair.  Sums d_T(u, .) are memoised per root: a
     pair walks up `tree.parents_from(u)` only to the nearest vertex with a
-    known sum, so once its parent's sum is known it costs one addition."""
-    rows = {}
+    known sum, so once its parent's sum is known it costs one addition.
+
+    A pair whose tree path is a straight segment has d_T(u, v) = |uv|, and
+    `exact` returns |uv| twice, the same object, with no path sum built.
+    Straightness is memoised per root too, by integer tests on the
+    numerators: the path u..p..y, p the parent of y, is straight when p is
+    u, or when u..p is straight and y continues p - u in its direction,
+    cross(p - u, y - p) = 0 and dot(p - u, y - p) > 0.  That is exactly
+    the condition that p lies on the segment uy, so that |up| + |py| =
+    |uy|; every other path is strictly longer than |uv|."""
+    rows, lines, xy = {}, {}, ps._xy
 
     def exact(u, v):
+        par, line = tree.parents_from(u), lines.setdefault(u, {u: True})
+        walk, x = [], v
+        while x not in line:
+            walk.append(x)
+            x = par[x]
+        (ux, uy), straight = xy[u], line[x]
+        for y in reversed(walk):
+            if straight and x != u:
+                (px, py), (yx, yy) = xy[x], xy[y]
+                ax, ay, bx, by = px - ux, py - uy, yx - px, yy - py
+                straight = ax * by == ay * bx and ax * bx + ay * by > 0
+            line[y], x = straight, y
+        length = ps.exact_dist(u, v)
+        if line[v]:
+            return length, length
         row = rows.setdefault(u, {u: SqrtSum.zero()})
-        par, walk, x = tree.parents_from(u), [], v
+        walk, x = [], v
         while x not in row:
             walk.append(x)
             x = par[x]
         for y in reversed(walk):
             row[y] = row[x] + ps.exact_dist(x, y)
             x = y
-        return row[v], ps.exact_dist(u, v)
+        return row[v], length
 
     return exact
 
 
 def _ratio_sign(a, b) -> int:
-    """Certified sign of d_a/l_a - d_b/l_b for exact pairs (d, l)."""
+    """Certified sign of d_a/l_a - d_b/l_b for exact pairs (d, l).
+
+    A pair whose two sides are one object has ratio exactly 1, whatever
+    made it, so two such pairs give 0 with no arithmetic; `tree_exact`
+    returns a straight pair that way."""
     (da, la), (db, lb) = a, b
+    if da is la and db is lb:
+        return 0
     return (da * lb - db * la).sign()
 
 
@@ -525,7 +563,18 @@ def _max_dilation(ps: PointSet, sums, exact, bits: int) -> DilationReport:
     final survivors cannot be separated numerically they are compared
     symbolically; genuinely equal maxima are reported with `tied` set and
     the lexicographically smallest witness.  `PrecisionExhausted` at the
-    cap names the surviving pairs, all of them in its `context`.
+    cap names the surviving pairs, all of them in its `context`.  The
+    symbolic comparison runs only from `_EXACT_FALLBACK_BITS` up, so an
+    exact tie needs a cap of at least that many bits to be settled.
+
+    When every survivor is certified to have ratio exactly 1 (`exact`
+    returns its two sides as one object), the rungs below
+    `_EXACT_FALLBACK_BITS` and below the cap are skipped.  They cannot
+    change the report: a ratio of exactly 1 has lo <= 2^(work+4) <= hi on
+    every grid and no ratio is below 1, so every such pair stays a
+    survivor at every rung, no rung below the fallback leaves one
+    survivor, stalls into the exact comparison or reaches the cap, and the
+    next rung to do any of these is computed on the same survivors.
     """
     if bits < 1:
         raise ValueError("bits must be positive")
@@ -533,6 +582,15 @@ def _max_dilation(ps: PointSet, sums, exact, bits: int) -> DilationReport:
     work = max(bits + 4, 64)
     enc = _pair_ratios(ps, sums, itertools.combinations(range(ps.n), 2), work)
     tied = False
+    skip_below = min(cap, _EXACT_FALLBACK_BITS)
+
+    def all_straight(pairs):
+        # a call that cannot settle only means "not shown"; the rungs run
+        try:
+            return all(d is length
+                       for d, length in (exact(u, v) for u, v in pairs))
+        except PrecisionExhausted:
+            return False
 
     while True:
         # integer numerators on the grid 2^-(work+4)
@@ -567,7 +625,12 @@ def _max_dilation(ps: PointSet, sums, exact, bits: int) -> DilationReport:
                 f"dilation witnesses unresolved at {cap} bits among "
                 f"{len(pairs)} pairs, first {str(pairs[:4])[1:-1]}",
                 bits=cap, context=pairs) from cause
+        one = 1 << (work + 4)
         work = min(2 * work, cap)
+        # lo above 1 rules out a survivor of ratio 1 without a call
+        if work < skip_below and lo <= one and all_straight(survivors):
+            while work < skip_below:
+                work = min(2 * work, cap)
         enc = _pair_ratios(ps, sums, survivors, work)
 
     return DilationReport(value=_dyadic(lo, hi, work + 4, bits),

@@ -39,7 +39,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .dilation import (PointSet, Tree, Verdict, compare_to_threshold,
-                       critical_edges, _separator_exceeds)
+                       critical_edges, _graph_adjacency, _separator_exceeds,
+                       _shortest_sums)
 from .errors import NoIntersection, PrecisionInsufficient, SumTooLarge
 from .exactgeom import (Interval, Orientation, Point, crossing_ints, nearest,
                         orientation, sqrt_interval, squared_distance)
@@ -722,6 +723,26 @@ def _check_encoded_weights(inst) -> None:
                              f" {declared}")
 
 
+def _hanging_root_exceeds(lay, from_q1, attach: int, p_num: int,
+                          q_den: int) -> bool:
+    """`_separator_exceeds` on the pair (q2, p) of the root graph where q2
+    hangs at `attach`, a vertex other than q1, and p is the p2 of the half
+    `attach` is not in.
+
+    `from_q1` holds the 64-bit lower sums of a Dijkstra from q1 on the
+    root graph without q2's edge.  Every path from q2 to p runs q2,
+    `attach`, then through q1, so its shortest sum is lo(q2 attach) +
+    D_q1(attach) + D_q1(p), the very integer a Dijkstra from q2 on the
+    root graph gives.  False when either sum is missing."""
+    pts = lay.points
+    far = lay.p2 if attach > lay.p2 else lay.mirror(lay.p2)
+    if from_q1[attach] is None or from_q1[far] is None:
+        return False
+    sum_lo = (pts.dist_ints(lay.q2, attach, 64)[0] + from_q1[attach]
+              + from_q1[far])
+    return q_den * sum_lo > p_num * pts.dist_ints(lay.q2, far, 64)[1]
+
+
 def decide_partition(instance):
     """Search the constrained tree family for a certified sub-threshold tree.
 
@@ -750,6 +771,11 @@ def decide_partition(instance):
     pairs when q2 hangs at q1; otherwise they are read from q2's own
     Dijkstra.  Each node makes one Dijkstra under the q1 attachment and
     at most two under any other.
+
+    The root of an attachment other than q1 is first tried by
+    `_hanging_root_exceeds`, from one Dijkstra from q1 on the root graph
+    without q2's edge that all these roots share; a root it does not cut
+    gets the full cut.
     """
     lay = instance
     n = lay.n
@@ -778,8 +804,16 @@ def decide_partition(instance):
                 return tree
         return None
 
+    from_q1 = None
     candidates = [lay.q1] + [j for j in range(total) if j > lay.q2]
     for attach in candidates:
+        if attach != lay.q1:
+            if from_q1 is None:
+                adj = _graph_adjacency(total, fixed + [e for slot in slots
+                                                       for e in slot])
+                from_q1 = _shortest_sums(pts, adj, lay.q1, 64, 0)
+            if _hanging_root_exceeds(lay, from_q1, attach, P, Q):
+                continue
         # the pairs whose dilation blows up on every wrong combination,
         # each with the separator its shortest paths pass through
         hub = lay.q1 if attach == lay.q1 else lay.q2

@@ -1167,17 +1167,22 @@ def test_precision_exhausted_names_survivors(monkeypatch):
                                     "(0, 3), (0, 4)")
 
 
-def test_chain_tie_builds_each_exact_length_once(monkeypatch):
-    # every pair of a collinear chain ties at 1, so the exact fallback
-    # reads all 435 pairs; each |uv| is built once and each tree sum
-    # extends its parent's
+def long_chain():
+    """30 points on the line y = 2x at random gaps, joined in order."""
     rng = random.Random(3)
     k, coords = 0, []
     for _ in range(30):
         coords.append((k, 2 * k))
         k += rng.randrange(1, 1 << 14)
-    ps = PointSet.from_coords(coords)
-    t = Tree(30, [(i, i + 1) for i in range(29)])
+    return PointSet.from_coords(coords), Tree(30, [(i, i + 1)
+                                                   for i in range(29)])
+
+
+def test_chain_tie_builds_each_exact_length_once(monkeypatch):
+    # every pair of a collinear chain ties at 1, so the exact fallback
+    # reads all 435 pairs; each |uv| is built once and each tree sum
+    # extends its parent's
+    ps, t = long_chain()
     calls = []
     sqrt_of = SqrtSum.__dict__["sqrt_of"].__func__
     monkeypatch.setattr(SqrtSum, "sqrt_of", classmethod(
@@ -1186,3 +1191,170 @@ def test_chain_tie_builds_each_exact_length_once(monkeypatch):
     assert (rep.tied, rep.witness, rep.precision_used) == (True, (0, 1), 272)
     assert rep.value.contains(1)
     assert len(calls) <= 29 + 435
+
+
+# ---------------------------------------------------------------------------
+# straight paths: a reference copy of the exact side without the
+# straight-path test, and the inputs where the two may differ
+
+
+def reference_tree_exact(ps, tree):
+    rows = {}
+
+    def exact(u, v):
+        row = rows.setdefault(u, {u: SqrtSum.zero()})
+        par, walk, x = tree.parents_from(u), [], v
+        while x not in row:
+            walk.append(x)
+            x = par[x]
+        for y in reversed(walk):
+            row[y] = row[x] + ps.exact_dist(x, y)
+            x = y
+        return row[v], ps.exact_dist(u, v)
+
+    return exact
+
+
+def reference_ratio_sign(a, b):
+    (da, la), (db, lb) = a, b
+    return (da * lb - db * la).sign()
+
+
+def reference_max_dilation(ps, sums, exact, bits):
+    """`_max_dilation` as it ran before ties of ratio 1 skipped rungs:
+    every rung is computed and every exact comparison is a product."""
+    if bits < 1:
+        raise ValueError("bits must be positive")
+    cap = dilation.max_bits_cap()
+    work = max(bits + 4, 64)
+    enc = _pair_ratios(ps, sums, itertools.combinations(range(ps.n), 2), work)
+    tied = False
+    while True:
+        lo = max(e[0] for e in enc.values())
+        survivors = {pq: e for pq, e in enc.items() if e[1] >= lo}
+        hi = max(e[1] for e in survivors.values())
+        if len(survivors) == 1:
+            break
+        cause = None
+        if (hi - lo) << (bits - 1) <= hi \
+                and work >= dilation._EXACT_FALLBACK_BITS:
+            order = sorted(survivors)
+            best = [order[0]]
+            try:
+                top = exact(*order[0])
+                for pq in order[1:]:
+                    cand = exact(*pq)
+                    sign = reference_ratio_sign(cand, top)
+                    if sign > 0:
+                        best, top = [pq], cand
+                    elif sign == 0:
+                        best.append(pq)
+            except PrecisionExhausted as exc:
+                cause = exc
+            else:
+                tied = len(best) > 1
+                survivors = best
+                break
+        if work >= cap:
+            pairs = sorted(survivors)
+            raise PrecisionExhausted(
+                f"dilation witnesses unresolved at {cap} bits among "
+                f"{len(pairs)} pairs, first {str(pairs[:4])[1:-1]}",
+                bits=cap, context=pairs) from cause
+        work = min(2 * work, cap)
+        enc = _pair_ratios(ps, sums, survivors, work)
+    return DilationReport(value=dilation._dyadic(lo, hi, work + 4, bits),
+                          witness=min(survivors), precision_used=work,
+                          tied=tied)
+
+
+def reference_tree_dilation(ps, tree, bits):
+    return reference_max_dilation(ps, partial(root_sums, ps,
+                                              tree.adjacency()),
+                                  reference_tree_exact(ps, tree), bits)
+
+
+def dilation_outcome(run, coords, tree, bits):
+    """The report's repr, or the exception's message, bits and context,
+    on a fresh point set."""
+    try:
+        return repr(run(PointSet.from_coords(coords), tree, bits))
+    except PrecisionExhausted as exc:
+        return str(exc), exc.bits, exc.context
+
+
+def straight_tie_cases():
+    """(coords, tree) on collinear and lattice points, where some or all
+    tree paths are straight."""
+    rng = random.Random(29)
+    for n, (dx, dy) in zip((3, 4, 6, 8, 11),
+                           [(1, 0), (1, 2), (3, -1), (0, 1), (2, 5)]):
+        ks = rng.sample(range(-60, 60), n)
+        line = [(Fraction(k * dx, 3), k * dy) for k in ks]
+        # collinear points, random trees
+        for _ in range(2):
+            yield line, random_tree(rng, n)
+        # a sorted path under shuffled labels
+        order = sorted(range(n), key=ks.__getitem__)
+        yield line, Tree(n, list(zip(order, order[1:])))
+        # one point off the line, next to it or far out
+        for off in (Fraction(1, 3), 40):
+            yield line + [(line[0][0] + off, line[0][1])], \
+                random_tree(rng, n + 1)
+    lattice = [(3 * x, 3 * y) for x in range(4) for y in range(4)]
+    for _ in range(6):
+        yield lattice, random_tree(rng, 16)
+
+
+@pytest.mark.parametrize("cap", [64, 128, 200, 256, None])
+def test_straight_paths_keep_every_report_and_exception(cap, monkeypatch):
+    # the straight-path test and the rungs it skips change neither a
+    # report nor a PrecisionExhausted; caps below 256 raise on the ties,
+    # and at 200 the skip stops at the cap
+    if cap is None:
+        monkeypatch.delenv("DILATREE_MAX_BITS", raising=False)
+    else:
+        monkeypatch.setenv("DILATREE_MAX_BITS", str(cap))
+    kinds = set()
+    for coords, tree in straight_tie_cases():
+        for bits in (1, 64, 100):
+            got = dilation_outcome(tree_dilation, coords, tree, bits)
+            assert got == dilation_outcome(reference_tree_dilation, coords,
+                                           tree, bits)
+            kinds.add(type(got))
+    assert kinds == ({str} if cap is None or cap >= 256 else {str, tuple})
+
+
+def test_chain_tie_skips_the_products_and_the_middle_rung(monkeypatch):
+    # every pair of the chain is straight: no SqrtSum product, and from 72
+    # bits straight to 276, the first table of the exact fallback
+    ps, t = long_chain()
+    expect = reference_tree_dilation(PointSet(ps.points), t, 64)
+    products = []
+    mul = SqrtSum.__mul__
+    monkeypatch.setattr(SqrtSum, "__mul__", lambda a, b: products.append(1)
+                        or mul(a, b))
+    assert tree_dilation(ps, t, 64) == expect
+    assert (expect.tied, expect.witness, expect.precision_used) \
+        == (True, (0, 1), 272)
+    assert products == []
+    assert sorted(ps._tables) == [72, 276]
+
+
+def test_star_on_a_line_keeps_its_back_tracking_pairs():
+    # centred mid-chain, a star's pairs on opposite sides are straight and
+    # those on one side double back, above 1: they decide the maximum
+    ps, _ = long_chain()
+    star = Tree(30, [(15, v) for v in range(30) if v != 15])
+    rep = tree_dilation(ps, star, 64)
+    assert rep == reference_tree_dilation(PointSet(ps.points), star, 64)
+    assert rep.value.lo > 1 and not rep.tied
+    exact = tree_exact(ps, star)
+    d, length = exact(*rep.witness)
+    assert d is not length
+    assert all(d is length for d, length in (exact(u, v) for u in range(15)
+                                             for v in range(16, 30)))
+    # a straight pair against a back-tracking one is still a product
+    bent, line, other = exact(*rep.witness), exact(0, 29), exact(3, 20)
+    assert (dilation._ratio_sign(line, bent), dilation._ratio_sign(bent, line),
+            dilation._ratio_sign(line, other)) == (-1, 1, 0)

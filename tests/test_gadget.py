@@ -521,7 +521,9 @@ def test_decide_certifies_only_unscreened_trees(alphas, certified,
 
 def test_decide_slot_search_work_pin(monkeypatch):
     # one cut per node of the slot search, and one Dijkstra per cut; the
-    # 4^7 family trees of each attachment would take 16,384 cuts one by one
+    # 4^7 family trees of each attachment would take 16,384 cuts one by one.
+    # The 62 roots of attachments other than q1 are cut instead by one
+    # Dijkstra from q1 that they share: 585 nodes, 523 cuts
     cuts, dijkstras = [], []
 
     def counted_cut(*args):
@@ -535,10 +537,86 @@ def test_decide_slot_search_work_pin(monkeypatch):
     cut, sums = gadget._separator_exceeds, dilation._shortest_sums
     monkeypatch.setattr(gadget, "_separator_exceeds", counted_cut)
     monkeypatch.setattr(dilation, "_shortest_sums", counted_sums)
+    monkeypatch.setattr(gadget, "_shortest_sums", counted_sums)
     ii = integerize(build_gadget(PartitionInstance((1, 1, 1, 1, 1, 1, 5))))
     assert decide_partition(ii) is None
-    assert len(cuts) == 585
-    assert len(dijkstras) == 585
+    assert len(cuts) == 523
+    assert len(dijkstras) == 524
+
+
+@pytest.mark.parametrize("alphas", [(1,), (1, 1), (2, 3, 5), (1, 2, 4)])
+def test_hanging_root_cut_is_the_separator_cut_of_its_pair(alphas,
+                                                         monkeypatch):
+    # at every attachment, at the threshold where the pair's sum ties its
+    # bound and one unit below, the shared q1 sums give the verdict of a
+    # Dijkstra from q2 on the whole root graph; decide_partition hands in
+    # those sums
+    g = build_gadget(PartitionInstance(alphas))
+    hanging, seen = gadget._hanging_root_exceeds, []
+    monkeypatch.setattr(gadget, "_hanging_root_exceeds",
+                        lambda lay, sums, *args: seen.append(sums)
+                        or hanging(lay, sums, *args))
+    for inst in (g, integerize(g)):
+        pts, total = inst.points, 8 * g.n + 8
+        fixed, choices = gadget._family_skeleton(inst)
+        options = [e for slots in choices for slot in slots for e in slot]
+        from_q1 = dilation._shortest_sums(
+            pts, dilation._graph_adjacency(total, fixed + options), g.q1,
+            64, 0)
+        for attach in range(2, total):
+            far = g.mirror(g.p2) if attach <= 4 * g.n + 4 else g.p2
+            edges = fixed + options + [(g.q2, attach)]
+            adj = dilation._graph_adjacency(total, edges)
+            bound = pts.dist_ints(g.q2, far, 64)[1]
+            sum_lo = dilation._shortest_sums(pts, adj, g.q2, 64, 0)[far]
+            for p_num in (sum_lo, sum_lo - 1):
+                assert hanging(inst, from_q1, attach, p_num, bound) \
+                    == gadget._separator_exceeds(pts, edges, p_num, bound,
+                                                 [(g.q2, g.q2, far)]) \
+                    == (p_num < sum_lo)
+        seen.clear()
+        found = decide_partition(inst)
+        assert len(seen) == (0 if found else total - 2)
+        assert all(sums == from_q1 for sums in seen)
+
+
+@pytest.mark.parametrize("alphas", [
+    (1,), (1, 1), (2, 3, 5), (1, 2, 4), (1, 1, 1, 2), (3, 5, 2, 4, 6),
+    (1, 1, 1, 1, 1, 1, 5),
+])
+def test_shared_root_cut_keeps_the_slot_search(alphas, monkeypatch):
+    # with the shared q1 sums hidden, every root gets its full cut, as
+    # before they were shared; the split, the tree and every other cut
+    # are the same, and the roots cut early are exactly those of
+    # attachments other than q1 whose full cut certifies
+    cut = gadget._separator_exceeds
+
+    def run(inst, shared):
+        calls = []
+
+        def counted(pts, edges, p, q, triples):
+            got = cut(pts, edges, p, q, triples)
+            calls.append((len(edges), triples[0][0], got))
+            return got
+
+        monkeypatch.setattr(gadget, "_separator_exceeds", counted)
+        if not shared:
+            monkeypatch.setattr(gadget, "_shortest_sums",
+                                lambda ps, adj, *args: [None] * len(adj))
+        got = decide_partition(inst)
+        monkeypatch.undo()
+        return (got and (got[0], got[1].edges)), calls
+
+    g = build_gadget(PartitionInstance(alphas))
+    fixed, choices = gadget._family_skeleton(g)
+    root = len(fixed) + 1 + 4 * g.n
+    for inst in (g, integerize(g)):
+        got, calls = run(inst, True)
+        expect, full = run(inst, False)
+        assert got == expect
+        early = (root, g.q2, True)
+        assert calls == [c for c in full if c != early]
+        assert (early in full) == (got is None)
 
 
 @pytest.mark.parametrize("alphas", [
