@@ -15,9 +15,11 @@ pair lies above the incumbent; a complete table is read row by row.
 Spanning-tree search runs branch-and-bound over edges sorted by length,
 including before excluding, so its first complete tree is the greedy
 shortest-first one.  It has two cuts: each include is one join, which
-dies against the incumbent, and each exclude asks `graph_exceeds`
-whether every spanning tree of the chosen and remaining edges is
-certifiably above it, or whether they no longer connect.  The
+dies against the incumbent, and each exclude asks `_exclude_cut` whether
+every spanning tree of the chosen and remaining edges is certifiably
+above it, or whether they no longer connect.  Those edges are one n x n
+matrix of lower lengths that an exclude clears an entry of and
+backtracking restores, so the cut is one array Dijkstra over it.  The
 independent oracle builds every labeled tree by parent picks that share
 their joins; a tree it does not offer lies below a refused join.
 Hamiltonian paths and tours run a depth-first search over ordering
@@ -40,9 +42,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .dilation import (DilationReport, PointSet, Tree, crossing_edge_pairs,
-                       graph_exceeds, tree_dilation, tree_exact,
-                       tree_has_crossing, _critical_scan, _max_dilation,
-                       _ratio_sign)
+                       tree_dilation, tree_exact, tree_has_crossing,
+                       _critical_scan, _max_dilation, _ratio_sign)
 from .errors import Infeasible, NotApplicable, NotCrossing, SizeTooLarge
 from .exactgeom import Orientation, orientation
 from .radical import SqrtSum
@@ -174,9 +175,13 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
     current path joins its ends, so a complete tree goes to the screen
     straight from the table.  After each exclude of an edge uv, every
     completion is a spanning tree of G, the chosen edges plus the later
-    candidates, and the node is cut when `graph_exceeds` shows, by one
+    candidates, and the node is cut when `_exclude_cut` shows, by one
     Dijkstra over G from u, that G is disconnected or that some u-t
     shortest path in G already exceeds the current incumbent times |ut|.
+    Along a search path G only loses edges, so G is one matrix `live` of
+    the screen's lower 32-bit lengths: an exclude clears its edge's
+    entries, and the search frame that cleared them restores them when it
+    returns, cut or not.
     Path and tour mode search orderings (see `_order_search`).  In every
     mode, `max_points` bounds the input and `enumeration_cap` the
     complete trees, or complete feasible orderings, that are examined,
@@ -201,9 +206,17 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
     if crossing:
         raise Infeasible("required edges {} and {} cross".format(*crossing[0]))
 
+    # by squared numerator distance: every `ps.distance_sq` shares the
+    # denominator den ** 2, so the order is that of the lengths
     cands = sorted((e for e in itertools.combinations(range(n), 2)
                     if e not in set(required)),
-                   key=lambda e: (ps.distance_sq(*e), e))
+                   key=lambda e: (ps._d2_num(*e), e))
+    # live[x][y]: the lower length of edge xy, None on the diagonal and
+    # once an exclude on the current search path has removed the edge
+    lens = screen.lens
+    live = [[lo for lo, _ in row] for row in lens]
+    for x in range(n):
+        live[x][x] = None
     cuts = 0
 
     def dfs(idx, comp, chosen):
@@ -215,6 +228,7 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
         if len(chosen) == n - 1:
             screen.offer(tuple(chosen), screen.row)
             return
+        cleared = []
         for idx in range(idx, len(cands)):
             e = cands[idx]
             u, v = e
@@ -230,16 +244,53 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
                 else:
                     cuts += 1
             # exclude branch: every completion is a spanning tree of the
-            # chosen and later edges; before the first leaf the bound is
-            # 1/0, under which no pair exceeds, so only a disconnection cuts
-            if graph_exceeds(ps, chosen + cands[idx + 1:], *screen.bound,
-                             [(u, t) for t in range(n) if t != u]):
+            # chosen and later edges, the live ones
+            live[u][v] = live[v][u] = None
+            cleared.append(e)
+            if _exclude_cut(screen, live, u):
                 cuts += 1
-                return
+                break
+        for u, v in cleared:
+            live[u][v] = live[v][u] = lens[u][v][0]
 
     dfs(0, comp, list(required))
     return _result(screen.survivors(), partial(_certify_tree, ps, opts.bits),
                    screen.count, cuts)
+
+
+def _exclude_cut(screen, live, u):
+    """Whether every spanning tree of the graph `live` is certifiably
+    above the screen's incumbent, or the graph holds no spanning tree.
+
+    `live[x][y]` is the lower enclosure of |xy| from `screen.lens` for an
+    edge of the graph and None otherwise.  A tree inside the graph joins u
+    and t by a path of it, at least as long as the shortest-path sum D(t)
+    of lower lengths.  One array Dijkstra from u settles the vertices in
+    order of D and returns True at the first t with D(t) > limit[u][t],
+    that is Q D(t) > P hi(u, t) for the incumbent P/Q, and also when some
+    vertex stays unreached.  Before the first bound only a disconnection
+    cuts.  False only means "not shown".
+    """
+    limit = screen.limit()
+    dist = live[u][:]
+    rest = [t for t in range(len(live)) if t != u]
+    while rest:
+        x = None
+        for t in rest:
+            if dist[t] is not None and (x is None or dist[t] < dist[x]):
+                x = t
+        if x is None:
+            return True
+        d = dist[x]
+        if limit is not None and d > limit[u][x]:
+            return True
+        rest.remove(x)
+        row = live[x]
+        for t in rest:
+            w = row[t]
+            if w is not None and (dist[t] is None or d + w < dist[t]):
+                dist[t] = d + w
+    return False
 
 
 class _RunningScreen:
@@ -455,9 +506,16 @@ def _order_metric(ps, order, closed):
     the order, and `exact(u, v)` from one list of exact prefix sums of
     `ps.exact_dist` along it, built on first use.  An arc is a prefix
     difference, and a tour's other arc is the total minus that arc.
+
+    When an arc between u and v is straight, every step s of it running
+    along v - u, cross(s, v - u) = 0 and dot(s, v - u) > 0 on the integer
+    numerators, its length is exactly |uv|, and on a tour it is the
+    shorter arc.  `exact` then returns |uv| twice, the same object, with
+    no sum built, as `tree_exact` does for a straight tree path.
     """
     prefixes = {}          # bits -> (total, prefix sum at each vertex)
     exact_prefix = []      # exact prefix sum at each position, then total
+    xy, size = ps._xy, len(order)
 
     def sums(u, bits):
         if bits not in prefixes:
@@ -478,18 +536,34 @@ def _order_metric(ps, order, closed):
             row = [(min(lo, tlo - lo), min(hi, thi - hi)) for lo, hi in row]
         return row
 
+    def straight(i, j):
+        """Whether the arc from position i forward to position j, round
+        the end on a tour, runs straight from order[i] to order[j]."""
+        (ax, ay), (bx, by) = xy[order[i]], xy[order[j]]
+        wx, wy = bx - ax, by - ay
+        while i != j:
+            (px, py), i = xy[order[i]], (i + 1) % size
+            (qx, qy) = xy[order[i]]
+            sx, sy = qx - px, qy - py
+            if sx * wy != sy * wx or sx * wx + sy * wy <= 0:
+                return False
+        return True
+
     def exact(u, v):
+        i, j = sorted((order.index(u), order.index(v)))
+        length = ps.exact_dist(u, v)
+        if straight(i, j) or closed and straight(j, i):
+            return length, length
         if not exact_prefix:
             exact_prefix.extend(itertools.accumulate(
                 (ps.exact_dist(a, b) for a, b in _steps(order, closed)),
                 initial=SqrtSum.zero()))
-        i, j = sorted((order.index(u), order.index(v)))
         d = exact_prefix[j] - exact_prefix[i]
         if closed:
             other = exact_prefix[-1] - d
             if (other - d).sign() < 0:
                 d = other
-        return d, ps.exact_dist(u, v)
+        return d, length
 
     return sums, exact
 

@@ -14,9 +14,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from dilatree import solver
 from dilatree.dilation import (PointSet, Tree, crossing_edge_pairs,
-                               graph_dilation_bounds, tree_dilation,
-                               tree_exact, tree_has_crossing)
+                               graph_dilation_bounds, graph_exceeds,
+                               tree_dilation, tree_exact, tree_has_crossing)
 from dilatree.errors import (Infeasible, NotApplicable, NotCrossing,
                              PrecisionExhausted, SizeTooLarge)
 from dilatree.solver import (Mode, SolverOptions, SolverResult,
@@ -427,6 +428,63 @@ def test_mdst_tree_mode_pinned(pin):
     assert res.report.value.hi == Fraction(hi_num, 1 << hi_exp)
 
 
+def test_exclude_cut_matches_graph_exceeds_node_by_node(monkeypatch):
+    # every cut decision on the live matrix, at 32 bits, is the decision of
+    # graph_exceeds at 64 bits on the live edges and the same incumbent
+    cut = solver._exclude_cut
+    seen, wrong = [], []
+    ps = None
+
+    def checked(screen, live, u):
+        got = cut(screen, live, u)
+        n = len(live)
+        edges = [(x, y) for x, y in itertools.combinations(range(n), 2)
+                 if live[x][y] is not None]
+        want = graph_exceeds(ps, edges, *screen.bound,
+                             [(u, t) for t in range(n) if t != u])
+        seen.append(got)
+        if got != want:
+            wrong.append((ps.points, edges, screen.bound, u))
+        return got
+
+    monkeypatch.setattr(solver, "_exclude_cut", checked)
+    rng = random.Random(3030)
+    kinds = ["plain", "offset", "tiny", "crossing_free", "required"]
+    for k in range(200):
+        n, kind = rng.randint(5, 9), kinds[k % len(kinds)]
+        coords = random_distinct_points(rng, n, hi=1 << rng.randint(2, 40))
+        if kind == "offset":
+            coords = [(x + (1 << 54), y + (1 << 54)) for x, y in coords]
+        elif kind == "tiny":
+            coords = [(Fraction(x, 1 << 100), Fraction(y, 1 << 100))
+                      for x, y in coords]
+        ps = PointSet.from_coords(coords)
+        try:
+            mdst_exact(ps, SolverOptions(
+                crossing_free=kind == "crossing_free",
+                required_edges=frozenset(
+                    {(0, n - 1)} if kind == "required" else ())))
+        except Infeasible:
+            pass
+    assert wrong == []
+    assert len(seen) > 10000 and 0 < sum(seen) < len(seen)
+
+
+def test_tree_mode_takes_no_64_bit_enclosure(monkeypatch):
+    # the cuts read the screen's 32-bit table; certification at 68 bits
+    # reads the table of its grid, 2^-72
+    calls = []
+    dist_ints = PointSet.dist_ints
+    monkeypatch.setattr(PointSet, "dist_ints", lambda ps, i, j, bits: (
+        calls.append(bits) or dist_ints(ps, i, j, bits)))
+    for coords, off, crossing_free, required, *_ in TREE_PINS:
+        ps = PointSet.from_coords([(x + off, y + off) for x, y in coords])
+        mdst_exact(ps, SolverOptions(crossing_free=crossing_free,
+                                     required_edges=frozenset(required)))
+    assert 64 not in calls
+    assert sorted(set(calls)) == [32, 72]
+
+
 @pytest.mark.parametrize("coords", [RANDOM8A, RANDOM8B], ids=["8a", "8b"])
 def test_mdst_matches_oracle_on_eight_points(coords):
     for off in (0, 1 << 54, 1 << 60):
@@ -748,6 +806,44 @@ def test_order_exact_matches_independent_arc_sums(offset):
                 d, length = exact(u, v)
                 assert d == arc
                 assert length == SqrtSum.sqrt_of(ps.distance_sq(u, v))
+
+
+def test_order_exact_returns_a_straight_arc_as_one_object():
+    # points on one line, with two off it: an arc is straight exactly when
+    # its length is |uv|, and then `exact` returns |uv| twice, one object;
+    # on a tour either arc may be the straight one
+    line = [(k, 2 * k) for k in (0, 1, 3, 4, 9, 13)]
+    rng = random.Random(414)
+    for coords in (line, line + [(5, 3), (2, 11)]):
+        ps, n = PointSet.from_coords(coords), len(coords)
+        for _ in range(20):
+            order = tuple(rng.sample(range(n), n))
+            for closed in (False, True):
+                _, exact = _order_metric(ps, order, closed)
+                for u, v in itertools.combinations(range(n), 2):
+                    i, j = sorted((order.index(u), order.index(v)))
+                    arcs = [_exact_walk(ps, order[i:j + 1])]
+                    if closed:
+                        arcs.append(_exact_walk(ps, order[j:] + order[:i + 1]))
+                    d, length = exact(u, v)
+                    assert (d is length) == (length in arcs)
+                    assert d == (arcs[1] if closed and (
+                        arcs[1] - arcs[0]).sign() < 0 else arcs[0])
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_collinear_certification_takes_no_products(mode, monkeypatch):
+    # every pair of the best structure is straight, so its exact ties are
+    # settled with no SqrtSum product in every mode
+    products = []
+    mul = SqrtSum.__mul__
+    monkeypatch.setattr(SqrtSum, "__mul__", lambda a, b: products.append(1)
+                        or mul(a, b))
+    ps = PointSet.from_coords([(k, 2 * k) for k in (0, 1, 3, 4, 9, 13, 20)])
+    res = mdst_exact(ps, SolverOptions(mode=mode))
+    assert (res.report.precision_used, res.report.tied,
+            res.report.witness) == (272, True, (0, 1))
+    assert products == []
 
 
 def _orderings(n, closed):
