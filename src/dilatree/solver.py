@@ -270,6 +270,13 @@ def _exclude_cut(screen, live, u):
     that is Q D(t) > P hi(u, t) for the incumbent P/Q, and also when some
     vertex stays unreached.  Before the first bound only a disconnection
     cuts.  False only means "not shown".
+
+    The 32-bit lower lengths are never above `graph_exceeds`'s 64-bit ones
+    and the 32-bit hi(u, t) never below, so a cut here implies a cut
+    there; the converse can fail when D(t)/|ut| lies above P/Q by less
+    than the 32-bit slack.  The two decided alike on every node of the
+    fixed-seed sets of `tests/test_solver.py`, which is observed, not
+    proven.
     """
     limit = screen.limit()
     dist = live[u][:]
@@ -506,16 +513,9 @@ def _order_metric(ps, order, closed):
     the order, and `exact(u, v)` from one list of exact prefix sums of
     `ps.exact_dist` along it, built on first use.  An arc is a prefix
     difference, and a tour's other arc is the total minus that arc.
-
-    When an arc between u and v is straight, every step s of it running
-    along v - u, cross(s, v - u) = 0 and dot(s, v - u) > 0 on the integer
-    numerators, its length is exactly |uv|, and on a tour it is the
-    shorter arc.  `exact` then returns |uv| twice, the same object, with
-    no sum built, as `tree_exact` does for a straight tree path.
     """
     prefixes = {}          # bits -> (total, prefix sum at each vertex)
     exact_prefix = []      # exact prefix sum at each position, then total
-    xy, size = ps._xy, len(order)
 
     def sums(u, bits):
         if bits not in prefixes:
@@ -536,34 +536,18 @@ def _order_metric(ps, order, closed):
             row = [(min(lo, tlo - lo), min(hi, thi - hi)) for lo, hi in row]
         return row
 
-    def straight(i, j):
-        """Whether the arc from position i forward to position j, round
-        the end on a tour, runs straight from order[i] to order[j]."""
-        (ax, ay), (bx, by) = xy[order[i]], xy[order[j]]
-        wx, wy = bx - ax, by - ay
-        while i != j:
-            (px, py), i = xy[order[i]], (i + 1) % size
-            (qx, qy) = xy[order[i]]
-            sx, sy = qx - px, qy - py
-            if sx * wy != sy * wx or sx * wx + sy * wy <= 0:
-                return False
-        return True
-
     def exact(u, v):
-        i, j = sorted((order.index(u), order.index(v)))
-        length = ps.exact_dist(u, v)
-        if straight(i, j) or closed and straight(j, i):
-            return length, length
         if not exact_prefix:
             exact_prefix.extend(itertools.accumulate(
                 (ps.exact_dist(a, b) for a, b in _steps(order, closed)),
                 initial=SqrtSum.zero()))
+        i, j = sorted((order.index(u), order.index(v)))
         d = exact_prefix[j] - exact_prefix[i]
         if closed:
             other = exact_prefix[-1] - d
             if (other - d).sign() < 0:
                 d = other
-        return d, length
+        return d, ps.exact_dist(u, v)
 
     return sums, exact
 
