@@ -32,9 +32,9 @@ from .exactgeom import (
 )
 from .gadget import (
     Gadget, IntegerInstance, LemmaCheck, LemmaReport, PartitionInstance,
-    PartitionSolution, auxiliary_dstar, build_gadget, decide_partition,
-    dstar_gap, integerize, partition_oracle, rounding_bits, standard_tree,
-    symbolic_pair_ratio, symbolic_path_length, verify_gadget,
+    PartitionSolution, build_gadget, decide_partition, integerize,
+    partition_oracle, rounding_bits, standard_tree, symbolic_pair_ratio,
+    symbolic_path_length, verify_gadget,
 )
 from .radical import SqrtSum
 from .solver import (
@@ -54,10 +54,10 @@ __all__ = [
     "Interval", "Orientation", "Point", "Segment", "orientation", "pt",
     "segments_properly_cross", "sqrt_interval", "squared_distance",
     "Gadget", "IntegerInstance", "LemmaCheck", "LemmaReport",
-    "PartitionInstance", "PartitionSolution", "auxiliary_dstar",
-    "build_gadget", "decide_partition", "dstar_gap", "integerize",
-    "partition_oracle", "rounding_bits", "standard_tree",
-    "symbolic_pair_ratio", "symbolic_path_length", "verify_gadget",
+    "PartitionInstance", "PartitionSolution", "build_gadget",
+    "decide_partition", "integerize", "partition_oracle", "rounding_bits",
+    "standard_tree", "symbolic_pair_ratio", "symbolic_path_length",
+    "verify_gadget",
     "SqrtSum",
     "Mode", "SolverOptions", "SolverResult", "exhaustive_mdst", "mdst_exact",
     "uncross_four", "verify_crossing_witness", "witness_search_five",

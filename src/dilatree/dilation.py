@@ -29,21 +29,45 @@ which every scan fetches once and reads row by row in place;
 `root_sums`, sums the table's entries along every path from a root in a
 whole tree.  The max over pairs compares ratio numerators on one dyadic
 grid; only its report builds `Fraction`s.  No scan encloses every
-pair.  Before a pair's |uv| is enclosed, an exact integer test on its
-squared numerator distance tries to settle it: the max over pairs drops
-a pair whose ratio is certainly below one already seen,
-`compare_to_threshold` one whose ratio is certainly within P/Q, and
-`critical_edges` settles a detour u-w-v against (P/Q)|uv| from the
-three squared distances alone.  A square root is taken only where those
-tests cannot settle the pair or triple.
-The exact side mirrors this: `PointSet.exact_dist` builds each pair's
-`SqrtSum` once, and `tree_exact` sums them along tree paths, memoised per
-root, for every exact fallback.  A ratio is at least 1, and exactly 1
-when the tree path is a straight segment, which integer cross and dot
-products on the coordinates decide: `tree_exact` hands such a pair back
-as |uv| twice, one object, `_ratio_sign` ties two of them with no
-arithmetic, and the max over pairs skips the rungs below 256 bits when
-every survivor is one, since none of them can drop it.
+pair.  The exact side mirrors this: `PointSet.exact_dist` builds each
+pair's `SqrtSum` once, and `tree_exact` sums them along tree paths,
+memoised per root, for every exact fallback.
+
+Skip tests.  Before a pair's |uv| is enclosed, an exact integer test on
+its squared numerator distance d2 tries to settle it, and a square root
+is taken only where the test cannot.  At b bits `dist_ints` gives
+llo > L (1 - 2^(1-b)) for the numerator distance L, L^2 = d2 * 2^(2b+16),
+and (1 - 2^(1-b))^2 > 1 - 2^(2-b); so for integers A, B >= 0,
+A^2 * 2^(b-2) <= B^2 * d2 * 2^(2b+16) * (2^(b-2) - 1) implies A <= B llo.
+- The max over pairs (`_pair_ratios`, b = f) takes A = dhi * 2^f and
+  B = best - 1: the pair's hi is then at most best - 1, below a lo
+  already seen.
+- `compare_to_threshold` (b = 64) takes A = Q dhi and B = P: the pair is
+  certainly within P/Q.
+- `_critical_scan` settles a detour u-w-v against (d/l)|uv|, for bounds
+  dlo <= d <= dhi and llo <= l <= lhi, from the three squared distances.
+  2 (|uw|^2 + |wv|^2) lhi^2 <= dlo^2 |uv|^2 means a short enough detour,
+  since |uw| + |wv| <= sqrt(2 (|uw|^2 + |wv|^2)) by QM-AM; and
+  4 llo^2 max(|uw|^2, |wv|^2) > (llo + dhi)^2 |uv|^2 means the detour
+  exceeds, since the triangle inequality gives |uw| + |wv| >=
+  2 max(|uw|, |wv|) - |uv|, and that is above (d/l)|uv|.
+
+Straight paths.  A ratio is at least 1, and exactly 1 when the tree path
+is a straight segment.  The path u..p..y, p the parent of y in the tree
+rooted at u, is straight when p is u, or when u..p is straight and y
+continues p - u in its direction: cross(p - u, y - p) = 0 and
+dot(p - u, y - p) > 0.  That is exactly the condition that p lies on the
+segment uy, so that |up| + |py| = |uy|; every other path is strictly
+longer than |uy|.  `tree_exact` hands a straight pair back as |uv|
+twice, one object, and `_ratio_sign` ties two such pairs with no
+arithmetic.  The max over pairs skips its rungs below
+`_EXACT_FALLBACK_BITS` and below the cap when every survivor is
+straight.  That cannot change its report: a ratio of exactly 1 has
+lo <= 2^(work+4) <= hi on every grid and no ratio is below 1, so every
+such pair stays a survivor at every rung, no rung below the fallback
+leaves one survivor, stalls into the exact comparison or reaches the
+cap, and the next rung to do any of these is computed on the same
+survivors.
 """
 
 from __future__ import annotations
@@ -380,15 +404,11 @@ def _pair_ratios(ps, sums, pairs, bits):
     dhi/llo on the grid, the shared unit of the enclosures cancelling.
 
     A pair whose |uv| is not enclosed yet is left out, with no square
-    root taken, when its hi is certainly below `best`, the largest lo of
-    the pairs before it.  Such a pair can neither raise the maximum of
-    lo nor reach it, so `_max_dilation` keeps exactly the survivors, the
-    maximum and the witness it would keep with the pair in.  The test is
-    exact: `dist_ints` gives llo > L (1 - 2^(1-f)) for the numerator
-    distance L, with L^2 = d2 * 2^(2f+16), so dhi^2 * 2^(f-2) <=
-    (best-1)^2 * d2 * 2^16 * (2^(f-2) - 1) implies dhi * 2^f <=
-    (best-1) * llo, hence hi <= best - 1.  Every pair is kept until some
-    lo is positive."""
+    root taken, when the module's skip test puts its hi below `best`, the
+    largest lo of the pairs before it.  Such a pair can neither raise the
+    maximum of lo nor reach it, so `_max_dilation` keeps exactly the
+    survivors, the maximum and the witness it would keep with the pair
+    in.  Every pair is kept until some lo is positive."""
     f = bits + 4
     tab, d2_num = ps.table(f), ps._d2_num
     margin = ((1 << (f - 2)) - 1) << 16
@@ -422,14 +442,10 @@ def tree_exact(ps: PointSet, tree: Tree):
     pair walks up `tree.parents_from(u)` only to the nearest vertex with a
     known sum, so once its parent's sum is known it costs one addition.
 
-    A pair whose tree path is a straight segment has d_T(u, v) = |uv|, and
-    `exact` returns |uv| twice, the same object, with no path sum built.
-    Straightness is memoised per root too, by integer tests on the
-    numerators: the path u..p..y, p the parent of y, is straight when p is
-    u, or when u..p is straight and y continues p - u in its direction,
-    cross(p - u, y - p) = 0 and dot(p - u, y - p) > 0.  That is exactly
-    the condition that p lies on the segment uy, so that |up| + |py| =
-    |uy|; every other path is strictly longer than |uv|."""
+    A pair whose tree path is straight has d_T(u, v) = |uv|, and `exact`
+    returns |uv| twice, the same object, with no path sum built.
+    Straightness is memoised per root too, by the module's integer test
+    on the numerators (see "Straight paths")."""
     rows, lines, xy = {}, {}, ps._xy
 
     def exact(u, v):
@@ -462,11 +478,9 @@ def tree_exact(ps: PointSet, tree: Tree):
 
 
 def _ratio_sign(a, b) -> int:
-    """Certified sign of d_a/l_a - d_b/l_b for exact pairs (d, l).
-
-    A pair whose two sides are one object has ratio exactly 1, whatever
-    made it, so two such pairs give 0 with no arithmetic; `tree_exact`
-    returns a straight pair that way."""
+    """Certified sign of d_a/l_a - d_b/l_b for exact pairs (d, l); two
+    pairs that each have one object on both sides, ratio exactly 1, give
+    0 with no arithmetic."""
     (da, la), (db, lb) = a, b
     if da is la and db is lb:
         return 0
@@ -487,13 +501,9 @@ def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int,
     P/Q settles the whole tree immediately.
 
     A pair whose |uv| is not enclosed yet is left out, with no square
-    root taken, when Q dhi <= P llo is certain from its squared distance
-    d2 alone: such a pair is neither above P/Q nor undecided, so the
-    verdict and the pairs sent to the exact sign are those of the full
-    scan.  The test is exact: `dist_ints` gives llo > L (1 - 2^-63) for
-    the numerator distance L in the table's unit, L^2 = d2 * 2^144, and
-    1 - 2^-62 < (1 - 2^-63)^2, so (Q dhi)^2 * 2^62 <= P^2 * d2 * 2^144 *
-    (2^62 - 1) implies Q dhi <= P llo.
+    root taken, when the module's skip test shows Q dhi <= P llo: such a
+    pair is neither above P/Q nor undecided, so the verdict and the pairs
+    sent to the exact sign are those of the full scan.
     """
     if q_den < 1 or p_num < q_den:
         raise ValueError("threshold must satisfy P/Q >= 1 with Q >= 1")
@@ -561,20 +571,13 @@ def _max_dilation(ps: PointSet, sums, exact, bits: int) -> DilationReport:
     `tree_exact` does.  The maximum is located by refining only the pairs
     whose enclosures still overlap the running lower bound.  When the
     final survivors cannot be separated numerically they are compared
-    symbolically; genuinely equal maxima are reported with `tied` set and
-    the lexicographically smallest witness.  `PrecisionExhausted` at the
-    cap names the surviving pairs, all of them in its `context`.  The
-    symbolic comparison runs only from `_EXACT_FALLBACK_BITS` up, so an
-    exact tie needs a cap of at least that many bits to be settled.
-
-    When every survivor is certified to have ratio exactly 1 (`exact`
-    returns its two sides as one object), the rungs below
-    `_EXACT_FALLBACK_BITS` and below the cap are skipped.  They cannot
-    change the report: a ratio of exactly 1 has lo <= 2^(work+4) <= hi on
-    every grid and no ratio is below 1, so every such pair stays a
-    survivor at every rung, no rung below the fallback leaves one
-    survivor, stalls into the exact comparison or reaches the cap, and the
-    next rung to do any of these is computed on the same survivors.
+    symbolically, from `_EXACT_FALLBACK_BITS` up; genuinely equal maxima
+    are reported with `tied` set and the lexicographically smallest
+    witness.  `PrecisionExhausted` at the cap names the surviving pairs,
+    all of them in its `context`.  When every survivor is straight
+    (`exact` returns its two sides as one object), the rungs below the
+    fallback are skipped, which the module docstring shows cannot change
+    the report.
     """
     if bits < 1:
         raise ValueError("bits must be positive")
@@ -659,18 +662,12 @@ def _critical_scan(ps: PointSet, d: SqrtSum, length: SqrtSum,
     """Pairs (u, v) with (d/length)|uv| < |uw| + |wv| for every other w.
 
     Each triple is screened against integer bounds dlo/dhi on d and
-    llo/lhi on `length` (exactly P and Q for a rational P/Q), first on
-    the exact squared numerator distances uw2, wv2 and uv2, with no
-    square root:
-    - 2 (uw2 + wv2) lhi^2 <= dlo^2 uv2 means a short enough detour, since
-      |uw| + |wv| <= sqrt(2 (|uw|^2 + |wv|^2)) by QM-AM;
-    - 4 llo^2 max(uw2, wv2) > (llo + dhi)^2 uv2 means the detour exceeds,
-      since the triangle inequality gives |uw| + |wv| >= 2 max(|uw|,
-      |wv|) - |uv|, and that is above (d/length) |uv|.
-    A triple neither test settles is screened with the integer
-    enclosures at `bits`, |uv| enclosed only once a triple of the pair
-    gets there; only a triple that screen cannot settle gets an exact
-    sign.
+    llo/lhi on `length` (exactly P and Q for a rational P/Q), first by
+    the module's two detour tests on the exact squared numerator
+    distances uw2, wv2 and uv2, with no square root.  A triple neither
+    test settles is screened with the integer enclosures at `bits`, |uv|
+    enclosed only once a triple of the pair gets there; only a triple
+    that screen cannot settle gets an exact sign.
     """
     ends = d.eval_interval(bits), length.eval_interval(bits)
     scale = lcm(*(x.denominator for iv in ends for x in (iv.lo, iv.hi)))
@@ -771,31 +768,20 @@ def _graph_adjacency(n, edges):
     return adj
 
 
-def graph_exceeds(ps: PointSet, edges, p_num: int, q_den: int, pairs) -> bool:
-    """One-sided certificate that every spanning tree inside `edges` has
-    dilation above P/Q.
-
-    Such a tree joins u and v by a path of the graph, so its u-v length is
-    at least the graph's shortest-path sum of lower endpoints.  True means
-    that sum exceeds (P/Q)|uv| for some pair of `pairs`, or that a
-    Dijkstra left a vertex unreached: a disconnected graph holds no
-    spanning tree, so every tree inside it is above P/Q vacuously.  False
-    only means "not shown".  One Dijkstra runs per distinct first vertex,
-    at 64 bits.
-    """
-    return _separator_exceeds(ps, edges, p_num, q_den,
-                              [(u, u, v) for u, v in pairs])
-
-
 def _separator_exceeds(ps: PointSet, edges, p_num: int, q_den: int,
                        triples) -> bool:
-    """`graph_exceeds` on the pairs (u, v) of `triples` (s, u, v), where
-    every u-v path of the graph passes through s.
+    """One-sided certificate that every spanning tree inside `edges` has
+    dilation above P/Q, from the pairs (u, v) of `triples` (s, u, v),
+    where every u-v path of the graph passes through s.
 
-    The shortest u-v sum of lower endpoints is then D_s(u) + D_s(v), read
-    from one 64-bit Dijkstra per distinct s; s = u always qualifies, with
-    D_u(u) = 0.  Triples are read in order, and the first certified pair
-    ends the check.
+    Such a tree joins u and v by a path of the graph, so its u-v length is
+    at least the graph's shortest-path sum of lower endpoints, which is
+    D_s(u) + D_s(v), read from one 64-bit Dijkstra per distinct s; s = u
+    always qualifies, with D_u(u) = 0.  True means that sum exceeds
+    (P/Q)|uv| for some pair, or that a Dijkstra left a vertex unreached: a
+    disconnected graph holds no spanning tree, so every tree inside it is
+    above P/Q vacuously.  False only means "not shown".  Triples are read
+    in order, and the first certified pair ends the check.
     """
     adj = _graph_adjacency(ps.n, edges)
     sums = {}

@@ -6,8 +6,8 @@ whose width contracts geometrically with the requested precision, which
 is what the certified comparison machinery in the rest of the package is
 built on.  The enclosures and circle crossings are computed by integer
 cores on numerators over one denominator (`sqrt_ints`, `crossing_ints`);
-the `Fraction` functions `sqrt_interval`, `circle_intersection_upper` and
-`circle_intersection_box` are thin wrappers around them.
+`sqrt_interval` is the `Fraction` wrapper of the first, and `nearest`
+rounds a crossing onto a dyadic grid.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .errors import NoIntersection
 
@@ -195,26 +195,10 @@ def sqrt_interval(value: Fraction, bits: int) -> Interval:
 # H = (4 R1 d2 - (2t)^2) / (4 d2^2).
 
 
-@dataclass(frozen=True, slots=True)
-class CircleCrossing:
-    """Dyadic approximation of a circle-circle intersection point.
-
-    `residual_c1` and `residual_c2` are the exact values of
-    |point - center|^2 - radius^2 for the two circles; they quantify how
-    far the rounded point sits off each circle.  `tangent` marks the
-    degenerate single-point case, where the returned point is exact and
-    both residuals vanish.
-    """
-
-    point: Point
-    residual_c1: Fraction
-    residual_c2: Fraction
-    tangent: bool = False
-
-
 def crossing_ints(x1: int, y1: int, r1_sq: int, x2: int, y2: int,
                   r2_sq: int, den: int, bits: int):
-    """Integer core of the crossing left of C1->C2.
+    """The crossing of two circles left of the directed line C1->C2, on
+    integer numerators.
 
     The centers are (x1, y1)/den and (x2, y2)/den and the squared radii
     r1_sq/den^2 and r2_sq/den^2, for a positive den.  Returns (xm, ym,
@@ -269,53 +253,3 @@ def nearest(num: int, den: int, frac_bits: int) -> int:
     """Numerator over 2^frac_bits of `round_dyadic(num/den, frac_bits)`:
     the nearest grid point, ties rounded up, for a positive den."""
     return ((num << (frac_bits + 1)) + den) // (2 * den)
-
-
-def _crossing_of(c1: Point, r1_sq: Fraction, c2: Point, r2_sq: Fraction,
-                 bits: int):
-    """`crossing_ints` of rational centers and squared radii."""
-    den = lcm(c1.x.denominator, c1.y.denominator, c2.x.denominator,
-              c2.y.denominator, r1_sq.denominator, r2_sq.denominator)
-    x1, y1, x2, y2 = (v.numerator * (den // v.denominator)
-                      for v in (c1.x, c1.y, c2.x, c2.y))
-    r1, r2 = (r.numerator * (den * den // r.denominator)
-              for r in (r1_sq, r2_sq))
-    return crossing_ints(x1, y1, r1, x2, y2, r2, den, bits)
-
-
-def circle_intersection_box(c1: Point, r1_sq: Fraction, c2: Point,
-                            r2_sq: Fraction, bits: int):
-    """Axis-aligned box enclosing the intersection point left of C1->C2.
-
-    Returns (x_interval, y_interval) whose Euclidean diameter is at most
-    2^-bits.  Raises NoIntersection when the circles are disjoint, nested,
-    or merely tangent (a tangency has no left/right choice to make).
-    """
-    xm, ym, hx, hy, f = _crossing_of(c1, r1_sq, c2, r2_sq, bits)
-    if hx is None:
-        raise NoIntersection("tangent circles admit no two-point crossing")
-    return (Interval(Fraction(xm - hx, f), Fraction(xm + hx, f), bits),
-            Interval(Fraction(ym - hy, f), Fraction(ym + hy, f), bits))
-
-
-def circle_intersection_upper(c1: Point, r1_sq: Fraction, c2: Point,
-                              r2_sq: Fraction, bits: int) -> CircleCrossing:
-    """Dyadic point within 2^-bits of the intersection left of C1->C2.
-
-    "Left" is relative to the directed line C1 -> C2, which for a
-    west-to-east direction is the upper of the two intersection points.
-    The result's coordinates lie on the dyadic grid with bits+2
-    fractional bits; exact residuals against both circles are reported
-    alongside.  A tangency returns the exact touching point flagged
-    `tangent` instead of raising.
-    """
-    grid = bits + 2
-    xm, ym, hx, _, f = _crossing_of(c1, r1_sq, c2, r2_sq, grid)
-    if hx is None:
-        return CircleCrossing(Point(Fraction(xm, f), Fraction(ym, f)),
-                              Fraction(0), Fraction(0), tangent=True)
-    p = Point(Fraction(nearest(xm, f, grid), 1 << grid),
-              Fraction(nearest(ym, f, grid), 1 << grid))
-    return CircleCrossing(p,
-                          squared_distance(p, c1) - r1_sq,
-                          squared_distance(p, c2) - r2_sq)

@@ -42,7 +42,7 @@ from .dilation import (PointSet, Tree, Verdict, compare_to_threshold,
                        critical_edges, _graph_adjacency, _separator_exceeds,
                        _shortest_sums)
 from .errors import NoIntersection, PrecisionInsufficient, SumTooLarge
-from .exactgeom import (Interval, Orientation, Point, crossing_ints, nearest,
+from .exactgeom import (Orientation, Point, crossing_ints, nearest,
                         orientation, sqrt_interval, squared_distance)
 from .radical import SqrtSum
 
@@ -398,25 +398,6 @@ def build_gadget(inst: PartitionInstance, d_bits: int | None = None) -> Gadget:
     return Gadget(alphas_dot=inst.alphas_dot, d_bits=d_bits,
                   points=PointSet.from_ints(right + mirrored, den,
                                             _labels(inst.n)))
-
-
-def auxiliary_dstar(g: Gadget, i: int) -> Point:
-    """Foot of the i-th choice point on the slope-3/4 line.
-
-    Lies exactly on the segment between consecutive line anchors, at the
-    same distance from the right anchor as the choice point itself.
-    """
-    if not 1 <= i <= g.n:
-        raise IndexError(f"index {i} out of range")
-    c = g.points[g.c(i)]
-    step = Fraction(9 * _four(i - 1), 5)
-    return Point(c.x + 4 * step, c.y + 3 * step)
-
-
-def dstar_gap(g: Gadget, i: int, bits: int = 96) -> Interval:
-    """Enclosure of the distance from the i-th choice point to its foot."""
-    gap_sq = squared_distance(g.points[g.d(i)], auxiliary_dstar(g, i))
-    return sqrt_interval(gap_sq, bits)
 
 
 # ---------------------------------------------------------------------------

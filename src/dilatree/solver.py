@@ -39,7 +39,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from .dilation import (DilationReport, PointSet, Tree, crossing_edge_pairs,
                        tree_dilation, tree_exact, tree_has_crossing,
@@ -194,11 +194,9 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
     if opts.mode is not Mode.TREE:
         return _order_search(ps, opts)
     screen = _RunningScreen(ps, opts.enumeration_cap)
-    required = sorted({tuple(sorted(e)) for e in opts.required_edges})
+    required = _required_edges(n, opts)
     comp = [[x] for x in range(n)]
     for u, v in required:
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise ValueError(f"bad required edge ({u}, {v})")
         if comp[u] is comp[v]:
             raise ValueError("required_edges contain a cycle")
         comp = screen.join(comp, u, v)
@@ -258,6 +256,16 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
                    screen.count, cuts)
 
 
+def _required_edges(n, opts):
+    """The required edges as sorted vertex pairs, in sorted order; a pair
+    out of range for n points, or a self-loop, is a ValueError."""
+    required = sorted({tuple(sorted(e)) for e in opts.required_edges})
+    for u, v in required:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise ValueError(f"bad required edge ({u}, {v})")
+    return required
+
+
 def _exclude_cut(screen, live, u):
     """Whether every spanning tree of the graph `live` is certifiably
     above the screen's incumbent, or the graph holds no spanning tree.
@@ -271,12 +279,12 @@ def _exclude_cut(screen, live, u):
     vertex stays unreached.  Before the first bound only a disconnection
     cuts.  False only means "not shown".
 
-    The 32-bit lower lengths are never above `graph_exceeds`'s 64-bit ones
-    and the 32-bit hi(u, t) never below, so a cut here implies a cut
-    there; the converse can fail when D(t)/|ut| lies above P/Q by less
-    than the 32-bit slack.  The two decided alike on every node of the
-    fixed-seed sets of `tests/test_solver.py`, which is observed, not
-    proven.
+    The 32-bit lower lengths are never above the 64-bit ones of
+    `dilation._separator_exceeds` on the pairs (u, t), and the 32-bit
+    hi(u, t) never below, so a cut here implies a cut there; the converse
+    can fail when D(t)/|ut| lies above P/Q by less than the 32-bit slack.
+    The two decided alike on every node of the fixed-seed sets of
+    `tests/test_solver.py`, which is observed, not proven.
     """
     limit = screen.limit()
     dist = live[u][:]
@@ -586,11 +594,9 @@ def _order_search(ps, opts):
     if n < 3:
         raise ValueError("need at least three points")
     closed = opts.mode is Mode.TOUR
-    required = {tuple(sorted(e)) for e in opts.required_edges}
+    required = set(_required_edges(n, opts))
     partners = [set() for _ in range(n)]
     for u, v in required:
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise ValueError(f"bad required edge ({u}, {v})")
         partners[u].add(v)
         partners[v].add(u)
     if any(len(p) > 2 for p in partners):
@@ -773,8 +779,9 @@ def verify_crossing_witness(ps: PointSet, bits: int = 96) -> WitnessCheck | None
     Returns the verification record when the minimum over all 125 trees
     is attained only by crossing trees and every crossing-free tree is
     certified strictly worse; None otherwise.  The trees go once through
-    the integer screen, and only its survivors are certified at `bits`: the optimum is their first minimum, as in
-    `exhaustive_mdst`, and the optimal trees those certified equal to it.
+    the integer screen, and only its survivors are certified at `bits`:
+    the optimum is their first minimum, as in `exhaustive_mdst`, and the
+    optimal trees those certified equal to it.
     """
     if ps.n != 5:
         raise ValueError("witness verification is defined for five points")
@@ -794,35 +801,33 @@ def verify_crossing_witness(ps: PointSet, bits: int = 96) -> WitnessCheck | None
                         critical=crit)
 
 
-_FIVE_TREES = tuple(enumerate_spanning_trees(5))
-_PAIRS_FIVE = tuple(itertools.combinations(range(5), 2))
-_PAIR_INDEX = {p: k for k, p in enumerate(_PAIRS_FIVE)}
-# the 15 vertex-disjoint segment pairs a 5-point tree can cross in
-_DISJOINT_SEGS = tuple(
-    (e1, e2) for e1, e2 in itertools.combinations(_PAIRS_FIVE, 2)
-    if not set(e1) & set(e2))
-_DISJOINT_INDEX = {pair: k for k, pair in enumerate(_DISJOINT_SEGS)}
-
-
-def _build_five_tables():
-    tables = []
-    for tree in _FIVE_TREES:
-        paths = tuple(tuple(_PAIR_INDEX[e] for e in tree.path_edges(u, v))
-                      for u, v in _PAIRS_FIVE)
+@cache
+def _five_tables():
+    """The tables of the float hunt, built on first use: the ten vertex
+    pairs of five points, the 15 vertex-disjoint pairs of them a 5-point
+    tree can cross in, and per spanning tree, in the order of
+    `enumerate_spanning_trees(5)`, the pair indices along each pair's
+    tree path and the indices of its disjoint edge pairs."""
+    pairs = tuple(itertools.combinations(range(5), 2))
+    pair_index = {p: k for k, p in enumerate(pairs)}
+    disjoint = tuple((e1, e2) for e1, e2 in itertools.combinations(pairs, 2)
+                     if not set(e1) & set(e2))
+    disjoint_index = {pair: k for k, pair in enumerate(disjoint)}
+    trees = []
+    for tree in enumerate_spanning_trees(5):
+        paths = tuple(tuple(pair_index[e] for e in tree.path_edges(u, v))
+                      for u, v in pairs)
         cross_idx = tuple(
-            _DISJOINT_INDEX[tuple(sorted((e1, e2)))]
+            disjoint_index[tuple(sorted((e1, e2)))]
             for e1, e2 in itertools.combinations(tree.edges, 2)
             if not set(e1) & set(e2))
-        tables.append((paths, cross_idx))
-    return tuple(tables)
+        trees.append((paths, cross_idx))
+    return pairs, disjoint, tuple(trees)
 
 
-_FIVE_TABLES = _build_five_tables()
-
-
-def _crossing_table(pts):
+def _crossing_table(pts, disjoint):
     flags = []
-    for (a, b), (c, d) in _DISJOINT_SEGS:
+    for (a, b), (c, d) in disjoint:
         ax, ay = pts[a]
         bx, by = pts[b]
         cx, cy = pts[c]
@@ -844,13 +849,14 @@ def _float_margin_score(pts):
     "crossing-free minus overall" this is nonzero almost everywhere, so
     annealing has a slope to climb.
     """
-    dist = [0.0] * len(_PAIRS_FIVE)
-    for k, (u, v) in enumerate(_PAIRS_FIVE):
+    pairs, disjoint, trees = _five_tables()
+    dist = [0.0] * len(pairs)
+    for k, (u, v) in enumerate(pairs):
         dist[k] = math.hypot(pts[u][0] - pts[v][0], pts[u][1] - pts[v][1])
-    cross = _crossing_table(pts)
+    cross = _crossing_table(pts, disjoint)
     big = float("inf")
     best_cf = best_cross = big
-    for paths, cross_idx in _FIVE_TABLES:
+    for paths, cross_idx in trees:
         crossing = any(cross[i] for i in cross_idx)
         limit = best_cross if crossing else best_cf
         worst = 1.0

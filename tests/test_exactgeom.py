@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from dilatree.errors import NoIntersection
 from dilatree import exactgeom
 from dilatree.exactgeom import (
-    Interval, Orientation, Point, Segment, circle_intersection_box,
-    circle_intersection_upper, crossing_ints, nearest, orientation, pt,
-    round_dyadic, segments_properly_cross, sqrt_interval, squared_distance,
+    Interval, Orientation, Point, Segment, crossing_ints, nearest,
+    orientation, pt, round_dyadic, segments_properly_cross, sqrt_interval,
+    squared_distance,
 )
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=997)
@@ -164,86 +164,74 @@ def test_crossing_symmetry(a, b, c, d):
 # circle-circle intersection
 
 
+def _crossing_point(x1, y1, r1_sq, x2, y2, r2_sq, den, grid):
+    """The two-point crossing left of C1->C2 rounded to the grid
+    2^-grid."""
+    xm, ym, hx, _, f = crossing_ints(x1, y1, r1_sq, x2, y2, r2_sq, den, grid)
+    assert hx is not None
+    return Point(Fraction(nearest(xm, f, grid), 1 << grid),
+                 Fraction(nearest(ym, f, grid), 1 << grid))
+
+
 def test_tangent_circles_flagged():
-    res = circle_intersection_upper(pt(0, 0), Fraction(1), pt(2, 0),
-                                    Fraction(1), 64)
-    assert res.tangent
-    assert res.point == pt(1, 0)
-    assert res.residual_c1 == 0 and res.residual_c2 == 0
-
-
-def test_no_intersection_classification():
-    with pytest.raises(NoIntersection, match="disjoint"):
-        circle_intersection_upper(pt(0, 0), Fraction(1), pt(10, 0),
-                                  Fraction(1), 64)
-    with pytest.raises(NoIntersection, match="nested"):
-        circle_intersection_upper(pt(0, 0), Fraction(100), pt(1, 0),
-                                  Fraction(1), 64)
-    with pytest.raises(NoIntersection, match="concentric"):
-        circle_intersection_upper(pt(0, 0), Fraction(1), pt(0, 0),
-                                  Fraction(4), 64)
+    # unit circles about (0, 0) and (2, 0) touch at (1, 0)
+    xm, ym, hx, hy, f = crossing_ints(0, 0, 1, 2, 0, 1, 1, 64)
+    assert (hx, hy) == (None, None)
+    assert (Fraction(xm, f), Fraction(ym, f)) == (1, 0)
 
 
 def test_unit_circles_symmetric_crossing():
     # centers (0,0) and (2,0) with r^2 = 2 meet at (1, +-1); left of the
-    # eastward direction is (1, 1)
-    res = circle_intersection_upper(pt(0, 0), Fraction(2), pt(2, 0),
-                                    Fraction(2), 64)
-    assert not res.tangent
-    assert abs(res.point.x - 1) <= Fraction(1, 1 << 64)
-    assert abs(res.point.y - 1) <= Fraction(1, 1 << 64)
-
-
-def _residual_bound(p, c, r_sq, eps):
-    # |p - c|^2 - r^2 = (d - r)(d + r); with |d - r| <= eps and d <= r + eps
-    d2 = squared_distance(p, c)
-    return abs(d2 - r_sq)
+    # eastward direction is (1, 1), and sqrt(H) = 1/2 is exact, so the
+    # box is that point
+    xm, ym, hx, hy, f = crossing_ints(0, 0, 2, 2, 0, 2, 1, 64)
+    assert (Fraction(xm, f), Fraction(ym, f), hx, hy) == (1, 1, 0, 0)
 
 
 def test_hook_circle_pair_box_and_point():
-    # the first hook-point circle pair of the smallest hardness gadget;
-    # reference digits from an 80-digit independent solve
+    # the first hook-point circle pair of the smallest hardness gadget,
+    # centers (57/10, 12/5) and (29/2, 9) with r^2 = (91/10)^2 and 4,
+    # over den = 10; reference digits from an 80-digit independent solve
+    circles = (57, 24, 91 ** 2, 145, 90, 400, 10)
     c1, r1s = pt("57/10", "12/5"), Fraction(91, 10) ** 2
     c2, r2s = pt("29/2", 9), Fraction(4)
     ref_x = Fraction("12.62517766943351851914171856080267755752522583762422246699254126761833534738787")
     ref_y = Fraction("8.30355098620985409568982979771764204451182009528891549855539952196343165802828")
-    bx, by = circle_intersection_box(c1, r1s, c2, r2s, 40)
-    assert bx.contains(ref_x) and by.contains(ref_y)
-    assert (bx.width ** 2 + by.width ** 2) <= Fraction(1, 1 << 80)
+    xm, ym, hx, hy, f = crossing_ints(*circles, 40)
+    assert Fraction(xm - hx, f) <= ref_x <= Fraction(xm + hx, f)
+    assert Fraction(ym - hy, f) <= ref_y <= Fraction(ym + hy, f)
+    assert Fraction(2 * hx, f) ** 2 + Fraction(2 * hy, f) ** 2 \
+        <= Fraction(1, 1 << 80)
 
-    res = circle_intersection_upper(c1, r1s, c2, r2s, 80)
-    assert abs(res.point.x - ref_x) <= Fraction(1, 1 << 79)
-    assert abs(res.point.y - ref_y) <= Fraction(1, 1 << 79)
-    # dyadic grid
-    assert (res.point.x * (1 << 82)).denominator == 1
+    p = _crossing_point(*circles, 82)
+    assert abs(p.x - ref_x) <= Fraction(1, 1 << 79)
+    assert abs(p.y - ref_y) <= Fraction(1, 1 << 79)
     # exact residuals are small: |d^2 - r^2| ~ 2r * (point error)
-    assert abs(res.residual_c1) < Fraction(20, 1 << 79)
-    assert abs(res.residual_c2) < Fraction(5, 1 << 79)
+    assert abs(squared_distance(p, c1) - r1s) < Fraction(20, 1 << 79)
+    assert abs(squared_distance(p, c2) - r2s) < Fraction(5, 1 << 79)
     # strictly left of the directed center line
-    assert orientation(c1, c2, res.point) == Orientation.COUNTERCLOCKWISE
+    assert orientation(c1, c2, p) == Orientation.COUNTERCLOCKWISE
 
 
 def test_circle_crossing_random_soundness():
     rng = random.Random(7)
+    eps = Fraction(1, 1 << 64)
     for _ in range(50):
-        c1 = pt(rng.randint(-20, 20), rng.randint(-20, 20))
-        c2 = pt(rng.randint(-20, 20), rng.randint(-20, 20))
-        if c1 == c2:
+        x1, y1, x2, y2 = (rng.randint(-20, 20) for _ in range(4))
+        if (x1, y1) == (x2, y2):
             continue
-        d2 = squared_distance(c1, c2)
-        # radii large enough to force two intersections
-        r1s = d2 * Fraction(rng.randint(40, 90), 100)
-        r2s = d2 * Fraction(rng.randint(40, 90), 100)
-        res = circle_intersection_upper(c1, r1s, c2, r2s, 64)
-        assert not res.tangent
-        assert orientation(c1, c2, res.point) == Orientation.COUNTERCLOCKWISE
-        # residuals consistent with a point within 2^-64 of each circle
-        for c, rs, resid in ((c1, r1s, res.residual_c1), (c2, r2s, res.residual_c2)):
-            assert _residual_bound(res.point, c, rs, 0) == abs(resid)
-            # |resid| <= eps * (2r + eps) with eps = 2^-64, r^2 <= rs
+        d2 = (x2 - x1) ** 2 + (y2 - y1) ** 2
+        # radii large enough to force two intersections, over den = 10
+        k1, k2 = rng.randint(40, 90), rng.randint(40, 90)
+        p = _crossing_point(10 * x1, 10 * y1, d2 * k1, 10 * x2, 10 * y2,
+                            d2 * k2, 10, 66)
+        c1, c2 = pt(x1, y1), pt(x2, y2)
+        assert orientation(c1, c2, p) == Orientation.COUNTERCLOCKWISE
+        # a point within 2^-64 of each circle: |resid| <= eps (2r + eps)
+        for c, k in ((c1, k1), (c2, k2)):
+            rs = Fraction(d2 * k, 100)
             r_hi = sqrt_interval(rs, 32).hi
-            eps = Fraction(1, 1 << 64)
-            assert abs(resid) <= eps * (2 * r_hi + eps)
+            assert abs(squared_distance(p, c) - rs) <= eps * (2 * r_hi + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +296,7 @@ def _core_matches_reference(x1, y1, r1_sq, x2, y2, r2_sq, den, bits):
     _, bx, by = ref
     assert (Fraction(xm - hx, f), Fraction(xm + hx, f)) == (bx.lo, bx.hi)
     assert (Fraction(ym - hy, f), Fraction(ym + hy, f)) == (by.lo, by.hi)
-    # the rounded point circle_intersection_upper takes from the box
+    # the box centre rounded onto the grid
     for num, iv in ((xm, bx), (ym, by)):
         assert Fraction(nearest(num, f, bits), 1 << bits) \
             == round_dyadic((iv.lo + iv.hi) / 2, bits)
@@ -386,34 +374,6 @@ def test_crossing_core_reaches_a_negative_sqrt_exponent(monkeypatch):
     assert min(exps) < 0
 
 
-@given(points, st.fractions(0, 2000, max_denominator=99), points,
-       st.fractions(0, 2000, max_denominator=99), st.integers(1, 70))
-@settings(max_examples=200, deadline=None)
-def test_crossing_wrappers_match_fraction_reference(c1, r1_sq, c2, r2_sq,
-                                                    bits):
-    try:
-        kind, *ref = _reference_crossing(c1, r1_sq, c2, r2_sq, bits + 2)
-    except NoIntersection as exc:
-        for fn in (circle_intersection_upper, circle_intersection_box):
-            with pytest.raises(NoIntersection) as got:
-                fn(c1, r1_sq, c2, r2_sq, bits)
-            assert str(got.value) == str(exc)
-        return
-    up = circle_intersection_upper(c1, r1_sq, c2, r2_sq, bits)
-    if kind == "tangent":
-        assert (up.point, up.residual_c1, up.residual_c2, up.tangent) \
-            == (ref[0], 0, 0, True)
-        with pytest.raises(NoIntersection, match="tangent circles admit"):
-            circle_intersection_box(c1, r1_sq, c2, r2_sq, bits)
-        return
-    p = Point(*(round_dyadic((iv.lo + iv.hi) / 2, bits + 2) for iv in ref))
-    assert (up.point, up.tangent) == (p, False)
-    assert up.residual_c1 == squared_distance(p, c1) - r1_sq
-    assert up.residual_c2 == squared_distance(p, c2) - r2_sq
-    assert circle_intersection_box(c1, r1_sq, c2, r2_sq, bits) \
-        == tuple(_reference_crossing(c1, r1_sq, c2, r2_sq, bits)[1:])
-
-
 def test_crossing_core_raises_every_no_intersection_message():
     cases = {
         "concentric circles": (0, 0, 1, 0, 0, 4),
@@ -423,6 +383,3 @@ def test_crossing_core_raises_every_no_intersection_message():
     for message, circles in cases.items():
         assert _core_matches_reference(*circles, 1, 64) == message
         assert _core_matches_reference(*circles, 7, 3) == message
-    with pytest.raises(NoIntersection, match="tangent circles admit"):
-        circle_intersection_box(pt(0, 0), Fraction(1), pt(2, 0),
-                                Fraction(1), 64)

@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from dilatree import dilation, gadget
 from dilatree.dilation import (
     PointSet, Tree, Verdict, compare_to_threshold, critical_edges,
-    graph_exceeds, pair_dilation, tree_has_crossing,
+    pair_dilation, tree_has_crossing,
 )
 from dilatree.errors import PrecisionInsufficient, SumTooLarge
-from dilatree.exactgeom import Orientation, Point, orientation, squared_distance
+from dilatree.exactgeom import (Orientation, Point, orientation,
+                                sqrt_interval, squared_distance)
 from dilatree.gadget import (
-    IntegerInstance, PartitionInstance, PartitionSolution, auxiliary_dstar,
-    build_gadget, decide_partition, dstar_gap, integerize, partition_oracle,
-    rounding_bits, standard_tree, symbolic_pair_ratio, symbolic_path_length,
-    verify_gadget,
+    IntegerInstance, PartitionInstance, PartitionSolution, build_gadget,
+    decide_partition, integerize, partition_oracle, rounding_bits,
+    standard_tree, symbolic_pair_ratio, symbolic_path_length, verify_gadget,
 )
 
 HALF = Fraction(3, 2)
@@ -168,23 +168,29 @@ def test_custom_precision_and_floor():
         build_gadget(inst, d_bits=31)
 
 
+def _dstar(g, i):
+    """The foot of the i-th choice point on the slope-3/4 line:
+    c_i + (36, 27) * 4^(i-1) / 5."""
+    c, step = g.points[g.c(i)], Fraction(9 * (1 << (2 * (i - 1))), 5)
+    return Point(c.x + 4 * step, c.y + 3 * step)
+
+
 def test_dstar_is_projection_foot():
     g = build_gadget(PartitionInstance((3, 2, 1)))
     a1 = g.points[g.a(1)]
     an1 = g.points[g.a(g.n + 1)]
     for i in range(1, g.n + 1):
-        foot = auxiliary_dstar(g, i)
+        foot = _dstar(g, i)
         assert orientation(a1, an1, foot) is Orientation.COLLINEAR
         assert squared_distance(foot, g.points[g.a(i + 1)]) \
             == Fraction(4 * (1 << (2 * (i - 1))) ** 2)
-    with pytest.raises(IndexError):
-        auxiliary_dstar(g, 0)
 
 
 def test_dstar_gap_stays_under_bound():
     g = build_gadget(PartitionInstance((1, 1)))
     for i in range(1, g.n + 1):
-        gap = dstar_gap(g, i)
+        gap = sqrt_interval(squared_distance(g.points[g.d(i)], _dstar(g, i)),
+                            96)
         assert gap.hi ** 2 < Fraction(1 << (2 * i), 11)
         assert gap.lo > 0
 
@@ -206,7 +212,7 @@ def test_audit_passes_on_built_instances(alphas):
 def test_audit_flags_displaced_choice_point():
     g = build_gadget(PartitionInstance((1,)))
     pts = list(g.points.points)
-    pts[g.d(1)] = auxiliary_dstar(g, 1)      # drop it onto the base line
+    pts[g.d(1)] = _dstar(g, 1)               # drop it onto the base line
     bad = dataclasses.replace(g, points=PointSet(pts, labels=g.points.labels))
     report = verify_gadget(bad)
     assert not report.passed
@@ -625,15 +631,16 @@ def test_shared_root_cut_keeps_the_slot_search(alphas, monkeypatch):
 ])
 def test_separator_exceeds_matches_graph_exceeds(alphas, monkeypatch):
     # the separator sums are exact shortest paths, so every node of the
-    # slot search gets graph_exceeds's verdict on its graph and pairs, at
-    # the threshold and at looser ones that leave more pairs uncertified
+    # slot search gets the verdict of plain Dijkstras from each pair's
+    # first vertex (s = u) on its graph and pairs, at the threshold and at
+    # looser ones that leave more pairs uncertified
     cut = gadget._separator_exceeds
     nodes = []
 
     def checked(pts, edges, p, q, pairs):
-        plain = [(u, v) for _, u, v in pairs]
+        plain = [(u, u, v) for _, u, v in pairs]
         got = [cut(pts, edges, loose * p, q, pairs) for loose in (1, 2, 8)]
-        assert got == [graph_exceeds(pts, edges, loose * p, q, plain)
+        assert got == [cut(pts, edges, loose * p, q, plain)
                        for loose in (1, 2, 8)]
         nodes.append(got)
         return got[0]

@@ -6,6 +6,7 @@ import itertools
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -16,8 +17,9 @@ import pytest
 
 from dilatree import solver
 from dilatree.dilation import (PointSet, Tree, crossing_edge_pairs,
-                               graph_dilation_bounds, graph_exceeds,
-                               tree_dilation, tree_exact, tree_has_crossing)
+                               graph_dilation_bounds, tree_dilation,
+                               tree_exact, tree_has_crossing,
+                               _separator_exceeds)
 from dilatree.errors import (Infeasible, NotApplicable, NotCrossing,
                              PrecisionExhausted, SizeTooLarge)
 from dilatree.solver import (Mode, SolverOptions, SolverResult,
@@ -311,8 +313,17 @@ def test_mdst_required_edges_respected():
 def test_mdst_required_cycle_rejected():
     ps = PointSet.from_coords(SQUARE)
     opts = SolverOptions(required_edges=frozenset({(0, 1), (1, 2), (0, 2)}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="required_edges contain a cycle"):
         mdst_exact(ps, opts)
+    # out of range or a self-loop, named as the sorted pair, in every mode
+    for mode in Mode:
+        for edge, shown in (((4, 0), "(0, 4)"), ((-1, 2), "(-1, 2)"),
+                            ((2, 2), "(2, 2)")):
+            opts = SolverOptions(mode=mode,
+                                 required_edges=frozenset({(0, 1), edge}))
+            with pytest.raises(ValueError,
+                               match=re.escape(f"bad required edge {shown}")):
+                mdst_exact(ps, opts)
 
 
 def test_mdst_required_crossing_infeasible():
@@ -369,7 +380,7 @@ def test_tree_search_depth_stays_within_the_tree():
 # every complete tree against a greedy start tree: coordinates, offset,
 # crossing_free, required edges, best tree, witness, precision, tie flag,
 # trees examined, pruned (re-recorded when excludes began to cut on
-# `graph_exceeds`) and the enclosure as (lo numerator, lo exponent,
+# graph shortest paths) and the enclosure as (lo numerator, lo exponent,
 # hi numerator, hi exponent)
 RANDOM7A = [(20, 0), (16, 9), (12, 16), (5, 12), (3, 12), (1, 23), (29, 8)]
 RANDOM7B = [(4, 11), (22, 23), (19, 8), (21, 14), (24, 9), (1, 14), (29, 0)]
@@ -429,9 +440,9 @@ def test_mdst_tree_mode_pinned(pin):
 
 
 def test_exclude_cut_matches_graph_exceeds_node_by_node(monkeypatch):
-    # a cut on the live matrix at 32 bits implies graph_exceeds's at 64 bits
-    # on the live edges and the same incumbent; on these sets the two also
-    # agree where the 32-bit cut declines
+    # a cut on the live matrix at 32 bits implies `_separator_exceeds`'s at
+    # 64 bits on the live edges, the pairs (u, t) and the same incumbent;
+    # on these sets the two also agree where the 32-bit cut declines
     cut = solver._exclude_cut
     seen, wrong = [], []
     ps = None
@@ -441,8 +452,8 @@ def test_exclude_cut_matches_graph_exceeds_node_by_node(monkeypatch):
         n = len(live)
         edges = [(x, y) for x, y in itertools.combinations(range(n), 2)
                  if live[x][y] is not None]
-        want = graph_exceeds(ps, edges, *screen.bound,
-                             [(u, t) for t in range(n) if t != u])
+        want = _separator_exceeds(ps, edges, *screen.bound,
+                                  [(u, u, t) for t in range(n) if t != u])
         seen.append(got)
         if got != want:
             wrong.append((ps.points, edges, screen.bound, u))
@@ -1227,6 +1238,39 @@ def test_witness_search_deterministic():
     b = witness_search_five(seed=10, budget=5000)
     assert a is not None and b is not None
     assert [(p.x, p.y) for p in a.points] == [(p.x, p.y) for p in b.points]
+    # pinned, so a reordered tree or pair table shows
+    assert a.numerators == [(23, -1), (16, -5), (1, 2), (314, -63), (0, 101)]
+
+
+# counts Tree.__init__ calls during `import dilatree`, then during one
+# Tree built after it, so a probe that sees nothing fails too
+_IMPORT_PROBE = """
+import sys
+calls = []
+
+def hook(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "__init__" \\
+            and type(frame.f_locals.get("self")).__name__ == "Tree":
+        calls.append(frame.f_code.co_filename)
+
+sys.setprofile(hook)
+import dilatree
+imported = len(calls)
+dilatree.Tree(2, [(0, 1)])
+sys.setprofile(None)
+print(imported, len(calls) - imported)
+"""
+
+
+def test_import_builds_no_tree():
+    # the witness hunt's tables are built on its first call, not at import
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
 
 
 def test_witness_search_rejects_bad_budget():
