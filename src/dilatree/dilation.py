@@ -81,7 +81,7 @@ from functools import partial
 from math import gcd, lcm
 
 from .errors import PrecisionExhausted, max_bits_cap
-from .exactgeom import Interval, Point, sqrt_ints
+from .exactgeom import Interval, Point, segments_cross_ints, sqrt_ints
 from .radical import SqrtSum
 
 _EXACT_FALLBACK_BITS = 256
@@ -225,24 +225,12 @@ class PointSet:
 
     def edges_cross(self, e, f) -> bool:
         """`segments_properly_cross` of the segments on vertex pairs e and
-        f, False when they share a vertex.  It is decided on the integer
-        numerators, which share one positive denominator, so orientation
-        signs and overlaps are those of the points themselves."""
+        f, False when they share a vertex, decided by `segments_cross_ints`
+        on the integer numerators."""
         if e[0] in f or e[1] in f:
             return False
-        (ax, ay), (bx, by) = self._xy[e[0]], self._xy[e[1]]
-        (cx, cy), (dx, dy) = self._xy[f[0]], self._xy[f[1]]
-        o1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        o2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
-        o3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
-        o4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
-        if o1 == o2 == o3 == o4 == 0:
-            # all four collinear: overlap along e's dominant axis
-            k = int(abs(bx - ax) < abs(by - ay))
-            (s0, s1), (t0, t1) = (sorted(self._xy[i][k] for i in g)
-                                  for g in (e, f))
-            return min(s1, t1) > max(s0, t0)
-        return o1 * o2 < 0 and o3 * o4 < 0
+        xy = self._xy
+        return segments_cross_ints(xy[e[0]], xy[e[1]], xy[f[0]], xy[f[1]])
 
     def exact_dist(self, i: int, j: int) -> SqrtSum:
         """|p_i p_j| as an exact `SqrtSum`, built once per pair."""

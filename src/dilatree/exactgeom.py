@@ -7,7 +7,8 @@ is what the certified comparison machinery in the rest of the package is
 built on.  The enclosures and circle crossings are computed by integer
 cores on numerators over one denominator (`sqrt_ints`, `crossing_ints`);
 `sqrt_interval` is the `Fraction` wrapper of the first, and `nearest`
-rounds a crossing onto a dyadic grid.
+rounds a crossing onto a dyadic grid.  `segments_cross_ints` is the
+integer core of the segment crossing test.
 """
 
 from __future__ import annotations
@@ -86,6 +87,24 @@ def segments_properly_cross(s: Segment, t: Segment) -> bool:
     o4 = orientation(t.a, t.b, s.b)
     if o1 == o2 == o3 == o4 == Orientation.COLLINEAR:
         return _collinear_overlap_is_positive(s, t)
+    return o1 * o2 < 0 and o3 * o4 < 0
+
+
+def segments_cross_ints(a, b, c, d) -> bool:
+    """`segments_properly_cross` of the segments ab and cd, for points
+    given as (x, y) pairs of integer numerators over one positive
+    denominator, so orientation signs and overlaps are those of the
+    points themselves."""
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
+    o1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    o2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
+    o3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
+    o4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
+    if o1 == o2 == o3 == o4 == 0:
+        # all four collinear: overlap along ab's dominant axis
+        k = int(abs(bx - ax) < abs(by - ay))
+        (s0, s1), (t0, t1) = sorted((a[k], b[k])), sorted((c[k], d[k]))
+        return min(s1, t1) > max(s0, t0)
     return o1 * o2 < 0 and o3 * o4 < 0
 
 

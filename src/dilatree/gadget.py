@@ -13,13 +13,15 @@ decides the partition question two ways: through a certified search of
 the constrained tree family, and through a subset-sum dynamic program
 used as an independent oracle.
 
-Construction and rescaling run on integer numerators over one
+Construction, audit and decider run on integer numerators over one
 denominator: 1800 * 2^G for the gadget, with G its finest choice-point
-grid, and 1 for the integer instance.  The choice points come from the
-integer core `exactgeom.crossing_ints`, and the weight and identity
-checks compare squared numerator distances.  `Fraction`s sit only on
-top, as the points a `PointSet` hands out, the defining circles
-`d_defs`, the ideal lengths and the audit's interval checks.
+grid, and 1 for the integer instance.  Each fact of the reduction is
+stated once: `_circle_ints` gives the two circles of a choice point,
+which `exactgeom.crossing_ints` crosses to place it and `_on_circle`
+tests it against, and `_right_edges` lists the construction's edges,
+which the ideal lengths, the critical set and the tree family read.
+`Fraction`s sit only in the ideal lengths and the points a `PointSet`
+hands out.
 
 The search screens before it certifies.  Per attachment of the hanging
 point it decides the 2n choice slots one at a time, depth first.  Every
@@ -37,13 +39,13 @@ pairs.  Only a leaf the cut leaves is built and certified by
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 
 from .dilation import (PointSet, Tree, Verdict, compare_to_threshold,
                        critical_edges, _graph_adjacency, _separator_exceeds,
                        _shortest_sums)
 from .errors import NoIntersection, PrecisionInsufficient, SumTooLarge
-from .exactgeom import (Orientation, Point, crossing_ints, nearest,
-                        orientation, sqrt_interval, squared_distance)
+from .exactgeom import crossing_ints, nearest
 from .radical import SqrtSum
 
 
@@ -83,6 +85,12 @@ class PartitionInstance:
     @property
     def sigma_dot(self) -> int:
         return sum(self.alphas_dot)
+
+    @cached_property
+    def alphas(self) -> tuple[Fraction, ...]:
+        """The weights scaled to sum to 1/10."""
+        return tuple(Fraction(ad, 10 * self.sigma_dot)
+                     for ad in self.alphas_dot)
 
 
 @dataclass(frozen=True)
@@ -169,26 +177,15 @@ class _PointLayout:
 
 
 @dataclass(frozen=True)
-class _CirclePair:
-    """Exact defining data of one choice point: two centers, squared radii."""
-
-    center_c: Point
-    r1_sq: Fraction
-    center_a: Point
-    r2_sq: Fraction
-
-
-@dataclass(frozen=True)
 class Gadget(PartitionInstance, _PointLayout):
     """Exact reduction point set of the weights `alphas_dot`.
 
     `points` holds exact coordinates; the n choice points are dyadic
     approximations whose accuracy is recorded in `d_bits`.  The weights
-    fix everything else: the scaled weights `alphas`, each choice
-    point's two defining circles `d_defs`, and `rational_lengths`,
-    the exact ideal lengths of the edges the construction defines, which
-    make the threshold identity checkable as a rational equation rather
-    than a numeric limit.
+    fix everything else, `rational_lengths` among it: the exact ideal
+    lengths of the edges the construction defines, which make the
+    threshold identity checkable as a rational equation rather than a
+    numeric limit.
     """
 
     d_bits: int
@@ -200,16 +197,6 @@ class Gadget(PartitionInstance, _PointLayout):
             raise ValueError(f"d_bits must be at least 32, got {self.d_bits}")
         if len(self.points) != 8 * self.n + 8:
             raise ValueError("point count must be 8n+8")
-
-    @cached_property
-    def alphas(self) -> tuple[Fraction, ...]:
-        """The weights scaled to sum to 1/10."""
-        return tuple(Fraction(ad, 10 * self.sigma_dot)
-                     for ad in self.alphas_dot)
-
-    @cached_property
-    def d_defs(self) -> tuple[_CirclePair, ...]:
-        return tuple(_choice_circles(self, i) for i in range(1, self.n + 1))
 
     @cached_property
     def rational_lengths(self) -> dict:
@@ -281,20 +268,24 @@ def _circle_ints(inst: PartitionInstance, i: int) -> tuple:
     """The two circles the i-th choice point lies on, as the centers,
     squared radii and denominator `crossing_ints` takes: around c_i with
     radius 9 * 4^(i-1) + alpha_i, and around a_{i+1} with radius
-    2 * 4^(i-1), over the denominator 10 * sigma_dot."""
+    2 * 4^(i-1), over the denominator 10 * sigma_dot.  Both radii have
+    whole numerators, so `isqrt` recovers them from their squares."""
     s, sd = _four(i - 1), inst.sigma_dot
     (xc, yc), (xa, ya) = _spine(9 * s - 5), _spine(20 * s - 5)
     return (xc * sd, yc * sd, (90 * s * sd + inst.alphas_dot[i - 1]) ** 2,
             xa * sd, ya * sd, (20 * s * sd) ** 2, 10 * sd)
 
 
-def _choice_circles(inst: PartitionInstance, i: int) -> _CirclePair:
-    """`_circle_ints` as exact centers and squared radii."""
-    xc, yc, r1_sq, xa, ya, r2_sq, den = _circle_ints(inst, i)
-    return _CirclePair(Point(Fraction(xc, den), Fraction(yc, den)),
-                       Fraction(r1_sq, den * den),
-                       Point(Fraction(xa, den), Fraction(ya, den)),
-                       Fraction(r2_sq, den * den))
+def _on_circle(d2: int, den: int, r: int, b: int, bits: int) -> bool:
+    """Whether sqrt(d2) / den, a point's distance from a centre, lies
+    within 2^-bits of the radius r / b, for positive den and b and a
+    radius of at least 2^-bits.
+
+    The test runs on integers, exactly on the squares: the distance lies
+    within r / b -+ 2^-bits when sqrt(d2) * b * 2^bits lies within
+    den * (r * 2^bits -+ b), and both bounds are at least 0."""
+    lo, hi = (den * ((r << bits) + e) for e in (-b, b))
+    return lo * lo <= d2 * (b << bits) ** 2 <= hi * hi
 
 
 def _right_half_points(inst: PartitionInstance, d_bits: int):
@@ -344,43 +335,41 @@ def _labels(n):
     return right + [lab + "'" for lab in right[2:]]
 
 
+def _right_edges(lay) -> list:
+    """Each edge the construction defines in the right half, once, as
+    (u, v, ideal length, forced); the forced edges lie in every tree of
+    the family.  The left half repeats them mirrored (`_both_halves`)."""
+    last, t = lay.a(lay.n + 1), _four(lay.n)
+    edges = [(lay.q1, lay.a(1), Fraction(5, 2), True),
+             (last, lay.p1, Fraction(5, 9) * t - Fraction(179, 360), True),
+             (lay.p1, lay.p2, Fraction(5, 3) * t - Fraction(179, 120), True),
+             (last, lay.p2, Fraction(20, 9) * t - Fraction(179, 90), False),
+             (lay.a(1), last, 5 * (t - 1), False)]
+    for i in range(1, lay.n + 1):
+        s, a, c, a_next = _four(i - 1), lay.a(i), lay.c(i), lay.a(i + 1)
+        edges += [(a, lay.b(i), s, True), (lay.b(i), c, 3 * s, True),
+                  (c, lay.d(i), 9 * s + lay.alphas[i - 1], False),
+                  (lay.d(i), a_next, 2 * s, True), (c, a_next, 11 * s, False),
+                  (a, a_next, 15 * s, False)]
+    return edges
+
+
+def _both_halves(lay, u, v):
+    """The vertex pair (u, v) and its mirror image, each sorted."""
+    mu, mv = lay.mirror(u), lay.mirror(v)
+    return (min(u, v), max(u, v)), (min(mu, mv), max(mu, mv))
+
+
 def _ideal_lengths(lay):
-    n, alphas = lay.n, lay.alphas
-    L = {}
-
-    def put(u, v, value):
-        key = (u, v) if u < v else (v, u)
-        L[key] = Fraction(value)
-
-    put(lay.q1, lay.a(1), Fraction(5, 2))
-    put(lay.q1, lay.mirror(lay.a(1)), Fraction(5, 2))
-    put(lay.q1, lay.q2, Fraction(25, 9) * _four(n) - Fraction(11, 18))
-    for i in range(1, n + 1):
-        s = _four(i - 1)
-        pairs = [
-            (lay.a(i), lay.b(i), s),
-            (lay.b(i), lay.c(i), 3 * s),
-            (lay.c(i), lay.d(i), 9 * s + alphas[i - 1]),
-            (lay.d(i), lay.a(i + 1), 2 * s),
-            (lay.c(i), lay.a(i + 1), 11 * s),
-            (lay.a(i), lay.a(i + 1), 15 * s),
-        ]
-        for u, v, value in pairs:
-            put(u, v, value)
-            put(lay.mirror(u), lay.mirror(v), value)
-    tail = [
-        (lay.a(n + 1), lay.p1, Fraction(5, 9) * _four(n) - Fraction(179, 360)),
-        (lay.p1, lay.p2, Fraction(5, 3) * _four(n) - Fraction(179, 120)),
-        (lay.a(n + 1), lay.p2,
-         Fraction(20, 9) * _four(n) - Fraction(179, 90)),
-        (lay.a(1), lay.a(n + 1), 5 * (_four(n) - 1)),
-    ]
-    for u, v, value in tail:
-        put(u, v, value)
-        put(lay.mirror(u), lay.mirror(v), value)
-    q2p2 = Fraction(20, 3) * _four(n) - Fraction(101, 30)
-    put(lay.q2, lay.p2, q2p2)
-    put(lay.q2, lay.mirror(lay.p2), q2p2)
+    """The ideal length of every pair the construction defines: the
+    edges of `_right_edges` in both halves, and the axis pairs q1-q2 and
+    q2-p2, q2-p2'."""
+    n = lay.n
+    L = {(lay.q1, lay.q2): Fraction(25, 9) * _four(n) - Fraction(11, 18)}
+    q2p2 = (lay.q2, lay.p2, Fraction(20, 3) * _four(n) - Fraction(101, 30))
+    for u, v, length, *_ in _right_edges(lay) + [q2p2]:
+        for key in _both_halves(lay, u, v):
+            L[key] = Fraction(length)
     return L
 
 
@@ -456,17 +445,9 @@ def reduction(inst: PartitionInstance, k: int | None = None):
 
 
 def _critical_index_edges(lay) -> list:
-    n = lay.n
-    edges = [(lay.q1, lay.a(1)), (lay.a(n + 1), lay.p1), (lay.p1, lay.p2)]
-    for i in range(1, n + 1):
-        edges += [(lay.a(i), lay.b(i)), (lay.b(i), lay.c(i)),
-                  (lay.d(i), lay.a(i + 1))]
-    out = []
-    for u, v in edges:
-        out.append((u, v) if u < v else (v, u))
-        mu, mv = lay.mirror(u), lay.mirror(v)
-        out.append((mu, mv) if mu < mv else (mv, mu))
-    return out
+    """The forced edges of `_right_edges`, in both halves."""
+    return [key for u, v, _, forced in _right_edges(lay) if forced
+            for key in _both_halves(lay, u, v)]
 
 
 def _family_skeleton(lay):
@@ -571,49 +552,42 @@ def _check_mirror_symmetry(g) -> LemmaCheck:
 
 def _check_d_placement(g) -> LemmaCheck:
     name = "choice-point placement"
-    pts = g.points
-    bound = Fraction(1, 1 << (g.d_bits - 4))
-    # radii stay below 4^(n+1), so enclosures at this relative precision
-    # are under 2^-(d_bits+5) wide, far inside the tolerance
-    bits = g.d_bits + 2 * g.n + 8
-    a1 = pts[g.a(1)]
-    an1 = pts[g.a(g.n + 1)]
+    xy, den, bits = g.points.numerators, g.points.den, g.d_bits - 4
+    (x1, y1), (xn, yn) = xy[g.a(1)], xy[g.a(g.n + 1)]
     for i in range(1, g.n + 1):
-        dpt = pts[g.d(i)]
-        spec = g.d_defs[i - 1]
-        for center, r_sq in ((spec.center_c, spec.r1_sq),
-                             (spec.center_a, spec.r2_sq)):
-            enc = sqrt_interval(squared_distance(dpt, center), bits)
-            r = sqrt_interval(r_sq, bits)
-            if enc.lo < r.lo - bound or enc.hi > r.hi + bound:
+        x, y = xy[g.d(i)]
+        xc, yc, r1_sq, xa, ya, r2_sq, cden = _circle_ints(g, i)
+        for cx, cy, r_sq in ((xc, yc, r1_sq), (xa, ya, r2_sq)):
+            # d_i and the centre over the one denominator den * cden
+            d2 = (x * cden - cx * den) ** 2 + (y * cden - cy * den) ** 2
+            if not _on_circle(d2, den * cden, isqrt(r_sq), cden, bits):
                 return LemmaCheck(name, False,
                                   f"point d{i} sits off its defining circle")
-        if orientation(a1, an1, dpt) is not Orientation.COUNTERCLOCKWISE:
+        if (xn - x1) * (y - y1) - (yn - y1) * (x - x1) <= 0:
             return LemmaCheck(name, False, f"d{i} is not above the line")
-        if not dpt.y < pts[g.a(i + 1)].y:
+        if not y < xy[g.a(i + 1)][1]:
             return LemmaCheck(name, False, f"d{i} is not below a{i + 1}")
-    return LemmaCheck(name, True,
-                      f"residuals under 2^-{g.d_bits - 4}, sides correct")
+    return LemmaCheck(name, True, f"residuals under 2^-{bits}, sides correct")
 
 
 def _check_angle_bounds(g) -> LemmaCheck:
     name = "angle bounds"
-    pts = g.points
+    xy = g.points.numerators
     for i in range(1, g.n + 1):
-        s16 = _four(i - 1) ** 2
-        r1_sq = g.d_defs[i - 1].r1_sq
-        # cosine theorem at the right anchor, all squared lengths rational
-        cos = (125 * s16 - r1_sq) / (44 * s16)
-        if not cos > 1 - Fraction(1, 22 * _four(i - 1)):
+        s, (_, _, r1_sq, _, _, _, cden) = _four(i - 1), _circle_ints(g, i)
+        # cosine theorem at the right anchor: cos = (125 s^2 - r1^2) /
+        # (44 s^2) with r1^2 = r1_sq / cden^2; the bounds cos > 1 - 1/(22 s)
+        # and cos >= 21/22, multiplied out by 44 s^2 cden^2
+        unit = s * cden * cden
+        if not r1_sq < (81 * s + 2) * unit:
             return LemmaCheck(name, False, f"anchor angle at index {i} too wide")
-        if not cos >= Fraction(21, 22):
+        if not r1_sq <= 83 * s * unit:
             return LemmaCheck(name, False, f"anchor cosine at {i} below 21/22")
-        dx = pts[g.d(i)].x - pts[g.c(i)].x
+        dx = xy[g.d(i)][0] - xy[g.c(i)][0]
         if dx <= 0:
             return LemmaCheck(name, False, f"choice edge {i} points backwards")
-        # horizontal cosine of the choice edge, squared to stay rational
-        if not (91 * dx) ** 2 > 4624 * squared_distance(pts[g.c(i)],
-                                                        pts[g.d(i)]):
+        # horizontal cosine of the choice edge, squared to stay on integers
+        if not (91 * dx) ** 2 > 4624 * g.points._d2_num(g.c(i), g.d(i)):
             return LemmaCheck(name, False,
                               f"choice edge {i} is steeper than 68/91 allows")
     return LemmaCheck(name, True, "anchor and slope cosines all clear")
@@ -654,9 +628,9 @@ def _check_alternation(g) -> LemmaCheck:
 def verify_gadget(g: Gadget) -> LemmaReport:
     """Audit the construction: identities, placements, and inequalities.
 
-    Every check is certified with exact arithmetic, or with interval
-    arithmetic at a precision worked out from the gadget's own `d_bits`;
-    failures are collected in the report, not raised.
+    Every check is certified with exact arithmetic, on the integer
+    numerators where it can; failures are collected in the report, not
+    raised.
     """
     return LemmaReport(checks=(
         _check_distance_identities(g),
@@ -675,31 +649,26 @@ def verify_gadget(g: Gadget) -> LemmaReport:
 def _check_encoded_weights(inst) -> None:
     """Reject a gadget or instance whose choice edges encode other weights.
 
-    |c_i d_i| is scale * r_i, with r_i = 9 * 4^(i-1) + alpha_i and
-    alpha_i = alphas_dot_i / (10 * sigma_dot), up to the error in d_i.
-    `build_gadget` places d_i within 2^-(d_bits+2) of its circles'
-    crossing.  An instance (scale 1800 * 2^k) rounds a gadget's d_i with
-    d_bits >= k to k fractional bits, which moves it by at most
-    2^-k / sqrt(2), so it stays within 2^-k: the error `rounding_bits`
-    fits under the gap.  So |c_i d_i| must lie within 2^-d_bits of r_i
-    in a gadget (scale 1), and within scale * 2^-k of scale * r_i in an
-    instance, tested exactly on the squares.  A weight one unit off moves r_i by 1 / (10 *
-    sigma_dot), far beyond either error.
-
-    The test runs on integers: with r_i = a / b for b = 10 * sigma_dot,
-    the bounds are scale * (a * 2^bits -+ b) / (b * 2^bits), and
-    |c_i d_i|^2 is the squared numerator distance over den^2.
+    |c_i d_i| is scale * r_i, with r_i = 9 * 4^(i-1) + alpha_i the radius
+    `_circle_ints` gives, up to the error in d_i.  `build_gadget` places
+    d_i within 2^-(d_bits+2) of its circles' crossing.  An instance
+    (scale 1800 * 2^k) rounds a gadget's d_i with d_bits >= k to k
+    fractional bits, which moves it by at most 2^-k / sqrt(2), so it
+    stays within 2^-k: the error `rounding_bits` fits under the gap.  So
+    |c_i d_i| / scale must lie within 2^-d_bits of r_i in a gadget
+    (scale 1), and within 2^-k in an instance, as `_on_circle` tests.  A
+    weight one unit off moves r_i by 1 / (10 * sigma_dot), far beyond
+    either error.
     """
     if isinstance(inst, IntegerInstance):
         scale, bits = _SCALE_BASE << inst.k, inst.k
     else:
         scale, bits = 1, inst.d_bits
-    pts, b = inst.points, 10 * inst.sigma_dot
+    pts = inst.points
     for i, declared in enumerate(inst.alphas_dot, 1):
-        a = 9 * _four(i - 1) * b + declared
-        d2 = pts._d2_num(inst.c(i), inst.d(i)) * (b << bits) ** 2
-        lo, hi = (scale * pts.den * ((a << bits) + e) for e in (-b, b))
-        if not lo * lo <= d2 <= hi * hi:
+        _, _, r1_sq, _, _, _, b = _circle_ints(inst, i)
+        if not _on_circle(pts._d2_num(inst.c(i), inst.d(i)),
+                          scale * pts.den, isqrt(r1_sq), b, bits):
             raise ValueError(f"choice edge {i} does not encode weight"
                              f" {declared}")
 

@@ -45,7 +45,7 @@ from .dilation import (DilationReport, PointSet, Tree, crossing_edge_pairs,
                        tree_dilation, tree_exact, tree_has_crossing,
                        _critical_scan, _max_dilation, _ratio_sign)
 from .errors import Infeasible, NotApplicable, NotCrossing, SizeTooLarge
-from .exactgeom import Orientation, orientation
+from .exactgeom import Orientation, orientation, segments_cross_ints
 from .radical import SqrtSum
 
 _ENUM_MAX = 9
@@ -581,9 +581,10 @@ def _order_search(ps, opts):
     feasible one, so every exact optimum is reached.  Complete orderings
     that meet the constraints go through the integer screen that
     `exhaustive_mdst` uses.  Only the orderings the screen cannot certify
-    worse get a certified report, from the same certified max over pairs
-    as `tree_dilation`: tied pairs name the lexicographically smallest
-    vertex pair, for tours as for trees.  Ties between orderings keep the
+    worse get a certified report: a path's from `tree_dilation`, as a
+    tree, and a tour's from the same certified max over pairs on its
+    arcs.  Tied pairs name the lexicographically smallest vertex pair, for
+    tours as for trees.  Ties between orderings keep the
     lexicographically first.  `trees_examined` counts the complete
     feasible orderings that reach the screen, and `pruned` the cut
     prefixes plus the orderings the screen certified worse.
@@ -691,9 +692,11 @@ def _order_search(ps, opts):
         placed[first] = False
 
     def certify(order):
-        sums, exact = _order_metric(ps, order, closed)
         edges = _order_edges(order, closed)
-        return (tuple(sorted(edges)) if closed else Tree(n, edges),
+        if not closed:
+            return _certify_tree(ps, opts.bits, edges)
+        sums, exact = _order_metric(ps, order, closed)
+        return (tuple(sorted(edges)),
                 _max_dilation(ps, sums, exact, opts.bits), exact)
 
     return _result(screen.survivors(), certify, screen.count, cuts)
@@ -825,23 +828,6 @@ def _five_tables():
     return pairs, disjoint, tuple(trees)
 
 
-def _crossing_table(pts, disjoint):
-    flags = []
-    for (a, b), (c, d) in disjoint:
-        ax, ay = pts[a]
-        bx, by = pts[b]
-        cx, cy = pts[c]
-        dx, dy = pts[d]
-        abx, aby = bx - ax, by - ay
-        o1 = abx * (cy - ay) - aby * (cx - ax)
-        o2 = abx * (dy - ay) - aby * (dx - ax)
-        cdx, cdy = dx - cx, dy - cy
-        o3 = cdx * (ay - cy) - cdy * (ax - cx)
-        o4 = cdx * (by - cy) - cdy * (bx - cx)
-        flags.append(o1 * o2 < 0 and o3 * o4 < 0)
-    return flags
-
-
 def _float_margin_score(pts):
     """Best crossing-free dilation minus best crossing dilation.
 
@@ -853,7 +839,8 @@ def _float_margin_score(pts):
     dist = [0.0] * len(pairs)
     for k, (u, v) in enumerate(pairs):
         dist[k] = math.hypot(pts[u][0] - pts[v][0], pts[u][1] - pts[v][1])
-    cross = _crossing_table(pts, disjoint)
+    cross = [segments_cross_ints(pts[a], pts[b], pts[c], pts[d])
+             for (a, b), (c, d) in disjoint]
     big = float("inf")
     best_cf = best_cross = big
     for paths, cross_idx in trees:

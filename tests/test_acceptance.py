@@ -112,8 +112,8 @@ def test_criterion_02_anchor_angle_and_height():
         g = build_gadget(PartitionInstance(random_weights(rng, n)))
         for i in range(1, n + 1):
             # cosine theorem on the defining radii, purely rational
-            cos = (125 * four(i - 1) ** 2 - g.d_defs[i - 1].r1_sq) \
-                / (44 * four(i - 1) ** 2)
+            r1 = g.rational_lengths[(g.c(i), g.d(i))]
+            cos = (125 * four(i - 1) ** 2 - r1 * r1) / (44 * four(i - 1) ** 2)
             ok &= cos > Fraction(21, 22)
             ok &= g.points[g.d(i)].y < g.points[g.a(i + 1)].y
             checked += 2

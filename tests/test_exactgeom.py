@@ -160,6 +160,20 @@ def test_crossing_symmetry(a, b, c, d):
     assert segments_properly_cross(Segment(b, a), t) == segments_properly_cross(s, t)
 
 
+small = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@given(small, small, small, small)
+@settings(max_examples=300)
+def test_integer_crossing_core_matches_reference(a, b, c, d):
+    # a small grid makes collinear, touching and overlapping cases common
+    if a == b or c == d:
+        return
+    expect = segments_properly_cross(Segment(pt(*a), pt(*b)),
+                                     Segment(pt(*c), pt(*d)))
+    assert exactgeom.segments_cross_ints(a, b, c, d) is expect
+
+
 # ---------------------------------------------------------------------------
 # circle-circle intersection
 

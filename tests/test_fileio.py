@@ -131,7 +131,6 @@ def test_gadget_round_trip_is_exact():
     assert back.alphas_dot == g.alphas_dot and back.d_bits == g.d_bits
     assert back.points.points == g.points.points
     assert back.points.labels == g.points.labels
-    assert back.d_defs == g.d_defs
     assert back.rational_lengths == g.rational_lengths
     assert json.dumps(gadget_to_json(back), indent=2) == text
 

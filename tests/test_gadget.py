@@ -143,11 +143,11 @@ def test_choice_points_sit_on_their_circles():
     g = build_gadget(PartitionInstance((1, 2, 4)))
     budget = Fraction(1, 1 << g.d_bits)
     for i in range(1, g.n + 1):
-        spec = g.d_defs[i - 1]
-        dpt = g.points[g.d(i)]
-        for center, r_sq in ((spec.center_c, spec.r1_sq),
-                             (spec.center_a, spec.r2_sq)):
-            assert abs(squared_distance(dpt, center) - r_sq) <= budget
+        # the radii are the ideal lengths of the edges c_i d_i, d_i a_{i+1}
+        for center in (g.c(i), g.a(i + 1)):
+            key = tuple(sorted((center, g.d(i))))
+            assert abs(g.points.distance_sq(*key)
+                       - g.rational_lengths[key] ** 2) <= budget
 
 
 def test_choice_points_between_line_and_anchor():
@@ -218,6 +218,27 @@ def test_audit_flags_displaced_choice_point():
     assert not report.passed
     names = {c.name for c in report.failures()}
     assert "choice-point placement" in names
+
+
+def test_placement_check_boundary():
+    # d_1 and its mirror moved along x by the tolerance 2^-(d_bits-4) stay
+    # on their circles; moved by twice that, they are off
+    g = build_gadget(PartitionInstance((1, 2)), d_bits=41)
+
+    def audit(shift):
+        xy = list(g.points.numerators)
+        step = g.points.den >> shift
+        for j, sign in ((g.d(1), 1), (g.mirror(g.d(1)), -1)):
+            xy[j] = (xy[j][0] + sign * step, xy[j][1])
+        moved = dataclasses.replace(g, points=PointSet.from_ints(
+            xy, g.points.den, g.points.labels))
+        return {c.name: c for c in verify_gadget(moved).checks}[
+            "choice-point placement"]
+
+    assert audit(g.d_bits - 4).passed
+    check = audit(g.d_bits - 5)
+    assert not check.passed
+    assert check.detail == "point d1 sits off its defining circle"
 
 
 def test_forced_edge_scan_matches_construction():
