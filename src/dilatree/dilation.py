@@ -25,13 +25,16 @@ the input, and the unit cancels from every ratio and every comparison of
 sums; only `tree_path_length`, an absolute length, divides by it.  The
 enclosures are kept in one n x n table per precision, `PointSet.table`,
 which every scan fetches once and reads row by row in place;
-`PointSet.dist_ints` runs only on an entry not yet filled.  One kernel,
-`root_sums`, sums the table's entries along every path from a root in a
-whole tree.  The max over pairs compares ratio numerators on one dyadic
-grid; only its report builds `Fraction`s.  No scan encloses every
-pair.  The exact side mirrors this: `PointSet.exact_dist` builds each
-pair's `SqrtSum` once, and `tree_exact` sums them along tree paths,
-memoised per root, for every exact fallback.
+`PointSet.dist_ints` runs only on an entry not yet filled.  A scan of
+every pair of a tree reads each pair's path sum once, from one preorder
+pass, `_tree_blocks`, that builds a vertex's sums to the vertices placed
+before it from its parent's and keeps O(log n) such rows at a time;
+`root_sums` sums the table's entries along every path from one root, for
+the few pairs read on their own.  The max over pairs compares ratio
+numerators on one dyadic grid; only its report builds `Fraction`s.  No
+scan encloses every pair.  The exact side mirrors this:
+`PointSet.exact_dist` builds each pair's `SqrtSum` once, and `tree_exact`
+sums them along tree paths, memoised per root, for every exact fallback.
 
 Skip tests.  Before a pair's |uv| is enclosed, an exact integer test on
 its squared numerator distance d2 tries to settle it, and a square root
@@ -79,6 +82,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import PrecisionExhausted, max_bits_cap
 from .exactgeom import Interval, Point, segments_cross_ints, sqrt_ints
@@ -360,11 +364,76 @@ def root_sums(ps: PointSet, adj, root: int, bits: int):
     return sums
 
 
+def _tree_blocks(ps: PointSet, tree: Tree, bits: int):
+    """Every pair's integer (lo, hi) tree-path sums, each pair once.
+
+    Yields blocks (x, placed, row) for every vertex x but 0, in a preorder
+    from vertex 0: `placed` lists the vertices placed before x and row[i]
+    is the sum of the `ps.table(bits)` entries over the path from x to
+    placed[i], the integers `root_sums` gives.  A pair is in the block of
+    its later vertex.  No placed vertex lies in x's subtree, so each path
+    from x to one leaves through x's parent p, and row x is p's row plus
+    the edge xp.  A vertex's row, extended by each later vertex's entry,
+    is kept only while the vertex has children left to place.  Those are
+    the ancestors of x whose child on the path to x is not their last;
+    the preorder visits a vertex's largest child subtree last, so each
+    such child holds at most half of its parent's subtree, and at most
+    floor(log2 n) + 1 rows, x's included, are alive.  Both lists of a
+    block are live: read it before taking the next."""
+    n, tab, dist_ints = tree.n, ps.table(bits), ps.dist_ints
+    par, kids = tree.parents_from(0), [[] for _ in range(n)]
+    for x in range(1, n):
+        kids[par[x]].append(x)
+    seq = [0]
+    for x in seq:
+        seq += kids[x]
+    size = [1] * n
+    for x in seq[:0:-1]:
+        size[par[x]] += size[x]
+    for k in kids:
+        if len(k) > 1:      # the largest first: the stack pops it last
+            k.sort(key=size.__getitem__, reverse=True)
+    order, alive, stack = [0], [(0, [(0, 0)])], kids[0][:]
+    while stack:
+        x = stack.pop()
+        p = par[x]
+        elo, ehi = tab[x][p] or dist_ints(x, p, bits)
+        # alive[-1] is p's row: every kept row is an ancestor's, p deepest
+        row = [(lo + elo, hi + ehi) for lo, hi in alive[-1][1]]
+        if x == kids[p][0]:
+            alive.pop()
+        yield x, order, row
+        for pos, kept in alive:
+            kept.append(row[pos])
+        if kids[x]:
+            row.append((0, 0))
+            alive.append((len(order), row))
+            stack += kids[x]
+        order.append(x)
+
+
+def _row_blocks(sums, pairs, bits):
+    """The blocks (u, vs, sums) of `pairs`, by first vertex in sorted
+    order, from the rows `sums(u, bits)`."""
+    for u, group in itertools.groupby(sorted(pairs), itemgetter(0)):
+        row = sums(u, bits)
+        vs = [v for _, v in group]
+        yield u, vs, [row[v] for v in vs]
+
+
+def _check_tree(ps: PointSet, tree: Tree, *vertices):
+    """ValueError unless `tree` spans `ps` and each vertex is in 0..n-1."""
+    if tree.n != ps.n:
+        raise ValueError("tree and point set sizes differ")
+    for v in vertices:
+        if not 0 <= v < ps.n:
+            raise ValueError(f"vertex {v} out of range for n={ps.n}")
+
+
 def tree_path_length(ps: PointSet, tree: Tree, u: int, v: int,
                      bits: int) -> Interval:
     """Enclosure of the tree-path length between u and v."""
-    if tree.n != ps.n:
-        raise ValueError("tree and point set sizes differ")
+    _check_tree(ps, tree, u, v)
     lo, hi = root_sums(ps, tree.adjacency(), u, bits)[v]
     unit = ps.den << _scale_exp(bits)
     return Interval(Fraction(lo, unit), Fraction(hi, unit), bits)
@@ -373,50 +442,57 @@ def tree_path_length(ps: PointSet, tree: Tree, u: int, v: int,
 def pair_dilation(ps: PointSet, tree: Tree, u: int, v: int,
                   bits: int) -> Interval:
     """Dyadic enclosure of d_T(u, v) / |uv| with relative width ~2^-bits."""
+    _check_tree(ps, tree, u, v)
     if u == v:
         raise ValueError("pair must be two distinct vertices")
     if bits < 1:
         raise ValueError("bits must be positive")
+    pair = (u, v) if u < v else (v, u)
     sums = partial(root_sums, ps, tree.adjacency())
-    lo, hi = _pair_ratios(ps, sums, [(u, v)], bits)[u, v]
+    lo, hi = _pair_ratios(ps, partial(_row_blocks, sums, [pair]), bits)[pair]
     return _dyadic(lo, hi, bits + 4, bits)
 
 
-def _pair_ratios(ps, sums, pairs, bits):
-    """Dilation enclosures at `bits` of the given pairs, keyed by pair,
-    as integer numerators (lo, hi) on the grid 2^-(bits+4).
+def _pair_ratios(ps, blocks, bits):
+    """Dilation enclosures at `bits` of the pairs in `blocks`, keyed by
+    pair (u, v), u < v, as integer numerators (lo, hi) on the grid
+    2^-(bits+4).
 
-    `sums(u, bits)` gives the integer path-length enclosures from u to
-    every vertex, as `root_sums` does for a tree; pairs sharing a first
-    vertex share one call.  lo is the floor of dlo/lhi and hi the ceil of
-    dhi/llo on the grid, the shared unit of the enclosures cancelling.
+    `blocks(bits + 4)` yields blocks (u, vs, sums): sums[i] is the integer
+    path-length enclosure from u to vs[i] at bits + 4, as `_tree_blocks`
+    gives every pair of a tree and `_row_blocks` some pairs from rows.  lo
+    is the floor of dlo/lhi and hi the ceil of dhi/llo on the grid, the
+    shared unit of the enclosures cancelling.
 
-    A pair whose |uv| is not enclosed yet is left out, with no square
-    root taken, when the module's skip test puts its hi below `best`, the
-    largest lo of the pairs before it.  Such a pair can neither raise the
-    maximum of lo nor reach it, so `_max_dilation` keeps exactly the
-    survivors, the maximum and the witness it would keep with the pair
-    in.  Every pair is kept until some lo is positive."""
+    A pair is left out when its hi is below `best`, the largest lo of the
+    pairs read before it: by the module's skip test, with no square root
+    taken, while its |uv| is not enclosed yet, and by one product once it
+    is.  Such a pair can neither raise the maximum of lo nor reach it, so
+    `_max_dilation` keeps exactly the survivors, the maximum and the
+    witness it would keep with the pair in, in whatever order the blocks
+    come.  Every pair is kept until some lo is positive."""
     f = bits + 4
-    tab, d2_num = ps.table(f), ps._d2_num
+    tab, xy, dist_ints = ps.table(f), ps._xy, ps.dist_ints
     margin = ((1 << (f - 2)) - 1) << 16
     enc = {}
     best, cut = 0, -1
-    root = row = lens = None
-    for u, v in sorted(pairs):
-        if u != root:
-            root, row, lens = u, sums(u, f), tab[u]
-        dlo, dhi = row[v]
-        length = lens[v]
-        if length is None:
-            if (dhi * dhi) << (f - 2) <= cut * d2_num(u, v):
-                continue
-            length = ps.dist_ints(u, v, f)
-        llo, lhi = length
-        lo = (dlo << f) // lhi
-        enc[u, v] = lo, -((-dhi << f) // llo)
-        if lo > best:
-            best, cut = lo, (lo - 1) ** 2 * margin
+    for u, vs, sums in blocks(f):
+        lens, (xu, yu) = tab[u], xy[u]
+        for v, (dlo, dhi) in zip(vs, sums):
+            length = lens[v]
+            if length is None:
+                x, y = xy[v]
+                if (dhi * dhi) << (f - 2) <= cut * ((x - xu) ** 2
+                                                    + (y - yu) ** 2):
+                    continue
+                length = dist_ints(u, v, f)
+            llo, lhi = length
+            if dhi << f <= (best - 1) * llo:
+                continue            # hi = ceil(dhi 2^f / llo) < best
+            lo = (dlo << f) // lhi
+            enc[(u, v) if u < v else (v, u)] = lo, -((-dhi << f) // llo)
+            if lo > best:
+                best, cut = lo, (lo - 1) ** 2 * margin
     return enc
 
 
@@ -483,10 +559,10 @@ def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int,
                          q_den: int) -> Verdict:
     """Certified verdict of Delta(T) <= P/Q.
 
-    Scans every pair at 64 bits, one `root_sums` per first vertex, and
-    settles only pairs whose enclosures straddle the threshold, by the
-    exact sign of Q d_T(u, v) - P |uv|; a pair certified strictly above
-    P/Q settles the whole tree immediately.
+    Scans every pair once at 64 bits, in the blocks of `_tree_blocks`,
+    and settles only pairs whose enclosures straddle the threshold, by
+    the exact sign of Q d_T(u, v) - P |uv|, in sorted pair order; a pair
+    certified strictly above P/Q settles the whole tree immediately.
 
     A pair whose |uv| is not enclosed yet is left out, with no square
     root taken, when the module's skip test shows Q dhi <= P llo: such a
@@ -495,16 +571,13 @@ def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int,
     """
     if q_den < 1 or p_num < q_den:
         raise ValueError("threshold must satisfy P/Q >= 1 with Q >= 1")
-    if tree.n != ps.n:
-        raise ValueError("tree and point set sizes differ")
-    n, adj, tab, xy = ps.n, tree.adjacency(), ps.table(64), ps._xy
+    _check_tree(ps, tree)
+    tab, xy = ps.table(64), ps._xy
     cut = p_num * p_num * ((1 << 62) - 1) << 144
     undecided = []
-    for u in range(n - 1):
-        sums, lens = root_sums(ps, adj, u, 64), tab[u]
-        xu, yu = xy[u]
-        for v in range(u + 1, n):
-            dlo, dhi = sums[v]
+    for u, vs, sums in _tree_blocks(ps, tree, 64):
+        lens, (xu, yu) = tab[u], xy[u]
+        for v, (dlo, dhi) in zip(vs, sums):
             length = lens[v]
             if length is None:
                 x, y = xy[v]
@@ -516,7 +589,8 @@ def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int,
             if q_den * dlo > p_num * lhi:
                 return Verdict.GREATER
             if q_den * dhi > p_num * llo:
-                undecided.append((u, v))
+                undecided.append((u, v) if u < v else (v, u))
+    undecided.sort()
     exact = tree_exact(ps, tree)
     for u, v in undecided:
         d, length = exact(u, v)
@@ -543,21 +617,26 @@ def tree_dilation(ps: PointSet, tree: Tree, bits: int) -> DilationReport:
     are reported with `tied` set and the lexicographically smallest
     witness.
     """
-    if tree.n != ps.n:
-        raise ValueError("tree and point set sizes differ")
-    return _max_dilation(ps, partial(root_sums, ps, tree.adjacency()),
+    _check_tree(ps, tree)
+    return _max_dilation(ps, partial(_tree_blocks, ps, tree),
+                         partial(root_sums, ps, tree.adjacency()),
                          tree_exact(ps, tree), bits)
 
 
-def _max_dilation(ps: PointSet, sums, exact, bits: int) -> DilationReport:
+def _max_dilation(ps: PointSet, every, sums, exact,
+                  bits: int) -> DilationReport:
     """Enclose the largest pair dilation of a structure on `ps` and name a
     pair attaining it.
 
-    The structure is given by its path metric: `sums(u, bits)` encloses
-    the path lengths from u to every vertex, as `root_sums` does for a
-    tree, and `exact(u, v)` the exact (path length, |uv|) of a pair, as
-    `tree_exact` does.  The maximum is located by refining only the pairs
-    whose enclosures still overlap the running lower bound.  When the
+    The structure is given by its path metric: `every(bits)` yields the
+    integer path-length enclosures of every pair once, as blocks (u, vs,
+    sums) that `_pair_ratios` reads, as `_tree_blocks` does for a tree;
+    `sums(u, bits)` encloses the path lengths from u to every vertex, as
+    `root_sums` does, and `exact(u, v)` gives the exact (path length,
+    |uv|) of a pair, as `tree_exact` does.  The maximum is located by
+    refining only the pairs whose enclosures still overlap the running
+    lower bound.  A rung whose survivors are still every pair reads
+    `every`; one on fewer reads their rows of `sums`.  When the
     final survivors cannot be separated numerically they are compared
     symbolically, from `_EXACT_FALLBACK_BITS` up; genuinely equal maxima
     are reported with `tied` set and the lexicographically smallest
@@ -571,7 +650,8 @@ def _max_dilation(ps: PointSet, sums, exact, bits: int) -> DilationReport:
         raise ValueError("bits must be positive")
     cap = max_bits_cap()
     work = max(bits + 4, 64)
-    enc = _pair_ratios(ps, sums, itertools.combinations(range(ps.n), 2), work)
+    enc = _pair_ratios(ps, every, work)
+    pairs_in_all = ps.n * (ps.n - 1) // 2
     tied = False
     skip_below = min(cap, _EXACT_FALLBACK_BITS)
 
@@ -622,7 +702,8 @@ def _max_dilation(ps: PointSet, sums, exact, bits: int) -> DilationReport:
         if work < skip_below and lo <= one and all_straight(survivors):
             while work < skip_below:
                 work = min(2 * work, cap)
-        enc = _pair_ratios(ps, sums, survivors, work)
+        enc = _pair_ratios(ps, every if len(survivors) == pairs_in_all
+                           else partial(_row_blocks, sums, survivors), work)
 
     return DilationReport(value=_dyadic(lo, hi, work + 4, bits),
                           witness=min(survivors), precision_used=work,

@@ -696,8 +696,12 @@ def _order_search(ps, opts):
         if not closed:
             return _certify_tree(ps, opts.bits, edges)
         sums, exact = _order_metric(ps, order, closed)
+
+        def every(bits):
+            return ((u, range(u + 1, n), sums(u, bits)[u + 1:])
+                    for u in range(n - 1))
         return (tuple(sorted(edges)),
-                _max_dilation(ps, sums, exact, opts.bits), exact)
+                _max_dilation(ps, every, sums, exact, opts.bits), exact)
 
     return _result(screen.survivors(), certify, screen.count, cuts)
 

@@ -12,6 +12,7 @@ from dilatree.dilation import (
     critical_edges, crossing_edge_pairs, graph_dilation_bounds,
     pair_dilation, root_sums, tree_dilation, tree_exact, tree_has_crossing,
     tree_path_length, _critical_scan, _pair_ratios, _separator_exceeds,
+    _tree_blocks,
 )
 from dilatree.errors import PrecisionExhausted
 from dilatree.exactgeom import (Segment, orientation, pt, round_dyadic,
@@ -159,6 +160,54 @@ def test_root_sums_on_partial_forest(offset):
                     assert sums[v] == expect
 
 
+def block_trees(rng):
+    """(n, tree) for the pair-sum kernel: random trees, a star centred
+    off vertex 0, a path with vertex 0 inside it, and under shuffled
+    labels a caterpillar and a complete binary tree of 1,024 vertices."""
+    for n in (2, 5, 9, 17, 30):
+        yield n, random_tree(rng, n)
+    yield 12, Tree(12, [(5, v) for v in range(12) if v != 5])
+    order = rng.sample(range(1, 12), 11)
+    order.insert(4, 0)
+    yield 12, Tree(12, list(zip(order, order[1:])))
+    labels = list(range(1024))
+    rng.shuffle(labels)
+    spine = [(labels[2 * i], labels[2 * i + 2]) for i in range(511)]
+    legs = [(labels[2 * i], labels[2 * i + 1]) for i in range(512)]
+    yield 1024, Tree(1024, spine + legs)
+    rng.shuffle(labels)
+    yield 1024, Tree(1024, [(labels[i], labels[(i - 1) // 2])
+                            for i in range(1, 1024)])
+
+
+@pytest.mark.parametrize("offset, scale",
+                         [(0, 1), (1 << 54, 1), (0, Fraction(1, 1 << 100))])
+def test_tree_blocks_give_every_pair_once_with_the_root_sums(offset, scale):
+    # each block's placed list is every vertex placed before it, so a pair
+    # is read once, in the block of its later vertex; its sums are those
+    # of the root_sums row, and no more than floor(log2 n) + 1 rows, the
+    # block's own included, are kept at once
+    rng = random.Random(53)
+    for n, tree in block_trees(rng):
+        coords = set()
+        while len(coords) < n:
+            coords.add((rng.randint(0, 10 ** 6), rng.randint(0, 10 ** 6)))
+        ps = PointSet.from_coords([((x + offset) * scale, (y + offset) * scale)
+                                   for x, y in sorted(coords)])
+        blocks = _tree_blocks(ps, tree, 68)
+        done, most = [0], 0
+        for x, placed, row in blocks:
+            most = max(most, len(blocks.gi_frame.f_locals["alive"]) + 1)
+            assert placed == done and len(row) == len(placed)
+            # one row in 16 on the large trees
+            if n < 100 or x % 16 == 0:
+                sums = root_sums(ps, tree.adjacency(), x, 68)
+                assert row == [sums[v] for v in placed]
+            done.append(x)
+        assert sorted(done) == list(range(n))
+        assert most <= n.bit_length()
+
+
 def common_denominator(ps):
     return lcm(*(c.denominator for p in ps.points for c in (p.x, p.y)))
 
@@ -263,13 +312,13 @@ def test_pair_ratios_round_like_round_dyadic(offset):
     rng = random.Random(offset % 1019 + 29)
     for n in (5, 9):
         ps, tree = random_tree_instance(rng, n, offset)
-        sums = partial(root_sums, ps, tree.adjacency())
         for bits in (1, 8, 33, 64, 300):
             f = bits + 4
-            ratios = _pair_ratios(ps, sums,
-                                  itertools.combinations(range(n), 2), bits)
+            ratios = _pair_ratios(ps, partial(_tree_blocks, ps, tree), bits)
             for (u, v), (lo, hi) in ratios.items():
-                (dlo, dhi), (llo, lhi) = sums(u, f)[v], ps.dist_ints(u, v, f)
+                assert u < v
+                dlo, dhi = root_sums(ps, tree.adjacency(), u, f)[v]
+                llo, lhi = ps.dist_ints(u, v, f)
                 assert Fraction(lo, 1 << f) == \
                     round_dyadic(Fraction(dlo, lhi), f, "floor")
                 assert Fraction(hi, 1 << f) == \
@@ -282,15 +331,19 @@ def test_pair_ratios_round_like_round_dyadic(offset):
 @pytest.mark.parametrize("offset", [0, 1 << 60])
 def test_pair_ratios_leave_out_only_pairs_below_an_earlier_lo(offset):
     # a pair left out has an upper ratio certainly below the lower ratio
-    # of a pair before it, so it could neither reach nor raise the maximum;
-    # the comb and the chain hold many exactly tied pairs
+    # of a pair the scan read before it, so it could neither reach nor
+    # raise the maximum; the comb and the chain hold many exactly tied
+    # pairs
     rng = random.Random(offset % 1019 + 31)
     cases = [random_tree_instance(rng, n, offset) for n in (9, 30)]
     for ps, tree in cases + [grid_comb(), collinear_chain(), prim_mst(40)]:
-        sums = partial(root_sums, ps, tree.adjacency())
-        pairs = list(itertools.combinations(range(ps.n), 2))
+        blocks = partial(_tree_blocks, ps, tree)
         for bits in (1, 8, 64):
-            kept = _pair_ratios(ps, sums, pairs, bits)
+            pairs = [(min(x, v), max(x, v))
+                     for x, placed, _ in blocks(bits + 4) for v in placed]
+            assert sorted(pairs) == list(itertools.combinations(range(ps.n),
+                                                                2))
+            kept = _pair_ratios(ps, blocks, bits)
             best = 0
             for u, v in pairs:
                 if (u, v) in kept:
@@ -308,6 +361,42 @@ def square_star():
 def square_path():
     ps = PointSet([pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)])
     return ps, Tree(4, [(0, 1), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("call", [pair_dilation, tree_path_length])
+def test_pair_queries_reject_a_tree_of_another_size(call):
+    ps, _ = square_path()
+    with pytest.raises(ValueError, match="sizes differ"):
+        call(ps, Tree(3, [(0, 1), (1, 2)]), 0, 2, 64)
+    ps3 = PointSet([pt(0, 0), pt(1, 0), pt(1, 1)])
+    with pytest.raises(ValueError, match="sizes differ"):
+        call(ps3, square_path()[1], 0, 2, 64)
+
+
+@pytest.mark.parametrize("call", [pair_dilation, tree_path_length])
+@pytest.mark.parametrize("u, v", [(-1, 2), (0, -4), (-4, -1)])
+def test_pair_queries_reject_negative_vertices(call, u, v):
+    # a negative index would read a vertex from the end of a row
+    ps, tree = square_path()
+    with pytest.raises(ValueError, match="out of range"):
+        call(ps, tree, u, v, 64)
+
+
+@pytest.mark.parametrize("call", [pair_dilation, tree_path_length])
+@pytest.mark.parametrize("u, v", [(0, 4), (4, 1), (7, 9)])
+def test_pair_queries_reject_vertices_past_the_last(call, u, v):
+    ps, tree = square_path()
+    with pytest.raises(ValueError, match="out of range"):
+        call(ps, tree, u, v, 64)
+
+
+def test_pair_dilation_takes_either_order():
+    ps, tree = square_path()
+    for u, v in itertools.permutations(range(4), 2):
+        assert pair_dilation(ps, tree, u, v, 64) \
+            == pair_dilation(ps, tree, v, u, 64)
+        assert tree_path_length(ps, tree, u, v, 64) \
+            == tree_path_length(ps, tree, v, u, 64)
 
 
 def test_tree_path_length_exact_cases():
@@ -908,7 +997,7 @@ def test_tree_dilation_encloses_few_pairs_of_an_mst(monkeypatch):
 
     monkeypatch.setattr(PointSet, "dist_ints", counted)
     tree_dilation(ps, tree, 64)
-    assert len(calls) == 222
+    assert len(calls) == 224
     assert len(calls) < ps.n * (ps.n - 1) // 8
 
 
@@ -937,7 +1026,8 @@ def threshold_cases(offset):
     """(points, tree, thresholds): random trees and MSTs against both
     ends of their 64-bit dilation enclosure and 1/8 to either side, and
     against dhi / (llo + 1) for the witness's 64-bit enclosures, which
-    lies between dhi / |uv| and dhi / llo."""
+    lies between dhi / |uv| and dhi / llo; a 200-point MST against the
+    two ends of its enclosure."""
     rng = random.Random(offset % 1013 + 5)
     cases = [random_tree_instance(rng, n, offset) for n in (6, 12, 25)]
     cases += [prim_mst(n, offset) for n in (20, 40)]
@@ -957,6 +1047,9 @@ def threshold_cases(offset):
     yield chain, Tree(3, [(0, 1), (1, 2)]), [Fraction(1)]
     ps, tree = square_path()
     yield ps, tree, [Fraction(3)]
+    ps, tree = prim_mst(200, offset)
+    rep = tree_dilation(PointSet(ps.points), tree, 64)
+    yield ps, tree, [rep.value.lo, rep.value.hi]
 
 
 @pytest.mark.parametrize("offset", [0, 1 << 54, 1 << 60])
@@ -1223,6 +1316,33 @@ def reference_ratio_sign(a, b):
     return (da * lb - db * la).sign()
 
 
+def reference_pair_ratios(ps, sums, pairs, bits):
+    """`_pair_ratios` as it ran before the tree scans read every pair
+    once: one `sums(u, bits + 4)` row per first vertex, pairs in sorted
+    order."""
+    f = bits + 4
+    tab, d2_num = ps.table(f), ps._d2_num
+    margin = ((1 << (f - 2)) - 1) << 16
+    enc = {}
+    best, cut = 0, -1
+    root = row = lens = None
+    for u, v in sorted(pairs):
+        if u != root:
+            root, row, lens = u, sums(u, f), tab[u]
+        dlo, dhi = row[v]
+        length = lens[v]
+        if length is None:
+            if (dhi * dhi) << (f - 2) <= cut * d2_num(u, v):
+                continue
+            length = ps.dist_ints(u, v, f)
+        llo, lhi = length
+        lo = (dlo << f) // lhi
+        enc[u, v] = lo, -((-dhi << f) // llo)
+        if lo > best:
+            best, cut = lo, (lo - 1) ** 2 * margin
+    return enc
+
+
 def reference_max_dilation(ps, sums, exact, bits):
     """`_max_dilation` as it ran before ties of ratio 1 skipped rungs:
     every rung is computed and every exact comparison is a product."""
@@ -1230,7 +1350,8 @@ def reference_max_dilation(ps, sums, exact, bits):
         raise ValueError("bits must be positive")
     cap = dilation.max_bits_cap()
     work = max(bits + 4, 64)
-    enc = _pair_ratios(ps, sums, itertools.combinations(range(ps.n), 2), work)
+    enc = reference_pair_ratios(ps, sums,
+                                itertools.combinations(range(ps.n), 2), work)
     tied = False
     while True:
         lo = max(e[0] for e in enc.values())
@@ -1265,7 +1386,7 @@ def reference_max_dilation(ps, sums, exact, bits):
                 f"{len(pairs)} pairs, first {str(pairs[:4])[1:-1]}",
                 bits=cap, context=pairs) from cause
         work = min(2 * work, cap)
-        enc = _pair_ratios(ps, sums, survivors, work)
+        enc = reference_pair_ratios(ps, sums, survivors, work)
     return DilationReport(value=dilation._dyadic(lo, hi, work + 4, bits),
                           witness=min(survivors), precision_used=work,
                           tied=tied)
@@ -1319,7 +1440,9 @@ def test_straight_paths_keep_every_report_and_exception(cap, monkeypatch):
     else:
         monkeypatch.setenv("DILATREE_MAX_BITS", str(cap))
     kinds = set()
-    for coords, tree in straight_tie_cases():
+    ps, mst = prim_mst(200)
+    mst_case = [(p.x, p.y) for p in ps.points], mst
+    for coords, tree in itertools.chain(straight_tie_cases(), [mst_case]):
         for bits in (1, 64, 100):
             got = dilation_outcome(tree_dilation, coords, tree, bits)
             assert got == dilation_outcome(reference_tree_dilation, coords,
