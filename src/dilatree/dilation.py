@@ -53,7 +53,14 @@ A^2 * 2^(b-2) <= B^2 * d2 * 2^(2b+16) * (2^(b-2) - 1) implies A <= B llo.
   since |uw| + |wv| <= sqrt(2 (|uw|^2 + |wv|^2)) by QM-AM; and
   4 llo^2 max(|uw|^2, |wv|^2) > (llo + dhi)^2 |uv|^2 means the detour
   exceeds, since the triangle inequality gives |uw| + |wv| >=
-  2 max(|uw|, |wv|) - |uv|, and that is above (d/l)|uv|.
+  2 max(|uw|, |wv|) - |uv|, and that is above (d/l)|uv|.  So a w past
+  the detour window, 4 llo^2 |uw|^2 > (llo + dhi)^2 |uv|^2, a suffix of
+  u's vertices by distance, is one the far test skips.  And as |uw| +
+  |wv| <= |uv| + 2|uw|, a pair with dlo > lhi and 4 r^2 lhi^2 <=
+  (dlo - lhi)^2 |uv|^2, r the distance from u (or v) to its nearest
+  vertex but the other end, has a short enough detour: the pair filter.
+  Both compare the exact squared numerators, so the window drops only
+  the w the far test skips, and the filter only pairs not critical.
 
 Straight paths.  A ratio is at least 1, and exactly 1 when the tree path
 is a straight segment.  The path u..p..y, p the parent of y in the tree
@@ -78,6 +85,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -732,11 +740,12 @@ def _critical_scan(ps: PointSet, d: SqrtSum, length: SqrtSum,
 
     Each triple is screened against integer bounds dlo/dhi on d and
     llo/lhi on `length` (exactly P and Q for a rational P/Q), first by
-    the module's two detour tests on the exact squared numerator
-    distances uw2, wv2 and uv2, with no square root.  A triple neither
-    test settles is screened with the integer enclosures at `bits`, |uv|
-    enclosed only once a triple of the pair gets there; only a triple
-    that screen cannot settle gets an exact sign.
+    the module's detour tests on the exact squared numerator distances,
+    with no square root.  A triple neither test settles is screened with
+    the integer enclosures at `bits`, |uv| enclosed only once a triple of
+    the pair gets there; only a triple that screen cannot settle gets an
+    exact sign.  Only the pairs the module's pair filter keeps and the w
+    in u's detour window are visited, in index order as by a full scan.
     """
     ends = d.eval_interval(bits), length.eval_interval(bits)
     scale = lcm(*(x.denominator for iv in ends for x in (iv.lo, iv.hi)))
@@ -746,19 +755,32 @@ def _critical_scan(ps: PointSet, d: SqrtSum, length: SqrtSum,
     near_k, far_k = dlo * dlo, (llo + dhi) ** 2
     tab, dist_ints, exact = ps.table(bits), ps.dist_ints, ps.exact_dist
     n, sq = ps.n, []
+    # the pair filter: reach * r^2 <= gap * uv2 certifies a short detour;
+    # off at d/l <= 1, and with no third vertex to detour through
+    reach, gap = 4 * lhi * lhi, (dlo - lhi) ** 2 if dlo > lhi and n > 2 else 0
     for u, (xu, yu) in enumerate(ps._xy):
         # squared numerator distances from u; those to earlier vertices
         # are already in their rows
         sq.append([row[u] for row in sq] + [(x - xu) ** 2 + (y - yu) ** 2
                                             for x, y in ps._xy[u:]])
+    # each row's vertices by distance, u first: keys[u][1] is r_u^2
+    orders = [sorted(range(n), key=row.__getitem__) for row in sq]
+    keys = [list(map(row.__getitem__, o)) for row, o in zip(sq, orders)]
     out = []
     for u in range(n - 1):
-        row_u, sq_u = tab[u], sq[u]
-        for v in range(u + 1, n):
-            row_v, sq_v = tab[v], sq[v]
-            near, beyond = near_k * sq_u[v], far_k * sq_u[v]
+        row_u, sq_u, key_u, order_u = tab[u], sq[u], keys[u], orders[u]
+        # a pair kept has gap * uv2 < reach * r^2 <= reach * key_u[2]
+        top = bisect_left(key_u, -(-reach * key_u[2] // gap)) if gap else n
+        for v in sorted(v for v in order_u[1:top] if v > u):
+            row_v, sq_v, uv2 = tab[v], sq[v], sq_u[v]
+            # r^2 at each end: its nearest's, its second's if uv2 ties it
+            if gap and reach * min(k[2] if k[1] == uv2 else k[1]
+                                   for k in (key_u, keys[v])) <= gap * uv2:
+                continue
+            near, beyond = near_k * uv2, far_k * uv2
             uv_lo = None
-            for w in range(n):
+            top = bisect_right(key_u, beyond // far)
+            for w in sorted(order_u[:top]):
                 if w == u or w == v:
                     continue
                 uw2, wv2 = sq_u[w], sq_v[w]

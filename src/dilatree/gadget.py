@@ -42,8 +42,8 @@ from functools import cached_property
 from math import isqrt
 
 from .dilation import (PointSet, Tree, Verdict, compare_to_threshold,
-                       critical_edges, _graph_adjacency, _separator_exceeds,
-                       _shortest_sums)
+                       critical_edges, _graph_adjacency, _scale_exp,
+                       _separator_exceeds, _shortest_sums)
 from .errors import NoIntersection, PrecisionInsufficient, SumTooLarge
 from .exactgeom import crossing_ints, nearest
 from .radical import SqrtSum
@@ -609,18 +609,26 @@ def _check_critical_set(g) -> LemmaCheck:
 
 
 def _check_alternation(g) -> LemmaCheck:
+    """Both choices of every index stay open.  Each inequality is first
+    screened on the `dist_ints(..., 64)` enclosures, which hold a length
+    L as L * U, U = den * 2^72; only one that screen cannot settle builds
+    its exact `SqrtSum`s."""
     name = "alternation obstruction"
-    dist = g.points.exact_dist
+    pts, unit = g.points, g.points.den << _scale_exp(64)
     for i in range(1, g.n + 1):
-        db, cd = dist(g.d(i), g.b(i)), dist(g.c(i), g.d(i))
-        ad = dist(g.a(i + 1), g.d(i))
+        s, db, cd = _four(i - 1), (g.d(i), g.b(i)), (g.c(i), g.d(i))
+        ad = (g.a(i + 1), g.d(i))
+        (db_lo, _), (cd_lo, cd_hi), (_, ad_hi) = (pts.dist_ints(*e, 64)
+                                                  for e in (db, cd, ad))
         # detour around both choice edges is too long: 5|db| + 5|bc| > 8|cd|
-        gap = db.scale(5) + SqrtSum.rational(15 * _four(i - 1)) - cd.scale(8)
-        if gap.sign() <= 0:
+        if 5 * db_lo + 15 * s * unit <= 8 * cd_hi and (
+                pts.exact_dist(*db).scale(5) + SqrtSum.rational(15 * s)
+                - pts.exact_dist(*cd).scale(8)).sign() <= 0:
             return LemmaCheck(name, False, f"detour via b{i} is short enough")
         # while the anchor detour stays affordable, so cd is not forced
-        slack = cd.scale(8) - SqrtSum.rational(55 * _four(i - 1)) - ad.scale(5)
-        if slack.sign() <= 0:
+        if 8 * cd_lo <= 55 * s * unit + 5 * ad_hi and (
+                pts.exact_dist(*cd).scale(8) - SqrtSum.rational(55 * s)
+                - pts.exact_dist(*ad).scale(5)).sign() <= 0:
             return LemmaCheck(name, False, f"choice edge {i} became forced")
     return LemmaCheck(name, True, "every index keeps exactly two choices")
 

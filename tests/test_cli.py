@@ -10,7 +10,7 @@ from dilatree.cli import build_parser, run
 from dilatree.dilation import (PointSet, Tree, Verdict, compare_to_threshold,
                                critical_edges)
 from dilatree.fileio import (dump_json, gadget_from_json, load_json,
-                             points_from_json)
+                             parse_number, points_from_json)
 from dilatree.gadget import PartitionSolution, verify_gadget
 
 
@@ -345,6 +345,25 @@ def test_verify_fails_a_gadget_whose_forced_edges_changed(tmp_path, capsys):
     assert cli("verify", str(moved)) == 1
     assert "[FAIL] critical set: extra [], missing [(0, 2), (0, 9), " \
         "(4, 5), (11, 12)]" in capsys.readouterr().out
+
+
+def test_verify_fails_a_gadget_whose_choice_point_moved_out(tmp_path,
+                                                          capsys):
+    # d1 moved to c1 + 4 (d1 - c1): the detour via b1 gets short enough
+    gad = tmp_path / "g.json"
+    assert cli("gen", "--alphas", "2,3,5", "-o", str(tmp_path / "i.json"),
+               "--gadget", str(gad)) == 0
+    obj = load_json(gad)
+    at = {p["label"]: p for p in obj["points"]}
+    for k in "xy":
+        c, d = parse_number(at["c1"][k]), parse_number(at["d1"][k])
+        at["d1"][k] = str(c + 4 * (d - c))
+    moved = tmp_path / "moved.json"
+    dump_json(obj, moved)
+    capsys.readouterr()
+    assert cli("verify", str(moved)) == 1
+    assert "[FAIL] alternation obstruction: detour via b1 is short enough" \
+        in capsys.readouterr().out.splitlines()
 
 
 def test_dilation_reports_witness(square, capsys):

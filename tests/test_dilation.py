@@ -655,6 +655,171 @@ def test_critical_scan_coarse_screens_are_sound(offset):
             == brute_critical(ps, d, length)
 
 
+def critical_scan_every_pair(ps, d, length, bits):
+    """`_critical_scan` without its pair filter and detour window: every
+    pair, and in each every w in index order, through the same detour
+    tests, screen and exact sign."""
+    ends = d.eval_interval(bits), length.eval_interval(bits)
+    scale = lcm(*(x.denominator for iv in ends for x in (iv.lo, iv.hi)))
+    (dlo, dhi), (llo, lhi) = ((int(iv.lo * scale), int(iv.hi * scale))
+                              for iv in ends)
+    short, far = 2 * lhi * lhi, 4 * llo * llo
+    near_k, far_k = dlo * dlo, (llo + dhi) ** 2
+    sq = [[ps._d2_num(u, v) for v in range(ps.n)] for u in range(ps.n)]
+    tab, out = ps.table(bits), []
+    for u, v in itertools.combinations(range(ps.n), 2):
+        near, beyond = near_k * sq[u][v], far_k * sq[u][v]
+        for w in range(ps.n):
+            if w in (u, v):
+                continue
+            uw2, wv2 = sq[u][w], sq[v][w]
+            if short * (uw2 + wv2) <= near:
+                break
+            if far * max(uw2, wv2) > beyond:
+                continue
+            uv_lo, uv_hi = tab[u][v] or ps.dist_ints(u, v, bits)
+            uw_lo, uw_hi = tab[u][w] or ps.dist_ints(u, w, bits)
+            wv_lo, wv_hi = tab[w][v] or ps.dist_ints(w, v, bits)
+            if dhi * uv_hi < llo * (uw_lo + wv_lo):
+                continue
+            if dlo * uv_lo >= lhi * (uw_hi + wv_hi):
+                break
+            try:
+                sign = dilation._ratio_sign(
+                    (ps.exact_dist(u, w) + ps.exact_dist(w, v),
+                     ps.exact_dist(u, v)), (d, length))
+            except PrecisionExhausted as exc:
+                raise PrecisionExhausted(
+                    f"detour {(u, v, w)} undecided at {exc.bits} bits",
+                    bits=exc.bits, context=(u, v, w)) from exc
+            if sign <= 0:
+                break
+        else:
+            out.append((u, v))
+    return frozenset(out)
+
+
+def _scan_outcome(scan, coords, den, d, length):
+    """The critical set `scan` finds at 64 bits on a fresh point set, or
+    the type, bits and context of what it raised, with its `dist_ints`
+    count."""
+    ps = PointSet.from_ints(coords, den)
+    calls = []
+    dist_ints = ps.dist_ints
+    ps.dist_ints = lambda *args: calls.append(args) or dist_ints(*args)
+    try:
+        got = scan(ps, d, length, 64)
+    except Exception as exc:
+        got = (type(exc), getattr(exc, "bits", None),
+               getattr(exc, "context", None))
+    return got, len(calls)
+
+
+def _scan_inputs():
+    """Random sets, and lattice sets whose nearest neighbours tie, each
+    plain, translated by 2^54, scaled by 2^-100, or both."""
+    rng = random.Random(83)
+    sets = []
+    for _ in range(36):
+        n, span, coords = rng.randint(3, 9), rng.choice([4, 12, 200]), set()
+        while len(coords) < n:
+            coords.add((rng.randint(-span, span), rng.randint(-span, span)))
+        sets.append(sorted(coords))
+    grid = [(x, y) for x in range(4) for y in range(4)]
+    sets += [grid[:9], grid[::3], [(x, 0) for x in range(6)],
+             [(2 * x + y % 2, y) for x in range(3) for y in range(3)]]
+    sets += [sorted(rng.sample(grid, rng.randint(4, 9))) for _ in range(8)]
+    for k, coords in enumerate(sets):
+        off, den = (0, 1 << 54)[k % 2], (1, 1 << 100)[k // 2 % 2]
+        yield [(x + off, y + off) for x, y in coords], den
+
+
+@pytest.mark.parametrize("cap", [None, 128])
+def test_critical_scan_filters_keep_every_answer_and_exception(
+        cap, monkeypatch):
+    # thresholds 3, 5 and 30, where a pair's nearest other vertex can be
+    # its other end; 8/5 and 3/2; 1/1, 1/2 and 9/10, where the pair filter
+    # is off; the exact detour ratio of a random triple, irrational; and
+    # sqrt(5)/2 from below, too close for 128 bits at the detour 0-1-2
+    if cap is None:
+        monkeypatch.delenv("DILATREE_MAX_BITS", raising=False)
+    else:
+        monkeypatch.setenv("DILATREE_MAX_BITS", str(cap))
+    rng = random.Random(89)
+    rational = [(3, 1), (5, 1), (30, 1), (8, 5), (3, 2), (1, 1), (1, 2),
+                (9, 10)]
+    _, _, p, q = sqrt5_half_path()
+    near_ties = [([(0, 0), (2 * k, k), (4 * k, 0), (9 * k, 7 * k),
+                   (-5 * k, 6 * k)][:n], 1) for k in (1, 20) for n in (3, 5)]
+    work, raised = [0, 0], 0
+    for coords, den in list(_scan_inputs()) + near_ties:
+        ps = PointSet.from_ints(coords, den)
+        u, w, v = rng.sample(range(ps.n), 3)
+        ratios = [(SqrtSum.rational(p_num), SqrtSum.rational(q_den))
+                  for p_num, q_den in rational + [(p, q)]]
+        ratios.append((ps.exact_dist(u, w) + ps.exact_dist(w, v),
+                       ps.exact_dist(u, v)))
+        for d, length in ratios:
+            (got, calls), (want, ref_calls) = (
+                _scan_outcome(scan, coords, den, d, length)
+                for scan in (_critical_scan, critical_scan_every_pair))
+            assert got == want, (coords, den, d, length)
+            assert calls <= ref_calls
+            work[0] += calls
+            work[1] += ref_calls
+            raised += isinstance(got, tuple)
+    assert work[0] < work[1]
+    # the four near-tie sets, and random sets with the same detour, raise
+    assert raised == 0 if cap is None else raised >= 4
+
+
+def test_critical_scan_pair_filter_settles_a_pair_left_undecided(
+        monkeypatch):
+    # (1, 1) lies so close to vertex 0 that the pair filter drops the pair
+    # (0, 2) with no w; a scan of every w reaches the near tie of the
+    # detour 0-1-2 first, which 128 bits cannot separate.  Without the
+    # cap it settles, and both scans find the same set.
+    _, _, p, q = sqrt5_half_path()
+    coords = [(0, 0), (40, 20), (80, 0), (1, 1)]
+    d, length = SqrtSum.rational(p), SqrtSum.rational(q)
+    monkeypatch.setenv("DILATREE_MAX_BITS", "128")
+    assert _scan_outcome(_critical_scan, coords, 1, d, length) == (
+        {(0, 3), (1, 2)}, 0)
+    assert _scan_outcome(critical_scan_every_pair, coords, 1, d,
+                         length)[0] == (PrecisionExhausted, 128, (0, 2, 1))
+    monkeypatch.delenv("DILATREE_MAX_BITS")
+    assert _scan_outcome(critical_scan_every_pair, coords, 1, d,
+                         length)[0] == {(0, 3), (1, 2)}
+
+
+@pytest.mark.parametrize("p_num, q_den", [(3, 1), (5, 1), (30, 1)])
+def test_critical_scan_matches_brute_force_at_wide_thresholds(p_num,
+                                                              q_den):
+    # pairs whose nearest other vertex is their other end, on lattice
+    # sets with tied nearest neighbours and on random ones
+    rng = random.Random(97)
+    grid = [(x, y) for x in range(3) for y in range(3)]
+    for trial in range(12):
+        coords = sorted(rng.sample(grid, rng.randint(3, 6))) if trial % 2 \
+            else sorted({(rng.randint(-9, 9), rng.randint(-9, 9))
+                         for _ in range(6)})
+        ps = PointSet.from_coords(coords)
+        d, length = SqrtSum.rational(p_num), SqrtSum.rational(q_den)
+        assert _critical_scan(ps, d, length, 64) == brute_critical(
+            ps, d, length)
+
+
+@pytest.mark.parametrize("alphas", [(1,), (1, 2), (2, 3, 5)])
+def test_critical_scan_of_gadgets_matches_every_pair_scan(alphas):
+    g = build_gadget(PartitionInstance(alphas))
+    ii = integerize(g)
+    for ps, (p, q) in ((g.points, (8, 5)), (ii.points, (ii.P, ii.Q))):
+        d, length = SqrtSum.rational(p), SqrtSum.rational(q)
+        assert _scan_outcome(_critical_scan, ps.numerators, ps.den, d,
+                             length)[0] == _scan_outcome(
+            critical_scan_every_pair, ps.numerators, ps.den, d, length)[0]
+
+
 def random_pointset(rng, n, span=60):
     coords = set()
     while len(coords) < n:

@@ -15,10 +15,12 @@ from dilatree.errors import PrecisionInsufficient, SumTooLarge
 from dilatree.exactgeom import (Orientation, Point, orientation,
                                 sqrt_interval, squared_distance)
 from dilatree.gadget import (
-    IntegerInstance, PartitionInstance, PartitionSolution, build_gadget,
-    decide_partition, integerize, partition_oracle, rounding_bits,
-    standard_tree, symbolic_pair_ratio, symbolic_path_length, verify_gadget,
+    IntegerInstance, LemmaCheck, PartitionInstance, PartitionSolution,
+    build_gadget, decide_partition, integerize, partition_oracle,
+    rounding_bits, standard_tree, symbolic_pair_ratio, symbolic_path_length,
+    verify_gadget,
 )
+from dilatree.radical import SqrtSum
 
 HALF = Fraction(3, 2)
 
@@ -258,8 +260,9 @@ def test_forced_edge_scan_matches_construction():
 
 
 def test_forced_edge_scan_encloses_few_pairs(monkeypatch):
-    # squared-distance tests settle most triples of the (1, 2, 4) gadget,
-    # so fewer than half of its 496 pairs are ever enclosed
+    # squared-distance tests, the pair filter and the detour window settle
+    # every triple of the (1, 2, 4) gadget: none of its 496 pairs is
+    # ever enclosed
     g = build_gadget(PartitionInstance((1, 2, 4)))
     calls = []
     dist_ints = PointSet.dist_ints
@@ -270,8 +273,96 @@ def test_forced_edge_scan_encloses_few_pairs(monkeypatch):
 
     monkeypatch.setattr(PointSet, "dist_ints", counted)
     assert len(critical_edges(g.points, 8, 5)) == 6 * g.n + 6
-    assert len(calls) == 143
+    assert len(calls) == 0
     assert len(calls) < g.points.n * (g.points.n - 1) // 4
+
+
+def test_audit_builds_no_exact_length(monkeypatch):
+    # every inequality of the (3, 5, 2, 4, 6) audit settles on integers
+    g = build_gadget(PartitionInstance((3, 5, 2, 4, 6)))
+    calls = []
+    exact_dist = PointSet.exact_dist
+
+    def counted(self, *args):
+        calls.append(args)
+        return exact_dist(self, *args)
+
+    monkeypatch.setattr(PointSet, "exact_dist", counted)
+    assert verify_gadget(g).passed
+    assert calls == []
+
+
+def alternation_exact(g):
+    """`_check_alternation` with every inequality settled by an exact
+    `SqrtSum` sign, with no integer screen."""
+    name = "alternation obstruction"
+    dist = g.points.exact_dist
+    for i in range(1, g.n + 1):
+        db, cd = dist(g.d(i), g.b(i)), dist(g.c(i), g.d(i))
+        ad = dist(g.a(i + 1), g.d(i))
+        s = SqrtSum.rational(gadget._four(i - 1))
+        if (db.scale(5) + s.scale(15) - cd.scale(8)).sign() <= 0:
+            return LemmaCheck(name, False, f"detour via b{i} is short enough")
+        if (cd.scale(8) - s.scale(55) - ad.scale(5)).sign() <= 0:
+            return LemmaCheck(name, False, f"choice edge {i} became forced")
+    return LemmaCheck(name, True, "every index keeps exactly two choices")
+
+
+def _choice_point_moved(g, i, t):
+    """g with d_i moved to c_i + t (d_i - c_i), its mirror left alone."""
+    pts = list(g.points.points)
+    c, d = pts[g.c(i)], pts[g.d(i)]
+    pts[g.d(i)] = Point(c.x + t * (d.x - c.x), c.y + t * (d.y - c.y))
+    return dataclasses.replace(g, points=PointSet(pts,
+                                                  labels=g.points.labels))
+
+
+@pytest.mark.parametrize("alphas, i, t, detail", [
+    ((1, 2), 2, 4, "detour via b2 is short enough"),
+    ((2, 3, 5), 1, 4, "detour via b1 is short enough"),
+    ((1, 2), 2, Fraction(1, 2), "choice edge 2 became forced"),
+    ((2, 3, 5), 3, Fraction(3, 4), "choice edge 3 became forced"),
+])
+def test_alternation_flags_a_displaced_choice_point(alphas, i, t, detail):
+    # d_i moved far out makes the detour via b_i short; moved toward c_i
+    # it makes the choice edge c_i d_i forced
+    bad = _choice_point_moved(build_gadget(PartitionInstance(alphas)), i, t)
+    check = gadget._check_alternation(bad)
+    assert check == alternation_exact(bad)
+    assert (check.passed, check.detail) == (False, detail)
+
+
+@pytest.mark.parametrize("fails, passes", [(Fraction(3, 4), 1), (4, 1)])
+def test_alternation_screen_falls_back_near_its_boundary(fails, passes,
+                                                         monkeypatch):
+    # d_2 moved to c_2 + t (d_2 - c_2): the choice edge turns forced
+    # between t = 3/4 and 1, and the detour via b_2 short between 1 and
+    # 4.  Two moves 2^-78 or less apart straddle each turn, each too close
+    # to it for the 64-bit screen.
+    g = build_gadget(PartitionInstance((1, 2)))
+    for _ in range(80):
+        mid = Fraction(fails + passes, 2)
+        if alternation_exact(_choice_point_moved(g, 2, mid)).passed:
+            passes = mid
+        else:
+            fails = mid
+    calls = []
+    exact_dist = PointSet.exact_dist
+
+    def counted(self, *args):
+        calls.append(args)
+        return exact_dist(self, *args)
+
+    for t, passed in ((fails, False), (passes, True)):
+        moved = _choice_point_moved(g, 2, t)
+        want = alternation_exact(moved)
+        calls.clear()
+        monkeypatch.setattr(PointSet, "exact_dist", counted)
+        check = gadget._check_alternation(moved)
+        monkeypatch.undo()
+        assert check == want
+        assert check.passed is passed
+        assert (g.c(2), g.d(2)) in calls
 
 
 # ---------------------------------------------------------------------------
