@@ -65,19 +65,22 @@ A^2 * 2^(b-2) <= B^2 * d2 * 2^(2b+16) * (2^(b-2) - 1) implies A <= B llo.
 Straight paths.  A ratio is at least 1, and exactly 1 when the tree path
 is a straight segment.  The path u..p..y, p the parent of y in the tree
 rooted at u, is straight when p is u, or when u..p is straight and y
-continues p - u in its direction: cross(p - u, y - p) = 0 and
-dot(p - u, y - p) > 0.  That is exactly the condition that p lies on the
-segment uy, so that |up| + |py| = |uy|; every other path is strictly
-longer than |uy|.  `tree_exact` hands a straight pair back as |uv|
-twice, one object, and `_ratio_sign` ties two such pairs with no
-arithmetic.  The max over pairs skips its rungs below
-`_EXACT_FALLBACK_BITS` and below the cap when every survivor is
-straight.  That cannot change its report: a ratio of exactly 1 has
-lo <= 2^(work+4) <= hi on every grid and no ratio is below 1, so every
-such pair stays a survivor at every rung, no rung below the fallback
-leaves one survivor, stalls into the exact comparison or reaches the
-cap, and the next rung to do any of these is computed on the same
-survivors.
+goes on from p - u in its direction, `_goes_on`: cross(p - u, y - p) = 0
+and dot(p - u, y - p) > 0, exactly the condition that p lies on the
+segment uy, so that |up| + |py| = |uy|.  `tree_exact` hands a straight
+pair back as |uv| twice, one object, and `_ratio_sign` ties two such
+pairs with no arithmetic.  Every pair of a tree is straight only when
+it is a path (of three neighbours on one line, two lie on one side)
+whose every vertex goes on from the step before it: `_straight_tree`
+decides that once per tree, in O(n).  Such a tree is within every P/Q,
+and its max over pairs starts at the first rung of its doubling at or
+above `_EXACT_FALLBACK_BITS` or the cap and there ties every survivor
+with no exact sign.  Its report is that of every rung: a ratio of
+exactly 1 has lo <= 2^(work+4) <= hi on every grid, so all pairs survive
+every rung, none below the fallback and the cap stalls or raises, and
+each sign is 0.  A test of the survivors would hold on no other tree:
+the pair of largest ratio always survives, so straight survivors mean a
+maximum of 1.
 """
 
 from __future__ import annotations
@@ -508,6 +511,28 @@ def _pair_ratios(ps, blocks, bits):
 # exact symbolic forms, for ties and boundary hits
 
 
+def _goes_on(a, b, c) -> bool:
+    """True when the integer point c goes on from the step a -> b in its
+    direction, cross(b - a, c - b) = 0 < dot(b - a, c - b): b is inside ac."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    dx, dy, ex, ey = bx - ax, by - ay, cx - bx, cy - by
+    return dx * ey == dy * ex and dx * ex + dy * ey > 0
+
+
+def _straight_tree(ps: PointSet, tree: Tree) -> bool:
+    """True when every pair of `tree` has a straight path, ratio exactly 1:
+    the tree is a path, every degree at most 2, and each vertex goes on
+    from the step before it, walked from an end.  O(n) integer work that
+    ends at the first vertex of degree 3 or the first bend."""
+    adj = tree.adjacency()
+    if any(len(nb) > 2 for nb in adj):
+        return False
+    end = next(v for v, nb in enumerate(adj) if len(nb) == 1)
+    par, xy = tree.parents_from(end), ps._xy
+    return all(_goes_on(xy[par[p]], xy[p], xy[x])
+               for x, p in enumerate(par) if p != end)
+
+
 def tree_exact(ps: PointSet, tree: Tree):
     """The exact twin of `root_sums`: `exact(u, v)` gives the exact
     (d_T(u, v), |uv|) of a pair.  Sums d_T(u, .) are memoised per root: a
@@ -526,12 +551,10 @@ def tree_exact(ps: PointSet, tree: Tree):
         while x not in line:
             walk.append(x)
             x = par[x]
-        (ux, uy), straight = xy[u], line[x]
+        straight = line[x]
         for y in reversed(walk):
             if straight and x != u:
-                (px, py), (yx, yy) = xy[x], xy[y]
-                ax, ay, bx, by = px - ux, py - uy, yx - px, yy - py
-                straight = ax * by == ay * bx and ax * bx + ay * by > 0
+                straight = _goes_on(xy[u], xy[x], xy[y])
             line[y], x = straight, y
         length = ps.exact_dist(u, v)
         if line[v]:
@@ -570,7 +593,8 @@ def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int,
     Scans every pair once at 64 bits, in the blocks of `_tree_blocks`,
     and settles only pairs whose enclosures straddle the threshold, by
     the exact sign of Q d_T(u, v) - P |uv|, in sorted pair order; a pair
-    certified strictly above P/Q settles the whole tree immediately.
+    certified strictly above P/Q settles the whole tree immediately.  A
+    tree that `_straight_tree` accepts has dilation 1: AT_MOST, no scan.
 
     A pair whose |uv| is not enclosed yet is left out, with no square
     root taken, when the module's skip test shows Q dhi <= P llo: such a
@@ -580,6 +604,8 @@ def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int,
     if q_den < 1 or p_num < q_den:
         raise ValueError("threshold must satisfy P/Q >= 1 with Q >= 1")
     _check_tree(ps, tree)
+    if _straight_tree(ps, tree):
+        return Verdict.AT_MOST      # Delta(T) = 1 <= P/Q
     tab, xy = ps.table(64), ps._xy
     cut = p_num * p_num * ((1 << 62) - 1) << 144
     undecided = []
@@ -628,11 +654,12 @@ def tree_dilation(ps: PointSet, tree: Tree, bits: int) -> DilationReport:
     _check_tree(ps, tree)
     return _max_dilation(ps, partial(_tree_blocks, ps, tree),
                          partial(root_sums, ps, tree.adjacency()),
-                         tree_exact(ps, tree), bits)
+                         tree_exact(ps, tree), bits,
+                         straight=_straight_tree(ps, tree))
 
 
-def _max_dilation(ps: PointSet, every, sums, exact,
-                  bits: int) -> DilationReport:
+def _max_dilation(ps: PointSet, every, sums, exact, bits: int, *,
+                  straight: bool = False) -> DilationReport:
     """Enclose the largest pair dilation of a structure on `ps` and name a
     pair attaining it.
 
@@ -649,28 +676,21 @@ def _max_dilation(ps: PointSet, every, sums, exact,
     symbolically, from `_EXACT_FALLBACK_BITS` up; genuinely equal maxima
     are reported with `tied` set and the lexicographically smallest
     witness.  `PrecisionExhausted` at the cap names the surviving pairs,
-    all of them in its `context`.  When every survivor is straight
-    (`exact` returns its two sides as one object), the rungs below the
-    fallback are skipped, which the module docstring shows cannot change
-    the report.
+    all of them in its `context`.  `straight`, set by `tree_dilation`
+    once `_straight_tree` holds and by no tour, starts at the rung the
+    doubling first reaches at or above the fallback or the cap and ties
+    every survivor there with no call to `exact` (see "Straight paths").
     """
     if bits < 1:
         raise ValueError("bits must be positive")
     cap = max_bits_cap()
     work = max(bits + 4, 64)
+    if straight and ps.n > 2:
+        while work < min(cap, _EXACT_FALLBACK_BITS):
+            work = min(2 * work, cap)
     enc = _pair_ratios(ps, every, work)
     pairs_in_all = ps.n * (ps.n - 1) // 2
     tied = False
-    skip_below = min(cap, _EXACT_FALLBACK_BITS)
-
-    def all_straight(pairs):
-        # a call that cannot settle only means "not shown"; the rungs run
-        try:
-            return all(d is length
-                       for d, length in (exact(u, v) for u, v in pairs))
-        except PrecisionExhausted:
-            return False
-
     while True:
         # integer numerators on the grid 2^-(work+4)
         lo = max(e[0] for e in enc.values())
@@ -681,17 +701,17 @@ def _max_dilation(ps: PointSet, every, sums, exact,
         cause = None
         if (hi - lo) << (bits - 1) <= hi and work >= _EXACT_FALLBACK_BITS:
             # numeric refinement has stalled: separate survivors exactly
-            order = sorted(survivors)
-            best = [order[0]]
+            best = order = sorted(survivors)
             try:
-                top = exact(*order[0])
-                for pq in order[1:]:
-                    cand = exact(*pq)
-                    sign = _ratio_sign(cand, top)
-                    if sign > 0:
-                        best, top = [pq], cand
-                    elif sign == 0:
-                        best.append(pq)
+                if not straight:    # else every ratio is exactly 1
+                    best, top = [order[0]], exact(*order[0])
+                    for pq in order[1:]:
+                        cand = exact(*pq)
+                        sign = _ratio_sign(cand, top)
+                        if sign > 0:
+                            best, top = [pq], cand
+                        elif sign == 0:
+                            best.append(pq)
             except PrecisionExhausted as exc:
                 cause = exc
             else:
@@ -704,12 +724,7 @@ def _max_dilation(ps: PointSet, every, sums, exact,
                 f"dilation witnesses unresolved at {cap} bits among "
                 f"{len(pairs)} pairs, first {str(pairs[:4])[1:-1]}",
                 bits=cap, context=pairs) from cause
-        one = 1 << (work + 4)
         work = min(2 * work, cap)
-        # lo above 1 rules out a survivor of ratio 1 without a call
-        if work < skip_below and lo <= one and all_straight(survivors):
-            while work < skip_below:
-                work = min(2 * work, cap)
         enc = _pair_ratios(ps, every if len(survivors) == pairs_in_all
                            else partial(_row_blocks, sums, survivors), work)
 

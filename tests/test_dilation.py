@@ -12,7 +12,7 @@ from dilatree.dilation import (
     critical_edges, crossing_edge_pairs, graph_dilation_bounds,
     pair_dilation, root_sums, tree_dilation, tree_exact, tree_has_crossing,
     tree_path_length, _critical_scan, _pair_ratios, _separator_exceeds,
-    _tree_blocks,
+    _straight_tree, _tree_blocks,
 )
 from dilatree.errors import PrecisionExhausted
 from dilatree.exactgeom import (Segment, orientation, pt, round_dyadic,
@@ -1223,7 +1223,8 @@ def test_compare_to_threshold_matches_a_scan_of_every_pair(offset,
     # the pairs compare_to_threshold leaves unenclosed change neither its
     # verdict nor the pairs it sends to the exact sign; exact ties (the
     # chain at 1, the square path at 3) and a threshold 2^-131 below
-    # sqrt(5)/2 are among the inputs
+    # sqrt(5)/2 are among the inputs.  A straight tree, the chain, is
+    # AT_MOST with no pair signed.
     signed = []
 
     def recording(ps, tree):
@@ -1243,8 +1244,11 @@ def test_compare_to_threshold_matches_a_scan_of_every_pair(offset,
             signed.clear()
             got = compare_to_threshold(PointSet(ps.points), tree,
                                        t.numerator, t.denominator)
-            assert (got, signed) == compare_every_pair(
+            verdict, expect = compare_every_pair(
                 PointSet(ps.points), tree, t.numerator, t.denominator)
+            if every_pair_straight(ps, tree):
+                expect = []
+            assert (got, signed) == (verdict, expect)
 
 
 def test_compare_to_threshold_encloses_only_the_tree_edges_of_an_mst(
@@ -1439,10 +1443,9 @@ def long_chain():
                                                    for i in range(29)])
 
 
-def test_chain_tie_builds_each_exact_length_once(monkeypatch):
-    # every pair of a collinear chain ties at 1, so the exact fallback
-    # reads all 435 pairs; each |uv| is built once and each tree sum
-    # extends its parent's
+def test_chain_tie_builds_no_exact_length(monkeypatch):
+    # every pair of a collinear chain ties at 1, and the tree is straight:
+    # the exact fallback ties all 435 pairs with no |uv| built
     ps, t = long_chain()
     calls = []
     sqrt_of = SqrtSum.__dict__["sqrt_of"].__func__
@@ -1451,7 +1454,7 @@ def test_chain_tie_builds_each_exact_length_once(monkeypatch):
     rep = tree_dilation(ps, t, 64)
     assert (rep.tied, rep.witness, rep.precision_used) == (True, (0, 1), 272)
     assert rep.value.contains(1)
-    assert len(calls) <= 29 + 435
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -1595,11 +1598,64 @@ def straight_tie_cases():
         yield lattice, random_tree(rng, 16)
 
 
+def every_pair_straight(ps, tree):
+    """Brute force: `tree_exact` gives one object for both sides of every
+    pair."""
+    exact = tree_exact(PointSet(ps.points), tree)
+    return all(d is length for d, length in itertools.starmap(
+        exact, itertools.combinations(range(ps.n), 2)))
+
+
+def straight_tree_cases():
+    """(coords, tree): the straight ties; `long_chain()` straight, doubled
+    back once, forked with both branches going on from the stem, one unit
+    off its line at offsets 0 and 2^54, at scale 2^-100, rotated by a
+    Pythagorean angle and under shuffled labels; its star, and a 2-point
+    tree."""
+    yield from straight_tie_cases()
+    ps, chain = long_chain()
+    coords, n = [(p.x, p.y) for p in ps.points], ps.n
+    back = list(range(15)) + list(range(29, 14, -1))
+    yield coords, Tree(n, list(zip(back, back[1:])))
+    yield coords, Tree(n, [(i, i + 1) for i in range(28)] + [(27, 29)])
+    for offset in (0, 1 << 54):
+        moved = [(x + offset, y + offset) for x, y in coords]
+        yield moved, chain
+        moved[10] = (moved[10][0] + 1, moved[10][1])
+        yield moved, chain
+    tiny = Fraction(1, 1 << 100)
+    yield [(x * tiny, y * tiny) for x, y in coords], chain
+    yield [((3 * x - 4 * y) / 5, (4 * x + 3 * y) / 5) for x, y in coords], \
+        chain
+    labels = list(range(n))
+    random.Random(35).shuffle(labels)
+    shuffled = [None] * n
+    for k, label in enumerate(labels):
+        shuffled[label] = coords[k]
+    yield shuffled, Tree(n, list(zip(labels, labels[1:])))
+    yield coords, Tree(n, [(15, v) for v in range(n) if v != 15])
+    yield [(0, 0), (3, 4)], Tree(2, [(0, 1)])
+
+
+def test_straight_tree_matches_every_pair_being_straight():
+    # the O(n) test agrees with the pairs, and holds exactly when the
+    # dilation is 1
+    kinds = set()
+    for coords, tree in straight_tree_cases():
+        ps = PointSet.from_coords(coords)
+        straight = _straight_tree(ps, tree)
+        assert straight == every_pair_straight(ps, tree)
+        assert (tree_dilation(ps, tree, 64).value.lo > 1) != straight
+        kinds.add(straight)
+    assert kinds == {True, False}
+
+
 @pytest.mark.parametrize("cap", [64, 128, 200, 256, None])
 def test_straight_paths_keep_every_report_and_exception(cap, monkeypatch):
-    # the straight-path test and the rungs it skips change neither a
+    # the straight-tree test and the rungs it skips change neither a
     # report nor a PrecisionExhausted; caps below 256 raise on the ties,
-    # and at 200 the skip stops at the cap
+    # at 200 the skip stops at the cap, at 300 bits the first rung is past
+    # 256 and nothing is skipped, and a 2-point tree keeps its first rung
     if cap is None:
         monkeypatch.delenv("DILATREE_MAX_BITS", raising=False)
     else:
@@ -1607,18 +1663,23 @@ def test_straight_paths_keep_every_report_and_exception(cap, monkeypatch):
     kinds = set()
     ps, mst = prim_mst(200)
     mst_case = [(p.x, p.y) for p in ps.points], mst
-    for coords, tree in itertools.chain(straight_tie_cases(), [mst_case]):
-        for bits in (1, 64, 100):
+    two = [(0, 0), (3, 4)], Tree(2, [(0, 1)])
+    for coords, tree in itertools.chain(straight_tie_cases(),
+                                        [mst_case, two]):
+        for bits in (1, 64, 100, 300):
             got = dilation_outcome(tree_dilation, coords, tree, bits)
             assert got == dilation_outcome(reference_tree_dilation, coords,
                                            tree, bits)
             kinds.add(type(got))
     assert kinds == ({str} if cap is None or cap >= 256 else {str, tuple})
+    assert tree_dilation(PointSet.from_coords(two[0]), two[1],
+                         64).precision_used == 68
 
 
-def test_chain_tie_skips_the_products_and_the_middle_rung(monkeypatch):
-    # every pair of the chain is straight: no SqrtSum product, and from 72
-    # bits straight to 276, the first table of the exact fallback
+def test_chain_tie_keeps_no_product_and_only_the_fallback_table(
+        monkeypatch):
+    # every pair of the chain is straight: no SqrtSum product, and the
+    # first rung is at 276 bits, the first table of the exact fallback
     ps, t = long_chain()
     expect = reference_tree_dilation(PointSet(ps.points), t, 64)
     products = []
@@ -1629,7 +1690,7 @@ def test_chain_tie_skips_the_products_and_the_middle_rung(monkeypatch):
     assert (expect.tied, expect.witness, expect.precision_used) \
         == (True, (0, 1), 272)
     assert products == []
-    assert sorted(ps._tables) == [72, 276]
+    assert sorted(ps._tables) == [276]
 
 
 def test_star_on_a_line_keeps_its_back_tracking_pairs():
