@@ -62,25 +62,13 @@ A^2 * 2^(b-2) <= B^2 * d2 * 2^(2b+16) * (2^(b-2) - 1) implies A <= B llo.
   Both compare the exact squared numerators, so the window drops only
   the w the far test skips, and the filter only pairs not critical.
 
-Straight paths.  A ratio is at least 1, and exactly 1 when the tree path
-is a straight segment.  The path u..p..y, p the parent of y in the tree
-rooted at u, is straight when p is u, or when u..p is straight and y
-goes on from p - u in its direction, `_goes_on`: cross(p - u, y - p) = 0
-and dot(p - u, y - p) > 0, exactly the condition that p lies on the
-segment uy, so that |up| + |py| = |uy|.  `tree_exact` hands a straight
-pair back as |uv| twice, one object, and `_ratio_sign` ties two such
-pairs with no arithmetic.  Every pair of a tree is straight only when
-it is a path (of three neighbours on one line, two lie on one side)
-whose every vertex goes on from the step before it: `_straight_tree`
-decides that once per tree, in O(n).  Such a tree is within every P/Q,
-and its max over pairs starts at the first rung of its doubling at or
-above `_EXACT_FALLBACK_BITS` or the cap and there ties every survivor
-with no exact sign.  Its report is that of every rung: a ratio of
-exactly 1 has lo <= 2^(work+4) <= hi on every grid, so all pairs survive
-every rung, none below the fallback and the cap stalls or raises, and
-each sign is 0.  A test of the survivors would hold on no other tree:
-the pair of largest ratio always survives, so straight survivors mean a
-maximum of 1.
+Straight trees.  A ratio is at least 1, and exactly 1 when the tree path
+is a straight segment.  Every pair of a tree is straight exactly when it
+is a path whose every vertex goes on from the step before it in its
+direction, as `_straight_tree` decides in O(n) integer work.  Such a
+tree's dilation is exactly 1: `tree_dilation` reports [1, 1] with witness
+(0, 1), tied when there is more than one pair, and `compare_to_threshold`
+answers AT_MOST, both with no enclosure and at every precision cap.
 """
 
 from __future__ import annotations
@@ -511,74 +499,48 @@ def _pair_ratios(ps, blocks, bits):
 # exact symbolic forms, for ties and boundary hits
 
 
-def _goes_on(a, b, c) -> bool:
-    """True when the integer point c goes on from the step a -> b in its
-    direction, cross(b - a, c - b) = 0 < dot(b - a, c - b): b is inside ac."""
-    (ax, ay), (bx, by), (cx, cy) = a, b, c
-    dx, dy, ex, ey = bx - ax, by - ay, cx - bx, cy - by
-    return dx * ey == dy * ex and dx * ex + dy * ey > 0
-
-
 def _straight_tree(ps: PointSet, tree: Tree) -> bool:
     """True when every pair of `tree` has a straight path, ratio exactly 1:
-    the tree is a path, every degree at most 2, and each vertex goes on
-    from the step before it, walked from an end.  O(n) integer work that
-    ends at the first vertex of degree 3 or the first bend."""
+    the tree is a path and, walked from an end, each vertex c goes on from
+    the step a -> b before it, cross(b - a, c - b) = 0 < dot(b - a, c - b)
+    (b is inside ac).  O(n) integer work, to the first degree 3 or bend."""
     adj = tree.adjacency()
     if any(len(nb) > 2 for nb in adj):
         return False
     end = next(v for v, nb in enumerate(adj) if len(nb) == 1)
     par, xy = tree.parents_from(end), ps._xy
-    return all(_goes_on(xy[par[p]], xy[p], xy[x])
-               for x, p in enumerate(par) if p != end)
+    for c, b in enumerate(par):
+        (ax, ay), (bx, by), (cx, cy) = xy[par[b]], xy[b], xy[c]
+        dx, dy, ex, ey = bx - ax, by - ay, cx - bx, cy - by
+        if b != end and (dx * ey != dy * ex or dx * ex + dy * ey <= 0):
+            return False
+    return True
 
 
 def tree_exact(ps: PointSet, tree: Tree):
     """The exact twin of `root_sums`: `exact(u, v)` gives the exact
     (d_T(u, v), |uv|) of a pair.  Sums d_T(u, .) are memoised per root: a
     pair walks up `tree.parents_from(u)` only to the nearest vertex with a
-    known sum, so once its parent's sum is known it costs one addition.
-
-    A pair whose tree path is straight has d_T(u, v) = |uv|, and `exact`
-    returns |uv| twice, the same object, with no path sum built.
-    Straightness is memoised per root too, by the module's integer test
-    on the numerators (see "Straight paths")."""
-    rows, lines, xy = {}, {}, ps._xy
+    known sum, so once its parent's sum is known it costs one addition."""
+    rows = {}
 
     def exact(u, v):
-        par, line = tree.parents_from(u), lines.setdefault(u, {u: True})
-        walk, x = [], v
-        while x not in line:
-            walk.append(x)
-            x = par[x]
-        straight = line[x]
-        for y in reversed(walk):
-            if straight and x != u:
-                straight = _goes_on(xy[u], xy[x], xy[y])
-            line[y], x = straight, y
-        length = ps.exact_dist(u, v)
-        if line[v]:
-            return length, length
-        row = rows.setdefault(u, {u: SqrtSum.zero()})
-        walk, x = [], v
+        par = tree.parents_from(u)
+        row, walk, x = rows.setdefault(u, {u: SqrtSum.zero()}), [], v
         while x not in row:
             walk.append(x)
             x = par[x]
         for y in reversed(walk):
             row[y] = row[x] + ps.exact_dist(x, y)
             x = y
-        return row[v], length
+        return row[v], ps.exact_dist(u, v)
 
     return exact
 
 
 def _ratio_sign(a, b) -> int:
-    """Certified sign of d_a/l_a - d_b/l_b for exact pairs (d, l); two
-    pairs that each have one object on both sides, ratio exactly 1, give
-    0 with no arithmetic."""
+    """Certified sign of d_a/l_a - d_b/l_b for exact pairs (d, l)."""
     (da, la), (db, lb) = a, b
-    if da is la and db is lb:
-        return 0
     return (da * lb - db * la).sign()
 
 
@@ -649,17 +611,20 @@ def tree_dilation(ps: PointSet, tree: Tree, bits: int) -> DilationReport:
 
     The maximum is certified by `_max_dilation`: genuinely equal maxima
     are reported with `tied` set and the lexicographically smallest
-    witness.
+    witness.  A tree that `_straight_tree` accepts is reported as exactly
+    [1, 1] at the first rung's precision, with no enclosure.
     """
     _check_tree(ps, tree)
-    return _max_dilation(ps, partial(_tree_blocks, ps, tree),
-                         partial(root_sums, ps, tree.adjacency()),
-                         tree_exact(ps, tree), bits,
-                         straight=_straight_tree(ps, tree))
+    if bits < 1 or not _straight_tree(ps, tree):   # bits < 1 raises there
+        return _max_dilation(ps, partial(_tree_blocks, ps, tree),
+                             partial(root_sums, ps, tree.adjacency()),
+                             tree_exact(ps, tree), bits)
+    one = Fraction(1)
+    return DilationReport(Interval(one, one, bits), (0, 1),
+                          max(bits + 4, 64), tied=ps.n > 2)
 
 
-def _max_dilation(ps: PointSet, every, sums, exact, bits: int, *,
-                  straight: bool = False) -> DilationReport:
+def _max_dilation(ps, every, sums, exact, bits: int) -> DilationReport:
     """Enclose the largest pair dilation of a structure on `ps` and name a
     pair attaining it.
 
@@ -676,18 +641,12 @@ def _max_dilation(ps: PointSet, every, sums, exact, bits: int, *,
     symbolically, from `_EXACT_FALLBACK_BITS` up; genuinely equal maxima
     are reported with `tied` set and the lexicographically smallest
     witness.  `PrecisionExhausted` at the cap names the surviving pairs,
-    all of them in its `context`.  `straight`, set by `tree_dilation`
-    once `_straight_tree` holds and by no tour, starts at the rung the
-    doubling first reaches at or above the fallback or the cap and ties
-    every survivor there with no call to `exact` (see "Straight paths").
+    all of them in its `context`.
     """
     if bits < 1:
         raise ValueError("bits must be positive")
     cap = max_bits_cap()
     work = max(bits + 4, 64)
-    if straight and ps.n > 2:
-        while work < min(cap, _EXACT_FALLBACK_BITS):
-            work = min(2 * work, cap)
     enc = _pair_ratios(ps, every, work)
     pairs_in_all = ps.n * (ps.n - 1) // 2
     tied = False
@@ -701,17 +660,16 @@ def _max_dilation(ps: PointSet, every, sums, exact, bits: int, *,
         cause = None
         if (hi - lo) << (bits - 1) <= hi and work >= _EXACT_FALLBACK_BITS:
             # numeric refinement has stalled: separate survivors exactly
-            best = order = sorted(survivors)
+            order = sorted(survivors)
             try:
-                if not straight:    # else every ratio is exactly 1
-                    best, top = [order[0]], exact(*order[0])
-                    for pq in order[1:]:
-                        cand = exact(*pq)
-                        sign = _ratio_sign(cand, top)
-                        if sign > 0:
-                            best, top = [pq], cand
-                        elif sign == 0:
-                            best.append(pq)
+                best, top = [order[0]], exact(*order[0])
+                for pq in order[1:]:
+                    cand = exact(*pq)
+                    sign = _ratio_sign(cand, top)
+                    if sign > 0:
+                        best, top = [pq], cand
+                    elif sign == 0:
+                        best.append(pq)
             except PrecisionExhausted as exc:
                 cause = exc
             else:

@@ -69,8 +69,14 @@ def _shape(v, kind, what):
     return v
 
 
+def _pair(v, what, form):
+    if len(_shape(v, list, what)) != 2:
+        raise ValueError(f"{what} must be {form} pair, got {v!r}")
+    return v
+
+
 def _point(xy) -> Point:
-    x, y = _shape(xy, list, "an [x, y] point")
+    x, y = _pair(xy, "a point", "an [x, y]")
     return Point(parse_number(x), parse_number(y))
 
 
@@ -137,10 +143,10 @@ def tree_to_json(tree: Tree) -> dict:
 def tree_from_json(obj, n: int) -> Tree:
     if not isinstance(obj, dict) or "edges" not in obj:
         raise ValueError("tree file needs a top-level \"edges\" list")
-    edges = _shape(obj["edges"], list, "\"edges\"")
+    edges = [_pair(e, "an edge", "a [u, v]")
+             for e in _shape(obj["edges"], list, "\"edges\"")]
     # a vertex index is a JSON integer: not a string, float or bool
-    if any(type(v) is not int
-           for e in edges for v in _shape(e, list, "an edge")):
+    if any(type(v) is not int for e in edges for v in e):
         raise ValueError("edge ends must be integer vertex indices")
     return Tree(n, edges)
 

@@ -43,7 +43,8 @@ from functools import cache, partial
 
 from .dilation import (DilationReport, PointSet, Tree, crossing_edge_pairs,
                        tree_dilation, tree_exact, tree_has_crossing,
-                       _critical_scan, _max_dilation, _ratio_sign)
+                       _critical_scan, _max_dilation, _ratio_sign,
+                       _row_blocks)
 from .errors import Infeasible, NotApplicable, NotCrossing, SizeTooLarge
 from .exactgeom import Orientation, orientation, segments_cross_ints
 from .radical import SqrtSum
@@ -691,17 +692,17 @@ def _order_search(ps, opts):
         extend(1)
         placed[first] = False
 
+    # a list, not an iterator: `_row_blocks` sorts it anew on every rung
+    pairs = list(itertools.combinations(range(n), 2))
+
     def certify(order):
         edges = _order_edges(order, closed)
         if not closed:
             return _certify_tree(ps, opts.bits, edges)
         sums, exact = _order_metric(ps, order, closed)
-
-        def every(bits):
-            return ((u, range(u + 1, n), sums(u, bits)[u + 1:])
-                    for u in range(n - 1))
         return (tuple(sorted(edges)),
-                _max_dilation(ps, every, sums, exact, opts.bits), exact)
+                _max_dilation(ps, partial(_row_blocks, sums, pairs), sums,
+                              exact, opts.bits), exact)
 
     return _result(screen.survivors(), certify, screen.count, cuts)
 

@@ -471,6 +471,20 @@ def test_precision_cap_from_environment(sqrt5_star, capsys, monkeypatch):
     assert "DILATREE_MAX_BITS must be an integer" in capsys.readouterr().err
 
 
+def test_malformed_pairs_exit_2(square, tmp_path, capsys):
+    pts, tr = square
+    bad = tmp_path / "bad.json"
+    for obj, files, message in (
+            ({"points": [[0, 0], [1, 0, 5], [1, 1], [0, 1]]}, (bad, tr),
+             "a point must be an [x, y] pair, got [1, 0, 5]"),
+            ({"edges": [[0, 1], [1, 2], [2]]}, (pts, bad),
+             "an edge must be a [u, v] pair, got [2]")):
+        dump_json(obj, bad)
+        assert cli("dilation", "--points", str(files[0]),
+                   "--tree", str(files[1])) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_mdst_size_guard(tmp_path):
     path = tmp_path / "many.json"
     dump_json({"points": [[i, i * i] for i in range(11)]}, path)

@@ -15,9 +15,9 @@ from dilatree.dilation import (
     _straight_tree, _tree_blocks,
 )
 from dilatree.errors import PrecisionExhausted
-from dilatree.exactgeom import (Segment, orientation, pt, round_dyadic,
-                                segments_properly_cross, sqrt_interval,
-                                squared_distance)
+from dilatree.exactgeom import (Interval, Segment, orientation, pt,
+                                round_dyadic, segments_properly_cross,
+                                sqrt_interval, squared_distance)
 from dilatree.gadget import PartitionInstance, build_gadget, integerize
 from dilatree.radical import SqrtSum
 from dilatree.solver import Mode, SolverOptions, mdst_exact, _RunningScreen
@@ -1126,7 +1126,7 @@ def random_tree40():
                       "29055970864250408765591889702142"), 2, (1, 2), True,
                   272)),
     (grid_comb, (7 << 276, 0, (12, 13), True, 272)),
-    (collinear_chain, ((1 << 276) - 1, 3, (0, 1), True, 272)),
+    (collinear_chain, (1 << 72, 0, (0, 1), True, 68)),
     (dyadic_rational, (8017394746013931682658, 4, (1, 4), False, 68)),
     (mst20_at_2_60, (18298307499487237111374, 9, (13, 14), False, 68)),
     # recorded while every pair was still enclosed
@@ -1422,14 +1422,17 @@ def test_precision_exhausted_names_survivors(monkeypatch):
     assert info.value.bits == 64
     assert info.value.context == [(1, 2), (3, 4)]
     assert "among 2 pairs, first (1, 2), (3, 4)" in str(info.value)
-    # on a chain every pair survives: four are named, all are carried
-    ps, t = collinear_chain()
+    # on a zigzag the nine pairs two, four or six steps apart tie at
+    # sqrt(2): four are named, all are carried
+    ps = PointSet.from_coords([(i, i % 2) for i in range(7)])
+    t = Tree(7, [(i, i + 1) for i in range(6)])
     monkeypatch.setenv("DILATREE_MAX_BITS", "128")
     with pytest.raises(PrecisionExhausted) as info:
         tree_dilation(ps, t, 64)
-    assert info.value.context == list(itertools.combinations(range(5), 2))
-    assert str(info.value).endswith("among 10 pairs, first (0, 1), (0, 2), "
-                                    "(0, 3), (0, 4)")
+    assert info.value.context == [(u, v) for u, v in itertools.combinations(
+        range(7), 2) if (v - u) % 2 == 0]
+    assert str(info.value).endswith("among 9 pairs, first (0, 2), (0, 4), "
+                                    "(0, 6), (1, 3)")
 
 
 def long_chain():
@@ -1445,21 +1448,21 @@ def long_chain():
 
 def test_chain_tie_builds_no_exact_length(monkeypatch):
     # every pair of a collinear chain ties at 1, and the tree is straight:
-    # the exact fallback ties all 435 pairs with no |uv| built
+    # all 435 pairs tie at the first rung with no |uv| built
     ps, t = long_chain()
     calls = []
     sqrt_of = SqrtSum.__dict__["sqrt_of"].__func__
     monkeypatch.setattr(SqrtSum, "sqrt_of", classmethod(
         lambda cls, *a, **kw: calls.append(1) or sqrt_of(cls, *a, **kw)))
     rep = tree_dilation(ps, t, 64)
-    assert (rep.tied, rep.witness, rep.precision_used) == (True, (0, 1), 272)
-    assert rep.value.contains(1)
+    assert (rep.tied, rep.witness, rep.precision_used) == (True, (0, 1), 68)
+    assert rep.value.lo == rep.value.hi == 1
     assert calls == []
 
 
 # ---------------------------------------------------------------------------
-# straight paths: a reference copy of the exact side without the
-# straight-path test, and the inputs where the two may differ
+# straight trees: a reference copy of the exact side and of the max over
+# pairs, and the inputs where some or all paths are straight
 
 
 def reference_tree_exact(ps, tree):
@@ -1512,8 +1515,8 @@ def reference_pair_ratios(ps, sums, pairs, bits):
 
 
 def reference_max_dilation(ps, sums, exact, bits):
-    """`_max_dilation` as it ran before ties of ratio 1 skipped rungs:
-    every rung is computed and every exact comparison is a product."""
+    """`_max_dilation` over `reference_pair_ratios`: every rung is
+    computed and every exact comparison is a product."""
     if bits < 1:
         raise ValueError("bits must be positive")
     cap = dilation.max_bits_cap()
@@ -1599,30 +1602,20 @@ def straight_tie_cases():
 
 
 def every_pair_straight(ps, tree):
-    """Brute force: `tree_exact` gives one object for both sides of every
-    pair."""
+    """Brute force: every pair's exact path length equals its |uv|."""
     exact = tree_exact(PointSet(ps.points), tree)
-    return all(d is length for d, length in itertools.starmap(
+    return all(d == length for d, length in itertools.starmap(
         exact, itertools.combinations(range(ps.n), 2)))
 
 
-def straight_tree_cases():
-    """(coords, tree): the straight ties; `long_chain()` straight, doubled
-    back once, forked with both branches going on from the stem, one unit
-    off its line at offsets 0 and 2^54, at scale 2^-100, rotated by a
-    Pythagorean angle and under shuffled labels; its star, and a 2-point
-    tree."""
-    yield from straight_tie_cases()
+def straight_chains():
+    """(coords, tree): `long_chain()` at offsets 0 and 2^54, at scale
+    2^-100, rotated by a Pythagorean angle and under shuffled labels,
+    every tree straight; and a 2-point tree."""
     ps, chain = long_chain()
     coords, n = [(p.x, p.y) for p in ps.points], ps.n
-    back = list(range(15)) + list(range(29, 14, -1))
-    yield coords, Tree(n, list(zip(back, back[1:])))
-    yield coords, Tree(n, [(i, i + 1) for i in range(28)] + [(27, 29)])
     for offset in (0, 1 << 54):
-        moved = [(x + offset, y + offset) for x, y in coords]
-        yield moved, chain
-        moved[10] = (moved[10][0] + 1, moved[10][1])
-        yield moved, chain
+        yield [(x + offset, y + offset) for x, y in coords], chain
     tiny = Fraction(1, 1 << 100)
     yield [(x * tiny, y * tiny) for x, y in coords], chain
     yield [((3 * x - 4 * y) / 5, (4 * x + 3 * y) / 5) for x, y in coords], \
@@ -1633,8 +1626,25 @@ def straight_tree_cases():
     for k, label in enumerate(labels):
         shuffled[label] = coords[k]
     yield shuffled, Tree(n, list(zip(labels, labels[1:])))
-    yield coords, Tree(n, [(15, v) for v in range(n) if v != 15])
     yield [(0, 0), (3, 4)], Tree(2, [(0, 1)])
+
+
+def straight_tree_cases():
+    """(coords, tree): the straight ties and chains; `long_chain()` doubled
+    back once, forked with both branches going on from the stem, one unit
+    off its line at offsets 0 and 2^54, and its star."""
+    yield from straight_tie_cases()
+    yield from straight_chains()
+    ps, chain = long_chain()
+    coords, n = [(p.x, p.y) for p in ps.points], ps.n
+    back = list(range(15)) + list(range(29, 14, -1))
+    yield coords, Tree(n, list(zip(back, back[1:])))
+    yield coords, Tree(n, [(i, i + 1) for i in range(28)] + [(27, 29)])
+    for offset in (0, 1 << 54):
+        moved = [(x + offset, y + offset) for x, y in coords]
+        moved[10] = (moved[10][0] + 1, moved[10][1])
+        yield moved, chain
+    yield coords, Tree(n, [(15, v) for v in range(n) if v != 15])
 
 
 def test_straight_tree_matches_every_pair_being_straight():
@@ -1650,47 +1660,74 @@ def test_straight_tree_matches_every_pair_being_straight():
     assert kinds == {True, False}
 
 
-@pytest.mark.parametrize("cap", [64, 128, 200, 256, None])
-def test_straight_paths_keep_every_report_and_exception(cap, monkeypatch):
-    # the straight-tree test and the rungs it skips change neither a
-    # report nor a PrecisionExhausted; caps below 256 raise on the ties,
-    # at 200 the skip stops at the cap, at 300 bits the first rung is past
-    # 256 and nothing is skipped, and a 2-point tree keeps its first rung
+def exactly_one(n, bits):
+    """The report of a straight tree on n points at `bits`."""
+    return DilationReport(value=Interval(Fraction(1), Fraction(1), bits),
+                          witness=(0, 1), precision_used=max(bits + 4, 64),
+                          tied=n > 2)
+
+
+def set_cap(monkeypatch, cap):
     if cap is None:
         monkeypatch.delenv("DILATREE_MAX_BITS", raising=False)
     else:
         monkeypatch.setenv("DILATREE_MAX_BITS", str(cap))
+
+
+@pytest.mark.parametrize("cap", [64, 128, 200, 256, None])
+def test_straight_paths_keep_every_report_and_exception(cap, monkeypatch):
+    # a straight tree reports exactly 1 at every cap; every other tree on
+    # these inputs keeps the report or PrecisionExhausted of the reference
+    # max over pairs, and caps below 256 raise on some of their ties
+    set_cap(monkeypatch, cap)
     kinds = set()
     ps, mst = prim_mst(200)
     mst_case = [(p.x, p.y) for p in ps.points], mst
-    two = [(0, 0), (3, 4)], Tree(2, [(0, 1)])
-    for coords, tree in itertools.chain(straight_tie_cases(),
-                                        [mst_case, two]):
+    for coords, tree in itertools.chain(straight_tie_cases(), [mst_case]):
+        straight = _straight_tree(PointSet.from_coords(coords), tree)
         for bits in (1, 64, 100, 300):
             got = dilation_outcome(tree_dilation, coords, tree, bits)
-            assert got == dilation_outcome(reference_tree_dilation, coords,
-                                           tree, bits)
-            kinds.add(type(got))
-    assert kinds == ({str} if cap is None or cap >= 256 else {str, tuple})
-    assert tree_dilation(PointSet.from_coords(two[0]), two[1],
-                         64).precision_used == 68
+            if straight:
+                assert got == repr(exactly_one(len(coords), bits))
+            else:
+                assert got == dilation_outcome(reference_tree_dilation,
+                                               coords, tree, bits)
+            kinds.add((straight, type(got)))
+    assert kinds == {(True, str), (False, str)} | (
+        set() if cap is None or cap >= 256 else {(False, tuple)})
 
 
-def test_chain_tie_keeps_no_product_and_only_the_fallback_table(
-        monkeypatch):
-    # every pair of the chain is straight: no SqrtSum product, and the
-    # first rung is at 276 bits, the first table of the exact fallback
+@pytest.mark.parametrize("cap", [64, 128, 200, 256, None])
+def test_straight_tree_reports_exactly_one(cap, monkeypatch):
+    # [1, 1], witness (0, 1), tied iff there is more than one pair, at the
+    # first rung's precision: no pair enclosed and no table built
+    set_cap(monkeypatch, cap)
+    calls = []
+    dist_ints = PointSet.dist_ints
+    monkeypatch.setattr(PointSet, "dist_ints", lambda self, *args:
+                        calls.append(args) or dist_ints(self, *args))
+    for coords, tree in straight_chains():
+        for bits in (1, 64, 100, 300):
+            ps = PointSet.from_coords(coords)
+            assert tree_dilation(ps, tree, bits) == exactly_one(ps.n, bits)
+            assert ps._tables == {}
+    assert calls == []
+    ps, chain = long_chain()
+    with pytest.raises(ValueError, match="bits must be positive"):
+        tree_dilation(ps, chain, 0)
+
+
+def test_chain_tie_keeps_no_product_and_no_table(monkeypatch):
+    # every pair of the chain is straight: no SqrtSum product and no
+    # enclosure table
     ps, t = long_chain()
-    expect = reference_tree_dilation(PointSet(ps.points), t, 64)
     products = []
     mul = SqrtSum.__mul__
     monkeypatch.setattr(SqrtSum, "__mul__", lambda a, b: products.append(1)
                         or mul(a, b))
-    assert tree_dilation(ps, t, 64) == expect
-    assert (expect.tied, expect.witness, expect.precision_used) \
-        == (True, (0, 1), 272)
+    assert tree_dilation(ps, t, 64) == exactly_one(30, 64)
     assert products == []
-    assert sorted(ps._tables) == [276]
+    assert ps._tables == {}
 
 
 def test_star_on_a_line_keeps_its_back_tracking_pairs():
@@ -1703,8 +1740,8 @@ def test_star_on_a_line_keeps_its_back_tracking_pairs():
     assert rep.value.lo > 1 and not rep.tied
     exact = tree_exact(ps, star)
     d, length = exact(*rep.witness)
-    assert d is not length
-    assert all(d is length for d, length in (exact(u, v) for u in range(15)
+    assert d != length
+    assert all(d == length for d, length in (exact(u, v) for u in range(15)
                                              for v in range(16, 30)))
     # a straight pair against a back-tracking one is still a product
     bent, line, other = exact(*rep.witness), exact(0, 29), exact(3, 20)

@@ -82,6 +82,15 @@ def test_tree_round_trip():
         tree_from_json({}, 4)
 
 
+@pytest.mark.parametrize("entry", [[1], [1, 2, 3]])
+def test_malformed_pairs_are_named(entry):
+    # a point or an edge of the wrong length is named, not unpacked
+    with pytest.raises(ValueError, match=r"a point must be an \[x, y\] pair"):
+        points_from_json({"points": [[0, 0], entry]})
+    with pytest.raises(ValueError, match=r"an edge must be a \[u, v\] pair"):
+        tree_from_json({"edges": [[0, 1], entry]}, 3)
+
+
 def test_instance_round_trip_is_exact():
     inst = PartitionInstance((1, 2, 1))
     ii = integerize(build_gadget(inst))

@@ -689,8 +689,8 @@ def test_path_collinear_monotone():
 
 def test_path_certification_of_a_collinear_set_builds_no_product(
         monkeypatch):
-    # a path is certified as a tree, so its straight pairs settle on the
-    # integer straightness test, with no SqrtSum product
+    # a path is certified as a tree, so a straight one reports exactly 1
+    # from the integer straightness test, with no SqrtSum product
     ps = PointSet.from_coords([(k, 2 * k) for k in (0, 1, 3, 4, 9, 13, 20)])
     calls = []
     mul = SqrtSum.__mul__
@@ -700,8 +700,8 @@ def test_path_certification_of_a_collinear_set_builds_no_product(
     assert calls == []
     assert res.best.edges == tuple((i, i + 1) for i in range(6))
     rep = res.report
-    assert (rep.witness, rep.tied, rep.precision_used) == ((0, 1), True, 272)
-    assert rep.value.contains(1)
+    assert (rep.witness, rep.tied, rep.precision_used) == ((0, 1), True, 68)
+    assert rep.value.lo == rep.value.hi == 1
     assert (res.trees_examined, res.pruned) == (1, 60)
 
 
