@@ -832,34 +832,6 @@ def _graph_adjacency(n, edges):
     return adj
 
 
-def _separator_exceeds(ps: PointSet, edges, p_num: int, q_den: int,
-                       triples) -> bool:
-    """One-sided certificate that every spanning tree inside `edges` has
-    dilation above P/Q, from the pairs (u, v) of `triples` (s, u, v),
-    where every u-v path of the graph passes through s.
-
-    Such a tree joins u and v by a path of the graph, so its u-v length is
-    at least the graph's shortest-path sum of lower endpoints, which is
-    D_s(u) + D_s(v), read from one 64-bit Dijkstra per distinct s; s = u
-    always qualifies, with D_u(u) = 0.  True means that sum exceeds
-    (P/Q)|uv| for some pair, or that a Dijkstra left a vertex unreached: a
-    disconnected graph holds no spanning tree, so every tree inside it is
-    above P/Q vacuously.  False only means "not shown".  Triples are read
-    in order, and the first certified pair ends the check.
-    """
-    adj = _graph_adjacency(ps.n, edges)
-    sums = {}
-    for s, u, v in triples:
-        if s not in sums:
-            sums[s] = _shortest_sums(ps, adj, s, 64, 0)
-            if None in sums[s]:
-                return True
-        ds = sums[s]
-        if q_den * (ds[u] + ds[v]) > p_num * ps.dist_ints(u, v, 64)[1]:
-            return True
-    return False
-
-
 def graph_dilation_bounds(ps: PointSet, edges, bits: int) -> Interval:
     """Enclosure of the dilation of an arbitrary connected graph.
 

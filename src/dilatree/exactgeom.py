@@ -137,15 +137,6 @@ class Interval:
     def contains(self, value) -> bool:
         return self.lo <= value <= self.hi
 
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi,
-                        min(self.bits, other.bits))
-
-    def scale(self, factor: Fraction) -> "Interval":
-        if factor < 0:
-            return Interval(self.hi * factor, self.lo * factor, self.bits)
-        return Interval(self.lo * factor, self.hi * factor, self.bits)
-
 
 def round_dyadic(value: Fraction, frac_bits: int, mode: str = "nearest") -> Fraction:
     """Round an exact rational onto the grid of multiples of 2^-frac_bits."""

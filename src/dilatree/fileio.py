@@ -89,6 +89,15 @@ def _weights(obj, what, keys) -> tuple[int, ...]:
                  _shape(obj["alphas_dot"], list, "\"alphas_dot\""))
 
 
+def _labelled_point(entry, i, parse, keys):
+    """The x and y of point i, a JSON object, each read by `parse`, and
+    its label, None when absent; a missing key of `keys` is named."""
+    for key in keys:
+        if key not in entry:
+            raise ValueError(f"point {i} is missing \"{key}\"")
+    return parse(entry["x"]), parse(entry["y"]), entry.get("label")
+
+
 def _canonical_points(obj, n, parse):
     """The 8n+8 (x, y) pairs of an instance or gadget file, each
     coordinate read by `parse`, and their labels, in canonical order."""
@@ -96,10 +105,11 @@ def _canonical_points(obj, n, parse):
     if len(entries) != 8 * n + 8:
         raise ValueError(f"wrong number of points for n={n}")
     xy, labels = [], []
-    for entry in entries:
-        entry = _shape(entry, dict, "a labelled point")
-        xy.append((parse(entry["x"]), parse(entry["y"])))
-        labels.append(entry["label"])
+    for i, entry in enumerate(entries):
+        x, y, label = _labelled_point(_shape(entry, dict, "a labelled point"),
+                                      i, parse, ("x", "y", "label"))
+        xy.append((x, y))
+        labels.append(label)
     if tuple(labels) != tuple(_labels(n)):
         raise ValueError("labels deviate from the canonical ordering")
     return xy, labels
@@ -123,11 +133,11 @@ def points_from_json(obj) -> PointSet:
     if not isinstance(obj, dict) or "points" not in obj:
         raise ValueError("points file needs a top-level \"points\" list")
     pts, labels = [], []
-    for entry in _shape(obj["points"], list, "\"points\""):
+    for i, entry in enumerate(_shape(obj["points"], list, "\"points\"")):
         if isinstance(entry, dict):
-            pts.append(Point(parse_number(entry["x"]),
-                             parse_number(entry["y"])))
-            labels.append(entry.get("label"))
+            x, y, label = _labelled_point(entry, i, parse_number, ("x", "y"))
+            pts.append(Point(x, y))
+            labels.append(label)
         else:
             pts.append(_point(entry))
             labels.append(None)

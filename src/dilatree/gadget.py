@@ -24,16 +24,17 @@ which the ideal lengths, the critical set and the tree family read.
 hands out.
 
 The search screens before it certifies.  Per attachment of the hanging
-point it decides the 2n choice slots one at a time, depth first.  Every
-family tree below a node lies in the node's graph: the decided options
-plus both options of every open slot.  So when a priority pair's
+point q2 it decides the 2n choice slots one at a time, depth first.
+Every family tree below a node lies in the node's graph: the decided
+options plus both options of every open slot.  So when a watched pair's
 shortest path there is certifiably above the threshold, the whole
-subtree is cut.  Every edge of that graph stays inside one half, except
-the two q1-a1 edges and the hanging edge of q2, so q1 separates the
-halves and each pair's shortest path is the sum of two entries of one
-Dijkstra: from q1 for the choice-point pairs, and from q1 or q2 for q2's
-pairs.  Only a leaf the cut leaves is built and certified by
-`compare_to_threshold`.
+subtree is cut.  One cut, `_slot_cut`, serves every node.  Every edge of
+the graph stays inside one half, except the two q1-a1 edges and q2's
+edge, and q2 is a leaf, so q1 separates the halves and each pair's
+shortest path is read from a Dijkstra from q1 on one live graph without
+q2; only q2's pair in its own half needs a second one.  That graph is
+the same at every root, so all roots share their sums.  Only a leaf the
+cut leaves is built and certified by `compare_to_threshold`.
 """
 
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ from math import isqrt
 
 from .dilation import (PointSet, Tree, Verdict, compare_to_threshold,
                        critical_edges, _graph_adjacency, _scale_exp,
-                       _separator_exceeds, _shortest_sums)
+                       _shortest_sums)
 from .errors import NoIntersection, PrecisionInsufficient, SumTooLarge
 from .exactgeom import crossing_ints, nearest
 from .radical import SqrtSum
@@ -681,24 +682,44 @@ def _check_encoded_weights(inst) -> None:
                              f" {declared}")
 
 
-def _hanging_root_exceeds(lay, from_q1, attach: int, p_num: int,
-                          q_den: int) -> bool:
-    """`_separator_exceeds` on the pair (q2, p) of the root graph where q2
-    hangs at `attach`, a vertex other than q1, and p is the p2 of the half
-    `attach` is not in.
+def _slot_cut(lay, adj, attach, from_q1, P, Q) -> bool:
+    """Whether every family tree inside a slot-search node's graph is
+    certifiably above P/Q, or the graph holds no spanning tree.
 
-    `from_q1` holds the 64-bit lower sums of a Dijkstra from q1 on the
-    root graph without q2's edge.  Every path from q2 to p runs q2,
-    `attach`, then through q1, so its shortest sum is lo(q2 attach) +
-    D_q1(attach) + D_q1(p), the very integer a Dijkstra from q2 on the
-    root graph gives.  False when either sum is missing."""
+    The node's graph is the live adjacency `adj`, which leaves q2 out,
+    plus q2's edge to `attach`; `from_q1` holds the 64-bit lower sums of
+    a Dijkstra from q1 on `adj`.  A tree inside the graph joins each
+    watched pair by a path of it, at least as long as the pair's
+    shortest-path sum, and the cut is exact for these pairs: q2 is a leaf,
+    and q1 separates the halves, so
+    - the far pair (q2, p2 of the half `attach` is not in) sums to
+      lo(q2 attach) + D_q1(attach) + D_q1(p2);
+    - each choice pair (d_i, d_i') sums to D_q1(d_i) + D_q1(d_i');
+    - the near pair (q2, p2 of the half of `attach`) sums to
+      lo(q2 attach) + D_attach(p2), from a second Dijkstra run only when
+      the other pairs pass; when `attach` is q1, D_q1 serves it too.
+    A pair cuts when Q times its sum exceeds P times the upper 64-bit
+    length of the pair, and any vertex other than q2 left unreached cuts
+    the node.  False only means "not shown".
+    """
+    if from_q1.count(None) > 1:           # q2's entry is always None
+        return True
     pts = lay.points
-    far = lay.p2 if attach > lay.p2 else lay.mirror(lay.p2)
-    if from_q1[attach] is None or from_q1[far] is None:
-        return False
-    sum_lo = (pts.dist_ints(lay.q2, attach, 64)[0] + from_q1[attach]
-              + from_q1[far])
-    return q_den * sum_lo > p_num * pts.dist_ints(lay.q2, far, 64)[1]
+    near, far = lay.p2, lay.mirror(lay.p2)
+    if attach > lay.p2:
+        near, far = far, near
+    hang = pts.dist_ints(lay.q2, attach, 64)[0]
+    if Q * (hang + from_q1[attach] + from_q1[far]) \
+            > P * pts.dist_ints(lay.q2, far, 64)[1]:
+        return True
+    for d in range(lay.d(1), lay.p1):
+        m = lay.mirror(d)
+        if Q * (from_q1[d] + from_q1[m]) > P * pts.dist_ints(d, m, 64)[1]:
+            return True
+    from_attach = from_q1 if attach == lay.q1 \
+        else _shortest_sums(pts, adj, attach, 64, 0)
+    return Q * (hang + from_attach[near]) \
+        > P * pts.dist_ints(lay.q2, near, 64)[1]
 
 
 def decide_partition(instance):
@@ -715,25 +736,19 @@ def decide_partition(instance):
     turn: left n down to left 1, then right n down to right 1.  A slot
     tries direct before detour, reversed after an odd number of detours,
     so the leaves come in reflected Gray-code order; that order fixes
-    which split is returned when several are valid.  At each node
-    `_separator_exceeds` runs on the fixed edges, the attachment edge, the
-    decided options and both options of every open slot.  Every tree
-    below the node lies in that graph, so a certified pair cuts them all;
-    at a leaf the graph is the tree itself.  Only a leaf it does not cut
-    is built as a `Tree` and certified by `compare_to_threshold`.
+    which split is returned when several are valid.  Every tree below a
+    node lies in the node's graph: the fixed edges, q2's edge, the decided
+    options and both options of every open slot.  One live adjacency
+    holds that graph without q2: deciding a slot removes the option not
+    taken, and backtracking puts it back.  At each node `_slot_cut` reads
+    the watched pairs from one Dijkstra from q1 on it, so a certified pair
+    cuts every tree below; at a leaf the graph is the tree itself.  Only a
+    leaf it does not cut is built as a `Tree` and certified by
+    `compare_to_threshold`.
 
-    The cut is exact, not a bound.  q1's only edges go to a1, to a1' and
-    possibly to q2, q2 is a leaf, and every other edge stays inside one
-    half, so every path between the halves passes through q1.  A pair
-    (d_i, d_i') is then read from one Dijkstra from q1, and so are q2's
-    pairs when q2 hangs at q1; otherwise they are read from q2's own
-    Dijkstra.  Each node makes one Dijkstra under the q1 attachment and
-    at most two under any other.
-
-    The root of an attachment other than q1 is first tried by
-    `_hanging_root_exceeds`, from one Dijkstra from q1 on the root graph
-    without q2's edge that all these roots share; a root it does not cut
-    gets the full cut.
+    q2 is a leaf and q1 separates the halves, so q2's pairs need no graph
+    of their own, and the root graph, the same for every attachment,
+    gives all roots one Dijkstra.
     """
     lay = instance
     n = lay.n
@@ -745,40 +760,33 @@ def decide_partition(instance):
     fixed, choices = _family_skeleton(lay)
     slots = [left for _, left in reversed(choices)]
     slots += [right for right, _ in reversed(choices)]
+    adj = _graph_adjacency(total, fixed + [e for slot in slots for e in slot])
+    taken = []
 
-    def search(decided, depth, reflected):
-        open_options = [e for slot in slots[depth:] for e in slot]
-        if _separator_exceeds(pts, decided + open_options, P, Q,
-                              priority):
+    def search(attach, from_q1, depth, reflected):
+        if _slot_cut(lay, adj, attach, from_q1, P, Q):
             return None
         if depth == len(slots):
-            tree = Tree(total, decided)
+            tree = Tree(total, fixed + [(lay.q2, attach)] + taken)
             at_most = compare_to_threshold(pts, tree, P, Q) is Verdict.AT_MOST
             return tree if at_most else None
         for detour in ((1, 0) if reflected else (0, 1)):
-            tree = search(decided + [slots[depth][detour]], depth + 1,
-                          reflected ^ detour)
+            u, v = slots[depth][1 - detour]
+            adj[u].remove(v)
+            adj[v].remove(u)
+            taken.append(slots[depth][detour])
+            tree = search(attach, _shortest_sums(pts, adj, lay.q1, 64, 0),
+                          depth + 1, reflected ^ detour)
+            taken.pop()
+            adj[u].append(v)
+            adj[v].append(u)
             if tree is not None:
                 return tree
         return None
 
-    from_q1 = None
-    candidates = [lay.q1] + [j for j in range(total) if j > lay.q2]
-    for attach in candidates:
-        if attach != lay.q1:
-            if from_q1 is None:
-                adj = _graph_adjacency(total, fixed + [e for slot in slots
-                                                       for e in slot])
-                from_q1 = _shortest_sums(pts, adj, lay.q1, 64, 0)
-            if _hanging_root_exceeds(lay, from_q1, attach, P, Q):
-                continue
-        # the pairs whose dilation blows up on every wrong combination,
-        # each with the separator its shortest paths pass through
-        hub = lay.q1 if attach == lay.q1 else lay.q2
-        priority = [(hub, lay.q2, lay.p2), (hub, lay.q2, lay.mirror(lay.p2))]
-        priority += [(lay.q1, lay.d(i), lay.mirror(lay.d(i)))
-                     for i in range(1, n + 1)]
-        tree = search(fixed + [(_Q2, attach)], 0, 0)
+    root = _shortest_sums(pts, adj, lay.q1, 64, 0)
+    for attach in [lay.q1] + list(range(lay.q2 + 1, total)):
+        tree = search(attach, root, 0, 0)
         if tree is not None:
             break
     # `search` calls itself through its closure, a reference cycle that

@@ -280,10 +280,10 @@ def _exclude_cut(screen, live, u):
     vertex stays unreached.  Before the first bound only a disconnection
     cuts.  False only means "not shown".
 
-    The 32-bit lower lengths are never above the 64-bit ones of
-    `dilation._separator_exceeds` on the pairs (u, t), and the 32-bit
-    hi(u, t) never below, so a cut here implies a cut there; the converse
-    can fail when D(t)/|ut| lies above P/Q by less than the 32-bit slack.
+    The 32-bit lower lengths are never above the 64-bit ones, and the
+    32-bit hi(u, t) never below, so a cut here implies the same cut from
+    a 64-bit Dijkstra from u on the pairs (u, t); the converse can fail
+    when D(t)/|ut| lies above P/Q by less than the 32-bit slack.
     The two decided alike on every node of the fixed-seed sets of
     `tests/test_solver.py`, which is observed, not proven.
     """

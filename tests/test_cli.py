@@ -174,6 +174,21 @@ def test_precision_arguments_below_range_exit_2(tmp_path, capsys):
     assert "bits must be positive" in capsys.readouterr().err
 
 
+def test_point_missing_a_coordinate_exits_2_naming_it(tmp_path, square,
+                                                     capsys):
+    _, tr = square
+    pts, inst = tmp_path / "missing_y.json", gen_instance(tmp_path, "1,1")
+    dump_json({"points": [{"x": 0, "y": 0}, {"x": 1}, [1, 1], [0, 1]]}, pts)
+    assert cli("dilation", "--points", str(pts), "--tree", str(tr)) == 2
+    assert capsys.readouterr().err.strip() == 'error: point 1 is missing "y"'
+    obj = load_json(inst)
+    del obj["points"][3]["label"]
+    dump_json(obj, inst)
+    for cmd in ("verify", "decide"):
+        assert cli(cmd, str(inst)) == 2
+        assert 'point 3 is missing "label"' in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # pipeline behavior
 

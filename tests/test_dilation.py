@@ -11,8 +11,8 @@ from dilatree.dilation import (
     DilationReport, PointSet, Tree, Verdict, compare_to_threshold,
     critical_edges, crossing_edge_pairs, graph_dilation_bounds,
     pair_dilation, root_sums, tree_dilation, tree_exact, tree_has_crossing,
-    tree_path_length, _critical_scan, _pair_ratios, _separator_exceeds,
-    _straight_tree, _tree_blocks,
+    tree_path_length, _critical_scan, _pair_ratios, _straight_tree,
+    _tree_blocks,
 )
 from dilatree.errors import PrecisionExhausted
 from dilatree.exactgeom import (Interval, Segment, orientation, pt,
@@ -21,6 +21,8 @@ from dilatree.exactgeom import (Interval, Segment, orientation, pt,
 from dilatree.gadget import PartitionInstance, build_gadget, integerize
 from dilatree.radical import SqrtSum
 from dilatree.solver import Mode, SolverOptions, mdst_exact, _RunningScreen
+
+from conftest import graph_exceeds
 
 
 def test_pointset_validation():
@@ -923,16 +925,16 @@ def test_graph_exceeds_rejects_every_tree_inside(offset):
         while len(union) < size:
             union.add(tuple(sorted(rng.sample(range(n), 2))))
         union = sorted(union)
-        # like decide_partition's priority list: runs sharing a first
-        # vertex, each pair (u, v) checked through s = u
+        # runs sharing a first vertex, each pair (u, v) checked through
+        # s = u
         triples = [(u, u, v) for u in rng.sample(range(n), 3)
                    for v in rng.sample([w for w in range(n) if w != u], 2)]
         top = {(u, v): max((p for p in thresholds
-                            if _separator_exceeds(ps, union, p, q,
+                            if graph_exceeds(ps, union, p, q,
                                                   [(s, u, v)])),
                            default=0) for s, u, v in triples}
         shown = [p for p in thresholds
-                 if _separator_exceeds(ps, union, p, q, triples)]
+                 if graph_exceeds(ps, union, p, q, triples)]
         assert shown == [p for p in thresholds if p <= max(top.values())]
         hi = graph_dilation_bounds(ps, union, 64).hi
         assert all(Fraction(p, q) < hi for p in shown)
@@ -956,11 +958,11 @@ def test_graph_exceeds_on_a_disconnected_graph():
     # even 1/0, under which no pair exceeds
     ps = PointSet.from_coords([(0, 0), (1, 0), (5, 5), (6, 5)])
     edges = [(0, 1), (2, 3)]
-    assert _separator_exceeds(ps, edges, 1000, 1, [(0, 0, 1)])
-    assert _separator_exceeds(ps, edges, 1, 0, [(2, 2, 3)])
-    assert not _separator_exceeds(ps, edges + [(1, 2)], 1000, 1,
+    assert graph_exceeds(ps, edges, 1000, 1, [(0, 0, 1)])
+    assert graph_exceeds(ps, edges, 1, 0, [(2, 2, 3)])
+    assert not graph_exceeds(ps, edges + [(1, 2)], 1000, 1,
                                   [(0, 0, 1), (2, 2, 3)])
-    assert not _separator_exceeds(ps, edges + [(1, 2)], 1, 0, [(0, 0, 3)])
+    assert not graph_exceeds(ps, edges + [(1, 2)], 1, 0, [(0, 0, 3)])
 
 
 def _apply(ps, f):

@@ -72,6 +72,29 @@ def test_points_round_trip():
         points_from_json({"rows": []})
 
 
+def test_points_missing_a_coordinate_are_named():
+    for key in ("x", "y"):
+        entry = {"x": "1", "y": "2"}
+        del entry[key]
+        with pytest.raises(ValueError,
+                           match=f'^point 1 is missing "{key}"$'):
+            points_from_json({"points": [[0, 0], entry, [1, 1]]})
+    # a label stays optional in a points file
+    assert points_from_json({"points": [{"x": 0, "y": 0}, [1, 1]]}).labels \
+        is None
+
+
+@pytest.mark.parametrize("key", ["x", "y", "label"])
+def test_instance_and_gadget_points_missing_a_key_are_named(key):
+    g = build_gadget(PartitionInstance((1, 1)))
+    for obj, read in ((instance_to_json(integerize(g)), instance_from_json),
+                      (gadget_to_json(g), gadget_from_json)):
+        del obj["points"][5][key]
+        with pytest.raises(ValueError,
+                           match=f'^point 5 is missing "{key}"$'):
+            read(obj)
+
+
 def test_tree_round_trip():
     t = Tree(4, [(0, 1), (1, 2), (2, 3)])
     back = tree_from_json(tree_to_json(t), 4)

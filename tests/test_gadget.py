@@ -22,6 +22,8 @@ from dilatree.gadget import (
 )
 from dilatree.radical import SqrtSum
 
+from conftest import graph_exceeds
+
 HALF = Fraction(3, 2)
 
 
@@ -619,8 +621,8 @@ def test_decide_pinned_answers(alphas, split):
 ])
 def test_decide_certifies_only_unscreened_trees(alphas, certified,
                                                 monkeypatch):
-    # the separator cut runs at every node of the slot search, and at a
-    # leaf its graph is the tree itself, so compare_to_threshold runs only
+    # the slot cut runs at every node of the slot search, and at a leaf
+    # its graph is the tree itself, so compare_to_threshold runs only
     # on the tree it cannot reject
     calls = []
 
@@ -638,10 +640,10 @@ def test_decide_certifies_only_unscreened_trees(alphas, certified,
 
 
 def test_decide_slot_search_work_pin(monkeypatch):
-    # one cut per node of the slot search, and one Dijkstra per cut; the
-    # 4^7 family trees of each attachment would take 16,384 cuts one by one.
-    # The 62 roots of attachments other than q1 are cut instead by one
-    # Dijkstra from q1 that they share: 585 nodes, 523 cuts
+    # one cut per node of the slot search, and one Dijkstra from q1 per
+    # node but the roots; the 4^7 family trees of each attachment would
+    # take 16,384 cuts one by one.  The 63 roots share one Dijkstra, and
+    # the near pair of q2 never needs a second one: 585 cuts, 523 Dijkstras
     cuts, dijkstras = [], []
 
     def counted_cut(*args):
@@ -652,50 +654,78 @@ def test_decide_slot_search_work_pin(monkeypatch):
         dijkstras.append(args)
         return sums(*args)
 
-    cut, sums = gadget._separator_exceeds, dilation._shortest_sums
-    monkeypatch.setattr(gadget, "_separator_exceeds", counted_cut)
+    cut, sums = gadget._slot_cut, dilation._shortest_sums
+    monkeypatch.setattr(gadget, "_slot_cut", counted_cut)
     monkeypatch.setattr(dilation, "_shortest_sums", counted_sums)
     monkeypatch.setattr(gadget, "_shortest_sums", counted_sums)
     ii = integerize(build_gadget(PartitionInstance((1, 1, 1, 1, 1, 1, 5))))
     assert decide_partition(ii) is None
-    assert len(cuts) == 523
-    assert len(dijkstras) == 524
+    assert len(cuts) == 585
+    assert len(dijkstras) == 523
+
+
+def _watched(lay):
+    """The pairs the slot cut watches, as `graph_exceeds` triples (u, u, v)."""
+    triples = [(lay.q2, lay.q2, lay.p2), (lay.q2, lay.q2, lay.mirror(lay.p2))]
+    return triples + [(lay.d(i), lay.d(i), lay.mirror(lay.d(i)))
+                      for i in range(1, lay.n + 1)]
+
+
+def _one_pair(pts, triples, keep):
+    """`pts.dist_ints` with the upper length of every pair of `triples`
+    but `keep` raised by 2^64, so that no sum of the gadget reaches it."""
+    real, others = pts.dist_ints, {frozenset(t[1:]) for t in triples}
+    others.discard(frozenset(keep))
+
+    def dist_ints(u, v, bits):
+        lo, hi = real(u, v, bits)
+        return (lo, hi << 64) if frozenset((u, v)) in others else (lo, hi)
+    return dist_ints
 
 
 @pytest.mark.parametrize("alphas", [(1,), (1, 1), (2, 3, 5), (1, 2, 4)])
 def test_hanging_root_cut_is_the_separator_cut_of_its_pair(alphas,
                                                          monkeypatch):
-    # at every attachment, at the threshold where the pair's sum ties its
-    # bound and one unit below, the shared q1 sums give the verdict of a
-    # Dijkstra from q2 on the whole root graph; decide_partition hands in
-    # those sums
+    # at every attachment's root, at the threshold where the far pair's
+    # sum ties its bound and one unit below, with the other pairs kept
+    # from cutting, the shared q1 sums give the verdict of a Dijkstra from
+    # q2 on the whole root graph; decide_partition hands every root those
+    # sums
     g = build_gadget(PartitionInstance(alphas))
-    hanging, seen = gadget._hanging_root_exceeds, []
-    monkeypatch.setattr(gadget, "_hanging_root_exceeds",
-                        lambda lay, sums, *args: seen.append(sums)
-                        or hanging(lay, sums, *args))
+    cut, seen = gadget._slot_cut, []
+    total = 8 * g.n + 8
+    fixed, choices = gadget._family_skeleton(g)
+    options = [e for slots in choices for slot in slots for e in slot]
+    root_degree = 2 * len(fixed + options)
+    monkeypatch.setattr(
+        gadget, "_slot_cut",
+        lambda lay, adj, attach, sums, *args:
+        (sum(map(len, adj)) == root_degree and seen.append((attach, sums)))
+        or cut(lay, adj, attach, sums, *args))
+    attachments = [g.q1] + list(range(g.q2 + 1, total))
     for inst in (g, integerize(g)):
-        pts, total = inst.points, 8 * g.n + 8
-        fixed, choices = gadget._family_skeleton(inst)
-        options = [e for slots in choices for slot in slots for e in slot]
-        from_q1 = dilation._shortest_sums(
-            pts, dilation._graph_adjacency(total, fixed + options), g.q1,
-            64, 0)
-        for attach in range(2, total):
-            far = g.mirror(g.p2) if attach <= 4 * g.n + 4 else g.p2
+        pts = inst.points
+        adj = dilation._graph_adjacency(total, fixed + options)
+        from_q1 = dilation._shortest_sums(pts, adj, g.q1, 64, 0)
+        for attach in attachments:
+            far = g.mirror(g.p2) if attach <= g.p2 else g.p2
             edges = fixed + options + [(g.q2, attach)]
-            adj = dilation._graph_adjacency(total, edges)
+            graph = dilation._graph_adjacency(total, edges)
             bound = pts.dist_ints(g.q2, far, 64)[1]
-            sum_lo = dilation._shortest_sums(pts, adj, g.q2, 64, 0)[far]
-            for p_num in (sum_lo, sum_lo - 1):
-                assert hanging(inst, from_q1, attach, p_num, bound) \
-                    == gadget._separator_exceeds(pts, edges, p_num, bound,
-                                                 [(g.q2, g.q2, far)]) \
-                    == (p_num < sum_lo)
+            sum_lo = dilation._shortest_sums(pts, graph, g.q2, 64, 0)[far]
+            pts.dist_ints = _one_pair(pts, _watched(inst), (g.q2, far))
+            try:
+                for p_num in (sum_lo, sum_lo - 1):
+                    assert cut(inst, adj, attach, from_q1, p_num, bound) \
+                        == graph_exceeds(pts, edges, p_num, bound,
+                                         [(g.q2, g.q2, far)]) \
+                        == (p_num < sum_lo)
+            finally:
+                del pts.dist_ints
         seen.clear()
         found = decide_partition(inst)
-        assert len(seen) == (0 if found else total - 2)
-        assert all(sums == from_q1 for sums in seen)
+        assert found or [a for a, _ in seen] == attachments
+        assert all(sums == from_q1 for _, sums in seen)
 
 
 @pytest.mark.parametrize("alphas", [
@@ -703,66 +733,97 @@ def test_hanging_root_cut_is_the_separator_cut_of_its_pair(alphas,
     (1, 1, 1, 1, 1, 1, 5),
 ])
 def test_shared_root_cut_keeps_the_slot_search(alphas, monkeypatch):
-    # with the shared q1 sums hidden, every root gets its full cut, as
-    # before they were shared; the split, the tree and every other cut
-    # are the same, and the roots cut early are exactly those of
-    # attachments other than q1 whose full cut certifies
-    cut = gadget._separator_exceeds
+    # with the slot cut replaced by the plain cut of `graph_exceeds` on
+    # the node graph, rebuilt from the live adjacency and q2's edge and
+    # read without the shared q1 sums, the search visits the same nodes
+    # with the same verdicts and returns the same split and tree
+    cut = gadget._slot_cut
 
-    def run(inst, shared):
+    def plain(lay, adj, attach, from_q1, p, q):
+        edges = [(u, v) for u, row in enumerate(adj) for v in row if u < v]
+        return graph_exceeds(lay.points, edges + [(lay.q2, attach)], p, q,
+                             _watched(lay))
+
+    def run(inst, slot_cut):
         calls = []
 
-        def counted(pts, edges, p, q, triples):
-            got = cut(pts, edges, p, q, triples)
-            calls.append((len(edges), triples[0][0], got))
+        def counted(lay, adj, attach, *args):
+            got = slot_cut(lay, adj, attach, *args)
+            calls.append((sum(map(len, adj)), attach, got))
             return got
 
-        monkeypatch.setattr(gadget, "_separator_exceeds", counted)
-        if not shared:
-            monkeypatch.setattr(gadget, "_shortest_sums",
-                                lambda ps, adj, *args: [None] * len(adj))
+        monkeypatch.setattr(gadget, "_slot_cut", counted)
         got = decide_partition(inst)
         monkeypatch.undo()
         return (got and (got[0], got[1].edges)), calls
 
     g = build_gadget(PartitionInstance(alphas))
-    fixed, choices = gadget._family_skeleton(g)
-    root = len(fixed) + 1 + 4 * g.n
     for inst in (g, integerize(g)):
-        got, calls = run(inst, True)
-        expect, full = run(inst, False)
-        assert got == expect
-        early = (root, g.q2, True)
-        assert calls == [c for c in full if c != early]
-        assert (early in full) == (got is None)
+        got, calls = run(inst, cut)
+        assert (got, calls) == run(inst, plain)
+        assert len(calls) > 1
 
 
 @pytest.mark.parametrize("alphas", [
     (1,), (1, 1), (2, 3, 5), (1, 2, 4), (1, 1, 1, 2), (1, 1, 2, 2),
-    (1, 1, 1, 1, 1, 1, 5),
+    (1, 1, 1, 1, 1, 1, 5), (3, 5, 2, 4, 6),
 ])
 def test_separator_exceeds_matches_graph_exceeds(alphas, monkeypatch):
-    # the separator sums are exact shortest paths, so every node of the
-    # slot search gets the verdict of plain Dijkstras from each pair's
-    # first vertex (s = u) on its graph and pairs, at the threshold and at
-    # looser ones that leave more pairs uncertified
-    cut = gadget._separator_exceeds
+    # the slot search's separator cut reads every watched pair through
+    # q1, with q2 left out of its live graph.  At every node it gets the
+    # verdict of `graph_exceeds` on the node graph rebuilt from the live
+    # adjacency and q2's edge, with plain Dijkstras from each pair's first
+    # vertex (s = u), at the threshold and at looser ones that leave more
+    # pairs uncertified.  At each pair's tie threshold and one unit below
+    # it, with the other pairs kept from cutting, the cut must read the
+    # sum D_u(v) that `graph_exceeds` reads
+    cut = gadget._slot_cut
     nodes = []
 
-    def checked(pts, edges, p, q, pairs):
-        plain = [(u, u, v) for _, u, v in pairs]
-        got = [cut(pts, edges, loose * p, q, pairs) for loose in (1, 2, 8)]
-        assert got == [cut(pts, edges, loose * p, q, plain)
-                       for loose in (1, 2, 8)]
-        nodes.append(got)
-        return got[0]
+    def checked(lay, adj, attach, from_q1, p, q):
+        pts, q2 = lay.points, lay.q2
+        assert not adj[q2]
+        assert from_q1 == dilation._shortest_sums(pts, adj, lay.q1, 64, 0)
+        edges = [(u, v) for u, row in enumerate(adj) for v in row if u < v]
+        edges.append((q2, attach))
+        triples = _watched(lay)
+        for loose in (1, 2, 8):
+            assert cut(lay, adj, attach, from_q1, loose * p, q) \
+                == graph_exceeds(pts, edges, loose * p, q, triples)
+        graph = dilation._graph_adjacency(len(adj), edges)
+        for _, u, v in triples:
+            sum_lo = dilation._shortest_sums(pts, graph, u, 64, 0)[v]
+            bound = pts.dist_ints(u, v, 64)[1]
+            pts.dist_ints = _one_pair(pts, triples, (u, v))
+            try:
+                for p_num in (sum_lo, sum_lo - 1):
+                    assert cut(lay, adj, attach, from_q1, p_num, bound) \
+                        == (p_num < sum_lo)
+            finally:
+                del pts.dist_ints
+        nodes.append(attach)
+        return cut(lay, adj, attach, from_q1, p, q)
 
-    monkeypatch.setattr(gadget, "_separator_exceeds", checked)
+    monkeypatch.setattr(gadget, "_slot_cut", checked)
     g = build_gadget(PartitionInstance(alphas))
+    total = 8 * g.n + 8
+    fixed, choices = gadget._family_skeleton(g)
+    options = [e for slots in choices for slot in slots for e in slot]
     for inst in (g, integerize(g)):
         nodes.clear()
-        decide_partition(inst)
+        found = decide_partition(inst)
         assert len(nodes) > 1
+        # every attachment's root is visited when no tree is found
+        assert found or set(nodes) == {g.q1} | set(range(2, total))
+        # with both options of a slot gone, a1's chain is cut off: under
+        # 1/0 no pair exceeds, and only the unreached vertices cut
+        for dropped in ([], choices[0][0]):
+            edges = fixed + [e for e in options if e not in dropped]
+            adj = dilation._graph_adjacency(total, edges)
+            from_q1 = dilation._shortest_sums(inst.points, adj, g.q1, 64, 0)
+            assert cut(inst, adj, g.q1, from_q1, 1, 0) \
+                == graph_exceeds(inst.points, edges + [(g.q2, g.q1)], 1, 0,
+                                 _watched(inst)) == bool(dropped)
 
 
 @pytest.mark.parametrize("alphas", [(1,), (1, 1), (2, 3, 5)])

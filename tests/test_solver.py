@@ -18,8 +18,7 @@ import pytest
 from dilatree import solver
 from dilatree.dilation import (PointSet, Tree, crossing_edge_pairs,
                                graph_dilation_bounds, tree_dilation,
-                               tree_exact, tree_has_crossing,
-                               _separator_exceeds)
+                               tree_exact, tree_has_crossing)
 from dilatree.errors import (Infeasible, NotApplicable, NotCrossing,
                              PrecisionExhausted, SizeTooLarge)
 from dilatree.solver import (Mode, SolverOptions, SolverResult,
@@ -30,6 +29,8 @@ from dilatree.solver import (Mode, SolverOptions, SolverResult,
                              _order_metric, _prufer_code, _prufer_edges,
                              _screen_every_tree)
 from dilatree.radical import SqrtSum
+
+from conftest import graph_exceeds
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -440,7 +441,7 @@ def test_mdst_tree_mode_pinned(pin):
 
 
 def test_exclude_cut_matches_graph_exceeds_node_by_node(monkeypatch):
-    # a cut on the live matrix at 32 bits implies `_separator_exceeds`'s at
+    # a cut on the live matrix at 32 bits implies `graph_exceeds`'s at
     # 64 bits on the live edges, the pairs (u, t) and the same incumbent;
     # on these sets the two also agree where the 32-bit cut declines
     cut = solver._exclude_cut
@@ -452,7 +453,7 @@ def test_exclude_cut_matches_graph_exceeds_node_by_node(monkeypatch):
         n = len(live)
         edges = [(x, y) for x, y in itertools.combinations(range(n), 2)
                  if live[x][y] is not None]
-        want = _separator_exceeds(ps, edges, *screen.bound,
+        want = graph_exceeds(ps, edges, *screen.bound,
                                   [(u, u, t) for t in range(n) if t != u])
         seen.append(got)
         if got != want:
