@@ -824,6 +824,74 @@ def _shortest_sums(ps: PointSet, adj, source: int, bits: int, end: int):
     return dist
 
 
+def _repair_sums(ps: PointSet, adj, sums, u: int, v: int, bits: int):
+    """The lower sums of `_shortest_sums` after the edge (u, v) left
+    `adj`, repaired from `sums`, the lower sums from the same source
+    before, and returned with the set of vertices whose sum changed.
+
+    The lower lengths are positive integers, so an edge is tight, on a
+    shortest path, exactly when a sum plus its length equals the sum at
+    its other end.  A vertex changes exactly when every tight edge into it
+    comes from a changed vertex or was the removed one, and then its sum
+    strictly grows, or it is cut off (None).  Those vertices are found in
+    the order of their old sums, below the removed edge, and re-settled by
+    a Dijkstra seeded from their unchanged neighbours (Ramalingam and
+    Reps 1996).  When the edge was not tight, `sums` is returned as is.
+    """
+    tab = ps.table(bits)
+    su, sv = sums[u], sums[v]
+    if su is None:
+        return sums, set()
+    w = (tab[u][v] or ps.dist_ints(u, v, bits))[0]
+    if su + w == sv:
+        top = v
+    elif sv + w == su:
+        top, sv = u, su
+    else:
+        return sums, set()
+    lost, heap, queued = set(), [(sv, top)], {top}
+    while heap:
+        d, x = heapq.heappop(heap)
+        row, below = tab[x], []
+        for y in adj[x]:
+            sy, length = sums[y], (row[y] or ps.dist_ints(x, y, bits))[0]
+            if sy + length == d:
+                # a tight edge from below d, whose start is settled
+                if y not in lost:
+                    break
+            elif d + length == sy and y not in queued:
+                below.append((sy, y))
+        else:
+            lost.add(x)
+            for sy, y in below:
+                queued.add(y)
+                heapq.heappush(heap, (sy, y))
+    new, heap = list(sums), []
+    for x in lost:
+        row, best = tab[x], None
+        for y in adj[x]:
+            if y not in lost:
+                nd = sums[y] + (row[y] or ps.dist_ints(x, y, bits))[0]
+                if best is None or nd < best:
+                    best = nd
+        new[x] = best
+        if best is not None:
+            heap.append((best, x))
+    heapq.heapify(heap)
+    while heap:
+        d, x = heapq.heappop(heap)
+        if d > new[x]:
+            continue
+        row = tab[x]
+        for y in adj[x]:
+            if y in lost:
+                nd = d + (row[y] or ps.dist_ints(x, y, bits))[0]
+                if new[y] is None or nd < new[y]:
+                    new[y] = nd
+                    heapq.heappush(heap, (nd, y))
+    return new, lost
+
+
 def _graph_adjacency(n, edges):
     adj = [[] for _ in range(n)]
     for u, v in edges:

@@ -19,9 +19,10 @@ grid, and 1 for the integer instance.  Each fact of the reduction is
 stated once: `_circle_ints` gives the two circles of a choice point,
 which `exactgeom.crossing_ints` crosses to place it and `_on_circle`
 tests it against, and `_right_edges` lists the construction's edges,
-which the ideal lengths, the critical set and the tree family read.
-`Fraction`s sit only in the ideal lengths and the points a `PointSet`
-hands out.
+which the ideal lengths, the critical set and the tree family read;
+the lengths are integer numerators over 360 * sigma_dot.  `Fraction`s
+sit only in `Gadget.rational_lengths` and the points a `PointSet` hands
+out.
 
 The search screens before it certifies.  Per attachment of the hanging
 point q2 it decides the 2n choice slots one at a time, depth first.
@@ -31,9 +32,12 @@ shortest path there is certifiably above the threshold, the whole
 subtree is cut.  One cut, `_slot_cut`, serves every node.  Every edge of
 the graph stays inside one half, except the two q1-a1 edges and q2's
 edge, and q2 is a leaf, so q1 separates the halves and each pair's
-shortest path is read from a Dijkstra from q1 on one live graph without
-q2; only q2's pair in its own half needs a second one.  That graph is
-the same at every root, so all roots share their sums.  Only a leaf the
+shortest path is read from the sums from q1 on one live graph without
+q2; only q2's pair in its own half needs a Dijkstra of its own.  That
+graph is the same at every root, so all roots share one Dijkstra from
+q1.  A slot decision only removes an edge, so sums only grow:
+`_repair_sums` re-settles only the vertices that lost every shortest
+path, and the cut re-tests only the pairs they move.  Only a leaf the
 cut leaves is built and certified by `compare_to_threshold`.
 """
 
@@ -43,8 +47,8 @@ from functools import cached_property
 from math import isqrt
 
 from .dilation import (PointSet, Tree, Verdict, compare_to_threshold,
-                       critical_edges, _graph_adjacency, _scale_exp,
-                       _shortest_sums)
+                       critical_edges, _graph_adjacency, _repair_sums,
+                       _scale_exp, _shortest_sums)
 from .errors import NoIntersection, PrecisionInsufficient, SumTooLarge
 from .exactgeom import crossing_ints, nearest
 from .radical import SqrtSum
@@ -201,7 +205,9 @@ class Gadget(PartitionInstance, _PointLayout):
 
     @cached_property
     def rational_lengths(self) -> dict:
-        return _ideal_lengths(self)
+        den = 360 * self.sigma_dot
+        return {key: Fraction(num, den)
+                for key, num in _ideal_lengths(self).items()}
 
 
 @dataclass(frozen=True)
@@ -338,18 +344,20 @@ def _labels(n):
 
 def _right_edges(lay) -> list:
     """Each edge the construction defines in the right half, once, as
-    (u, v, ideal length, forced); the forced edges lie in every tree of
-    the family.  The left half repeats them mirrored (`_both_halves`)."""
-    last, t = lay.a(lay.n + 1), _four(lay.n)
-    edges = [(lay.q1, lay.a(1), Fraction(5, 2), True),
-             (last, lay.p1, Fraction(5, 9) * t - Fraction(179, 360), True),
-             (lay.p1, lay.p2, Fraction(5, 3) * t - Fraction(179, 120), True),
-             (last, lay.p2, Fraction(20, 9) * t - Fraction(179, 90), False),
-             (lay.a(1), last, 5 * (t - 1), False)]
+    (u, v, ideal length, forced), the length an integer numerator over
+    360 * sigma_dot; the forced edges lie in every tree of the family.
+    The left half repeats them mirrored (`_both_halves`)."""
+    last, t, sd = lay.a(lay.n + 1), _four(lay.n), lay.sigma_dot
+    edges = [(lay.q1, lay.a(1), 900 * sd, True),
+             (last, lay.p1, (200 * t - 179) * sd, True),
+             (lay.p1, lay.p2, (600 * t - 537) * sd, True),
+             (last, lay.p2, (800 * t - 716) * sd, False),
+             (lay.a(1), last, 1800 * (t - 1) * sd, False)]
     for i in range(1, lay.n + 1):
-        s, a, c, a_next = _four(i - 1), lay.a(i), lay.c(i), lay.a(i + 1)
+        s, a, c = 360 * sd * _four(i - 1), lay.a(i), lay.c(i)
+        a_next = lay.a(i + 1)
         edges += [(a, lay.b(i), s, True), (lay.b(i), c, 3 * s, True),
-                  (c, lay.d(i), 9 * s + lay.alphas[i - 1], False),
+                  (c, lay.d(i), 9 * s + 36 * lay.alphas_dot[i - 1], False),
                   (lay.d(i), a_next, 2 * s, True), (c, a_next, 11 * s, False),
                   (a, a_next, 15 * s, False)]
     return edges
@@ -361,16 +369,16 @@ def _both_halves(lay, u, v):
     return (min(u, v), max(u, v)), (min(mu, mv), max(mu, mv))
 
 
-def _ideal_lengths(lay):
-    """The ideal length of every pair the construction defines: the
-    edges of `_right_edges` in both halves, and the axis pairs q1-q2 and
-    q2-p2, q2-p2'."""
-    n = lay.n
-    L = {(lay.q1, lay.q2): Fraction(25, 9) * _four(n) - Fraction(11, 18)}
-    q2p2 = (lay.q2, lay.p2, Fraction(20, 3) * _four(n) - Fraction(101, 30))
+def _ideal_lengths(lay) -> dict:
+    """The ideal length of every pair the construction defines, as an
+    integer numerator over 360 * sigma_dot: the edges of `_right_edges` in
+    both halves, and the axis pairs q1-q2 and q2-p2, q2-p2'."""
+    t, sd = _four(lay.n), lay.sigma_dot
+    L = {(lay.q1, lay.q2): (1000 * t - 220) * sd}
+    q2p2 = (lay.q2, lay.p2, (2400 * t - 1212) * sd)
     for u, v, length, *_ in _right_edges(lay) + [q2p2]:
         for key in _both_halves(lay, u, v):
-            L[key] = Fraction(length)
+            L[key] = length
     return L
 
 
@@ -520,17 +528,15 @@ class LemmaReport:
 def _check_distance_identities(g) -> LemmaCheck:
     name = "distance identities"
     count = 0
-    # choice-point edges are defined by radii, not realized distances
+    # choice-point edges are defined by radii, not realized distances, and
+    # a pair inside the left half mirrors one already checked
     choice, left = range(g.d(1), g.d(g.n) + 1), 4 * g.n + 5
-    for (u, v), length in sorted(g.rational_lengths.items()):
-        if u in choice or v in choice:
+    den = 360 * g.sigma_dot
+    for (u, v), num in sorted(_ideal_lengths(g).items()):
+        if u in choice or v in choice or u >= left:
             continue
-        mu, mv = g.mirror(u), g.mirror(v)
-        if (mu, mv) != (u, v) and u >= left:
-            continue
-        # |uv|^2 = d2 / den^2 against (num / den_L)^2, cross-multiplied
-        if g.points._d2_num(u, v) * length.denominator ** 2 \
-                != (length.numerator * g.points.den) ** 2:
+        # |uv|^2 = d2 / pts.den^2 against (num / den)^2, cross-multiplied
+        if g.points._d2_num(u, v) * den ** 2 != (num * g.points.den) ** 2:
             return LemmaCheck(name, False,
                               f"|{u},{v}| differs from its defined value")
         count += 1
@@ -682,44 +688,63 @@ def _check_encoded_weights(inst) -> None:
                              f" {declared}")
 
 
-def _slot_cut(lay, adj, attach, from_q1, P, Q) -> bool:
+def _watch_limits(lay, P) -> list:
+    """The pairs `_slot_cut` watches as (u, v, P times the upper 64-bit
+    length of uv): (q2, p2), (q2, p2'), then each (d_i, d_i')."""
+    pts, m = lay.points, lay.mirror
+    pairs = [(lay.q2, lay.p2), (lay.q2, m(lay.p2))]
+    pairs += [(d, m(d)) for d in range(lay.d(1), lay.p1)]
+    return [(u, v, P * pts.dist_ints(u, v, 64)[1]) for u, v in pairs]
+
+
+def _slot_cut(lay, adj, attach, from_q1, changed, limits, Q) -> bool:
     """Whether every family tree inside a slot-search node's graph is
     certifiably above P/Q, or the graph holds no spanning tree.
 
     The node's graph is the live adjacency `adj`, which leaves q2 out,
     plus q2's edge to `attach`; `from_q1` holds the 64-bit lower sums of
-    a Dijkstra from q1 on `adj`.  A tree inside the graph joins each
-    watched pair by a path of it, at least as long as the pair's
-    shortest-path sum, and the cut is exact for these pairs: q2 is a leaf,
-    and q1 separates the halves, so
+    a Dijkstra from q1 on `adj`, and `limits` is `_watch_limits` at P.
+    A tree inside the graph joins each watched pair by a path of it, at
+    least as long as the pair's shortest-path sum, and the cut is exact
+    for these pairs: q2 is a leaf, and q1 separates the halves, so
     - the far pair (q2, p2 of the half `attach` is not in) sums to
       lo(q2 attach) + D_q1(attach) + D_q1(p2);
     - each choice pair (d_i, d_i') sums to D_q1(d_i) + D_q1(d_i');
     - the near pair (q2, p2 of the half of `attach`) sums to
       lo(q2 attach) + D_attach(p2), from a second Dijkstra run only when
       the other pairs pass; when `attach` is q1, D_q1 serves it too.
-    A pair cuts when Q times its sum exceeds P times the upper 64-bit
-    length of the pair, and any vertex other than q2 left unreached cuts
-    the node.  False only means "not shown".
+    A pair cuts when Q times its sum exceeds its limit, and any vertex
+    other than q2 left unreached cuts the node.  False only means "not
+    shown".
+
+    `changed` is None at a root, where every test runs.  Below a root it
+    holds the vertices whose sums differ from the parent's, and the parent
+    passed every test.  Sums only grow along a search path, so only a
+    changed vertex can be cut off, and only a pair read through one can
+    newly cut; those are all that is tested, but the near pair of an
+    `attach` other than q1, read from its own Dijkstra, which always runs.
     """
-    if from_q1.count(None) > 1:           # q2's entry is always None
-        return True
-    pts = lay.points
-    near, far = lay.p2, lay.mirror(lay.p2)
-    if attach > lay.p2:
-        near, far = far, near
-    hang = pts.dist_ints(lay.q2, attach, 64)[0]
-    if Q * (hang + from_q1[attach] + from_q1[far]) \
-            > P * pts.dist_ints(lay.q2, far, 64)[1]:
-        return True
-    for d in range(lay.d(1), lay.p1):
-        m = lay.mirror(d)
-        if Q * (from_q1[d] + from_q1[m]) > P * pts.dist_ints(d, m, 64)[1]:
+    if changed is None:
+        if from_q1.count(None) > 1:       # q2's entry is always None
             return True
-    from_attach = from_q1 if attach == lay.q1 \
-        else _shortest_sums(pts, adj, attach, 64, 0)
-    return Q * (hang + from_attach[near]) \
-        > P * pts.dist_ints(lay.q2, near, 64)[1]
+        changed = range(len(from_q1))
+    elif any(from_q1[x] is None for x in changed):
+        return True
+    (_, near, near_limit), (_, far, far_limit), *choice = limits
+    if attach > lay.p2:
+        near, near_limit, far, far_limit = far, far_limit, near, near_limit
+    hang = lay.points.dist_ints(lay.q2, attach, 64)[0]
+    if (attach in changed or far in changed) \
+            and Q * (hang + from_q1[attach] + from_q1[far]) > far_limit:
+        return True
+    for d, m, limit in choice:
+        if (d in changed or m in changed) \
+                and Q * (from_q1[d] + from_q1[m]) > limit:
+            return True
+    if attach == lay.q1:
+        return near in changed and Q * (hang + from_q1[near]) > near_limit
+    from_attach = _shortest_sums(lay.points, adj, attach, 64, 0)
+    return Q * (hang + from_attach[near]) > near_limit
 
 
 def decide_partition(instance):
@@ -741,14 +766,18 @@ def decide_partition(instance):
     options and both options of every open slot.  One live adjacency
     holds that graph without q2: deciding a slot removes the option not
     taken, and backtracking puts it back.  At each node `_slot_cut` reads
-    the watched pairs from one Dijkstra from q1 on it, so a certified pair
-    cuts every tree below; at a leaf the graph is the tree itself.  Only a
-    leaf it does not cut is built as a `Tree` and certified by
+    the watched pairs from the lower sums from q1 on it, so a certified
+    pair cuts every tree below; at a leaf the graph is the tree itself.
+    Only a leaf it does not cut is built as a `Tree` and certified by
     `compare_to_threshold`.
 
     q2 is a leaf and q1 separates the halves, so q2's pairs need no graph
     of their own, and the root graph, the same for every attachment,
-    gives all roots one Dijkstra.
+    gives all roots one Dijkstra from q1.  Below a root, `_repair_sums`
+    turns the parent's sums into the child's after the removal, and the
+    cut re-tests only the vertices and pairs whose sums it changed; the
+    parent passed every test, so the verdict is the full cut's.  The
+    limits P * hi of the watched pairs are computed once per call.
     """
     lay = instance
     n = lay.n
@@ -763,8 +792,8 @@ def decide_partition(instance):
     adj = _graph_adjacency(total, fixed + [e for slot in slots for e in slot])
     taken = []
 
-    def search(attach, from_q1, depth, reflected):
-        if _slot_cut(lay, adj, attach, from_q1, P, Q):
+    def search(attach, from_q1, changed, depth, reflected):
+        if _slot_cut(lay, adj, attach, from_q1, changed, limits, Q):
             return None
         if depth == len(slots):
             tree = Tree(total, fixed + [(lay.q2, attach)] + taken)
@@ -775,7 +804,7 @@ def decide_partition(instance):
             adj[u].remove(v)
             adj[v].remove(u)
             taken.append(slots[depth][detour])
-            tree = search(attach, _shortest_sums(pts, adj, lay.q1, 64, 0),
+            tree = search(attach, *_repair_sums(pts, adj, from_q1, u, v, 64),
                           depth + 1, reflected ^ detour)
             taken.pop()
             adj[u].append(v)
@@ -785,8 +814,9 @@ def decide_partition(instance):
         return None
 
     root = _shortest_sums(pts, adj, lay.q1, 64, 0)
+    limits = _watch_limits(lay, P)
     for attach in [lay.q1] + list(range(lay.q2 + 1, total)):
-        tree = search(attach, root, 0, 0)
+        tree = search(attach, root, None, 0, 0)
         if tree is not None:
             break
     # `search` calls itself through its closure, a reference cycle that

@@ -640,11 +640,12 @@ def test_decide_certifies_only_unscreened_trees(alphas, certified,
 
 
 def test_decide_slot_search_work_pin(monkeypatch):
-    # one cut per node of the slot search, and one Dijkstra from q1 per
-    # node but the roots; the 4^7 family trees of each attachment would
-    # take 16,384 cuts one by one.  The 63 roots share one Dijkstra, and
-    # the near pair of q2 never needs a second one: 585 cuts, 523 Dijkstras
-    cuts, dijkstras = [], []
+    # one cut per node of the slot search; the 4^7 family trees of each
+    # attachment would take 16,384 cuts one by one.  The 63 roots share
+    # one Dijkstra from q1, every other node repairs its parent's sums,
+    # and the near pair of q2 never needs a second Dijkstra: 585 cuts, 1
+    # Dijkstra, and 3,376 vertices re-settled by 522 repairs
+    cuts, dijkstras, repaired = [], [], []
 
     def counted_cut(*args):
         cuts.append(args)
@@ -654,14 +655,51 @@ def test_decide_slot_search_work_pin(monkeypatch):
         dijkstras.append(args)
         return sums(*args)
 
-    cut, sums = gadget._slot_cut, dilation._shortest_sums
+    def counted_repair(*args):
+        got = repair(*args)
+        repaired.append(len(got[1]))
+        return got
+
+    cut, sums, repair = (gadget._slot_cut, dilation._shortest_sums,
+                         dilation._repair_sums)
     monkeypatch.setattr(gadget, "_slot_cut", counted_cut)
     monkeypatch.setattr(dilation, "_shortest_sums", counted_sums)
     monkeypatch.setattr(gadget, "_shortest_sums", counted_sums)
+    monkeypatch.setattr(gadget, "_repair_sums", counted_repair)
     ii = integerize(build_gadget(PartitionInstance((1, 1, 1, 1, 1, 1, 5))))
     assert decide_partition(ii) is None
     assert len(cuts) == 585
-    assert len(dijkstras) == 523
+    assert len(dijkstras) == 1
+    assert (len(repaired), sum(repaired)) == (522, 3376)
+
+
+@pytest.mark.parametrize("alphas", [
+    (1,), (3,), (1, 1), (2, 2), (1, 2), (1, 1, 1), (1, 1, 2), (2, 3, 5),
+    (1, 2, 4), (1, 1, 1, 2), (1, 2, 3, 4), (1, 1, 2, 8), (2, 1, 1, 2),
+    (1, 1, 2, 2), (1, 1, 1, 1, 2, 2), (1, 1, 1, 1, 1, 1, 5),
+])
+def test_repaired_sums_match_a_fresh_dijkstra(alphas, monkeypatch):
+    # at every node of the slot search, in both forms, the repaired sums
+    # equal a fresh Dijkstra from q1 on the live graph, and the changed
+    # set is exactly the vertices whose sum differs from the parent's
+    g = build_gadget(PartitionInstance(alphas))
+    repair, nodes = dilation._repair_sums, []
+
+    def checked(ps, adj, before, u, v, bits):
+        assert v not in adj[u] and u not in adj[v]
+        after, changed = repair(ps, adj, before, u, v, bits)
+        fresh = dilation._shortest_sums(ps, adj, g.q1, bits, 0)
+        assert after == fresh
+        assert changed == {x for x, s in enumerate(before) if s != fresh[x]}
+        assert all(fresh[x] is None or fresh[x] > before[x] for x in changed)
+        nodes.append(len(changed))
+        return after, changed
+
+    monkeypatch.setattr(gadget, "_repair_sums", checked)
+    for inst in (g, integerize(g)):
+        nodes.clear()
+        decide_partition(inst)
+        assert nodes
 
 
 def _watched(lay):
@@ -699,9 +737,10 @@ def test_hanging_root_cut_is_the_separator_cut_of_its_pair(alphas,
     root_degree = 2 * len(fixed + options)
     monkeypatch.setattr(
         gadget, "_slot_cut",
-        lambda lay, adj, attach, sums, *args:
-        (sum(map(len, adj)) == root_degree and seen.append((attach, sums)))
-        or cut(lay, adj, attach, sums, *args))
+        lambda lay, adj, attach, sums, changed, *args:
+        (sum(map(len, adj)) == root_degree
+         and seen.append((attach, sums, changed)))
+        or cut(lay, adj, attach, sums, changed, *args))
     attachments = [g.q1] + list(range(g.q2 + 1, total))
     for inst in (g, integerize(g)):
         pts = inst.points
@@ -716,7 +755,9 @@ def test_hanging_root_cut_is_the_separator_cut_of_its_pair(alphas,
             pts.dist_ints = _one_pair(pts, _watched(inst), (g.q2, far))
             try:
                 for p_num in (sum_lo, sum_lo - 1):
-                    assert cut(inst, adj, attach, from_q1, p_num, bound) \
+                    limits = gadget._watch_limits(inst, p_num)
+                    assert cut(inst, adj, attach, from_q1, None, limits,
+                               bound) \
                         == graph_exceeds(pts, edges, p_num, bound,
                                          [(g.q2, g.q2, far)]) \
                         == (p_num < sum_lo)
@@ -724,8 +765,9 @@ def test_hanging_root_cut_is_the_separator_cut_of_its_pair(alphas,
                 del pts.dist_ints
         seen.clear()
         found = decide_partition(inst)
-        assert found or [a for a, _ in seen] == attachments
-        assert all(sums == from_q1 for _, sums in seen)
+        assert found or [a for a, _, _ in seen] == attachments
+        assert all(sums == from_q1 and changed is None
+                   for _, sums, changed in seen)
 
 
 @pytest.mark.parametrize("alphas", [
@@ -735,11 +777,13 @@ def test_hanging_root_cut_is_the_separator_cut_of_its_pair(alphas,
 def test_shared_root_cut_keeps_the_slot_search(alphas, monkeypatch):
     # with the slot cut replaced by the plain cut of `graph_exceeds` on
     # the node graph, rebuilt from the live adjacency and q2's edge and
-    # read without the shared q1 sums, the search visits the same nodes
+    # read without the repaired q1 sums and their changed set, the search
+    # visits the same nodes
     # with the same verdicts and returns the same split and tree
     cut = gadget._slot_cut
 
-    def plain(lay, adj, attach, from_q1, p, q):
+    def plain(lay, adj, attach, from_q1, changed, limits, q):
+        p = gadget.partition_threshold(lay.n, lay.sigma_dot)[0]
         edges = [(u, v) for u, row in enumerate(adj) for v in row if u < v]
         return graph_exceeds(lay.points, edges + [(lay.q2, attach)], p, q,
                              _watched(lay))
@@ -774,21 +818,26 @@ def test_separator_exceeds_matches_graph_exceeds(alphas, monkeypatch):
     # verdict of `graph_exceeds` on the node graph rebuilt from the live
     # adjacency and q2's edge, with plain Dijkstras from each pair's first
     # vertex (s = u), at the threshold and at looser ones that leave more
-    # pairs uncertified.  At each pair's tie threshold and one unit below
-    # it, with the other pairs kept from cutting, the cut must read the
-    # sum D_u(v) that `graph_exceeds` reads
+    # pairs uncertified, both when it tests only the pairs its changed set
+    # moves and when it tests every pair.  At each pair's tie threshold
+    # and one unit below it, with the other pairs kept from cutting, the
+    # full cut must read the sum D_u(v) that `graph_exceeds` reads
     cut = gadget._slot_cut
     nodes = []
 
-    def checked(lay, adj, attach, from_q1, p, q):
+    def checked(lay, adj, attach, from_q1, changed, limits, q):
         pts, q2 = lay.points, lay.q2
         assert not adj[q2]
         assert from_q1 == dilation._shortest_sums(pts, adj, lay.q1, 64, 0)
         edges = [(u, v) for u, row in enumerate(adj) for v in row if u < v]
         edges.append((q2, attach))
         triples = _watched(lay)
+        p = gadget.partition_threshold(lay.n, lay.sigma_dot)[0]
+        assert limits == gadget._watch_limits(lay, p)
         for loose in (1, 2, 8):
-            assert cut(lay, adj, attach, from_q1, loose * p, q) \
+            loose_limits = [(u, v, loose * lim) for u, v, lim in limits]
+            assert cut(lay, adj, attach, from_q1, changed, loose_limits, q) \
+                == cut(lay, adj, attach, from_q1, None, loose_limits, q) \
                 == graph_exceeds(pts, edges, loose * p, q, triples)
         graph = dilation._graph_adjacency(len(adj), edges)
         for _, u, v in triples:
@@ -797,12 +846,13 @@ def test_separator_exceeds_matches_graph_exceeds(alphas, monkeypatch):
             pts.dist_ints = _one_pair(pts, triples, (u, v))
             try:
                 for p_num in (sum_lo, sum_lo - 1):
-                    assert cut(lay, adj, attach, from_q1, p_num, bound) \
+                    tie = gadget._watch_limits(lay, p_num)
+                    assert cut(lay, adj, attach, from_q1, None, tie, bound) \
                         == (p_num < sum_lo)
             finally:
                 del pts.dist_ints
         nodes.append(attach)
-        return cut(lay, adj, attach, from_q1, p, q)
+        return cut(lay, adj, attach, from_q1, changed, limits, q)
 
     monkeypatch.setattr(gadget, "_slot_cut", checked)
     g = build_gadget(PartitionInstance(alphas))
@@ -821,7 +871,8 @@ def test_separator_exceeds_matches_graph_exceeds(alphas, monkeypatch):
             edges = fixed + [e for e in options if e not in dropped]
             adj = dilation._graph_adjacency(total, edges)
             from_q1 = dilation._shortest_sums(inst.points, adj, g.q1, 64, 0)
-            assert cut(inst, adj, g.q1, from_q1, 1, 0) \
+            limits = gadget._watch_limits(inst, 1)
+            assert cut(inst, adj, g.q1, from_q1, None, limits, 0) \
                 == graph_exceeds(inst.points, edges + [(g.q2, g.q1)], 1, 0,
                                  _watched(inst)) == bool(dropped)
 
