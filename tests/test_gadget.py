@@ -878,6 +878,42 @@ def test_separator_exceeds_matches_graph_exceeds(alphas, monkeypatch):
 
 
 @pytest.mark.parametrize("alphas", [(1,), (1, 1), (2, 3, 5)])
+def test_changed_attachment_retests_the_far_pair(alphas, monkeypatch):
+    # a right-half attachment whose q1 sum grows moves the far pair through
+    # p2' while p2' itself is unchanged; at a threshold the parent's sum
+    # passes and the child's exceeds, with the other pairs kept from
+    # cutting, the child's cut must re-test the far pair and cut
+    g = build_gadget(PartitionInstance(alphas))
+    total, far = 8 * g.n + 8, g.mirror(g.p2)
+    fixed, choices = gadget._family_skeleton(g)
+    options = [e for slots in choices for slot in slots for e in slot]
+    for inst in (g, integerize(g)):
+        pts, seen = inst.points, 0
+        for u, v in (e for right, _ in choices for e in right):
+            adj = dilation._graph_adjacency(total, fixed + options)
+            root = dilation._shortest_sums(pts, adj, g.q1, 64, 0)
+            adj[u].remove(v)
+            adj[v].remove(u)
+            sums, changed = dilation._repair_sums(pts, adj, root, u, v, 64)
+            assert far not in changed
+            for attach in sorted(x for x in changed if sums[x] is not None):
+                hang = pts.dist_ints(g.q2, attach, 64)[0]
+                child = hang + sums[attach] + sums[far]
+                # the parent's far sum is within (child - 1) / bound
+                assert hang + root[attach] + root[far] < child
+                bound = pts.dist_ints(g.q2, far, 64)[1]
+                pts.dist_ints = _one_pair(pts, _watched(inst), (g.q2, far))
+                try:
+                    limits = gadget._watch_limits(inst, child - 1)
+                    assert gadget._slot_cut(inst, adj, attach, sums, changed,
+                                            limits, bound)
+                finally:
+                    del pts.dist_ints
+                seen += 1
+        assert seen
+
+
+@pytest.mark.parametrize("alphas", [(1,), (1, 1), (2, 3, 5)])
 def test_q1_separates_the_halves_of_every_root_graph(alphas):
     # the cut's sums are exact only because q1 is a cut vertex between
     # the halves and q2 hangs off one vertex
