@@ -26,13 +26,15 @@ sums; only `tree_path_length`, an absolute length, divides by it.  The
 enclosures are kept in one n x n table per precision, `PointSet.table`,
 which every scan fetches once and reads row by row in place;
 `PointSet.dist_ints` runs only on an entry not yet filled.  A scan of
-every pair of a tree reads each pair's path sum once, from one preorder
-pass, `_tree_blocks`, that builds a vertex's sums to the vertices placed
-before it from its parent's and keeps O(log n) such rows at a time;
-`root_sums` sums the table's entries along every path from one root, for
-the few pairs read on their own.  The max over pairs compares ratio
-numerators on one dyadic grid; only its report builds `Fraction`s.  No
-scan encloses every pair.  The exact side mirrors this:
+every pair of a tree reads each pair's path sum once, by lowest common
+ancestor (after Agarwal et al., DCG 2008): `_tree_blocks` keeps one O(n)
+array a of path sums from vertex 0, and a pair whose paths from 0 part at
+c has the sum a_u + a_v - 2 a_c, exactly the integer sum of the table's
+entries along its path, as the sums from 0 to c cancel.  `root_sums` sums
+the table's entries along every path from one root, for the few pairs
+read on their own.  The max over pairs compares ratio numerators on one
+dyadic grid; only its report builds `Fraction`s.  No scan encloses every
+pair.  The exact side mirrors this:
 `PointSet.exact_dist` builds each pair's `SqrtSum` once, and `tree_exact`
 sums them along tree paths, memoised per root, for every exact fallback.
 
@@ -363,61 +365,46 @@ def root_sums(ps: PointSet, adj, root: int, bits: int):
     return sums
 
 
-def _tree_blocks(ps: PointSet, tree: Tree, bits: int):
-    """Every pair's integer (lo, hi) tree-path sums, each pair once.
+def _tree_blocks(ps: PointSet, tree: Tree, q: int, bits: int):
+    """Every pair of `tree` once, as blocks by lowest common ancestor.
 
-    Yields blocks (x, placed, row) for every vertex x but 0, in a preorder
-    from vertex 0: `placed` lists the vertices placed before x and row[i]
-    is the sum of the `ps.table(bits)` entries over the path from x to
-    placed[i], the integers `root_sums` gives.  A pair is in the block of
-    its later vertex.  No placed vertex lies in x's subtree, so each path
-    from x to one leaves through x's parent p, and row x is p's row plus
-    the edge xp.  A vertex's row, extended by each later vertex's entry,
-    is kept only while the vertex has children left to place.  Those are
-    the ancestors of x whose child on the path to x is not their last;
-    the preorder visits a vertex's largest child subtree last, so each
-    such child holds at most half of its parent's subtree, and at most
-    floor(log2 n) + 1 rows, x's included, are alive.  Both lists of a
-    block are live: read it before taking the next."""
-    n, tab, dist_ints = tree.n, ps.table(bits), ps.dist_ints
-    par, kids = tree.parents_from(0), [[] for _ in range(n)]
-    for x in range(1, n):
-        kids[par[x]].append(x)
-    seq = [0]
-    for x in seq:
-        seq += kids[x]
-    size = [1] * n
-    for x in seq[:0:-1]:
-        size[par[x]] += size[x]
-    for k in kids:
-        if len(k) > 1:      # the largest first: the stack pops it last
-            k.sort(key=size.__getitem__, reverse=True)
-    order, alive, stack = [0], [(0, [(0, 0)])], kids[0][:]
+    lo[v] and hi[v] are q times the sum of the `ps.table(bits)` entries
+    over the path from vertex 0 to v.  Yields a block (c, left, right, lo,
+    hi) for every vertex x but 0, in a preorder from vertex 0, with c the
+    parent of x: `left` is the preorder run from c up to x, c and the
+    subtrees of its earlier children, and `right` is x's subtree.  A pair
+    (u, v) is in exactly one block, that of the child of its lowest common
+    ancestor c on the path to its later vertex in the preorder, and its
+    sums are lo[u] + lo[v] - 2 lo[c] and likewise for hi: q times the
+    integers `root_sums` gives, as the path from 0 to c cancels exactly.
+    The scan keeps O(n) lists, whatever the shape of the tree."""
+    n, adj, par, tab = tree.n, tree.adjacency(), tree.parents_from(0), \
+        ps.table(bits)
+    lo, hi, at, size = [0] * n, [0] * n, [0] * n, [1] * n
+    order, stack = [], [0]
     while stack:
         x = stack.pop()
-        p = par[x]
-        elo, ehi = tab[x][p] or dist_ints(x, p, bits)
-        # alive[-1] is p's row: every kept row is an ancestor's, p deepest
-        row = [(lo + elo, hi + ehi) for lo, hi in alive[-1][1]]
-        if x == kids[p][0]:
-            alive.pop()
-        yield x, order, row
-        for pos, kept in alive:
-            kept.append(row[pos])
-        if kids[x]:
-            row.append((0, 0))
-            alive.append((len(order), row))
-            stack += kids[x]
+        p, at[x] = par[x], len(order)
         order.append(x)
+        elo, ehi = tab[x][p] or ps.dist_ints(x, p, bits)  # (0, 0) at 0
+        lo[x], hi[x] = lo[p] + q * elo, hi[p] + q * ehi
+        for y in reversed(adj[x]):
+            if y != p:
+                stack.append(y)
+    for x in order[:0:-1]:
+        size[par[x]] += size[x]
+    for i in range(1, n):
+        x = order[i]
+        c = par[x]
+        yield c, order[at[c]:i], order[i:i + size[x]], lo, hi
 
 
 def _row_blocks(sums, pairs, bits):
-    """The blocks (u, vs, sums) of `pairs`, by first vertex in sorted
-    order, from the rows `sums(u, bits)`."""
+    """The blocks (u, (u,), vs, lo, hi) of `pairs`, in the format of
+    `_tree_blocks`, by first vertex u in sorted order: lo and hi are the
+    ends of the row `sums(u, bits)`, whose entry at u is (0, 0)."""
     for u, group in itertools.groupby(sorted(pairs), itemgetter(0)):
-        row = sums(u, bits)
-        vs = [v for _, v in group]
-        yield u, vs, [row[v] for v in vs]
+        yield u, (u,), [v for _, v in group], *zip(*sums(u, bits))
 
 
 def _check_tree(ps: PointSet, tree: Tree, *vertices):
@@ -457,11 +444,14 @@ def _pair_ratios(ps, blocks, bits):
     pair (u, v), u < v, as integer numerators (lo, hi) on the grid
     2^-(bits+4).
 
-    `blocks(bits + 4)` yields blocks (u, vs, sums): sums[i] is the integer
-    path-length enclosure from u to vs[i] at bits + 4, as `_tree_blocks`
-    gives every pair of a tree and `_row_blocks` some pairs from rows.  lo
-    is the floor of dlo/lhi and hi the ceil of dhi/llo on the grid, the
-    shared unit of the enclosures cancelling.
+    `blocks(bits + 4)` yields blocks (c, left, right, lo, hi), as
+    `_tree_blocks` gives every pair of a tree and `_row_blocks` some
+    pairs from rows: each pair (u, v), u in left and v in right, has the
+    integer path-length enclosure lo[u] + lo[v] - 2 lo[c], and likewise
+    hi, at bits + 4: the exact integer sums along its path, as the common
+    part up to c cancels.  The pair's lo is the floor of dlo/lhi and hi
+    the ceil of dhi/llo on the grid, the shared unit of the enclosures
+    cancelling; dlo is formed only for a pair the skip tests keep.
 
     A pair is left out when its hi is below `best`, the largest lo of the
     pairs read before it: by the module's skip test, with no square root
@@ -471,27 +461,28 @@ def _pair_ratios(ps, blocks, bits):
     witness it would keep with the pair in, in whatever order the blocks
     come.  Every pair is kept until some lo is positive."""
     f = bits + 4
-    tab, xy, dist_ints = ps.table(f), ps._xy, ps.dist_ints
+    tab, dist_ints, (xs, ys) = ps.table(f), ps.dist_ints, zip(*ps._xy)
     margin = ((1 << (f - 2)) - 1) << 16
     enc = {}
     best, cut = 0, -1
-    for u, vs, sums in blocks(f):
-        lens, (xu, yu) = tab[u], xy[u]
-        for v, (dlo, dhi) in zip(vs, sums):
-            length = lens[v]
-            if length is None:
-                x, y = xy[v]
-                if (dhi * dhi) << (f - 2) <= cut * ((x - xu) ** 2
-                                                    + (y - yu) ** 2):
-                    continue
-                length = dist_ints(u, v, f)
-            llo, lhi = length
-            if dhi << f <= (best - 1) * llo:
-                continue            # hi = ceil(dhi 2^f / llo) < best
-            lo = (dlo << f) // lhi
-            enc[(u, v) if u < v else (v, u)] = lo, -((-dhi << f) // llo)
-            if lo > best:
-                best, cut = lo, (lo - 1) ** 2 * margin
+    for c, left, right, lo, hi in blocks(f):
+        lc, hc = 2 * lo[c], 2 * hi[c]
+        for u in left:
+            lens, xu, yu, au, bu = tab[u], xs[u], ys[u], lo[u] - lc, hi[u] - hc
+            for v in right:
+                dhi, length = bu + hi[v], lens[v]
+                if length is None:
+                    dx, dy = xs[v] - xu, ys[v] - yu
+                    if (dhi * dhi) << (f - 2) <= cut * (dx * dx + dy * dy):
+                        continue
+                    length = dist_ints(u, v, f)
+                llo, lhi = length
+                if dhi << f <= (best - 1) * llo:
+                    continue        # hi = ceil(dhi 2^f / llo) < best
+                r = ((au + lo[v]) << f) // lhi
+                enc[(u, v) if u < v else (v, u)] = r, -((-dhi << f) // llo)
+                if r > best:
+                    best, cut = r, (r - 1) ** 2 * margin
     return enc
 
 
@@ -552,40 +543,44 @@ def compare_to_threshold(ps: PointSet, tree: Tree, p_num: int,
                          q_den: int) -> Verdict:
     """Certified verdict of Delta(T) <= P/Q.
 
-    Scans every pair once at 64 bits, in the blocks of `_tree_blocks`,
-    and settles only pairs whose enclosures straddle the threshold, by
-    the exact sign of Q d_T(u, v) - P |uv|, in sorted pair order; a pair
-    certified strictly above P/Q settles the whole tree immediately.  A
-    tree that `_straight_tree` accepts has dilation 1: AT_MOST, no scan.
+    Scans every pair once at 64 bits, in the blocks of `_tree_blocks` by
+    lowest common ancestor, over root sums with Q multiplied in once, so
+    that a pair's Q d_T(u, v) enclosure is two additions.  It settles
+    only pairs whose enclosures straddle the threshold, by the exact sign
+    of Q d_T(u, v) - P |uv|, in sorted pair order; a pair certified
+    strictly above P/Q settles the whole tree immediately.  A tree that
+    `_straight_tree` accepts has dilation 1: AT_MOST, no scan.
 
     A pair whose |uv| is not enclosed yet is left out, with no square
     root taken, when the module's skip test shows Q dhi <= P llo: such a
-    pair is neither above P/Q nor undecided, so the verdict and the pairs
-    sent to the exact sign are those of the full scan.
+    pair is neither above P/Q nor undecided.  Each test is the pair's
+    own, so the verdict and the pairs sent to the exact sign are those of
+    the full scan, in whatever order the blocks come.
     """
     if q_den < 1 or p_num < q_den:
         raise ValueError("threshold must satisfy P/Q >= 1 with Q >= 1")
     _check_tree(ps, tree)
     if _straight_tree(ps, tree):
         return Verdict.AT_MOST      # Delta(T) = 1 <= P/Q
-    tab, xy = ps.table(64), ps._xy
+    tab, (xs, ys) = ps.table(64), zip(*ps._xy)
     cut = p_num * p_num * ((1 << 62) - 1) << 144
     undecided = []
-    for u, vs, sums in _tree_blocks(ps, tree, 64):
-        lens, (xu, yu) = tab[u], xy[u]
-        for v, (dlo, dhi) in zip(vs, sums):
-            length = lens[v]
-            if length is None:
-                x, y = xy[v]
-                if (q_den * dhi) ** 2 << 62 <= cut * ((x - xu) ** 2
-                                                      + (y - yu) ** 2):
-                    continue
-                length = ps.dist_ints(u, v, 64)
-            llo, lhi = length
-            if q_den * dlo > p_num * lhi:
-                return Verdict.GREATER
-            if q_den * dhi > p_num * llo:
-                undecided.append((u, v) if u < v else (v, u))
+    for c, left, right, lo, hi in _tree_blocks(ps, tree, q_den, 64):
+        lc, hc = 2 * lo[c], 2 * hi[c]
+        for u in left:
+            lens, xu, yu, au, bu = tab[u], xs[u], ys[u], lo[u] - lc, hi[u] - hc
+            for v in right:
+                dhi, length = bu + hi[v], lens[v]
+                if length is None:
+                    dx, dy = xs[v] - xu, ys[v] - yu
+                    if (dhi * dhi) << 62 <= cut * (dx * dx + dy * dy):
+                        continue
+                    length = ps.dist_ints(u, v, 64)
+                llo, lhi = length
+                if au + lo[v] > p_num * lhi:
+                    return Verdict.GREATER
+                if dhi > p_num * llo:
+                    undecided.append((u, v) if u < v else (v, u))
     undecided.sort()
     exact = tree_exact(ps, tree)
     for u, v in undecided:
@@ -616,7 +611,7 @@ def tree_dilation(ps: PointSet, tree: Tree, bits: int) -> DilationReport:
     """
     _check_tree(ps, tree)
     if bits < 1 or not _straight_tree(ps, tree):   # bits < 1 raises there
-        return _max_dilation(ps, partial(_tree_blocks, ps, tree),
+        return _max_dilation(ps, partial(_tree_blocks, ps, tree, 1),
                              partial(root_sums, ps, tree.adjacency()),
                              tree_exact(ps, tree), bits)
     one = Fraction(1)
@@ -629,19 +624,20 @@ def _max_dilation(ps, every, sums, exact, bits: int) -> DilationReport:
     pair attaining it.
 
     The structure is given by its path metric: `every(bits)` yields the
-    integer path-length enclosures of every pair once, as blocks (u, vs,
-    sums) that `_pair_ratios` reads, as `_tree_blocks` does for a tree;
-    `sums(u, bits)` encloses the path lengths from u to every vertex, as
-    `root_sums` does, and `exact(u, v)` gives the exact (path length,
-    |uv|) of a pair, as `tree_exact` does.  The maximum is located by
-    refining only the pairs whose enclosures still overlap the running
-    lower bound.  A rung whose survivors are still every pair reads
-    `every`; one on fewer reads their rows of `sums`.  When the
-    final survivors cannot be separated numerically they are compared
-    symbolically, from `_EXACT_FALLBACK_BITS` up; genuinely equal maxima
-    are reported with `tied` set and the lexicographically smallest
-    witness.  `PrecisionExhausted` at the cap names the surviving pairs,
-    all of them in its `context`.
+    integer path-length enclosures of every pair once, as blocks (c, left,
+    right, lo, hi) that `_pair_ratios` reads, as `_tree_blocks` does for a
+    tree by lowest common ancestor; `sums(u, bits)` encloses the path
+    lengths from u to every vertex, as `root_sums` does, and `exact(u, v)`
+    gives the exact (path length, |uv|) of a pair, as `tree_exact` does.
+    The maximum is located by refining only the pairs whose enclosures
+    still overlap the running lower bound.  A rung whose survivors are
+    still every pair reads `every`; one on fewer reads their rows of
+    `sums`, in the same block format.  When the final survivors cannot be
+    separated numerically they are compared symbolically, from
+    `_EXACT_FALLBACK_BITS` up; genuinely equal maxima are reported with
+    `tied` set and the lexicographically smallest witness.
+    `PrecisionExhausted` at the cap names the surviving pairs, all of them
+    in its `context`.
     """
     if bits < 1:
         raise ValueError("bits must be positive")

@@ -119,6 +119,31 @@ def random_tree_instance(rng, n, offset):
     return ps, Tree(n, edges)
 
 
+def lopsided_instances(rng, offset=0):
+    """(ps, tree) on random points where one side of most blocks by lowest
+    common ancestor is a single vertex and the other is a long preorder
+    slice: a caterpillar of 60 points, a leg on each of its 30 spine
+    vertices, and a path of 40 points with vertex 0 inside it, both under
+    shuffled labels."""
+    out = []
+    for n in (60, 40):
+        coords = set()
+        while len(coords) < n:
+            coords.add((rng.randint(0, 10 ** 6) + offset,
+                        rng.randint(0, 10 ** 6) + offset))
+        labels = list(range(n))
+        rng.shuffle(labels)
+        if n == 60:
+            edges = [(labels[i], labels[i + 2]) for i in range(0, 58, 2)]
+            edges += [(labels[i], labels[i + 1]) for i in range(0, 60, 2)]
+        else:
+            labels.remove(0)
+            labels.insert(13, 0)
+            edges = list(zip(labels, labels[1:]))
+        out.append((PointSet.from_coords(sorted(coords)), Tree(n, edges)))
+    return out
+
+
 def summed_path(ps, tree, u, v, bits):
     lo = hi = 0
     for a, b in tree.path_edges(u, v):
@@ -185,10 +210,10 @@ def block_trees(rng):
 @pytest.mark.parametrize("offset, scale",
                          [(0, 1), (1 << 54, 1), (0, Fraction(1, 1 << 100))])
 def test_tree_blocks_give_every_pair_once_with_the_root_sums(offset, scale):
-    # each block's placed list is every vertex placed before it, so a pair
-    # is read once, in the block of its later vertex; its sums are those
-    # of the root_sums row, and no more than floor(log2 n) + 1 rows, the
-    # block's own included, are kept at once
+    # each pair is read once, from u on the left of the block of its lowest
+    # common ancestor c and v on the right; lo[u] + lo[v] - 2 lo[c] and
+    # likewise hi are the sums of the root_sums row, and the scan keeps no
+    # list longer than n: the root sums and the preorder, no row per vertex
     rng = random.Random(53)
     for n, tree in block_trees(rng):
         coords = set()
@@ -196,18 +221,30 @@ def test_tree_blocks_give_every_pair_once_with_the_root_sums(offset, scale):
             coords.add((rng.randint(0, 10 ** 6), rng.randint(0, 10 ** 6)))
         ps = PointSet.from_coords([((x + offset) * scale, (y + offset) * scale)
                                    for x, y in sorted(coords)])
-        blocks = _tree_blocks(ps, tree, 68)
-        done, most = [0], 0
-        for x, placed, row in blocks:
-            most = max(most, len(blocks.gi_frame.f_locals["alive"]) + 1)
-            assert placed == done and len(row) == len(placed)
-            # one row in 16 on the large trees
-            if n < 100 or x % 16 == 0:
-                sums = root_sums(ps, tree.adjacency(), x, 68)
-                assert row == [sums[v] for v in placed]
-            done.append(x)
-        assert sorted(done) == list(range(n))
-        assert most <= n.bit_length()
+        blocks = _tree_blocks(ps, tree, 1, 68)
+        seen, rows = bytearray(n * n), {}
+        for i, (c, left, right, lo, hi) in enumerate(blocks):
+            # beside the point set's table and the tree's adjacency, only
+            # flat lists of at most n integers; checked in one block in 16
+            kept = [v for v in blocks.gi_frame.f_locals.values()
+                    if isinstance(v, list) and v is not ps.table(68)
+                    and v is not tree.adjacency()] if i % 16 == 0 else []
+            assert len(kept) <= 8
+            assert all(len(v) <= n and all(type(e) is int for e in v)
+                       for v in kept)
+            assert left[0] == c and c == tree.parents_from(0)[right[0]]
+            for u in left:
+                # one row in 16 on the large trees
+                if (n < 100 or u % 16 == 0) and u not in rows:
+                    rows[u] = root_sums(ps, tree.adjacency(), u, 68)
+                sums = rows.get(u)
+                for v in right:
+                    seen[u * n + v] += 1
+                    seen[v * n + u] += 1
+                    if sums:
+                        assert (lo[u] + lo[v] - 2 * lo[c],
+                                hi[u] + hi[v] - 2 * hi[c]) == sums[v]
+        assert seen.count(1) == n * (n - 1) and not any(seen[::n + 1])
 
 
 def common_denominator(ps):
@@ -316,7 +353,8 @@ def test_pair_ratios_round_like_round_dyadic(offset):
         ps, tree = random_tree_instance(rng, n, offset)
         for bits in (1, 8, 33, 64, 300):
             f = bits + 4
-            ratios = _pair_ratios(ps, partial(_tree_blocks, ps, tree), bits)
+            ratios = _pair_ratios(ps, partial(_tree_blocks, ps, tree, 1),
+                                  bits)
             for (u, v), (lo, hi) in ratios.items():
                 assert u < v
                 dlo, dhi = root_sums(ps, tree.adjacency(), u, f)[v]
@@ -339,10 +377,11 @@ def test_pair_ratios_leave_out_only_pairs_below_an_earlier_lo(offset):
     rng = random.Random(offset % 1019 + 31)
     cases = [random_tree_instance(rng, n, offset) for n in (9, 30)]
     for ps, tree in cases + [grid_comb(), collinear_chain(), prim_mst(40)]:
-        blocks = partial(_tree_blocks, ps, tree)
+        blocks = partial(_tree_blocks, ps, tree, 1)
         for bits in (1, 8, 64):
-            pairs = [(min(x, v), max(x, v))
-                     for x, placed, _ in blocks(bits + 4) for v in placed]
+            pairs = [(min(u, v), max(u, v))
+                     for _, left, right, *_ in blocks(bits + 4)
+                     for u in left for v in right]
             assert sorted(pairs) == list(itertools.combinations(range(ps.n),
                                                                 2))
             kept = _pair_ratios(ps, blocks, bits)
@@ -1153,7 +1192,8 @@ def test_tree_dilation_pinned_reports(build, expect):
 
 def test_tree_dilation_encloses_few_pairs_of_an_mst(monkeypatch):
     # path sums read only the n-1 tree edges, and a pair whose upper ratio
-    # is certainly below the running maximum never has |uv| enclosed
+    # is certainly below the running maximum never has |uv| enclosed; the
+    # count follows the order of the blocks, by lowest common ancestor
     ps, tree = prim_mst(200)
     calls = []
     dist_ints = PointSet.dist_ints
@@ -1164,7 +1204,7 @@ def test_tree_dilation_encloses_few_pairs_of_an_mst(monkeypatch):
 
     monkeypatch.setattr(PointSet, "dist_ints", counted)
     tree_dilation(ps, tree, 64)
-    assert len(calls) == 224
+    assert len(calls) == 221
     assert len(calls) < ps.n * (ps.n - 1) // 8
 
 
@@ -1190,14 +1230,15 @@ def compare_every_pair(ps, tree, p_num, q_den):
 
 
 def threshold_cases(offset):
-    """(points, tree, thresholds): random trees and MSTs against both
-    ends of their 64-bit dilation enclosure and 1/8 to either side, and
-    against dhi / (llo + 1) for the witness's 64-bit enclosures, which
-    lies between dhi / |uv| and dhi / llo; a 200-point MST against the
-    two ends of its enclosure."""
+    """(points, tree, thresholds): random trees, MSTs and the lopsided
+    caterpillar and path against both ends of their 64-bit dilation
+    enclosure and 1/8 to either side, and against dhi / (llo + 1) for the
+    witness's 64-bit enclosures, which lies between dhi / |uv| and
+    dhi / llo; a 200-point MST against the two ends of its enclosure."""
     rng = random.Random(offset % 1013 + 5)
     cases = [random_tree_instance(rng, n, offset) for n in (6, 12, 25)]
     cases += [prim_mst(n, offset) for n in (20, 40)]
+    cases += lopsided_instances(rng, offset)
     for ps, tree in cases:
         rep = tree_dilation(ps, tree, 64)
         u, v = rep.witness
@@ -1679,13 +1720,14 @@ def set_cap(monkeypatch, cap):
 @pytest.mark.parametrize("cap", [64, 128, 200, 256, None])
 def test_straight_paths_keep_every_report_and_exception(cap, monkeypatch):
     # a straight tree reports exactly 1 at every cap; every other tree on
-    # these inputs keeps the report or PrecisionExhausted of the reference
-    # max over pairs, and caps below 256 raise on some of their ties
+    # these inputs, the lopsided caterpillar and path among them, keeps the
+    # report or PrecisionExhausted of the reference max over pairs, and
+    # caps below 256 raise on some of their ties
     set_cap(monkeypatch, cap)
     kinds = set()
-    ps, mst = prim_mst(200)
-    mst_case = [(p.x, p.y) for p in ps.points], mst
-    for coords, tree in itertools.chain(straight_tie_cases(), [mst_case]):
+    trees = [prim_mst(200)] + lopsided_instances(random.Random(41))
+    for coords, tree in itertools.chain(straight_tie_cases(), [
+            ([(p.x, p.y) for p in ps.points], tree) for ps, tree in trees]):
         straight = _straight_tree(PointSet.from_coords(coords), tree)
         for bits in (1, 64, 100, 300):
             got = dilation_outcome(tree_dilation, coords, tree, bits)
