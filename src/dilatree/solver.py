@@ -25,7 +25,11 @@ their joins; a tree it does not offer lies below a refused join.
 Hamiltonian paths and tours run a depth-first search over ordering
 prefixes that cuts a prefix once integer lower bounds put one of its
 pairs above the incumbent, or once it breaks a required edge, with path
-lengths from exact integer prefix sums.
+lengths from exact integer prefix sums.  Each prefix keeps one budget
+row, per vertex w the least incumbent limit of a placed u to w plus u's
+prefix sum, built in O(n) from its parent's, so a child is cut in O(n)
+against it; an ordering is screened, and a tour certified, from one
+flat table of its pair sums per precision.
 A local uncrossing exchange removes an edge crossing from a 4-point tree
 without increasing its dilation, and a randomized search hunts for
 5-point sets whose every optimal spanning tree has a crossing.
@@ -40,6 +44,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
+from operator import lt
 
 from .dilation import (DilationReport, PointSet, Tree, crossing_edge_pairs,
                        tree_dilation, tree_exact, tree_has_crossing,
@@ -187,8 +192,11 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
     mode, `max_points` bounds the input and `enumeration_cap` the
     complete trees, or complete feasible orderings, that are examined,
     and `pruned` counts the cut nodes plus the complete structures the
-    screen certified worse.
+    screen certified worse.  A `bits` below 1 is a ValueError before any
+    search starts.
     """
+    if opts.bits < 1:
+        raise ValueError("bits must be positive")
     n = ps.n
     if n > opts.max_points:
         raise SizeTooLarge(f"{n} points exceeds max_points={opts.max_points}")
@@ -225,7 +233,7 @@ def mdst_exact(ps: PointSet, opts: SolverOptions = SolverOptions()) -> SolverRes
         edges of a tree."""
         nonlocal cuts
         if len(chosen) == n - 1:
-            screen.offer(tuple(chosen), screen.row)
+            screen.offer(tuple(chosen), screen.pair_sums())
             return
         cleared = []
         for idx in range(idx, len(cands)):
@@ -315,11 +323,13 @@ class _RunningScreen:
     It reads the enclosure table `ps.table(_SCREEN_BITS)`, `lens`, with
     every entry filled.  It keeps a running incumbent, `bound` =
     (num, den), the smallest upper bound on a dilation seen so far (1/0
-    is no bound yet).  `offer` takes a structure's table of integer
-    (lo, hi) path sums, row by row, and drops the structure as soon as
-    one pair's lower sum exceeds the incumbent.  Tree searches build that
-    table, `pairs`, pair by pair with `join`, which checks each new pair
-    against `limit()` and so drops trees unoffered; `row` reads it.
+    is no bound yet).  `offer` takes a structure's integer (lo, hi) path
+    sums, flat: every pair u < v in the order of
+    `itertools.combinations`, and drops the structure as soon as one
+    pair's lower sum exceeds the incumbent.  Tree searches build a square
+    table of them, `pairs`, pair by pair with `join`, which checks each
+    new pair against `limit()` and so drops trees unoffered;
+    `pair_sums` reads it flat.
     `survivors` filters the structures scanned in full once more against
     the final incumbent.  A dropped structure lies certifiably above the
     final incumbent too, so the survivors, in offering order, are those
@@ -335,6 +345,8 @@ class _RunningScreen:
                 if row[v] is None:
                     ps.dist_ints(u, v, _SCREEN_BITS)
         n = len(self.lens)
+        self._flat = [row[v] for u, row in enumerate(self.lens)
+                      for v in range(u + 1, n)]
         self.pairs = [[(0, 0)] * n for _ in range(n)]
         self.cap = cap
         self.bound = (1, 0)
@@ -355,23 +367,21 @@ class _RunningScreen:
         """Screen a structure and lower the incumbent to its upper bound
         if that is smaller, without making it a survivor.
 
-        `sums(u, bits)` encloses the path lengths from u to every vertex,
-        a row of a pair-sum table.  Returns the structure's integer lower
-        bound (num, den) on its dilation, or None as soon as one pair's
-        lower bound exceeds the incumbent."""
+        `sums` encloses the path length of every pair u < v, flat in the
+        order of `itertools.combinations`.  Returns the structure's
+        integer lower bound (num, den) on its dilation, or None as soon as
+        one pair's lower bound exceeds the incumbent."""
         b_n, b_d = self.bound
-        lo_n = lo_d = hi_n = hi_d = None
-        n = len(self.lens)
-        for u in range(n - 1):
-            row, lens_u = sums(u, _SCREEN_BITS), self.lens[u]
-            for v in range(u + 1, n):
-                (dlo, dhi), (llo, lhi) = row[v], lens_u[v]
-                if dlo * b_d > b_n * lhi:
-                    return None
-                if lo_n is None or dlo * lo_d > lo_n * lhi:
-                    lo_n, lo_d = dlo, lhi
-                if hi_n is None or dhi * hi_d > hi_n * llo:
-                    hi_n, hi_d = dhi, llo
+        # -1/1 is below every ratio, so the first pair sets both ends
+        lo_n = hi_n = -1
+        lo_d = hi_d = 1
+        for (dlo, dhi), (llo, lhi) in zip(sums, self._flat):
+            if dlo * b_d > b_n * lhi:
+                return None
+            if dlo * lo_d > lo_n * lhi:
+                lo_n, lo_d = dlo, lhi
+            if dhi * hi_d > hi_n * llo:
+                hi_n, hi_d = dhi, llo
         if hi_n * b_d < b_n * hi_d:
             self.bound = hi_n, hi_d
         return lo_n, lo_d
@@ -388,8 +398,10 @@ class _RunningScreen:
                                        for row in self.lens]
         return self._limit[1]
 
-    def row(self, u, bits):
-        return self.pairs[u]
+    def pair_sums(self):
+        """The sums of `pairs`, flat as `tighten` reads them."""
+        return itertools.chain.from_iterable(
+            row[u + 1:] for u, row in enumerate(self.pairs))
 
     def join(self, comp, u, v):
         """Join the components of u and v by the edge uv in `pairs`.
@@ -462,7 +474,7 @@ def _screen_every_tree(ps, screen):
 
     def pick(v, comp):
         if v == n - 1:
-            screen.offer(_prufer_code(parent), screen.row)
+            screen.offer(_prufer_code(parent), screen.pair_sums())
             return
         for p in near[v]:
             if comp[p] is not comp[v]:
@@ -491,8 +503,10 @@ def exhaustive_mdst(ps: PointSet, bits: int = 64) -> SolverResult:
     screen cannot certify worse become validated `Tree`s, in Prüfer
     order, and are separated exactly, so the answer, `trees_examined`
     (all n^(n-2) trees) and `pruned` are those of scoring every Prüfer
-    tree fully.
+    tree fully.  A `bits` below 1 is a ValueError before any search.
     """
+    if bits < 1:
+        raise ValueError("bits must be positive")
     n = ps.n
     if n > _ENUM_MAX:
         raise SizeTooLarge(f"exhaustive oracle capped at {_ENUM_MAX} points")
@@ -513,37 +527,56 @@ def _order_edges(order, closed):
     return [tuple(sorted(e)) for e in _steps(order, closed)]
 
 
+def _order_table(ps, order, closed, bits):
+    """The flat pair table of the Hamiltonian path through `order` or, if
+    `closed`, of its tour, at `bits`: the integer (lo, hi) path sum of
+    every pair u < v, in the order of `itertools.combinations`, as
+    `_RunningScreen.tighten` reads it.
+
+    One walk along the order gives each vertex its prefix sum of the
+    `ps.table(bits)` entries of the edges before it, and a pair's path is
+    the difference of its two prefixes; a tour's pair takes the shorter
+    arc, the smaller of that and the total minus it, lo and hi each."""
+    tab, n = ps.table(bits), len(order)
+    at_lo, at_hi = [0] * n, [0] * n
+    lo = hi = 0
+    for a, b in _steps(order, closed):
+        elo, ehi = tab[a][b] or ps.dist_ints(a, b, bits)
+        lo += elo
+        hi += ehi
+        if b != order[0]:           # a tour's last step returns to it
+            at_lo[b], at_hi[b] = lo, hi
+    flat = [(abs(at_lo[v] - at_lo[u]), abs(at_hi[v] - at_hi[u]))
+            for u, v in itertools.combinations(range(n), 2)]
+    if closed:
+        flat = [(d if d + d <= lo else lo - d, e if e + e <= hi else hi - e)
+                for d, e in flat]
+    return flat
+
+
 def _order_metric(ps, order, closed):
     """Path metric of the Hamiltonian path through `order` or, if `closed`,
     of its tour, where a pair takes the shorter arc.
 
     Returns (sums, exact) as `_max_dilation` reads them: `sums(u, bits)`
-    comes from exact integer prefix sums of `ps.table` entries along
-    the order, and `exact(u, v)` from one list of exact prefix sums of
-    `ps.exact_dist` along it, built on first use.  An arc is a prefix
-    difference, and a tour's other arc is the total minus that arc.
+    is u's row of the ordering's flat pair table at `bits`
+    (`_order_table`), built once per precision, and `exact(u, v)` comes
+    from one list of exact prefix sums of `ps.exact_dist` along the order,
+    built on first use.  An arc is a prefix difference, and a tour's other
+    arc is the total minus that arc.
     """
-    prefixes = {}          # bits -> (total, prefix sum at each vertex)
+    n = len(order)
+    tables = {}            # bits -> flat pair table
     exact_prefix = []      # exact prefix sum at each position, then total
 
     def sums(u, bits):
-        if bits not in prefixes:
-            tab = ps.table(bits)
-            at = [None] * len(order)
-            at[order[0]] = lo, hi = 0, 0
-            for a, b in _steps(order, closed):
-                elo, ehi = tab[a][b] or ps.dist_ints(a, b, bits)
-                lo += elo
-                hi += ehi
-                if at[b] is None:       # a tour's last step returns to 0
-                    at[b] = lo, hi
-            prefixes[bits] = (lo, hi), at
-        (tlo, thi), at = prefixes[bits]
-        ulo, uhi = at[u]
-        row = [(abs(lo - ulo), abs(hi - uhi)) for lo, hi in at]
-        if closed:
-            row = [(min(lo, tlo - lo), min(hi, thi - hi)) for lo, hi in row]
-        return row
+        if bits not in tables:
+            tables[bits] = _order_table(ps, order, closed, bits)
+        flat = tables[bits]
+        # pair (v, u), v < u, sits at v (2n - v - 1) / 2 + u - v - 1
+        start = u * (2 * n - u - 1) // 2
+        return [flat[v * (2 * n - v - 3) // 2 + u - 1] for v in range(u)] \
+            + [(0, 0)] + flat[start:start + n - 1 - u]
 
     def exact(u, v):
         if not exact_prefix:
@@ -575,20 +608,37 @@ def _order_search(ps, opts):
     upper |uv|: a placed pair whose path the prefix fixes, or a placed u
     and an unplaced w, whose path runs on through the prefix's end.  On a
     tour a pair takes the shorter arc, so each bound is the smaller of its
-    own and one through the tour's start.  A prefix is also cut once it
-    fixes every neighbour of a vertex but not all of the vertex's required
-    partners; a vertex with more than two required edges is `Infeasible`
-    at once.  A cut ordering is infeasible or certifiably worse than a
-    feasible one, so every exact optimum is reached.  Complete orderings
-    that meet the constraints go through the integer screen that
-    `exhaustive_mdst` uses.  Only the orderings the screen cannot certify
-    worse get a certified report: a path's from `tree_dilation`, as a
-    tree, and a tour's from the same certified max over pairs on its
-    arcs.  Tied pairs name the lexicographically smallest vertex pair, for
-    tours as for trees.  Ties between orderings keep the
-    lexicographically first.  `trees_examined` counts the complete
-    feasible orderings that reach the screen, and `pruned` the cut
-    prefixes plus the orderings the screen certified worse.
+    own and one through the tour's start.
+
+    The cut moves each placed u's prefix sum pu to the budget side: the
+    prefix order[:k] keeps one row, `budget[k][w]`, the least
+    limit[u][w] + pu over the placed u, where limit is the incumbent's
+    table (`_RunningScreen.limit`); a tour counts only the u whose other
+    arc also exceeds, pu + lo[0][w] > limit[u][w].  A child y with lower
+    prefix sum py is then cut when py + lo[y][w] > budget[k][w] for y or
+    an unplaced w: the same integer tests as pair by pair, in O(n) per
+    child.  Row k is built from row k - 1 in O(n) when order[k-1] is
+    placed, and built anew, from row 1 up, only when a leaf has lowered
+    the incumbent; every entry is filled, a placed vertex's as infinity,
+    so a row rebuilt deep in the search is right again after
+    backtracking.
+
+    A prefix is also cut once it fixes every neighbour of a vertex but
+    not all of the vertex's required partners; a vertex with more than
+    two required edges is `Infeasible` at once.  A cut ordering is
+    infeasible or certifiably worse than a feasible one, so every exact
+    optimum is reached.  Complete orderings that meet the constraints go
+    through the integer screen that `exhaustive_mdst` uses, each as its
+    flat pair table (`_order_table`), as do the nearest-neighbour seeds.
+    Only the orderings the screen cannot certify worse get a certified
+    report: a path's from `tree_dilation`, as a tree, and a tour's from
+    the same certified max over pairs on its arcs, each rung reading the
+    tour's flat table at its precision.  Tied pairs name the
+    lexicographically smallest vertex pair, for tours as for trees.  Ties
+    between orderings keep the lexicographically first.  `trees_examined`
+    counts the complete feasible orderings that reach the screen, and
+    `pruned` the cut prefixes plus the orderings the screen certified
+    worse.
     """
     n = ps.n
     if n > _STRUCT_MAX:
@@ -623,34 +673,40 @@ def _order_search(ps, opts):
         if closed:
             seq = seq[seq.index(0):] + seq[:seq.index(0)]
         if feasible(seq):
-            screen.tighten(_order_metric(ps, tuple(seq), closed)[0])
+            screen.tighten(_order_table(ps, seq, closed, _SCREEN_BITS))
 
     order = [0] * n        # the prefix being extended, ...
     prefix = [0] * n       # the lower sums of its edges up to each vertex
     placed = [False] * n
     cuts = 0
+    # budget[k]: the budget row of order[:k] (see the docstring); rows 1 ..
+    # fresh are those of the current prefix under the limit `rows_for`
+    budget = [[math.inf] * n] + [None] * n
+    fresh, rows_for = 0, None
+    lo_0 = lo[0]           # a tour starts at vertex 0
 
-    def cut(k, y, py):
-        """Whether every completion of order[:k] + [y], whose lower prefix
-        sum at y is py, has a pair through y certifiably above the
-        incumbent: y and a placed u, or a placed u and an unplaced w."""
-        limit = screen.limit()
-        if limit is None:
-            return False
-        lo_y, lo_0 = lo[y], lo[order[0]]
-        total = py + lo_y[order[0]]    # a tour is at least this long
-        rest = [w for w in range(n) if not placed[w] and w != y]
-        for u, pu in zip(order[:k], prefix):
-            d, lim = py - pu, limit[u]
+    def budget_row(k, limit):
+        """budget[k] under `limit`, built from budget[k - 1] for the rows
+        the last placement or a new limit left stale."""
+        nonlocal fresh, rows_for
+        if limit is not rows_for:
+            fresh, rows_for = 0, limit
+        while fresh < k:
+            u, pu, prev = order[fresh], prefix[fresh], budget[fresh]
+            lim = limit[u]
             if closed:
-                # the other arc runs from y, or from w, through order[0] to u
-                if d > lim[y] and total - d > lim[y] or any(
-                        d + lo_y[w] > lim[w] and pu + lo_0[w] > lim[w]
-                        for w in rest):
-                    return True
-            elif d > lim[y] or any(d + lo_y[w] > lim[w] for w in rest):
-                return True
-        return False
+                # u counts only where its other arc, through vertex 0,
+                # also exceeds
+                row = [b if b <= x + pu or pu + o <= x else x + pu
+                       for b, x, o in zip(prev, lim, lo_0)]
+            else:
+                row = [b if b <= x + pu else x + pu
+                       for b, x in zip(prev, lim)]
+            fresh += 1
+            for x in order[:fresh]:
+                row[x] = math.inf
+            budget[fresh] = row
+        return budget[k]
 
     def breaks_required(k, y):
         """Whether order[:k] + [y] fixes every neighbour of a vertex but
@@ -670,25 +726,40 @@ def _order_search(ps, opts):
         return any(not partners[x] <= nbrs for x, nbrs in fixed)
 
     def extend(k):
-        nonlocal cuts
+        nonlocal cuts, fresh
         if k == n:
             key = tuple(order)
             if key[1 if closed else 0] < key[-1] and feasible(key):
-                screen.offer(key, _order_metric(ps, key, closed)[0])
+                screen.offer(key, _order_table(ps, key, closed,
+                                               _SCREEN_BITS))
             return
+        base, last = prefix[k - 1], lo[order[k - 1]]
+        limit, row = screen.limit(), None
         for y in range(n):
             if placed[y]:
                 continue
-            py = prefix[k - 1] + lo[order[k - 1]][y]
-            if required and breaks_required(k, y) or cut(k, y, py):
+            py = base + last[y]
+            if required and breaks_required(k, y):
                 cuts += 1
                 continue
+            # cut once some pair through y is certifiably above the
+            # incumbent: lo[y][y] = 0 tests y itself, and a placed vertex's
+            # entry is infinite
+            if limit is not None:
+                if row is None:
+                    row = budget_row(k, limit)
+                if any(map(lt, row, map(py.__add__, lo[y]))):
+                    cuts += 1
+                    continue
             order[k], prefix[k], placed[y] = y, py, True
+            fresh = min(fresh, k)
             extend(k + 1)
             placed[y] = False
+            limit, row = screen.limit(), None
 
     for first in range(1 if closed else n):
         order[0], placed[first] = first, True
+        fresh = 0
         extend(1)
         placed[first] = False
 

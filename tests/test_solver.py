@@ -30,7 +30,7 @@ from dilatree.solver import (Mode, SolverOptions, SolverResult,
                              _screen_every_tree)
 from dilatree.radical import SqrtSum
 
-from conftest import graph_exceeds
+from conftest import graph_exceeds, pairwise_order_counts
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -788,6 +788,23 @@ def test_size_guards_in_every_mode(mode):
         mdst_exact(ps, SolverOptions(mode=mode, enumeration_cap=examined - 1))
 
 
+@pytest.mark.parametrize("mode", [*Mode, "exhaustive"])
+def test_nonpositive_bits_rejected_before_any_search(mode, monkeypatch):
+    # with a cap of 0 a search would stop at its first complete structure
+    # with SizeTooLarge; bits = 0 is a ValueError before the screen exists
+    def no_screen(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(solver, "_RunningScreen", no_screen)
+    ps = PointSet.from_coords(random_distinct_points(random.Random(5), 6))
+    with pytest.raises(ValueError, match="bits must be positive"):
+        if mode == "exhaustive":
+            exhaustive_mdst(ps, bits=0)
+        else:
+            mdst_exact(ps, SolverOptions(mode=mode, bits=0,
+                                         enumeration_cap=0))
+
+
 # translating these points by 2^54 once made path search return the
 # ordering 0-1-2-3-4 (dilation ~2.927) instead of 0-1-2-4-3 (~2.705)
 TRANSLATION_PROBE = [(0, 0), (3, 1), (5, 4), (1, 6), (7, 7)]
@@ -912,6 +929,52 @@ def test_order_search_constraints_match_oracle(mode, offset):
     assert edge in (forced.best.edges if mode is Mode.PATH else forced.best)
 
 
+class _DropCountScreen(_RunningScreen):
+    """A screen that counts, in `drops`, the offers that lowered its
+    incumbent, each one a new limit table mid-search."""
+
+    def __init__(self, ps, cap=None):
+        super().__init__(ps, cap)
+        self.drops = 0
+        _DropCountScreen.last = self
+
+    def offer(self, key, sums):
+        before = self.bound
+        super().offer(key, sums)
+        self.drops += self.bound != before
+
+
+def test_budget_row_cut_matches_pairwise_reference(monkeypatch):
+    # the budget rows decide every prefix as the pairwise cut of
+    # `pairwise_order_counts` does, so both count the same examined and
+    # pruned; a set whose incumbent drops several times mid-search
+    # rebuilds rows deep in the search and reads them after backtracking
+    monkeypatch.setattr(solver, "_RunningScreen", _DropCountScreen)
+    rng = random.Random(4040)
+    drops = []
+    for i in range(200):
+        n = rng.randint(5, 9)
+        offset = 2 ** 54 if i % 2 else 0
+        ps = PointSet.from_coords([(x + offset, y + offset) for x, y in
+                                   random_distinct_points(rng, n)])
+        for mode in (Mode.PATH, Mode.TOUR):
+            required = frozenset({tuple(rng.sample(range(n), 2))}
+                                 if rng.random() < 0.3 else ())
+            opts = SolverOptions(mode=mode, required_edges=required,
+                                 crossing_free=rng.random() < 0.3)
+            reference = pairwise_order_counts(ps, opts)
+            try:
+                res = mdst_exact(ps, opts)
+            except Infeasible:
+                # no feasible ordering reached the screen
+                assert reference[0] == 0
+                continue
+            assert (res.trees_examined, res.pruned) == reference
+            drops.append(_DropCountScreen.last.drops)
+    assert sum(d >= 3 for d in drops) >= 20
+    assert max(drops) >= 8
+
+
 GRID3 = [(x, y) for x in range(3) for y in range(3)]
 RANDOM8 = [(8, 5), (24, 17), (24, 12), (5, 19), (13, 11), (12, 20), (12, 7),
            (12, 5)]
@@ -947,11 +1010,17 @@ ORDER_PINS = [
      (28589935827851933419, 63, 1829755892982523738817, 69), (0, 2), False),
 ]
 
+# (trees_examined, pruned) of each pin, recorded when the prefix cut
+# still tested every placed vertex pair by pair, before it read one
+# budget row per prefix: a cut decided otherwise shows here
+ORDER_COUNTS = [(2, 323), (6, 130), (4, 1028), (101, 1565), (4, 645),
+                (229, 4721)]
 
-@pytest.mark.parametrize("pin", ORDER_PINS, ids=[
+
+@pytest.mark.parametrize("pin, counts", zip(ORDER_PINS, ORDER_COUNTS), ids=[
     "random8-path", "random8-tour", "grid3-path", "grid3-tour",
     "random10-path", "random10-tour"])
-def test_order_search_pinned(pin):
+def test_order_search_pinned(pin, counts):
     coords, mode, edges, value, witness, tied = pin
     ps = PointSet.from_coords(coords)
     res = mdst_exact(ps, SolverOptions(mode=mode, max_points=ps.n))
@@ -960,6 +1029,7 @@ def test_order_search_pinned(pin):
     assert res.report.value.lo == Fraction(lo_num, 1 << lo_exp)
     assert res.report.value.hi == Fraction(hi_num, 1 << hi_exp)
     assert (res.report.witness, res.report.tied) == (witness, tied)
+    assert (res.trees_examined, res.pruned) == counts
 
 
 @pytest.mark.parametrize("mode", [Mode.PATH, Mode.TOUR])
