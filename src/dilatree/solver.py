@@ -4,9 +4,10 @@ Every search is one pipeline: complete structures go to the integer
 screen `_RunningScreen`, which keeps the smallest upper bound seen so far
 as its incumbent and enforces the enumeration cap, and `_result` ends the
 search: only the structures the screen cannot certify worse get a
-certified report, and `_first_minimum` picks the answer, so ties keep the
-first structure offered.  `pruned` counts the cut search nodes plus the
-structures the screen certified worse, in every mode.
+certified report, and `_first_minimum` picks the answer, the least
+certified dilation and, among exact ties, the smallest sorted edge tuple,
+whatever the order of offering.  `pruned` counts the cut search nodes
+plus the structures the screen certified worse, in every mode.
 Spanning trees are screened from the screen's n x n table of integer
 (lo, hi) path sums.  `_RunningScreen.join` links two components of a
 partial tree, each a list of its vertices, by an edge, writing the sums
@@ -141,22 +142,29 @@ def _compare_exact(rep_a, exact_a, rep_b, exact_b):
     return _ratio_sign(exact_a(*rep_a.witness), exact_b(*rep_b.witness))
 
 
+def _edge_key(structure):
+    """The sorted edge tuple of a `Tree`, or of a tour, which is one."""
+    return structure.edges if isinstance(structure, Tree) else structure
+
+
 def _first_minimum(reports):
-    """The first (structure, report, exact) of `reports` that no later one
-    certifiably beats, so ties keep the earliest."""
+    """The least (structure, report, exact) of `reports`: the least
+    certified dilation (`_compare_exact`) and, among exact ties, the
+    smallest sorted edge tuple (`_edge_key`).  A total order, so the
+    answer does not depend on the order of `reports`."""
     best = None
     for item in reports:
-        if best is None or _compare_exact(item[1], item[2],
-                                          best[1], best[2]) < 0:
+        if best is None or (_compare_exact(item[1], item[2], best[1], best[2]),
+                            _edge_key(item[0])) < (0, _edge_key(best[0])):
             best = item
     return best
 
 
 def _result(candidates, certify, examined, cuts=0):
-    """End a search: the first minimum of `certify` over `candidates`, the
-    screen's survivors in order, each certified to (structure, report,
-    exact).  `examined` structures were screened; `pruned` counts the
-    `cuts` plus those the screen certified worse."""
+    """End a search: the `_first_minimum` of `certify` over `candidates`,
+    the screen's survivors, each certified to (structure, report, exact).
+    `examined` structures were screened; `pruned` counts the `cuts` plus
+    those the screen certified worse."""
     if not candidates:
         raise Infeasible("no structure satisfies the constraints")
     best, report, _ = _first_minimum(map(certify, candidates))
@@ -284,9 +292,10 @@ def _exclude_cut(screen, live, u):
     and t by a path of it, at least as long as the shortest-path sum D(t)
     of lower lengths.  One array Dijkstra from u settles the vertices in
     order of D and returns True at the first t with D(t) > limit[u][t],
-    that is Q D(t) > P hi(u, t) for the incumbent P/Q, and also when some
-    vertex stays unreached.  Before the first bound only a disconnection
-    cuts.  False only means "not shown".
+    from the screen's `limit`, that is Q D(t) > P hi(u, t) for the
+    incumbent P/Q, and also when some vertex stays unreached.  Before the
+    first bound only a disconnection cuts.  False only means "not
+    shown".
 
     The 32-bit lower lengths are never above the 64-bit ones, and the
     32-bit hi(u, t) never below, so a cut here implies the same cut from
@@ -295,7 +304,7 @@ def _exclude_cut(screen, live, u):
     The two decided alike on every node of the fixed-seed sets of
     `tests/test_solver.py`, which is observed, not proven.
     """
-    limit = screen.limit()
+    limit = screen.limit
     dist = live[u][:]
     rest = [t for t in range(len(live)) if t != u]
     while rest:
@@ -323,19 +332,22 @@ class _RunningScreen:
     It reads the enclosure table `ps.table(_SCREEN_BITS)`, `lens`, with
     every entry filled.  It keeps a running incumbent, `bound` =
     (num, den), the smallest upper bound on a dilation seen so far (1/0
-    is no bound yet).  `offer` takes a structure's integer (lo, hi) path
-    sums, flat: every pair u < v in the order of
-    `itertools.combinations`, and drops the structure as soon as one
-    pair's lower sum exceeds the incumbent.  Tree searches build a square
-    table of them, `pairs`, pair by pair with `join`, which checks each
-    new pair against `limit()` and so drops trees unoffered;
+    is no bound yet), and the incumbent as a table, `limit`, None before
+    the first bound: limit[u][v] is the largest lower u-v path sum that
+    leaves the pair at or below the incumbent, b_n * hi_uv // b_d, and a
+    new list is built each time the incumbent drops.  `offer` takes a
+    structure's integer (lo, hi) path sums, flat: every pair u < v in the
+    order of `itertools.combinations`, and drops the structure as soon as
+    one pair's lower sum exceeds the incumbent.  Tree searches build a
+    square table of them, `pairs`, pair by pair with `join`, which checks
+    each new pair against `limit` and so drops trees unoffered;
     `pair_sums` reads it flat.
     `survivors` filters the structures scanned in full once more against
     the final incumbent.  A dropped structure lies certifiably above the
-    final incumbent too, so the survivors, in offering order, are those
-    of scoring every structure fully.  `count` is the number of
-    structures offered; offering one more than `cap` (None: no cap)
-    raises `SizeTooLarge`.
+    final incumbent too, so the survivors, in offering order, hold every
+    exact optimum, and their `_first_minimum` is that of scoring every
+    structure fully.  `count` is the number of structures offered;
+    offering one more than `cap` (None: no cap) raises `SizeTooLarge`.
     """
 
     def __init__(self, ps, cap=None):
@@ -353,7 +365,7 @@ class _RunningScreen:
         self.count = 0
         # (lo_num, lo_den, key) of the structures scanned in full
         self._scored = []
-        self._limit = None, None
+        self.limit = None
 
     def offer(self, key, sums):
         if self.cap is not None and self.count >= self.cap:
@@ -384,19 +396,9 @@ class _RunningScreen:
                 hi_n, hi_d = dhi, llo
         if hi_n * b_d < b_n * hi_d:
             self.bound = hi_n, hi_d
+            self.limit = [[hi_n * hi // hi_d for _, hi in row]
+                          for row in self.lens]
         return lo_n, lo_d
-
-    def limit(self):
-        """The incumbent as a table, None before the first bound:
-        limit[u][v] is the largest lower u-v path sum that leaves the pair
-        at or below the incumbent, b_n * hi_uv // b_d."""
-        b_n, b_d = self.bound
-        if not b_d:
-            return None
-        if self._limit[0] != self.bound:
-            self._limit = self.bound, [[b_n * hi // b_d for _, hi in row]
-                                       for row in self.lens]
-        return self._limit[1]
 
     def pair_sums(self):
         """The sums of `pairs`, flat as `tighten` reads them."""
@@ -409,13 +411,13 @@ class _RunningScreen:
         `comp[x]` lists the vertices of x's component, one list shared by
         all of them.  A pair x, y across them gets the path x .. u - v ..
         y, whose sums are those of x-u, of the edge's `lens` entry and of
-        v-y.  When some new pair's lower sum exceeds `limit()` nothing is
+        v-y.  When some new pair's lower sum exceeds `limit` nothing is
         written and None is returned; otherwise every new pair is written,
         both ways round, and a new `comp` is returned with the two lists
         replaced by their concatenation.  The caller's `comp` is unchanged."""
         side_u, side_v = comp[u], comp[v]
         elo, ehi = self.lens[u][v]
-        pairs, limit = self.pairs, self.limit()
+        pairs, limit = self.pairs, self.limit
         row_u, row_v = pairs[u], pairs[v]
         if limit is not None:
             for x in side_u:
@@ -442,30 +444,14 @@ class _RunningScreen:
                 if lo_n * b_d <= b_n * lo_d]
 
 
-def _prufer_code(parent):
-    """The Prüfer sequence of the tree whose vertex v < n - 1 has parent
-    parent[v] toward n - 1, the inverse of `_prufer_edges`."""
-    kids = [parent.count(v) for v in range(len(parent) + 1)]
-    code = []
-    for _ in range(len(parent) - 1):
-        leaf = kids.index(0)        # the smallest leaf left; n - 1 stays
-        kids[leaf] = None
-        code.append(parent[leaf])
-        kids[parent[leaf]] -= 1
-    return tuple(code)
-
-
 def _screen_every_tree(ps, screen):
     """Screen all n^(n-2) labeled trees with `screen`; return its
-    survivors in Prüfer order, as `_prufer_edges` gives them.
+    survivors as offered, each as its parent edges (v, parent of v).
 
     Vertices 0 .. n-2 in turn pick a parent toward n - 1, nearest first
     so that the incumbent drops early; a pick is one `join` of two
     components, as in `mdst_exact`.  Every tree is offered, or
-    lies below a refused pick and so certifiably above the incumbent.
-    The survivors do not depend on the order of offering
-    (`_RunningScreen`), so sorting their Prüfer codes restores the order
-    of `enumerate_spanning_trees`."""
+    lies below a refused pick and so certifiably above the incumbent."""
     n = ps.n
     near = [sorted((p for p in range(n) if p != v),
                    key=lambda p: (screen.lens[v][p], p))
@@ -474,7 +460,7 @@ def _screen_every_tree(ps, screen):
 
     def pick(v, comp):
         if v == n - 1:
-            screen.offer(_prufer_code(parent), screen.pair_sums())
+            screen.offer(tuple(enumerate(parent)), screen.pair_sums())
             return
         for p in near[v]:
             if comp[p] is not comp[v]:
@@ -484,7 +470,7 @@ def _screen_every_tree(ps, screen):
                     pick(v + 1, nc)
 
     pick(0, [[x] for x in range(n)])
-    return [_prufer_edges(n, code) for code in sorted(screen.survivors())]
+    return screen.survivors()
 
 
 def _certify_tree(ps, bits, edges):
@@ -500,10 +486,11 @@ def exhaustive_mdst(ps: PointSet, bits: int = 64) -> SolverResult:
     Trees are built by parent picks, a join at a time, in the integer
     path-sum table of `_RunningScreen`, which screens them; a refused join
     drops every tree below it (`_screen_every_tree`).  Only the trees the
-    screen cannot certify worse become validated `Tree`s, in Prüfer
-    order, and are separated exactly, so the answer, `trees_examined`
-    (all n^(n-2) trees) and `pruned` are those of scoring every Prüfer
-    tree fully.  A `bits` below 1 is a ValueError before any search.
+    screen cannot certify worse become validated `Tree`s and are
+    separated exactly, so the answer, the least certified dilation and
+    then the smallest edge tuple, `trees_examined` (all n^(n-2) trees)
+    and `pruned` are those of scoring every labeled tree fully.  A `bits`
+    below 1 is a ValueError before any search.
     """
     if bits < 1:
         raise ValueError("bits must be positive")
@@ -613,7 +600,7 @@ def _order_search(ps, opts):
     The cut moves each placed u's prefix sum pu to the budget side: the
     prefix order[:k] keeps one row, `budget[k][w]`, the least
     limit[u][w] + pu over the placed u, where limit is the incumbent's
-    table (`_RunningScreen.limit`); a tour counts only the u whose other
+    table (the screen's `limit`); a tour counts only the u whose other
     arc also exceeds, pu + lo[0][w] > limit[u][w].  A child y with lower
     prefix sum py is then cut when py + lo[y][w] > budget[k][w] for y or
     an unplaced w: the same integer tests as pair by pair, in O(n) per
@@ -634,11 +621,11 @@ def _order_search(ps, opts):
     report: a path's from `tree_dilation`, as a tree, and a tour's from
     the same certified max over pairs on its arcs, each rung reading the
     tour's flat table at its precision.  Tied pairs name the
-    lexicographically smallest vertex pair, for tours as for trees.  Ties
-    between orderings keep the lexicographically first.  `trees_examined`
-    counts the complete feasible orderings that reach the screen, and
-    `pruned` the cut prefixes plus the orderings the screen certified
-    worse.
+    lexicographically smallest vertex pair, for tours as for trees.  Of
+    exactly tied orderings the one with the smallest sorted edge tuple is
+    returned (`_first_minimum`).  `trees_examined` counts the complete
+    feasible orderings that reach the screen, and `pruned` the cut
+    prefixes plus the orderings the screen certified worse.
     """
     n = ps.n
     if n > _STRUCT_MAX:
@@ -664,7 +651,7 @@ def _order_search(ps, opts):
             opts.crossing_free and crossing_edge_pairs(ps, edges))
 
     # the incumbent starts at the best feasible nearest-neighbour ordering,
-    # one from each start; it only bounds, so the survivors keep their order
+    # one from each start; it only bounds and offers no survivor
     for start in range(n):
         seq, rest = [start], [v for v in range(n) if v != start]
         while rest:
@@ -734,7 +721,7 @@ def _order_search(ps, opts):
                                                _SCREEN_BITS))
             return
         base, last = prefix[k - 1], lo[order[k - 1]]
-        limit, row = screen.limit(), None
+        limit, row = screen.limit, None
         for y in range(n):
             if placed[y]:
                 continue
@@ -755,7 +742,7 @@ def _order_search(ps, opts):
             fresh = min(fresh, k)
             extend(k + 1)
             placed[y] = False
-            limit, row = screen.limit(), None
+            limit, row = screen.limit, None
 
     for first in range(1 if closed else n):
         order[0], placed[first] = first, True
@@ -859,16 +846,17 @@ def verify_crossing_witness(ps: PointSet, bits: int = 96) -> WitnessCheck | None
     is attained only by crossing trees and every crossing-free tree is
     certified strictly worse; None otherwise.  The trees go once through
     the integer screen, and only its survivors are certified at `bits`:
-    the optimum is their first minimum, as in `exhaustive_mdst`, and the
-    optimal trees those certified equal to it.
+    the optimum is their minimum, as in `exhaustive_mdst`, and the
+    optimal trees those certified equal to it, sorted by edge tuple.
     """
     if ps.n != 5:
         raise ValueError("witness verification is defined for five points")
     certified = [_certify_tree(ps, bits, edges)
                  for edges in _screen_every_tree(ps, _RunningScreen(ps))]
     best_tree, best_rep, best_exact = _first_minimum(certified)
-    optimal = [tree for tree, rep, exact in certified
-               if _compare_exact(rep, exact, best_rep, best_exact) == 0]
+    optimal = sorted((tree for tree, rep, exact in certified
+                      if not _compare_exact(rep, exact, best_rep, best_exact)),
+                     key=_edge_key)
     if not all(tree_has_crossing(ps, t) for t in optimal):
         return None
     crit = _critical_scan(ps, *best_exact(*best_rep.witness), 64)

@@ -53,10 +53,10 @@ def pairwise_order_counts(ps, opts):
     It keeps `_RunningScreen` as its incumbent, seeded from the
     nearest-neighbour orderings, and cuts a child y, at lower prefix
     sum py, when for some placed u at pu the pair (u, y), or (u, w) for
-    an unplaced w through y, has a lower path sum above `limit()`; a tour
-    pair needs its other arc, through the start, above it too.  A child
-    that leaves a vertex's neighbours fixed without all of its required
-    partners is cut first.  `solver._order_search` must decide every
+    an unplaced w through y, has a lower path sum above the screen's
+    `limit`; a tour pair needs its other arc, through the start, above
+    it too.  A child that leaves a vertex's neighbours fixed without all
+    of its required partners is cut first.  `solver._order_search` must decide every
     cut alike."""
     n, closed = ps.n, opts.mode is Mode.TOUR
     required = {tuple(sorted(e)) for e in opts.required_edges}
@@ -98,7 +98,7 @@ def pairwise_order_counts(ps, opts):
         return any(not partners[x] <= nbrs for x, nbrs in fixed)
 
     def cut(y, py):
-        limit = screen.limit()
+        limit = screen.limit
         if limit is None:
             return False
         rest = [w for w in range(n) if w not in order and w != y]

@@ -26,7 +26,7 @@ from dilatree.solver import (Mode, SolverOptions, SolverResult,
                              exhaustive_mdst, mdst_exact, uncross_four,
                              verify_crossing_witness, witness_search_five,
                              _RunningScreen, _compare_exact,
-                             _order_metric, _prufer_code, _prufer_edges,
+                             _order_metric, _prufer_edges,
                              _screen_every_tree)
 from dilatree.radical import SqrtSum
 
@@ -44,6 +44,17 @@ def _compare_reports(ps, tree_a, rep_a, tree_b, rep_b):
     """Certified sign of Delta(tree_a) - Delta(tree_b)."""
     return _compare_exact(rep_a, tree_exact(ps, tree_a),
                           rep_b, tree_exact(ps, tree_b))
+
+
+def canonical_minimum(ps, scored):
+    """The (tree, report) of `scored` with the least certified dilation
+    and, among exact ties, the smallest edge tuple: the first strict
+    minimum once the trees are sorted by edge tuple."""
+    best = rep = None
+    for tree, r in sorted(scored, key=lambda item: item[0].edges):
+        if rep is None or _compare_reports(ps, tree, r, best, rep) < 0:
+            best, rep = tree, r
+    return best, rep
 
 
 def random_distinct_points(rng, n, lo=0, hi=64):
@@ -97,25 +108,13 @@ def test_prufer_decode_attaches_one_leaf_at_a_time():
                 heap_prufer_edges(n, seq)
 
 
-def test_prufer_code_inverts_the_decode():
-    for n in range(2, 8):
-        for seq in itertools.product(range(n), repeat=n - 2):
-            parent = [None] * (n - 1)
-            for leaf, anchor in _prufer_edges(n, seq):
-                parent[leaf] = anchor
-            assert _prufer_code(parent) == seq
-
-
 class _FixedLimitScreen(_RunningScreen):
-    """A screen whose limit stays `fixed` (None: no incumbent) and which
-    keeps every tree offered to it as a survivor."""
+    """A screen whose `limit` stays as the caller sets it (None: no
+    incumbent) and which keeps every tree offered to it as a survivor."""
 
     def __init__(self, ps):
         super().__init__(ps)
-        self.fixed, self.offered = None, []
-
-    def limit(self):
-        return self.fixed
+        self.offered = []
 
     def offer(self, key, sums):
         self.count += 1
@@ -131,13 +130,14 @@ def test_oracle_offers_every_tree_once_without_incumbent():
         ps = PointSet.from_coords(random_distinct_points(rng, n))
         screen = _FixedLimitScreen(ps)
         survivors = _screen_every_tree(ps, screen)
-        # each tree offered once, by its Prüfer code ...
+        # each tree offered once, by its parent edges, vertex by vertex ...
         assert screen.count == n ** (n - 2)
-        assert sorted(screen.offered) == \
-            list(itertools.product(range(n), repeat=n - 2))
-        # ... and handed back in Prüfer order
-        assert [Tree(n, edges).edges for edges in survivors] == \
-            [t.edges for t in enumerate_spanning_trees(n)]
+        assert all([v for v, _ in key] == list(range(n - 1))
+                   for key in screen.offered)
+        assert sorted(Tree(n, key).edges for key in screen.offered) == \
+            sorted(t.edges for t in enumerate_spanning_trees(n))
+        # ... and handed back as offered
+        assert survivors == screen.offered
 
 
 @pytest.mark.parametrize("ratio", [Fraction(6, 5), Fraction(3, 2), 2, 3])
@@ -149,13 +149,14 @@ def test_oracle_counts_every_tree_below_a_refused_pick(ratio):
         ps = PointSet.from_coords(random_distinct_points(rng, n))
         screen = _FixedLimitScreen(ps)
         lens = screen.lens
-        limit = screen.fixed = [[int(ratio * hi) for _, hi in row]
+        limit = screen.limit = [[int(ratio * hi) for _, hi in row]
                                 for row in lens]
         survivors = _screen_every_tree(ps, screen)
         within = [t.edges for t in enumerate_spanning_trees(n) if all(
             sum(lens[a][b][0] for a, b in t.path_edges(u, v)) <= limit[u][v]
             for u, v in itertools.combinations(range(n), 2))]
-        assert [Tree(n, edges).edges for edges in survivors] == within
+        assert sorted(Tree(n, edges).edges for edges in survivors) == \
+            sorted(within)
 
 
 def test_enumeration_guard():
@@ -204,11 +205,12 @@ def test_exhaustive_mdst_edge_sizes():
 def test_every_search_keeps_to_the_precision_ceiling(ceiling, monkeypatch):
     # the leaf pairs (1, 2) and (3, 4) of this star tie at sqrt(5), so each
     # search meets a tie that only the exact fallback, from 256 bits on,
-    # settles; below that every search stops at the ceiling
+    # settles; below that every search stops at the ceiling.  The oracle
+    # certifies its survivors in the order its parent picks offer them
     ps = PointSet.from_coords([(0, 0), (1, 2), (-1, 2), (1, -2), (-1, -2)])
     monkeypatch.setenv("DILATREE_MAX_BITS", str(ceiling))
     for search, context in [
-            (lambda: exhaustive_mdst(ps), [(0, 2), (0, 3), (2, 3)]),
+            (lambda: exhaustive_mdst(ps), [(0, 1), (0, 4), (1, 4)]),
             (lambda: mdst_exact(ps), [(0, 2), (0, 3), (2, 3)]),
             (lambda: mdst_exact(ps, SolverOptions(mode=Mode.PATH)),
              [(0, 1), (0, 4), (1, 4)]),
@@ -227,10 +229,69 @@ def test_mdst_matches_oracle_random_sets():
         ps = PointSet.from_coords(random_distinct_points(rng, n))
         res = mdst_exact(ps)
         oracle = exhaustive_mdst(ps)
-        sign = _compare_reports(ps, res.best, res.report,
-                                oracle.best, oracle.report)
-        assert sign == 0
+        assert res.best == oracle.best
         assert res.trees_examined <= n ** (n - 2)
+
+
+def lattice_subsets():
+    """300 random 5-7-point subsets of the 4x4 unit grid, whose many equal
+    lengths tie optimal trees often."""
+    rng = random.Random(25)
+    grid = [(x, y) for x in range(4) for y in range(4)]
+    return [rng.sample(grid, rng.randint(5, 7)) for _ in range(300)]
+
+
+def test_tree_search_returns_the_oracle_tree_on_lattice_sets():
+    # tree search meets the tied optima by edge length and the oracle by
+    # parent picks; both return the least certified dilation and, among
+    # exact ties, the smallest edge tuple, so the same tree
+    wrong = []
+    for coords in lattice_subsets():
+        ps = PointSet.from_coords(coords)
+        if mdst_exact(ps).best != exhaustive_mdst(ps).best:
+            wrong.append(coords)
+    assert wrong == []
+
+
+TIED_LATTICES = {
+    "grid2x3": [(x, y) for x in range(2) for y in range(3)],
+    "grid3x3_7": [(x, y) for x in range(3) for y in range(3)][:7],
+    "grid3x3_8": [(x, y) for x in range(3) for y in range(3)][:8],
+}
+
+
+@pytest.mark.parametrize("name", list(TIED_LATTICES))
+def test_tied_optimum_does_not_depend_on_visiting_order(name, monkeypatch):
+    # tree search, the oracle picking parents nearest first and the oracle
+    # picking them farthest first each meet the exactly tied optima in
+    # their own order, and the oracle's two orders meet different ones
+    # first; all three return the same tree, as does, up to seven points,
+    # a brute force over every labeled tree (eight points would certify
+    # 262,144 trees)
+    ps = PointSet.from_coords(TIED_LATTICES[name])
+    first_met = []
+    first_minimum = solver._first_minimum
+
+    def recording(reports):
+        reports = list(reports)
+        best = first_minimum(reports)
+        first_met.append(next(
+            tree for tree, rep, exact in reports
+            if _compare_exact(rep, exact, best[1], best[2]) == 0))
+        return best
+
+    monkeypatch.setattr(solver, "_first_minimum", recording)
+    results = [mdst_exact(ps).best, exhaustive_mdst(ps).best]
+    monkeypatch.setattr(solver, "sorted", lambda items, key=None: sorted(
+        items, key=key, reverse=True), raising=False)
+    results.append(exhaustive_mdst(ps).best)
+    monkeypatch.undo()
+    assert first_met[1] != first_met[2]
+    if ps.n <= 7:
+        results.append(canonical_minimum(ps, (
+            (tree, tree_dilation(ps, tree, 64))
+            for tree in enumerate_spanning_trees(ps.n)))[0])
+    assert all(best == results[0] for best in results)
 
 
 # exhaustive_mdst outputs recorded before its screen ran against a running
@@ -253,9 +314,9 @@ EXHAUSTIVE_PINS = [
 ]
 
 
-# the same, recorded on two lattice sets whose many exact ties make the
-# survivors' order decide the answer: eight of the 3x3 unit grid's points
-# (7 survivors) and the 2x3 grid (14 survivors)
+# the same, recorded on two lattice sets with many exactly tied optima,
+# of which the answer is the smallest edge tuple: eight of the 3x3 unit
+# grid's points (7 survivors) and the 2x3 grid (14 survivors)
 EXHAUSTIVE_TIE_PINS = [
     ([(x, y) for x in range(3) for y in range(3)][:8],
      ((0, 4), (1, 2), (1, 4), (1, 5), (3, 4), (4, 6), (4, 7)), (0, 1), 272,
@@ -263,9 +324,9 @@ EXHAUSTIVE_TIE_PINS = [
      (18320381198483092318366819162170796570593515903918213573057006220700984226932758009, 272,
       293126099175729477093869106594732745129496254462691417168912099531215747630924128147, 276)),
     ([(x, y) for x in range(2) for y in range(3)],
-     ((0, 3), (0, 4), (1, 2), (1, 4), (1, 5)), (0, 1), 272, True, 1296, 1282,
+     ((0, 1), (1, 2), (1, 3), (1, 4), (1, 5)), (0, 3), 272, True, 1296, 1282,
      (18320381198483092318366819162170796570593515903918213573057006220700984226932758009, 272,
-      293126099175729477093869106594732745129496254462691417168912099531215747630924128147, 276)),
+      146563049587864738546934553297366372564748127231345708584456049765607873815462064073, 275)),
 ]
 
 
@@ -286,15 +347,13 @@ def test_exhaustive_mdst_pinned(pin):
 
 
 def test_exhaustive_mdst_matches_brute_force():
-    # score all 125 trees fully and keep the first certified minimum
+    # score all 125 trees fully and keep the canonical minimum
     for offset in (0, 2 ** 54):
         ps = PointSet.from_coords([(x + offset, y + offset) for x, y in
                                    [(0, 0), (3, 1), (5, 4), (1, 6), (7, 7)]])
-        best = rep = None
-        for tree in enumerate_spanning_trees(5):
-            r = tree_dilation(ps, tree, 64)
-            if rep is None or _compare_reports(ps, tree, r, best, rep) < 0:
-                best, rep = tree, r
+        best, rep = canonical_minimum(ps, (
+            (tree, tree_dilation(ps, tree, 64))
+            for tree in enumerate_spanning_trees(5)))
         res = exhaustive_mdst(ps)
         assert res.best == best
         assert res.report == rep
@@ -382,7 +441,9 @@ def test_tree_search_depth_stays_within_the_tree():
 # crossing_free, required edges, best tree, witness, precision, tie flag,
 # trees examined, pruned (re-recorded when excludes began to cut on
 # graph shortest paths) and the enclosure as (lo numerator, lo exponent,
-# hi numerator, hi exponent)
+# hi numerator, hi exponent); 7a and 8b have exactly tied optima, and
+# their best trees were re-recorded when ties went to the smallest edge
+# tuple
 RANDOM7A = [(20, 0), (16, 9), (12, 16), (5, 12), (3, 12), (1, 23), (29, 8)]
 RANDOM7B = [(4, 11), (22, 23), (19, 8), (21, 14), (24, 9), (1, 14), (29, 0)]
 RANDOM8A = [(29, 21), (24, 30), (1, 10), (9, 28), (0, 20), (18, 22), (14, 19),
@@ -391,7 +452,7 @@ RANDOM8B = [(9, 31), (18, 11), (10, 16), (10, 2), (27, 30), (6, 12), (19, 8),
             (7, 30)]
 TREE_PINS = [
     (RANDOM7A, off, False, (),
-     ((0, 1), (0, 6), (1, 2), (2, 3), (3, 4), (4, 5)), (1, 6), 68, False, 2,
+     ((0, 1), (0, 6), (1, 2), (2, 3), (3, 4), (3, 5)), (1, 6), 68, False, 2,
      9, (7928480525044482256395, 72, 495530032815280141025, 68))
     for off in (0, 1 << 54)] + [
     (RANDOM7B, off, False, (),
@@ -404,7 +465,7 @@ TREE_PINS = [
      (9735315524909993100705, 72, 4867657762454996550355, 71))
     for off in (0, 1 << 54)] + [
     (RANDOM8B, off, False, (),
-     ((0, 7), (1, 3), (1, 5), (1, 6), (2, 4), (2, 5), (2, 7)), (3, 5), 68,
+     ((0, 2), (0, 7), (1, 3), (1, 5), (1, 6), (2, 4), (2, 5)), (3, 5), 68,
      False, 59, 218,
      (2639883117590780709625, 70, 5279766235181561419253, 71))
     for off in (0, 1 << 54)] + [
@@ -504,8 +565,7 @@ def test_mdst_matches_oracle_on_eight_points(coords):
         ps = PointSet.from_coords([(x + off, y + off) for x, y in coords])
         res, oracle = mdst_exact(ps), exhaustive_mdst(ps)
         assert oracle.trees_examined == 8 ** 6
-        assert _compare_reports(ps, res.best, res.report,
-                                oracle.best, oracle.report) == 0
+        assert res.best == oracle.best
 
 
 def test_mdst_matches_oracle_on_nine_points():
@@ -516,8 +576,7 @@ def test_mdst_matches_oracle_on_nine_points():
                                        for x, y in grid_probe(seed, 9)])
             res, oracle = mdst_exact(ps), exhaustive_mdst(ps)
             assert oracle.trees_examined == 9 ** 7
-            assert _compare_reports(ps, res.best, res.report,
-                                    oracle.best, oracle.report) == 0
+            assert res.best == oracle.best
 
 
 def test_crossing_free_grid_search_is_fast():
@@ -552,7 +611,7 @@ def test_ten_point_tree_search_is_fast():
     res = mdst_exact(ps, SolverOptions(max_points=10))
     elapsed = time.perf_counter() - start
     assert res.best.edges == ((0, 3), (0, 4), (0, 6), (1, 4), (2, 4), (2, 7),
-                              (4, 9), (5, 9), (8, 9))
+                              (4, 9), (5, 8), (5, 9))
     assert res.report.witness == (1, 5)
     assert res.trees_examined == 23
     assert elapsed < 5.0, elapsed
@@ -561,8 +620,8 @@ def test_ten_point_tree_search_is_fast():
 @pytest.mark.parametrize("offset", [0, 2 ** 54])
 def test_constrained_tree_search_matches_brute_force(offset):
     # crossing-free search, and search with one edge the unconstrained
-    # optimum avoids, against the first certified minimum over every
-    # labeled tree that meets the constraint
+    # optimum avoids, against the canonical minimum over every labeled
+    # tree that meets the constraint
     rng = random.Random(61)
     for _ in range(2):
         ps = PointSet.from_coords([(x + offset, y + offset) for x, y in
@@ -577,41 +636,33 @@ def test_constrained_tree_search_matches_brute_force(offset):
                  lambda t: not tree_has_crossing(ps, t)),
                 (SolverOptions(required_edges=frozenset({edge})),
                  lambda t: t.has_edge(*edge))]:
-            best = rep = None
-            for tree, r in scored:
-                if keep(tree) and (rep is None or _compare_reports(
-                        ps, tree, r, best, rep) < 0):
-                    best, rep = tree, r
+            best, rep = canonical_minimum(
+                ps, [(tree, r) for tree, r in scored if keep(tree)])
             res = mdst_exact(ps, opts)
-            assert keep(res.best)
-            assert _compare_reports(ps, res.best, res.report, best, rep) == 0
+            assert res.best == best
 
 
 class _KeepScreen(_RunningScreen):
-    """A screen that passes on only the trees `keep` accepts, decoded from
-    their Prüfer codes, so its incumbent comes from those trees alone."""
+    """A screen that passes on only the trees `keep` accepts, so its
+    incumbent comes from those trees alone."""
 
     def __init__(self, ps, keep):
         super().__init__(ps)
         self.keep = keep
 
     def offer(self, key, sums):
-        n = len(self.lens)
-        if self.keep(Tree(n, _prufer_edges(n, key))):
+        if self.keep(Tree(len(self.lens), key)):
             super().offer(key, sums)
 
 
 def constrained_oracle(ps, keep):
-    """The first certified minimum over the labeled trees `keep` accepts:
+    """The canonical minimum over the labeled trees `keep` accepts:
     `_screen_every_tree` under a `_KeepScreen` drops only trees certifiably
     above one that `keep` accepts."""
-    best = rep = None
-    for edges in _screen_every_tree(ps, _KeepScreen(ps, keep)):
-        tree = Tree(ps.n, edges)
-        r = tree_dilation(ps, tree, 64)
-        if rep is None or _compare_reports(ps, tree, r, best, rep) < 0:
-            best, rep = tree, r
-    return best, rep
+    trees = [Tree(ps.n, edges)
+             for edges in _screen_every_tree(ps, _KeepScreen(ps, keep))]
+    return canonical_minimum(ps, [(tree, tree_dilation(ps, tree, 64))
+                                  for tree in trees])
 
 
 @pytest.mark.parametrize("n, seeds", [(8, (934, 810)), (9, (1096, 1104))])
@@ -630,10 +681,9 @@ def test_constrained_tree_search_matches_oracle(n, seeds):
             cases.append((SolverOptions(required_edges=frozenset({edge})),
                           lambda t: t.has_edge(*edge)))
         for opts, keep in cases:
-            best, rep = constrained_oracle(ps, keep)
-            res = mdst_exact(ps, opts)
-            assert keep(res.best)
-            assert _compare_reports(ps, res.best, res.report, best, rep) == 0
+            best, _ = constrained_oracle(ps, keep)
+            assert keep(best)
+            assert mdst_exact(ps, opts).best == best
 
 
 def test_screen_join_writes_new_pairs_and_leaves_the_caller_alone():
@@ -660,6 +710,7 @@ def test_screen_join_writes_new_pairs_and_leaves_the_caller_alone():
     comp = screen.join(screen.join(singles, 0, 1), 2, 3)
     before = copy.deepcopy(screen.pairs)
     screen.bound = (6, 5)
+    screen.limit = [[6 * hi // 5 for _, hi in row] for row in lens]
     assert screen.join(comp, 1, 2) is None
     assert screen.pairs == before
 
@@ -870,7 +921,8 @@ def _orderings(n, closed):
 
 def _check_against_all_orderings(ps, mode, required=(), crossing_free=False):
     """Brute force over every feasible ordering: paths by `tree_dilation`
-    and `_compare_reports`, tours by `graph_dilation_bounds`."""
+    and `_compare_reports`, which also checks the tie rule, tours by
+    `graph_dilation_bounds`."""
     res = mdst_exact(ps, SolverOptions(mode=mode, crossing_free=crossing_free,
                                        required_edges=frozenset(required)))
     feasible = [edges for edges in _orderings(ps.n, mode is Mode.TOUR)
@@ -881,10 +933,16 @@ def _check_against_all_orderings(ps, mode, required=(), crossing_free=False):
     best = list(res.best.edges) if mode is Mode.PATH else list(res.best)
     assert best in feasible
     if mode is Mode.PATH:
+        tied = []
         for edges in feasible:
             tree = Tree(ps.n, edges)
             rep = tree_dilation(ps, tree, 64)
-            assert _compare_reports(ps, tree, rep, res.best, res.report) >= 0
+            sign = _compare_reports(ps, tree, rep, res.best, res.report)
+            assert sign >= 0
+            if sign == 0:
+                tied.append(tree.edges)
+        # of the exactly tied paths, the smallest edge tuple
+        assert res.best.edges == min(tied)
     else:
         own = graph_dilation_bounds(ps, best, 64)
         assert own.lo <= res.report.value.hi and res.report.value.lo <= own.hi
@@ -983,8 +1041,8 @@ RANDOM10 = [(24, 15), (26, 30), (17, 4), (26, 20), (2, 7), (5, 9), (28, 0),
 
 # path and tour optima recorded when every ordering went through the
 # screen: best edges, the enclosure as (lo numerator, lo exponent, hi
-# numerator, hi exponent), witness, tie flag; the grid's path is the
-# first of several exactly tied optima
+# numerator, hi exponent), witness, tie flag; the grid's path and tour
+# are each the smallest edge tuple of several exactly tied optima
 ORDER_PINS = [
     (RANDOM8, Mode.PATH,
      ((0, 7), (1, 2), (2, 5), (3, 4), (3, 5), (4, 6), (6, 7)),
@@ -993,14 +1051,14 @@ ORDER_PINS = [
      ((0, 2), (0, 7), (1, 2), (1, 5), (3, 4), (3, 5), (4, 6), (6, 7)),
      (11794779687203108220731, 72, 184293432612548565949, 66), (2, 4), False),
     (GRID3, Mode.PATH,
-     ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)),
+     ((0, 1), (0, 5), (1, 2), (3, 4), (3, 8), (4, 5), (6, 7), (7, 8)),
      (int("2571649214138250333959042932206810118723010908684296346062237077"
           "33885900621270382207"), 275,
       int("2009100948545508073405502290786570405252352272409606520361122716"
           "670983598603674861"), 268), (0, 3), True),
     (GRID3, Mode.TOUR,
-     ((0, 1), (0, 6), (1, 2), (2, 5), (3, 6), (3, 7), (4, 5), (4, 8), (7, 8)),
-     (4519808984002603549785, 70, 2259904492001301774893, 69), (3, 4), False),
+     ((0, 1), (0, 2), (1, 3), (2, 5), (3, 6), (4, 6), (4, 7), (5, 8), (7, 8)),
+     (4519808984002603549785, 70, 2259904492001301774893, 69), (1, 4), False),
     (RANDOM10, Mode.PATH,
      ((0, 7), (0, 8), (1, 9), (2, 5), (2, 6), (3, 7), (3, 9), (4, 5), (6, 8)),
      (28589935827851933419, 63, 1829755892982523738817, 69), (0, 2), False),
@@ -1080,13 +1138,15 @@ def test_screens_cut_at_tiny_scale(mode):
 # best and report of the path search with one required edge, recorded
 # before prefixes that break a required edge were cut (2.5 s and 28 s
 # then): best edges, the enclosure as (lo numerator, lo exponent,
-# hi numerator, hi exponent), witness
+# hi numerator, hi exponent), witness; both sets have exactly tied
+# optima, and the best edges were re-recorded when ties went to the
+# smallest edge tuple
 REQUIRED_PINS = [
     (110, 10, (0, 9),
-     ((0, 1), (0, 9), (2, 3), (2, 9), (3, 5), (4, 6), (4, 8), (5, 8), (6, 7)),
+     ((0, 1), (0, 9), (2, 3), (2, 9), (3, 5), (4, 6), (4, 7), (5, 8), (6, 8)),
      (4426122612597159288645, 70, 17704490450388637154585, 72), (1, 3)),
     (111, 11, (0, 10),
-     ((0, 9), (0, 10), (1, 6), (2, 4), (2, 5), (3, 4), (3, 8), (5, 7), (6, 8),
+     ((0, 9), (0, 10), (1, 3), (1, 4), (2, 3), (2, 5), (4, 6), (5, 7), (6, 8),
       (7, 10)),
      (11349994108362612450619, 71, 11349994108362612450623, 71), (0, 2)),
 ]
